@@ -8,14 +8,15 @@ Green potentials, and structural verification checks.
 __version__ = "0.1.0"
 
 from .errors import (ConvergenceError, DegenerateInputError, DivergenceError,
-                     DomainError, SingularityError, ToleranceError)
+                     DomainError, FracgreenError, SingularityError,
+                     ToleranceError)
 from .fields import (Bubble, Bump, Gaussian, PowerLaw, RadialField,
                      SampledRadial, TruncatedPowerLaw, make_field,
                      near_optimizer)
-from .kernels import (GreenSurrogateEval, HeatProfileEval,
-                      green_surrogate_expanded, green_surrogate_product,
-                      green_time_integral, green_time_integral_quadrature,
-                      heat_profile, resolvent_profile_integral, riesz_kernel,
+from .kernels import (GreenSurrogateEval, green_surrogate_expanded,
+                      green_surrogate_product, green_time_integral,
+                      green_time_integral_quadrature, heat_profile,
+                      resolvent_profile_integral, riesz_kernel,
                       time_integral_coefficients)
 from .operator import (FormEval, OperatorEval, apply_P, energy_form,
                        fundamental_residual, hardy_ratio,
@@ -38,7 +39,7 @@ __all__ = [
     "Bubble", "Bump", "Gaussian", "PowerLaw", "RadialField", "SampledRadial",
     "TruncatedPowerLaw", "make_field", "near_optimizer",
     "ProblemParams", "QuadratureSpec", "VerificationReport",
-    "FormEval", "OperatorEval", "GreenSurrogateEval", "HeatProfileEval",
+    "FormEval", "OperatorEval", "GreenSurrogateEval",
     "PotentialField",
     "frac_laplacian_normalizer", "sharp_hardy_constant", "theta_of_gamma",
     "gamma_of_theta", "riesz_normalization", "power_multiplier", "log_gamma",
@@ -54,6 +55,7 @@ __all__ = [
     "fundamental_residual", "near_optimizer_sweep",
     "green_potential", "green_potential_detailed", "origin_slope_fit",
     "hardy_integrability_check", "delta_identity_check",
-    "DomainError", "DegenerateInputError", "SingularityError",
-    "DivergenceError", "ToleranceError", "ConvergenceError",
+    "FracgreenError", "DomainError", "DegenerateInputError",
+    "SingularityError", "DivergenceError", "ToleranceError",
+    "ConvergenceError",
 ]

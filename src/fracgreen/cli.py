@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config_file
-from .errors import DomainError
+from .config import RunConfig, load_config_file
+from .errors import FracgreenError
 from .fields import Bump, Bubble, Gaussian, make_field, near_optimizer
 from .kernels import (green_surrogate_expanded, green_surrogate_product,
                       green_time_integral, green_time_integral_quadrature,
@@ -30,8 +30,9 @@ from .kernels import (green_surrogate_expanded, green_surrogate_product,
 from .operator import fundamental_residual, hardy_ratio
 from .params import (ProblemParams, gamma_of_theta, sharp_hardy_constant,
                      theta_of_gamma)
-from .potentials import (delta_identity_check, green_potential_detailed,
-                         hardy_integrability_check, origin_slope_fit)
+from .potentials import (KERNEL_KINDS, delta_identity_check,
+                         green_potential_detailed, hardy_integrability_check,
+                         origin_slope_fit)
 from .quadrature import axis_point
 from .reports import VerificationReport
 
@@ -90,8 +91,9 @@ def _meta(cfg: RunConfig, params: ProblemParams | None) -> dict:
 
 def cmd_constants(cfg: RunConfig, args) -> int:
     N, s = cfg.dim, cfg.order
-    lam = sharp_hardy_constant(N, s)
     half = (N - 2.0 * s) / 2.0
+    params = ProblemParams.from_gamma(N, s, half / 2)
+    lam = params.sharp_constant
     rows = []
     n_grid = int(args.gamma_grid)
     for g in np.linspace(half / n_grid, half * (1.0 - 1.0 / n_grid), n_grid):
@@ -100,9 +102,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
             "theta": theta_of_gamma(float(g), N, s), "theta_err": 0.0,
         })
     meta = {"version": __version__, "N": N, "s": s, "seed": cfg.seed,
-            "sharp_constant": lam,
-            "normalizer": ProblemParams.from_gamma(N, s, half / 2).normalizer,
-            "sobolev_exponent": 2.0 * N / (N - 2.0 * s)}
+            "sharp_constant": lam, "normalizer": params.normalizer,
+            "sobolev_exponent": params.sobolev_exponent}
     if cfg.theta is not None:
         g = gamma_of_theta(cfg.theta, N, s)
         rows.append({"gamma": g, "gamma_err": 1e-12 * lam,
@@ -227,20 +228,26 @@ def _verify_time_integral(params, quad, seed, n=10) -> VerificationReport:
 
 
 def _verify_hardy(params, quad) -> VerificationReport:
+    N, s = params.dim, params.order
     lam = params.sharp_constant
-    catalog = {
-        "bump": Bump(1.0),
-        "gaussian": Gaussian(1.0),
-        "bubble": Bubble(params.dim - 2.0 * params.order),
-        "near_optimizer": near_optimizer(0.2, params.dim, params.order),
-    }
+    catalog = {"bump": Bump(1.0), "gaussian": Gaussian(1.0)}
+    # the bubble (1+r^2)^(-(N-2s)/2) is in L^2 only when 2(N-2s) > N
+    skipped = {}
+    if 2.0 * (N - 2.0 * s) > N:
+        catalog["bubble"] = Bubble(N - 2.0 * s)
+    else:
+        skipped["bubble"] = "not in L^2: 2(N-2s) <= N"
+    catalog["near_optimizer"] = near_optimizer(0.2, N, s)
     ratios = {name: hardy_ratio(f, params, quad)
               for name, f in catalog.items()}
     worst = min(ratios.values())
+    details = {name: r / lam for name, r in ratios.items()}
+    if skipped:
+        details["skipped"] = skipped
     return VerificationReport(
         "hardy-ratio-catalog", worst / lam, 1.0, 1e-3,
         max(0.0, 1.0 - worst / lam), bool(worst >= lam * (1.0 - 1e-3)),
-        {name: r / lam for name, r in ratios.items()})
+        details)
 
 
 def _verify_delta(params, quad) -> VerificationReport:
@@ -407,9 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="potential on a radial grid")
     common(p)
-    p.add_argument("--kernel", choices=("riesz_exact", "surrogate",
-                                        "resolvent_surrogate"),
-                   default="surrogate")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="surrogate")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--field", type=str, default=None)
     p.add_argument("--field-radius", type=float, default=None)
@@ -452,17 +457,12 @@ def main(argv=None) -> int:
             print("error: --radii expects lo:hi:n with 0 < lo < hi, n >= 2",
                   file=sys.stderr)
             return 2
-    try:
-        cfg = _config_from_args(args)
-    except (ConfigError, DomainError, OSError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     handlers = {"constants": cmd_constants, "kernel": cmd_kernel,
                 "verify": cmd_verify, "solve": cmd_solve}
     try:
-        return handlers[args.command](cfg, args)
-    except (ConfigError, DomainError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        return handlers[args.command](_config_from_args(args), args)
+    except (FracgreenError, OSError) as ex:
+        print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
 
 

@@ -9,14 +9,14 @@ Grammar (documented in the README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import DomainError
+from .errors import FracgreenError
 from .params import ProblemParams, sharp_hardy_constant, theta_of_gamma
 from .quadrature import QuadratureSpec
 
 
-class ConfigError(ValueError):
+class ConfigError(FracgreenError, ValueError):
     """Malformed configuration file or inconsistent settings."""
 
 
@@ -70,6 +70,21 @@ def load_config_file(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
+def _quadrature_spec(block: dict) -> QuadratureSpec:
+    """QuadratureSpec from a [quadrature] block: each key names a field and
+    its value is converted to the type of that field's default."""
+    spec = {f.name: f for f in fields(QuadratureSpec)}
+    unknown = sorted(set(block) - set(spec))
+    if unknown:
+        raise ConfigError(f"[quadrature]: unknown key(s) {unknown}; "
+                          f"choose from {list(spec)}")
+    try:
+        return QuadratureSpec(**{key: type(spec[key].default)(val)
+                                 for key, val in block.items()})
+    except (TypeError, ValueError) as ex:
+        raise ConfigError(f"[quadrature]: {ex}")
+
+
 @dataclass
 class RunConfig:
     """Validated settings for one CLI invocation."""
@@ -96,17 +111,7 @@ class RunConfig:
             cfg.theta = float(p["theta"])
         if "gamma" in p:
             cfg.gamma = float(p["gamma"])
-        q = blocks.get("quadrature", {})
-        try:
-            cfg.quad = QuadratureSpec(
-                inner_radius=float(q.get("inner_radius", 1e-3)),
-                outer_radius=float(q.get("outer_radius", 1e3)),
-                max_depth=int(q.get("max_depth", 30)),
-                rel_tol=float(q.get("rel_tol", 1e-7)),
-                angular_order=int(q.get("angular_order", 16)),
-            )
-        except DomainError as ex:
-            raise ConfigError(str(ex))
+        cfg.quad = _quadrature_spec(blocks.get("quadrature", {}))
         o = blocks.get("output", {})
         if "format" in o:
             cfg.fmt = str(o["format"])

@@ -1,25 +1,29 @@
 """Exception taxonomy shared across the package."""
 
 
-class DomainError(ValueError):
+class FracgreenError(Exception):
+    """Base of every error the library raises on purpose."""
+
+
+class DomainError(FracgreenError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(FracgreenError, ValueError):
     """Input degenerate for the requested operation (e.g. coincident points)."""
 
 
-class SingularityError(ValueError):
+class SingularityError(FracgreenError, ValueError):
     """Evaluation point coincides with a genuine singularity of the field."""
 
 
-class DivergenceError(ValueError):
+class DivergenceError(FracgreenError, ValueError):
     """The requested integral does not converge."""
 
 
-class ToleranceError(RuntimeError):
+class ToleranceError(FracgreenError, RuntimeError):
     """Refinement budget exhausted before reaching the requested tolerance."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(FracgreenError, RuntimeError):
     """An iterative solve failed to reach its tolerance within budget."""

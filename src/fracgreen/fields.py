@@ -13,6 +13,7 @@ analytic), the support radius if compact, and a power-law tail model.
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Sequence
 
@@ -360,4 +361,10 @@ def make_field(kind: str, **kwargs) -> RadialField:
     except KeyError:
         raise DomainError(
             f"unknown field kind {kind!r}; choose from {sorted(_CATALOG)}")
+    sig = inspect.signature(cls)
+    try:
+        sig.bind(**kwargs)
+    except TypeError as ex:
+        raise DomainError(f"field {kind!r}: {ex}; its parameters are "
+                          f"{list(sig.parameters)}")
     return cls(**kwargs)

@@ -40,24 +40,29 @@ def _require_off_diagonal(d):
         raise DegenerateInputError("x = y is excluded; kernels blow up there")
 
 
-def heat_profile(t, x, y, params: ProblemParams):
-    """Two-sided heat-kernel comparison profile.
+def heat_profile_radial(t, d, rx, ry, params: ProblemParams):
+    """The heat comparison profile of t > 0, d = |x-y|, rx = |x|, ry = |y|:
 
-    (1 + t^(g/2s)|x|^-g)(1 + t^(g/2s)|y|^-g) * min(t^(-N/2s), t |x-y|^(-N-2s));
-    symmetric in (x, y); finite on the diagonal where the min keeps the
-    t^(-N/2s) branch.
+    (1 + t^(g/2s) rx^-g)(1 + t^(g/2s) ry^-g) * min(t^(-N/2s), t d^(-N-2s)),
+    finite at d = 0, where the min keeps the t^(-N/2s) branch.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("time must be positive")
     N, s, g = params.dim, params.order, params.exponent_gamma
-    rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
     tpow = t ** (g / (2.0 * s))
     weight = (1.0 + tpow * rx ** (-g)) * (1.0 + tpow * ry ** (-g))
     with np.errstate(divide="ignore"):
-        branch2 = np.where(d > 0.0, t * d ** (-(N + 2.0 * s)), np.inf)
-    return weight * np.minimum(t ** (-N / (2.0 * s)), branch2)
+        return weight * np.minimum(t ** (-N / (2.0 * s)),
+                                   t * d ** (-(N + 2.0 * s)))
+
+
+def heat_profile(t, x, y, params: ProblemParams):
+    """Two-sided heat-kernel comparison profile (see heat_profile_radial);
+    symmetric in (x, y) and finite on the diagonal."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise DomainError("time must be positive")
+    rx, ry, d = _norms(x, y)
+    _require_off_origin(rx, ry)
+    return heat_profile_radial(t, d, rx, ry, params)
 
 
 def green_surrogate_product(x, y, params: ProblemParams):
@@ -72,17 +77,30 @@ def green_surrogate_product(x, y, params: ProblemParams):
             * (d ** (-g) + ry ** (-g)))
 
 
+def surrogate_terms(rx, ry, params: ProblemParams):
+    """The expanded surrogate as three power terms (weight, lam) in d^-lam:
+
+    (1, N-2s), (|x|^-g + |y|^-g, N-2s-g), (|x|^-g |y|^-g, N-2s-2g).
+    """
+    N, s, g = params.dim, params.order, params.exponent_gamma
+    ax, ay = rx ** (-g), ry ** (-g)
+    return ((1.0, N - 2.0 * s), (ax + ay, N - 2.0 * s - g),
+            (ax * ay, N - 2.0 * s - 2.0 * g))
+
+
+def surrogate_radial(d, rx, ry, params: ProblemParams):
+    """The expanded surrogate at d = |x-y|, rx = |x|, ry = |y|."""
+    return sum(w * d ** (-lam) for w, lam in surrogate_terms(rx, ry, params))
+
+
 def green_surrogate_expanded(x, y, params: ProblemParams):
     """Green-function surrogate, expanded form:
     |x-y|^-(N-2s) + (|x|^-g + |y|^-g)|x-y|^-(N-2s-g)
                   + |x|^-g |y|^-g |x-y|^-(N-2s-2g)."""
-    N, s, g = params.dim, params.order, params.exponent_gamma
     rx, ry, d = _norms(x, y)
     _require_off_origin(rx, ry)
     _require_off_diagonal(d)
-    return (d ** (-(N - 2.0 * s))
-            + (rx ** (-g) + ry ** (-g)) * d ** (-(N - 2.0 * s - g))
-            + rx ** (-g) * ry ** (-g) * d ** (-(N - 2.0 * s - 2.0 * g)))
+    return surrogate_radial(d, rx, ry, params)
 
 
 def time_integral_coefficients(params: ProblemParams):
@@ -107,16 +125,11 @@ def time_integral_coefficients(params: ProblemParams):
 
 def green_time_integral(x, y, params: ProblemParams):
     """int_0^inf of the heat profile in closed form."""
-    N, s, g = params.dim, params.order, params.exponent_gamma
     rx, ry, d = _norms(x, y)
     _require_off_origin(rx, ry)
     _require_off_diagonal(d)
-    c0, c1, c2 = time_integral_coefficients(params)
-    A = rx ** (-g) + ry ** (-g)
-    B = rx ** (-g) * ry ** (-g)
-    return (c0 * d ** (-(N - 2.0 * s))
-            + c1 * A * d ** (-(N - 2.0 * s - g))
-            + c2 * B * d ** (-(N - 2.0 * s - 2.0 * g)))
+    return sum(c * w * d ** (-lam) for c, (w, lam) in zip(
+        time_integral_coefficients(params), surrogate_terms(rx, ry, params)))
 
 
 def green_time_integral_quadrature(x, y, params: ProblemParams,
@@ -136,17 +149,11 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
     t_hi = T * 10.0 ** decades
     t_lo = T * 2.0 ** -40
 
-    def integrand(t):
-        tpow = t ** (g / (2.0 * s))
-        weight = (1.0 + tpow * rx ** (-g)) * (1.0 + tpow * ry ** (-g))
-        return weight * np.minimum(t ** (-N / (2.0 * s)),
-                                   t * d ** (-(N + 2.0 * s)))
-
+    # below t_lo the integrand is ~ t d^-(N+2s)
     val, _ = adaptive_panel_integral(
-        integrand, log_edges(t_lo, t_hi, 4, splits=(T,)), quad,
-        label="green-time-quadrature")
-    # head below t_lo: integrand ~ t * d^-(N+2s)
-    val += 0.5 * t_lo ** 2 * d ** (-(N + 2.0 * s))
+        lambda t: heat_profile_radial(t, d, rx, ry, params),
+        log_edges(t_lo, t_hi, 4, splits=(T,)), quad,
+        label="green-time-quadrature", head_power=1.0)
     return val
 
 
@@ -170,14 +177,14 @@ def resolvent_profile_integral(alpha: float, x, y, params: ProblemParams,
     T = d ** (2.0 * s)
     scale = float(green_time_integral(x, y, params))
 
-    # weight expansion coefficients: 1 + A t^c + B t^(2c), c = g/2s
+    # the weight expands as sum_j w_j t^(j c), c = g/2s, with the
+    # surrogate's term weights w_j
     c = g / (2.0 * s)
-    A = rx ** (-g) + ry ** (-g)
-    B = rx ** (-g) * ry ** (-g)
+    weights = [w for w, _ in surrogate_terms(rx, ry, params)]
 
     def tail_bound(t_end):
         total = 0.0
-        for coef, j in ((1.0, 0), (A, 1), (B, 2)):
+        for j, coef in enumerate(weights):
             q = N / (2.0 * s) - j * c
             total += coef * t_end ** (1.0 - q) / (q - 1.0)
         return math.exp(-alpha * t_end) * total
@@ -189,10 +196,7 @@ def resolvent_profile_integral(alpha: float, x, y, params: ProblemParams,
             break
 
     def integrand(t):
-        tpow = t ** c
-        weight = (1.0 + tpow * rx ** (-g)) * (1.0 + tpow * ry ** (-g))
-        branch = np.minimum(t ** (-N / (2.0 * s)), t * d ** (-(N + 2.0 * s)))
-        return np.exp(-alpha * t) * weight * branch
+        return np.exp(-alpha * t) * heat_profile_radial(t, d, rx, ry, params)
 
     val, _ = adaptive_panel_integral(
         integrand, log_edges(T * 2.0 ** -40, t_end, 4, splits=(T,)), quad,
@@ -208,22 +212,6 @@ def riesz_kernel(x, y, params: ProblemParams):
     d = np.linalg.norm(x - y, axis=-1)
     _require_off_diagonal(d)
     return params.riesz_constant * d ** (2.0 * s - N)
-
-
-@dataclass(frozen=True)
-class HeatProfileEval:
-    """One evaluation of the heat comparison profile."""
-
-    time: float
-    source: tuple
-    target: tuple
-    value: float
-
-    @classmethod
-    def compute(cls, t, x, y, params: ProblemParams) -> "HeatProfileEval":
-        return cls(time=float(t), source=tuple(np.ravel(x)),
-                   target=tuple(np.ravel(y)),
-                   value=float(heat_profile(t, x, y, params)))
 
 
 @dataclass(frozen=True)

@@ -122,16 +122,16 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
         return (sq.profile(t) * t ** (N - 1.0)
                 * sphere_mean_power(2.0 * s, c, t, N))
 
-    lo = 1e-10 * max(c, 1.0)
-    edges = log_edges(lo, hi, 4, splits=(c,) + tuple(sq.breakpoints()))
-    val, _ = adaptive_panel_integral(integrand, edges, quad,
-                                     label="hardy-weight")
+    far = ()
     if sup is None:
         coef, p = sq.tail_power()
         if p + 2.0 * s <= N:
             raise DomainError("Hardy weight term diverges for this tail")
-        val += sphere_area(N) * coef \
-            * hi ** (N - p - 2.0 * s) / (p + 2.0 * s - N)
+        far = ((sphere_area(N) * coef, p + 2.0 * s - N),)
+    lo = 1e-10 * max(c, 1.0)
+    edges = log_edges(lo, hi, 4, splits=(c,) + tuple(sq.breakpoints()))
+    val, _ = adaptive_panel_integral(integrand, edges, quad,
+                                     label="hardy-weight", tail=far)
     return val
 
 
@@ -188,16 +188,15 @@ def energy_form(f: RadialField, params: ProblemParams,
     hi = max(quad.outer_radius, 2.0 * scale0)
     for _ in range(6):
         edges = log_edges(lo, hi, 3, splits=breaks)
+        # far tail: inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
         val, _ = adaptive_panel_integral(outer_integrand, edges, quad,
-                                         order=8, label="energy-outer")
-        # far tail: inner_below(rho) ~ |f|_2^2 rho^(-N-2s), so the rho
-        # integral beyond hi contributes |f|_2^2 hi^(-2s) / 2s
-        tail = l2 * hi ** (-2.0 * s) / (2.0 * s)
-        if prev is not None and abs(val + tail - prev) \
-                <= 10.0 * quad.rel_tol * abs(val + tail):
-            prev = val + tail
+                                         order=8, label="energy-outer",
+                                         tail=((l2, 2.0 * s),))
+        if prev is not None and abs(val - prev) \
+                <= 10.0 * quad.rel_tol * abs(val):
+            prev = val
             break
-        prev = val + tail
+        prev = val
         if sup is not None:
             break
         hi *= 4.0

@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import RadialField
+from .kernels import heat_profile_radial, surrogate_radial, surrogate_terms
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_panel_integral, axis_point,
-                         frac_laplacian_at_detailed, log_edges, panel_nodes,
+                         bipolar_sphere_integral, frac_laplacian_at_detailed,
+                         log_edges, log_edges_with_diagonal, panel_nodes,
                          sphere_area, sphere_mean_power, sphere_pair_integral)
 from .reports import VerificationReport
 
@@ -53,23 +55,15 @@ class _SurrogateKernel:
 
     def __init__(self, params: ProblemParams):
         self.p = params
-        N, s, g = params.dim, params.order, params.exponent_gamma
-        self.lams = (N - 2.0 * s, N - 2.0 * s - g, N - 2.0 * s - 2.0 * g)
-        self.g = g
 
     def pair_value(self, d, rho, r):
-        d = np.asarray(d, float)
-        g = self.g
-        w = (1.0, rho ** (-g) + np.asarray(r, float) ** (-g),
-             (rho * np.asarray(r, float)) ** (-g))
-        return sum(wi * d ** (-lam) for wi, lam in zip(w, self.lams))
+        return surrogate_radial(np.asarray(d, float), rho,
+                                np.asarray(r, float), self.p)
 
     def sphere_mean(self, rho, r):
         r = np.asarray(r, float)
-        g = self.g
-        w = (1.0, rho ** (-g) + r ** (-g), (rho * r) ** (-g))
-        return sum(wi * sphere_mean_power(lam, rho, r, self.p.dim)
-                   for wi, lam in zip(w, self.lams))
+        return sum(w * sphere_mean_power(lam, rho, r, self.p.dim)
+                   for w, lam in surrogate_terms(rho, r, self.p))
 
 
 class _ResolventKernel:
@@ -101,34 +95,20 @@ class _ResolventKernel:
         edges = log_edges(2.0 ** -30, max(tau_hi, 10.0), 3, splits=(1.0,))
         tau, w = panel_nodes(edges, 8)
         t = T[:, None] * tau[None, :]
-        tpow = t ** c
-        weight = ((1.0 + tpow * rho ** (-g))
-                  * (1.0 + tpow * r[:, None] ** (-g)))
-        branch = np.minimum(t ** (-N / (2.0 * s)),
-                            t * d[:, None] ** (-(N + 2.0 * s)))
-        vals = np.exp(-alpha * t) * weight * branch
+        vals = np.exp(-alpha * t) * heat_profile_radial(
+            t, d[:, None], rho, r[:, None], p)
         return T * (vals @ w)
 
     def sphere_mean(self, rho, r):
-        p = self.p
-        N = p.dim
         r = np.atleast_1d(np.asarray(r, float))
-        if N == 1:
-            out = np.empty_like(r)
-            for i, ri in enumerate(r):
-                dd = np.array([abs(rho - ri), rho + ri])
-                out[i] = self.pair_value(dd, rho, ri).sum()
-            return out
-        edges = np.linspace(0.0, math.pi / 2.0, 13)
-        psi, w = panel_nodes(edges, 12)
-        meas = (np.sin(psi) * np.cos(psi)) ** (N - 2)
-        front = 2.0 ** (N - 1) * sphere_area(N - 1)
-        out = np.empty_like(r)
-        for i, ri in enumerate(r):
-            a, b = abs(rho - ri), rho + ri
-            d = np.sqrt((a * np.cos(psi)) ** 2 + (b * np.sin(psi)) ** 2)
-            out[i] = front * np.dot(self.pair_value(d, rho, ri) * meas, w)
-        return out
+
+        # pair_value sizes its time grid by the smallest distance it is
+        # given, so each shell gets its own call
+        def kernel(d):
+            return np.array([self.pair_value(d_i, rho, r_i)
+                             for d_i, r_i in zip(d, r)])
+
+        return bipolar_sphere_integral(kernel, rho, r, self.p.dim, order=12)
 
 
 def _make_kernel(kind: str, params: ProblemParams, quad: QuadratureSpec,
@@ -149,26 +129,6 @@ def _density_range(phi: RadialField, quad: QuadratureSpec):
         raise DomainError("potential densities must be compactly supported")
     c = abs(phi.center_norm)
     return max(c - sup, 0.0), c + sup
-
-
-def _edges_with_diagonal(lo, hi, rho, splits):
-    pieces = []
-    a_floor = 1e-9 * max(rho, 1e-30)
-    lo = max(lo, 1e-12 * hi)
-    if lo >= hi:
-        return None
-    base = log_edges(lo, hi, 4, splits=[p for p in splits if lo < p < hi])
-    pieces.append(base)
-    if lo < rho < hi:
-        span_l = min(0.4 * rho, rho - lo)
-        span_r = min(0.4 * rho, hi - rho)
-        if span_l > a_floor:
-            pieces.append(rho - np.geomspace(a_floor, span_l, 20))
-        if span_r > a_floor:
-            pieces.append(rho + np.geomspace(a_floor, span_r, 20))
-        pieces.append(np.array([rho]))
-    edges = np.unique(np.concatenate(pieces))
-    return edges[(edges >= lo) & (edges <= hi)]
 
 
 def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
@@ -203,19 +163,14 @@ def _potential_1d(kern, phi, rho, lo, hi, params, quad, about_center):
         return phi.profile(r) * r ** (N - 1.0) * kern.sphere_mean(rho, r)
 
     lo_eff = max(lo, 1e-10 * hi)
-    edges = _edges_with_diagonal(lo_eff, hi, rho,
-                                 splits=phi.breakpoints())
+    edges = log_edges_with_diagonal(lo_eff, hi, rho,
+                                    splits=phi.breakpoints())
     if edges is None:
         return 0.0, 0.0
-    val, err = adaptive_panel_integral(integrand, edges, quad,
-                                       label="potential-1d")
-    # head below lo_eff (only when the density reaches the origin)
-    if lo == 0.0 and lo_eff > 0:
-        head = (float(phi.profile(np.array([lo_eff]))[0])
-                * lo_eff ** N / N
-                * float(kern.sphere_mean(rho, np.array([lo_eff]))[0]))
-        val += head
-        err += abs(head) * 0.1
+    # a head below lo_eff only when the density reaches the origin
+    val, err = adaptive_panel_integral(
+        integrand, edges, quad, label="potential-1d",
+        head_power=N - 1.0 if lo == 0.0 else None)
     # diagonal band completion when the density covers |y| = rho
     if lo_eff < rho < hi:
         a_c = 1e-9 * rho
@@ -266,8 +221,8 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
                                           theta_edges=theta_edges)
         return out * r_nodes ** (N - 1.0)
 
-    edges = _edges_with_diagonal(max(lo, 1e-10 * hi), hi, rho,
-                                 splits=phi.breakpoints())
+    edges = log_edges_with_diagonal(max(lo, 1e-10 * hi), hi, rho,
+                                    splits=phi.breakpoints())
     if edges is None:
         return 0.0, 0.0
     val, err = adaptive_panel_integral(integrand, edges, quad, order=8,
@@ -572,15 +527,14 @@ def _delta_strict_value(flap: FlapProfile, f, x0, params, quad) -> float:
     def integrand(t):
         return flap(t) * t ** (N - 1.0) * sphere_mean_power(lam, rho_c, t, N)
 
-    edges = _edges_with_diagonal(1e-9 * sup, r_hi, rho_c,
-                                 splits=(sup, 0.999 * sup))
-    val, err = adaptive_panel_integral(integrand, edges, quad,
-                                       scale_hint=abs(flap.mass),
-                                       label="delta-strict")
-    # analytic tail: flap ~ -c M r^(-N-2s), kernel mean ~ omega r^(-lam)
-    tail = (-params.normalizer * flap.mass * sphere_area(N)
-            * r_hi ** (-N) / N)
-    return a_const * (val + tail)
+    edges = log_edges_with_diagonal(1e-9 * sup, r_hi, rho_c,
+                                    splits=(sup, 0.999 * sup))
+    # tail: flap ~ -c M r^(-N-2s) against the kernel mean ~ omega r^(-lam)
+    val, _ = adaptive_panel_integral(
+        integrand, edges, quad, scale_hint=abs(flap.mass),
+        label="delta-strict",
+        tail=((-params.normalizer * flap.mass * sphere_area(N), N),))
+    return a_const * val
 
 
 def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
@@ -627,8 +581,8 @@ def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
         return out * t_nodes ** (N - 1.0)
 
     splits = [abs(rho0 - c), abs(c), sup, 0.999 * sup]
-    edges = _edges_with_diagonal(1e-9 * sup, r_hi, abs(rho0 - c),
-                                 splits=splits)
+    edges = log_edges_with_diagonal(1e-9 * sup, r_hi, abs(rho0 - c),
+                                    splits=splits)
     val, _ = adaptive_panel_integral(integrand, edges, quad, order=8,
                                      label="delta-surrogate")
     return float(val)

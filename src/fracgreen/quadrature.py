@@ -47,13 +47,12 @@ class QuadratureSpec:
     inner_radius is a fraction of the local smoothness scale below which the
     symmetrized integrand is completed by its Taylor limit; outer_radius is
     the absolute far-field truncation radius beyond which analytic power
-    tails take over; max_depth bounds panel-refinement rounds; angular_order
-    is the Gauss-Legendre order of the spherical panels.
+    tails take over; angular_order is the Gauss-Legendre order of the
+    spherical panels. Panel refinement stops after _MAX_DOUBLINGS rounds.
     """
 
     inner_radius: float = 1e-3
     outer_radius: float = 1e3
-    max_depth: int = 30
     rel_tol: float = 1e-7
     angular_order: int = 16
 
@@ -62,8 +61,6 @@ class QuadratureSpec:
             raise DomainError("need inner_radius < outer_radius")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2]")
-        if self.max_depth < 4:
-            raise DomainError("max_depth must be >= 4")
         if self.angular_order < 4:
             raise DomainError("angular_order must be >= 4")
 
@@ -115,34 +112,67 @@ def _refine_edges(edges: np.ndarray) -> np.ndarray:
 
 
 def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
-                            scale_hint: float = 0.0, label: str = ""):
-    """Integrate a vectorized integrand over the given panel edges,
-    doubling the panels until two refinements agree to rel_tol.
+                            scale_hint: float = 0.0, label: str = "", *,
+                            head_power: float | None = None, tail=()):
+    """Integrate a vectorized integrand over the panel edges [lo, hi], plus
+    an analytic power head on (0, lo) and power tails on (hi, inf).
 
-    Returns (value, error_estimate); raises ToleranceError if the doubling
-    budget runs out while the defect is still well above tolerance.
+    Panels are doubled until two refinements agree to rel_tol.
+    head_power=p: the integrand is C r^p below lo, with C fitted by one call
+    fn(lo) made before the panels, so the head is fn(lo) lo / (p + 1).
+    tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi;
+    each adds coef hi^(-k) / k.
+
+    The panel defect is judged against rel_tol times the largest of |value|,
+    scale_hint and, with a head, |fn(lo)| lo. Each power piece is charged
+    its own size times the relative defect of its model: the tail's is
+    measured against the integrand at the last node, the head's (exact at
+    lo, where it is fitted) is taken as (lo/hi)^2.
+
+    Returns (value, error_estimate), both including head and tail; raises
+    ToleranceError if the doubling budget runs out while the panel defect is
+    still well above tolerance.
     """
     order = order or _DEFAULT_ORDER
     edges = np.unique(np.asarray(edges, dtype=float))
     if edges.size < 2:
         return 0.0, 0.0
-    rounds = max(2, min(quad.max_depth, _MAX_DOUBLINGS))
+    lo, hi = float(edges[0]), float(edges[-1])
+    head = 0.0
+    floor = scale_hint
+    if (head_power is not None and head_power <= -1.0) \
+            or any(k <= 0.0 for _, k in tail):
+        raise DivergenceError(
+            f"panel integral {label or 'anonymous'}: head power {head_power} "
+            f"or tail decays {[k for _, k in tail]} not integrable")
+    if head_power is not None:
+        f_lo = float(np.asarray(fn(np.array([lo])), dtype=float)[0])
+        head = f_lo * lo / (head_power + 1.0)
+        floor = max(floor, abs(f_lo) * lo)
     prev = None
     val, err = 0.0, math.inf
-    for _ in range(rounds):
+    for _ in range(_MAX_DOUBLINGS):
         nodes, weights = panel_nodes(edges, order)
-        val = float(np.dot(np.asarray(fn(nodes), dtype=float), weights))
+        vals = np.asarray(fn(nodes), dtype=float)
+        val = float(np.dot(vals, weights))
         if prev is not None:
             err = abs(val - prev)
-            if err <= quad.rel_tol * max(abs(val), scale_hint, 1e-300):
-                return val, err
+            if err <= quad.rel_tol * max(abs(val), floor, 1e-300):
+                break
         prev = val
         edges = _refine_edges(edges)
-    if err > 5.0 * quad.rel_tol * max(abs(val), scale_hint, 1e-300):
-        raise ToleranceError(
-            f"panel integral {label or 'anonymous'}: defect {err:.3e} "
-            f"at value {val:.6e} after {rounds} refinements")
-    return val, err
+    else:
+        if err > 5.0 * quad.rel_tol * max(abs(val), floor, 1e-300):
+            raise ToleranceError(
+                f"panel integral {label or 'anonymous'}: defect {err:.3e} "
+                f"at value {val:.6e} after {_MAX_DOUBLINGS} refinements")
+    tail_val = sum(coef * hi ** (-k) / k for coef, k in tail)
+    if tail:
+        model = sum(coef * nodes[-1] ** (-k - 1.0) for coef, k in tail)
+        if model != 0.0:
+            err += abs(tail_val * (vals[-1] - model) / model)
+    err += abs(head) * (lo / hi) ** 2
+    return val + head + tail_val, err
 
 
 def log_edges(lo: float, hi: float, per_decade: int = 4,
@@ -156,6 +186,26 @@ def log_edges(lo: float, hi: float, per_decade: int = 4,
     if extra:
         edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
     return edges
+
+
+def log_edges_with_diagonal(lo, hi, rho, splits):
+    """log_edges on [max(lo, 1e-12 hi), hi], clustered geometrically on both
+    sides of r = rho when rho lies inside; None if the range is empty."""
+    a_floor = 1e-9 * max(rho, 1e-30)
+    lo = max(lo, 1e-12 * hi)
+    if lo >= hi:
+        return None
+    pieces = [log_edges(lo, hi, 4, splits=splits)]
+    if lo < rho < hi:
+        span_l = min(0.4 * rho, rho - lo)
+        span_r = min(0.4 * rho, hi - rho)
+        if span_l > a_floor:
+            pieces.append(rho - np.geomspace(a_floor, span_l, 20))
+        if span_r > a_floor:
+            pieces.append(rho + np.geomspace(a_floor, span_r, 20))
+        pieces.append(np.array([rho]))
+    edges = np.unique(np.concatenate(pieces))
+    return edges[(edges >= lo) & (edges <= hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +230,39 @@ def sphere_mean_power(lam: float, rho: float, r, dim: int):
             * hyp2f1(lam / 2.0, (lam - dim) / 2.0 + 1.0, dim / 2.0, t2))
 
 
-def _bipolar_weight(dim: int) -> float:
-    return 2.0 ** (dim - 1) * sphere_area(dim - 1)
+def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
+                            d_min: float | None = None, order: int = 16,
+                            n_panels: int = 12):
+    """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r,
+    restricted to d > d_min when d_min is given.
 
-
-def sphere_profile_means(profile_fn, rho: float, r, dim: int,
-                         order: int = 16, n_panels: int = 12):
-    """int_{S^(N-1)} profile(|rho e1 + r w|) dsigma(w) for a batch of radii r.
-
-    Bipolar-angle composite Gauss-Legendre; intended for radii whose shell
-    [|rho-r|, rho+r] stays clear of profile breakpoints (the caller splits
-    elsewhere), so uniform psi-panels converge spectrally.
+    Composite Gauss-Legendre on n_panels uniform panels in the bipolar angle
+    psi (module docstring); on shells straddling the cut the psi-range
+    starts at psi*, where d(psi*) = d_min. Intended for shells
+    [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere),
+    where the psi-panels converge spectrally. `kernel` is called once with
+    the distances as a (len(r), nodes) array, row i belonging to r[i].
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if dim == 1:
-        return profile_fn(np.abs(rho - r)) + profile_fn(rho + r)
     a = np.abs(rho - r)[:, None]
     b = (rho + r)[:, None]
-    edges = np.linspace(0.0, math.pi / 2.0, n_panels + 1)
-    psi, w = panel_nodes(edges, order)
+    if dim == 1:
+        d = np.hstack([a, b])
+        vals = kernel(d)
+        if d_min is not None:
+            vals = np.where(d > d_min, vals, 0.0)
+        return vals.sum(axis=1)
+    psi_star = 0.0
+    if d_min is not None:
+        s2 = np.clip((d_min ** 2 - a ** 2) / (b ** 2 - a ** 2), 0.0, 1.0)
+        psi_star = np.arcsin(np.sqrt(s2))
+    u, u_w = panel_nodes(np.linspace(0.0, 1.0, n_panels + 1), order)
+    span = math.pi / 2.0 - psi_star
+    psi = psi_star + span * u
+    w = span * u_w
     d = np.sqrt((a * np.cos(psi)) ** 2 + (b * np.sin(psi)) ** 2)
-    vals = profile_fn(d) * (np.sin(psi) * np.cos(psi)) ** (dim - 2)
-    return _bipolar_weight(dim) * vals @ w
+    vals = kernel(d) * (np.sin(psi) * np.cos(psi)) ** (dim - 2)
+    return 2.0 ** (dim - 1) * sphere_area(dim - 1) * np.sum(vals * w, axis=1)
 
 
 def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
@@ -209,34 +270,17 @@ def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
     """Partial sphere integral of d^(-lam) restricted to d > d_min.
 
     Equals sphere_mean_power wherever the whole shell satisfies d > d_min;
-    on straddling shells the bipolar angle is integrated from the cut.
+    straddling shells go through the bipolar rule from the cut.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if dim == 1:
-        a, b = np.abs(rho - r), rho + r
-        out = np.where(a > d_min, a ** (-lam), 0.0)
-        out = out + np.where(b > d_min, b ** (-lam), 0.0)
-        return out
-    a = np.abs(rho - r)
-    b = rho + r
-    out = np.empty_like(a)
-    full = a >= d_min
+    out = np.empty_like(r)
+    full = (np.abs(rho - r) >= d_min) & (dim > 1)
     if np.any(full):
         out[full] = sphere_mean_power(lam, rho, r[full], dim)
-    part = ~full
-    if np.any(part):
-        ap, bp = a[part], b[part]
-        s2 = np.clip((d_min ** 2 - ap ** 2) / (bp ** 2 - ap ** 2), 0.0, 1.0)
-        psi_star = np.arcsin(np.sqrt(s2))
-        unit = np.linspace(0.0, 1.0, n_panels + 1)
-        u_nodes, u_w = panel_nodes(unit, order)
-        span = (math.pi / 2.0 - psi_star)[:, None]
-        psi = psi_star[:, None] + span * u_nodes[None, :]
-        w = span * u_w[None, :]
-        d = np.sqrt((ap[:, None] * np.cos(psi)) ** 2
-                    + (bp[:, None] * np.sin(psi)) ** 2)
-        vals = d ** (-lam) * (np.sin(psi) * np.cos(psi)) ** (dim - 2)
-        out[part] = _bipolar_weight(dim) * np.sum(vals * w, axis=1)
+    if not np.all(full):
+        out[~full] = bipolar_sphere_integral(lambda d: d ** (-lam), rho,
+                                             r[~full], dim, d_min, order,
+                                             n_panels)
     return out
 
 
@@ -307,25 +351,19 @@ def integrate_radial_singular(field: RadialField, weight_exponent: float,
         if p + beta <= dim:
             raise DivergenceError(
                 f"tail decay {p} + weight {beta} <= dim {dim}: divergent")
-    power = dim - 1.0 - beta + (-field.origin_exponent)
-    # power of the integrand near 0 is dim-1-beta-origin_exponent > -1
     scale = max(field.tail_start(), 1.0)
     r_hi = sup if sup is not None else max(quad.outer_radius, 4.0 * scale)
     r_lo = min(1e-10, 1e-10 * r_hi)
-    # remainder below r_lo is a pure power integral, add it analytically
-    head = (field.profile(np.array([r_lo]))[0] * r_lo ** (dim - beta)
-            / (power + 1.0)) if power + 1.0 > 0 else 0.0
     edges = log_edges(r_lo, r_hi, per_decade=4, splits=field.breakpoints())
 
     def integrand(r):
         return field.profile(r) * r ** (dim - 1.0 - beta)
 
-    val, err = adaptive_panel_integral(integrand, edges, quad,
-                                       label="radial-singular")
-    total = val + head
-    if sup is None:
-        coef, p = tail
-        total += coef * r_hi ** (dim - p - beta) / (p + beta - dim)
+    # near 0 the integrand is a power dim-1-beta-origin_exponent > -1
+    total, _ = adaptive_panel_integral(
+        integrand, edges, quad, label="radial-singular",
+        head_power=dim - 1.0 - beta - field.origin_exponent,
+        tail=() if sup is not None else ((coef, p + beta - dim),))
     return sphere_area(dim) * total
 
 
@@ -368,23 +406,20 @@ def _flap_at_center(field: RadialField, params: ProblemParams,
     r_hi = sup if sup is not None else max(quad.outer_radius,
                                            4.0 * field.tail_start())
     r_c = quad.inner_radius * min(1.0, r_hi) * 1e-1
-    diff_c = u0 - float(field.profile(np.array([r_c]))[0])
-    head = diff_c * r_c ** (-2.0 * s) / (2.0 - 2.0 * s)
 
     def integrand(r):
         return (u0 - field.profile(r)) * r ** (-1.0 - 2.0 * s)
 
+    # beyond r_hi the u0 part integrates exactly, the field tail as a power
+    far = [(u0, 2.0 * s)]
+    if sup is None and tail is not None:
+        far.append((-tail[0], tail[1] + 2.0 * s))
     edges = log_edges(r_c, r_hi, per_decade=4, splits=field.breakpoints())
     val, err = adaptive_panel_integral(integrand, edges, quad,
                                        scale_hint=abs(u0) * r_c ** (-2 * s),
-                                       label="flap-center")
-    # beyond r_hi the u0 part integrates exactly; the tail part analytically
-    far = u0 * r_hi ** (-2.0 * s) / (2.0 * s)
-    if sup is None and tail is not None:
-        coef, p = tail
-        far -= coef * r_hi ** (-p - 2.0 * s) / (p + 2.0 * s)
-    total = c_ns * omega * (head + val + far)
-    return total, c_ns * omega * (err + abs(head) * (r_c / r_hi) ** 2)
+                                       label="flap-center",
+                                       head_power=1.0 - 2.0 * s, tail=far)
+    return c_ns * omega * val, c_ns * omega * err
 
 
 def frac_laplacian_at_detailed(field: RadialField, x,
@@ -417,25 +452,19 @@ def frac_laplacian_at_detailed(field: RadialField, x,
 
     # inner symmetrized shells: -c int_0^R r^(-1-2s) S_diff(r) dr with
     # S_diff(r) = int_S [u(x + r w) - u(x)] dsigma(w)
-    def sphere_diff(r):
-        return sphere_profile_means(
-            lambda d: field.profile(d) - u_x, rho, r, N,
-            order=quad.angular_order)
-
-    r_c = quad.inner_radius * r_split
-    diff_c = float(sphere_diff(np.array([r_c]))[0])
-    inner_head = -c_ns * diff_c * r_c ** (-2.0 * s) / (2.0 - 2.0 * s)
-
     def inner_integrand(r):
-        return sphere_diff(r) * r ** (-1.0 - 2.0 * s)
+        diff = bipolar_sphere_integral(lambda d: field.profile(d) - u_x,
+                                       rho, r, N, order=quad.angular_order)
+        return diff * r ** (-1.0 - 2.0 * s)
 
+    # below r_c the shell means grow like r^2 (Taylor limit)
+    r_c = quad.inner_radius * r_split
     splits = [abs(rho - b) for b in field.breakpoints()
               if 0 < abs(rho - b) < r_split]
     inner_val, inner_err = adaptive_panel_integral(
         inner_integrand, log_edges(r_c, r_split, 4, splits=splits), quad,
-        scale_hint=abs(diff_c) * r_c ** (-2.0 * s),
-        label="flap-inner")
-    inner = inner_head - c_ns * inner_val
+        label="flap-inner", head_power=1.0 - 2.0 * s)
+    inner = -c_ns * inner_val
 
     # far-field mass of u(x): closed form
     far_ux = c_ns * u_x * omega * r_split ** (-2.0 * s) / (2.0 * s)
@@ -460,28 +489,19 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     edges = log_edges(r_lo, r_hi, per_decade=4,
                       splits=tuple(field.breakpoints())
                       + (rho - r_split, rho, rho + r_split))
+    # below r_lo u(r) r^(N-1) is a power against the (there) constant
+    # kernel mean; beyond r_hi the field tail meets the kernel's r^(-lam)
+    far = ()
+    if sup is None and tail is not None:
+        far = ((tail[0] * omega, tail[1] + 2.0 * s),)
     scale = abs(u_x) * omega * rho ** (-2.0 * s)
     outer_val, outer_err = adaptive_panel_integral(
-        outer_integrand, edges, quad, scale_hint=scale, label="flap-outer")
-    # head remainder below r_lo and analytic power tail beyond r_hi
-    # below r_lo: u(r) r^(N-1) integrates like a pure power against the
-    # (there) constant kernel mean
-    head_rem = (float(field.profile(np.array([r_lo]))[0])
-                * r_lo ** N / (N - alpha0)
-                * float(sphere_power_cut(lam, rho, np.array([r_lo]), N,
-                                         r_split)[0]))
-    tail_val = 0.0
-    tail_err = 0.0
-    if sup is None and tail is not None:
-        coef, p = tail
-        tail_val = coef * omega * r_hi ** (-p - 2.0 * s) / (p + 2.0 * s)
-        tail_err = tail_val * (rho / r_hi) ** 2 * lam
-    conv = c_ns * (outer_val + head_rem + tail_val)
+        outer_integrand, edges, quad, scale_hint=scale, label="flap-outer",
+        head_power=N - 1.0 - alpha0, tail=far)
+    conv = c_ns * outer_val
 
     value = inner + far_ux - conv
-    error = (inner_err * c_ns + outer_err * c_ns
-             + c_ns * (abs(head_rem) + tail_err)
-             + abs(inner_head) * (r_c / r_split) ** 2)
+    error = c_ns * (inner_err + outer_err)
     return value, error
 
 
@@ -521,30 +541,23 @@ def truncation_correction_detailed(field: TruncatedPowerLaw, x,
         return (err_profile(r) * r ** (N - 1.0)
                 * sphere_mean_power(lam, rho, r, N))
 
-    # inner truncated zone (0, 2 r1]
+    # inner truncated zone (0, 2 r1], the pure power dominating near 0
     r1 = field.inner_cut
     r_lo = r1 * (1e-3 * quad.rel_tol) ** (1.0 / (N - alpha))
     inner_val, inner_err = adaptive_panel_integral(
         integrand, log_edges(r_lo, 2.0 * r1, 4, splits=(r1,)), quad,
-        scale_hint=0.0, label="trunc-inner")
-    head = (field.pure(np.array([r_lo]))[0] * r_lo ** N / (N - alpha)
-            * float(sphere_mean_power(lam, rho, np.array([r_lo]), N)[0]))
+        label="trunc-inner", head_power=N - 1.0 - alpha)
 
-    # outer truncated zone [r2/2, inf)
+    # outer truncated zone [r2/2, inf), the pure power against r^(-lam)
     r2 = field.outer_cut
     r_ext = max(8.0 * r2, 64.0 * rho)
     outer_val, outer_err = adaptive_panel_integral(
         integrand, log_edges(0.5 * r2, r_ext, 4, splits=(r2,)), quad,
-        scale_hint=0.0, label="trunc-outer")
-    omega = sphere_area(N)
-    tail = (field.amplitude * omega * r_ext ** (-alpha - 2.0 * s)
-            / (alpha + 2.0 * s))
-    tail_err = tail * (rho / r_ext) ** 2 * lam
+        label="trunc-outer",
+        tail=((field.amplitude * sphere_area(N), alpha + 2.0 * s),))
 
     c_ns = params.normalizer
-    corr = c_ns * (inner_val + head + outer_val + tail)
-    err = c_ns * (inner_err + outer_err + tail_err + abs(head) * 1e-3)
-    return corr, err
+    return c_ns * (inner_val + outer_val), c_ns * (inner_err + outer_err)
 
 
 def truncation_correction(field: TruncatedPowerLaw, x,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fracgreen import gamma_of_theta
+from fracgreen import cli, errors, gamma_of_theta
 from fracgreen.cli import main
 
 
@@ -110,6 +110,25 @@ class TestVerify:
         code, _, err = run_cli("verify", "--config", str(bad))
         assert code == 2 and "error" in err
 
+    def test_unknown_quadrature_key_exits_2(self, tmp_path):
+        # max_depth was a refinement budget the engine never honoured
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[quadrature]\nmax_depth = 30\n")
+        code, _, err = run_cli("verify", "--config", str(cfg), "--delta")
+        assert code == 2
+        assert "max_depth" in err and "Traceback" not in err
+
+    def test_bubble_outside_l2_is_skipped(self):
+        # at N = 1, s = 1/4 the bubble's square is not integrable
+        code, out, err = run_cli("verify", "--N", "1", "--s", "0.25",
+                                 "--format", "json")
+        assert code in (0, 1) and "Traceback" not in err
+        rows = {r["name"]: r for r in json.loads(out)["rows"]}
+        catalog = rows["hardy-ratio-catalog"]["details"]
+        assert "bubble" not in catalog
+        assert "bubble" in catalog["skipped"]
+        assert {"bump", "gaussian", "near_optimizer"} <= set(catalog)
+
     def test_config_file_block_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -163,6 +182,16 @@ class TestSolve:
                               "--gamma", "0.8", "--delta")
         assert code2 == 0
 
+    @pytest.mark.parametrize("field_args", [
+        ("--field", "power_law"),
+        ("--field", "gaussian", "--field-radius", "1"),
+    ])
+    def test_bad_field_keywords_exit_2(self, field_args):
+        code, _, err = run_cli("solve", "--N", "3", "--s", "0.5",
+                               "--radii", "0.3:1:2", *field_args)
+        assert code == 2
+        assert "Traceback" not in err and "DomainError" in err
+
     def test_bad_radii_exits_2(self):
         code, _, _ = run_cli("solve", "--N", "3", "--s", "0.5",
                              "--gamma", "0.8", "--radii", "5:1:3")
@@ -174,3 +203,16 @@ def test_main_entry_direct(tmp_path, capsys):
     rc = main(["constants", "--N", "3", "--s", "0.5"])
     assert rc == 0
     assert "sharp_constant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error_cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.FracgreenError)])
+def test_library_errors_exit_2(monkeypatch, capsys, error_cls):
+    def raise_it(cfg, args):
+        raise error_cls("no good")
+
+    monkeypatch.setattr(cli, "cmd_constants", raise_it)
+    assert main(["constants", "--N", "3", "--s", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no good" in err

@@ -19,6 +19,10 @@ class TestCatalog:
                        inner_cut=1e-2, outer_cut=1e2), TruncatedPowerLaw)
         with pytest.raises(DomainError):
             make_field("sinusoid")
+        with pytest.raises(DomainError, match="exponent"):
+            make_field("power_law")  # missing keyword
+        with pytest.raises(DomainError, match="radius"):
+            make_field("gaussian", radius=1.0)  # unknown keyword
 
     def test_bump_support(self):
         f = Bump(1.5)

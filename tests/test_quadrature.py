@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
@@ -12,7 +13,8 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        frac_laplacian_power_law, integrate_radial_singular,
                        sphere_area, sphere_mean_power,
                        truncation_correction_detailed)
-from fracgreen.quadrature import panel_nodes
+from fracgreen.quadrature import (adaptive_panel_integral, log_edges,
+                                  panel_nodes, sphere_power_cut)
 
 
 def bubble_flap_exact(rho, N, s):
@@ -28,30 +30,84 @@ class TestQuadratureSpec:
             QuadratureSpec(inner_radius=10.0, outer_radius=1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.5)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=2)
+
+
+class TestPanelIntegral:
+    def test_head_and_tail_against_beta_function(self, quad):
+        # int_0^inf r^p (1+r^2)^(-q/2) dr = B((p+1)/2, (q-p-1)/2) / 2, with
+        # a head ~ r^p below the panels and a tail ~ r^(p-q) beyond them
+        for p, q in ((0.3, 3.7), (-0.45, 2.2), (0.3, 2.1), (1.6, 4.9)):
+            def fn(r):
+                return r ** p * (1.0 + r * r) ** (-q / 2.0)
+
+            exact = beta_fn((p + 1.0) / 2.0, (q - p - 1.0) / 2.0) / 2.0
+            edges = log_edges(1e-5, 1e5, 4)
+            val, err = adaptive_panel_integral(
+                fn, edges, quad, head_power=p, tail=((1.0, q - p - 1.0),))
+            assert val == pytest.approx(exact, rel=1e-11)
+            assert 0.0 <= err < 1e-10 * exact
+            # the panels alone miss the head and tail
+            bare, _ = adaptive_panel_integral(fn, edges, quad)
+            assert abs(bare - exact) > 1e3 * abs(val - exact)
+
+    def test_head_is_one_call_before_the_panels(self, quad):
+        calls = []
+
+        def fn(r):
+            calls.append(np.array(r))
+            return np.exp(-r) * r
+
+        edges = log_edges(1e-6, 50.0, 4)
+        adaptive_panel_integral(fn, edges, quad, head_power=1.0)
+        assert calls[0].tolist() == [1e-6]
+        assert all(c.size > 1 for c in calls[1:])
+        assert calls[-1].size == max(c.size for c in calls)
+
+    def test_non_integrable_pieces_rejected(self, quad):
+        edges = log_edges(1e-3, 1e3, 4)
+        with pytest.raises(DivergenceError):
+            adaptive_panel_integral(lambda r: 1.0 / r, edges, quad,
+                                    head_power=-1.0)
+        with pytest.raises(DivergenceError):
+            adaptive_panel_integral(lambda r: 1.0 / r, edges, quad,
+                                    tail=((1.0, 0.0),))
 
 
 class TestSphereMeans:
     def test_power_mean_vs_angle_quadrature(self):
-        # dual route: hypergeometric closed form vs bipolar-angle panels
-        for dim in (2, 3, 4):
-            for lam in (0.7, dim - 2 + 0.3, dim + 1.0):
-                for rho, r in ((1.0, 0.4), (1.0, 0.93), (0.3, 1.9)):
-                    a, b = abs(rho - r), rho + r
-                    psi, w = panel_nodes(
-                        np.concatenate([[0.0],
-                                        np.geomspace(1e-8, math.pi / 2, 40)]),
-                        20)
-                    d = np.sqrt((a * np.cos(psi)) ** 2
-                                + (b * np.sin(psi)) ** 2)
-                    ref = (2.0 ** (dim - 1) * sphere_area(dim - 1)
-                           * np.dot(d ** (-lam)
-                                    * (np.sin(psi) * np.cos(psi))
-                                    ** (dim - 2), w))
-                    val = float(sphere_mean_power(lam, rho,
-                                                  np.array([r]), dim)[0])
-                    assert val == pytest.approx(ref, rel=1e-10)
+        # dual route against brute-force bipolar-angle panels: the
+        # hypergeometric closed form on whole shells, and the bipolar rule
+        # on shells straddling a cut d > d_min
+        cases = [(dim, lam, rho, r, None) for dim in (2, 3, 4)
+                 for lam in (0.7, dim - 2 + 0.3, dim + 1.0)
+                 for rho, r in ((1.0, 0.4), (1.0, 0.93), (0.3, 1.9))]
+        # (N, s) = (2, 0.4): the flap kernel lam = N + 2s, where the
+        # hypergeometric function is not elementary
+        cases += [(2, 2.8, 1.0, r, d_min) for r, d_min in
+                  ((0.9, 0.3), (1.05, 0.5), (0.6, 0.45), (1.4, 1.0),
+                   (0.999, 0.2))]
+        cases += [(3, 3.8, 1.0, 0.8, 0.5), (4, 5.5, 0.7, 0.5, 0.25)]
+        for dim, lam, rho, r, d_min in cases:
+            a, b = abs(rho - r), rho + r
+            psi_lo = 0.0
+            if d_min is not None:
+                assert a < d_min < b  # the shell straddles the cut
+                psi_lo = math.asin(math.sqrt((d_min ** 2 - a ** 2)
+                                             / (b ** 2 - a ** 2)))
+            psi, w = panel_nodes(
+                psi_lo + np.concatenate(
+                    [[0.0], np.geomspace(1e-8, math.pi / 2 - psi_lo, 40)]),
+                20)
+            d = np.sqrt((a * np.cos(psi)) ** 2 + (b * np.sin(psi)) ** 2)
+            ref = (2.0 ** (dim - 1) * sphere_area(dim - 1)
+                   * np.dot(d ** (-lam)
+                            * (np.sin(psi) * np.cos(psi)) ** (dim - 2), w))
+            if d_min is None:
+                val = sphere_mean_power(lam, rho, np.array([r]), dim)[0]
+            else:
+                val = sphere_power_cut(lam, rho, np.array([r]), dim,
+                                       d_min)[0]
+            assert float(val) == pytest.approx(ref, rel=1e-10)
 
     def test_constant_normalization(self):
         for dim in (1, 2, 3, 4):
