@@ -13,7 +13,13 @@ d = |x - y| (|x| = rho, |y| = r) onto a smooth integral over [0, pi/2]:
 
 For pure powers K(d) = d^(-lam) the same integral has the hypergeometric
 closed form |S^(N-1)| max^(-lam) 2F1(lam/2, (lam-N)/2+1; N/2; (min/max)^2),
-used as the fast path everywhere a power kernel appears.
+used as the fast path everywhere a power kernel appears. It is elementary
+when b = c (lam = 2N - 2). Otherwise, for z = (min/max)^2 >= 1/2, where the
+diagonal-clustered panels put most nodes, it goes through the z -> 1
+connection formula (DLMF 15.8.4): two Gauss series in 1 - z, formed without
+cancellation as (max - min)(max + min) / max^2, times the explicit
+(1 - z)^(c-a-b). Integer c - a - b (within 1e-3) has no such formula and
+keeps scipy's hyp2f1 at z clipped to 1 - 1e-12.
 
 The principal value of the fractional Laplacian is removed by symmetrized
 pairing (2u(x) - u(x+z) - u(x-z)) on a ball where u is smooth; the remaining
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
+from scipy.special import gamma, gammaln, hyp2f1, rgamma
 
 from .errors import (DivergenceError, DomainError, SingularityError,
                      ToleranceError)
@@ -212,22 +218,101 @@ def log_edges_with_diagonal(lo, hi, rho, splits):
 # Spherical reductions
 # ---------------------------------------------------------------------------
 
+_SERIES_TOL = 1e-17  # truncation of the Gauss series in w = 1 - z
+_SERIES_MAX_TERMS = 400
+_INTEGER_M_GAP = 1e-3  # |m - round(m)| below this keeps scipy's hyp2f1
+
+
+def _gauss_coefficients(a: float, b: float, c: float) -> np.ndarray:
+    """Taylor coefficients of 2F1(a, b; c; w), enough for any w <= 1/2."""
+    coef = [1.0]
+    total = 1.0
+    for k in range(_SERIES_MAX_TERMS):
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        coef.append(coef[-1] * ratio)
+        term = abs(coef[-1]) * 0.5 ** (k + 1)
+        total += term
+        # stop once the terms at w = 1/2 are negligible and shrinking by a
+        # factor 0.75 or less (the factor tends to 1/2)
+        if term <= _SERIES_TOL * total and abs(ratio) <= 1.5:
+            break
+    return np.array(coef)
+
+
+@lru_cache(maxsize=64)
+def _connection_terms(a: float, b: float, c: float):
+    """DLMF 15.8.4 for m = c - a - b not an integer:
+
+        2F1(a, b; c; z) = P1 F(a, b; 1 - m; w) + P2 w^m F(c-a, c-b; 1 + m; w)
+
+    with w = 1 - z, P1 = G(c) G(m) / (G(c-a) G(c-b)) and
+    P2 = G(c) G(-m) / (G(a) G(b)); returns (P1, coefficients of the first
+    series, P2, coefficients of the second)."""
+    m = c - a - b
+    p1 = gamma(c) * gamma(m) * rgamma(c - a) * rgamma(c - b)
+    p2 = gamma(c) * gamma(-m) * rgamma(a) * rgamma(b)
+    return (p1, _gauss_coefficients(a, b, 1.0 - m),
+            p2, _gauss_coefficients(c - a, c - b, 1.0 + m))
+
+
+def _horner(coef: np.ndarray, w: np.ndarray, w_max: float) -> np.ndarray:
+    """sum_k coef[k] w^k, truncated where the terms at w_max fall below
+    _SERIES_TOL of their sum."""
+    size = np.abs(coef) * w_max ** np.arange(coef.size)
+    n = int(np.flatnonzero(size > _SERIES_TOL * size.sum())[-1]) + 1
+    acc = np.full_like(w, coef[n - 1])
+    for ck in coef[n - 2::-1]:
+        acc *= w
+        acc += ck
+    return acc
+
+
 def sphere_mean_power(lam: float, rho: float, r, dim: int):
     """int_{S^(N-1)} |rho e1 - r w|^(-lam) dsigma(w), vectorized in r.
 
-    Hypergeometric closed form; diverges logarithmically only as r -> rho
-    when lam >= N - 1 (never evaluated at r = rho exactly).
+    Equals |S^(N-1)| max^(-lam) 2F1(a, b; c; z) with a = lam/2,
+    b = (lam-N)/2 + 1, c = N/2 and z = (min/max)^2, where m = c - a - b
+    = N - 1 - lam. As r -> rho the mean stays finite for lam < N - 1,
+    diverges like log|rho - r| at lam = N - 1 and like the power
+    |rho - r|^(N-1-lam) for lam > N - 1 (never evaluated at r = rho
+    exactly). Three routes, chosen from the inputs alone:
+
+    - b = c (lam = 2N - 2): the elementary |S^(N-1)| |rho^2 - r^2|^(-lam/2);
+    - m within 1e-3 of an integer: scipy's hyp2f1 at z clipped to
+      1 - 1e-12, which keeps the logarithmic case from overflowing;
+    - otherwise scipy's hyp2f1 for z < 1/2, and for z >= 1/2 the
+      connection formula DLMF 15.8.4 (two Gauss series in w = 1 - z and
+      the explicit w^m), with w = (max - min)(max + min) / max^2 formed
+      without cancellation.
     """
     r = np.asarray(r, dtype=float)
     if dim == 1:
         return np.abs(rho - r) ** (-lam) + (rho + r) ** (-lam)
+    a, b, c = lam / 2.0, (lam - dim) / 2.0 + 1.0, dim / 2.0
+    if b == c:
+        return sphere_area(dim) * (np.abs(rho - r) * (rho + r)) ** (-a)
     mx = np.maximum(rho, r)
     mn = np.minimum(rho, r)
-    # scipy's hyp2f1 overflows in the logarithmic case (lam = N-1) within
-    # ~1e-14 of z = 1; the clip moves such nodes by a negligible sliver
-    t2 = np.clip((mn / mx) ** 2, 0.0, 1.0 - 1e-12)
-    return (sphere_area(dim) * mx ** (-lam)
-            * hyp2f1(lam / 2.0, (lam - dim) / 2.0 + 1.0, dim / 2.0, t2))
+    m = c - a - b
+    if abs(m - round(m)) < _INTEGER_M_GAP:
+        # scipy's hyp2f1 overflows in the logarithmic case (lam = N-1)
+        # within ~1e-14 of z = 1; the clip moves such nodes by a negligible
+        # sliver
+        t2 = np.clip((mn / mx) ** 2, 0.0, 1.0 - 1e-12)
+        return sphere_area(dim) * mx ** (-lam) * hyp2f1(a, b, c, t2)
+    w = ((mx - mn) * (mx + mn) / mx ** 2).ravel()
+    near = w <= 0.5
+    f = np.empty_like(w)
+    far = ~near
+    if np.any(far):
+        f[far] = hyp2f1(a, b, c, (mn.ravel()[far] / mx.ravel()[far]) ** 2)
+    if np.any(near):
+        p1, coef1, p2, coef2 = _connection_terms(a, b, c)
+        wn = w[near]
+        w_max = float(wn.max())
+        f[near] = (p1 * _horner(coef1, wn, w_max)
+                   + p2 * wn ** m * _horner(coef2, wn, w_max))
+    return sphere_area(dim) * mx ** (-lam) * f.reshape(mx.shape)
 
 
 def bipolar_sphere_integral(kernel, rho: float, r, dim: int,

@@ -8,7 +8,8 @@ from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
-                       PowerLaw, QuadratureSpec, SingularityError, TruncatedPowerLaw, axis_point,
+                       PowerLaw, ProblemParams, QuadratureSpec,
+                       SingularityError, TruncatedPowerLaw, axis_point,
                        frac_laplacian_at, frac_laplacian_at_detailed,
                        frac_laplacian_power_law, integrate_radial_singular,
                        sphere_area, sphere_mean_power,
@@ -109,6 +110,35 @@ class TestSphereMeans:
                                        d_min)[0]
             assert float(val) == pytest.approx(ref, rel=1e-10)
 
+    def test_power_mean_vs_mpmath(self):
+        # every evaluation route against a 40-digit oracle at the double
+        # radius given, on both sides of the diagonal down to |1 - r| =
+        # 1e-11: m = N - 1 - lam near and away from integers (connection
+        # formula for z >= 1/2, hyp2f1 below), and b = c (lam = 2N - 2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+
+        def oracle(lam, r, dim):
+            mx, mn = max(mp.mpf(1), mp.mpf(r)), min(mp.mpf(1), mp.mpf(r))
+            lam = mp.mpf(lam)
+            return float(sphere_area(dim) * mx ** (-lam) * mp.hyp2f1(
+                lam / 2, (lam - dim) / 2 + 1, mp.mpf(dim) / 2, (mn / mx) ** 2))
+
+        def radii(closest):
+            gaps = np.geomspace(0.5, closest, 24)
+            return np.concatenate([1.0 - gaps, 1.0 + gaps,
+                                   np.linspace(0.01, 3.0, 23)])
+
+        cases = [(dim, dim - 1.0 - m, radii(1e-11)) for dim in (2, 3, 4, 5)
+                 for m in (-2.5, -1.8, -1.0015, -0.2, 0.0015, 0.28, 0.76,
+                           1.6, 2.002)]
+        cases += [(dim, 2.0 * dim - 2.0, radii(1e-13)) for dim in (2, 3, 4, 5)]
+        for dim, lam, r in cases:
+            vals = sphere_mean_power(lam, 1.0, r, dim)
+            refs = np.array([oracle(lam, ri, dim) for ri in r])
+            rel = np.abs(vals / refs - 1.0)
+            assert rel.max() <= 1e-12, (dim, lam, r[rel.argmax()])
+
     def test_constant_normalization(self):
         for dim in (1, 2, 3, 4):
             val = float(sphere_mean_power(0.0, 1.0, np.array([0.5]), dim)[0])
@@ -174,6 +204,17 @@ class TestFracLaplacian:
             val = frac_laplacian_at(bub, axis_point(rho, 2), params_2d, quad)
             assert val == pytest.approx(bubble_flap_exact(rho, 2, 0.4),
                                         rel=1e-7)
+
+    @pytest.mark.parametrize("rho", (0.0, 0.7, 2.0))
+    @pytest.mark.parametrize("dim, s", ((1, 0.25), (2, 0.4), (3, 0.3),
+                                        (4, 0.75), (5, 0.9)))
+    def test_bubble_sweep(self, dim, s, rho, quad):
+        # the conformal bubble across the admissible (N, s), to rel_tol
+        params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+        val = frac_laplacian_at(Bubble(dim - 2 * s), axis_point(rho, dim),
+                                params, quad)
+        assert val == pytest.approx(bubble_flap_exact(rho, dim, s),
+                                    rel=quad.rel_tol)
 
     def test_linearity(self, params_3half, quad):
         u = Bump(1.0)
