@@ -59,5 +59,5 @@ print(f"  observed [{min(ratios):.4f}, {max(ratios):.4f}]; "
 
 print("\nresolvent weight sweeps from the full integral down to zero:")
 for alpha in (1e-6, 1e-2, 1.0, 100.0):
-    v = resolvent_profile_integral(alpha, x, y, params, quad)
+    v = resolvent_profile_integral(alpha, x, y, params)
     print(f"  alpha = {alpha:8.2g}: {v:.8f}  (fraction {v/closed:.4f})")

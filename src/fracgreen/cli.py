@@ -147,7 +147,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         expd = float(green_surrogate_expanded(x, y, params))
         closed = float(green_time_integral(x, y, params))
         quadv = green_time_integral_quadrature(x, y, params, cfg.quad)
-        resv = resolvent_profile_integral(alpha, x, y, params, cfg.quad)
+        resv = resolvent_profile_integral(alpha, x, y, params)
         rows.append({
             "x_norm": float(np.linalg.norm(x)), "x_norm_err": 0.0,
             "y_norm": float(np.linalg.norm(y)), "y_norm_err": 0.0,

@@ -4,6 +4,21 @@ The heat-kernel comparison profile, its time integral (the Green-function
 surrogate in product and expanded forms), the exponentially weighted
 resolvent surrogate, and the exact free-space kernel at zero coupling.
 
+The resolvent surrogate int_0^inf e^(-alpha t) H(t, x, y) dt is closed form
+too (resolvent_radial). The profile H is W(t) t d^(-(N+2s)) below the branch
+switch t = T = d^(2s) and W(t) t^(-N/2s) above it, with the weight
+W(t) = sum_j W_j t^(j c), c = g/2s. So each weight term gives one
+incomplete gamma function below T and one generalized exponential integral
+E_q above it:
+
+    sum_j W_j [Gamma(p_j) gammainc(p_j, alpha T) alpha^(-p_j) d^(-(N+2s))
+               + T^(1-q_j) E_(q_j)(alpha T)],
+    p_j = 2 + j c,  q_j = N/(2s) - j c > 1.
+
+E_q comes from generalized_expint: a power series with its pole folded in
+below alpha T = 1 and a continued fraction above, accurate to a few 1e-15
+relative for every q > 1, integer or not.
+
 All functions broadcast over leading axes: points may be passed as arrays of
 shape (..., N). The evaluation diagonal x = y is a hard error wherever the
 kernel genuinely blows up there.
@@ -13,8 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy.special import exprel, gamma, gammainc, rgamma, zeta
 
 from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams
@@ -157,51 +175,104 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
     return val
 
 
-def resolvent_profile_integral(alpha: float, x, y, params: ProblemParams,
-                               quad: QuadratureSpec | None = None) -> float:
-    """int_0^inf e^(-alpha t) * heat profile dt by piecewise quadrature.
+_EXPINT_SERIES_TERMS = 20  # x^k / k! terms of the x < 1 series
+_EXPINT_POLE_TERMS = 56  # f^n terms of the pole coefficient, |f| <= 1/2
+_EXPINT_CF_DEPTH = 100  # continued-fraction depth, converged at x = 1
 
-    Split at the min-branch crossing t = |x-y|^(2s); truncated where the
-    exponential times the analytic power tail drops below 1% of tolerance.
-    Decreasing in alpha, with the closed-form time integral as the
-    alpha -> 0 limit.
+
+@lru_cache(maxsize=64)
+def _expint_series(q: float):
+    """The x < 1 series of E_q (DLMF 8.19.10) with its pole folded in:
+
+        E_q(x) = x^(q-1) Gamma(1-q) - sum_k (-x)^k / (k! (1-q+k)).
+
+    With m = round(q) and f = q - m, the Gamma(1-q) pole and the k = m-1
+    term combine into (-1)^m x^(m-1)/(m-1)! * expm1(f (ln x + B)) / f, where
+    B = (lnGamma(1-f) - sum_(i<m) log1p(f/i)) / f is summed as a power series
+    in f from lnGamma(1-f) = euler_gamma f + sum_(n>=2) zeta(n) f^n / n, so
+    that f = 0 (integer q, DLMF 8.19.8) is the same formula; the combined
+    term is evaluated as exprel(f (ln x + B)) (ln x + B). Returns m, f, B
+    and the other coefficients (-1)^k / (k! (1-q+k)), zero at k = m-1.
     """
+    m = round(q)
+    f = q - m
+    n = np.arange(2.0, _EXPINT_POLE_TERMS + 1.0)
+    inv_i = 1.0 / np.arange(1.0, m)
+    harmonic = (inv_i[None, :] ** n[:, None]).sum(axis=1)  # H^(n)_(m-1)
+    b = np.concatenate([[np.euler_gamma - inv_i.sum()],
+                        (zeta(n) + (-1.0) ** n * harmonic) / n])
+    k = np.arange(float(_EXPINT_SERIES_TERMS))
+    with np.errstate(divide="ignore"):
+        coef = (-1.0) ** k * rgamma(k + 1.0) / (1.0 - q + k)
+    coef[k == m - 1] = 0.0
+    return m, f, float(polyval(f, b)), coef
+
+
+def generalized_expint(q: float, x):
+    """E_q(x) = int_1^inf e^(-x u) u^(-q) du (DLMF 8.19.3) for q > 1/2 and
+    x > 0, elementwise, the route chosen from x alone: the pole-folded power
+    series (_expint_series) below x = 1, and from x = 1 the continued
+    fraction of Numerical Recipes 6.3, cut at a fixed depth and evaluated
+    bottom-up (no products of convergents to round)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < 1.0
+    xs = x[small]
+    m, f, B, coef = _expint_series(float(q))
+    lx = np.log(xs) + B
+    out[small] = ((-1.0) ** m * xs ** (m - 1) * rgamma(m)
+                  * exprel(f * lx) * lx - polyval(xs, coef))
+    # E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with
+    # b_i = x + q + 2i, a_i = -i (q - 1 + i), summed from its fixed depth up
+    xl = x[~small]
+    t = xl + (q + 2.0 * _EXPINT_CF_DEPTH)
+    for i in range(_EXPINT_CF_DEPTH, 0, -1):
+        t = -i * (q - 1.0 + i) / t
+        t += xl
+        t += q + 2.0 * (i - 1)
+    out[~small] = np.exp(-xl) / t
+    return out
+
+
+def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
+    """int_0^inf e^(-alpha t) H(t) dt for the heat profile H of
+    heat_profile_radial, in closed form, at d = |x-y|, rx = |x|, ry = |y|.
+
+    The weight expands as sum_j W_j t^(j c), c = g/2s, with the
+    surrogate_terms weights W_j. With T = d^(2s) (the branch switch) and
+    x = alpha T, term j contributes
+
+        Gamma(p) gammainc(p, x) alpha^(-p) d^(-(N+2s))    (t < T, DLMF 8.2)
+      + T^(1-q) E_q(x)                                    (t > T, DLMF 8.19)
+
+    with p = 2 + j c and q = N/(2s) - j c > 1.
+    """
+    N, s, g = params.dim, params.order, params.exponent_gamma
+    d = np.asarray(d, dtype=float)
+    T = d ** (2.0 * s)
+    x = alpha * T
+    c = g / (2.0 * s)
+    near = d ** (-(N + 2.0 * s))
+    total = 0.0
+    for j, (w, _) in enumerate(surrogate_terms(rx, ry, params)):
+        p = 2.0 + j * c
+        q = N / (2.0 * s) - j * c
+        total = total + w * (gamma(p) * alpha ** (-p) * gammainc(p, x) * near
+                             + T ** (1.0 - q) * generalized_expint(q, x))
+    return total
+
+
+def resolvent_profile_integral(alpha: float, x, y,
+                               params: ProblemParams) -> float:
+    """int_0^inf e^(-alpha t) * heat profile dt, in closed form
+    (resolvent_radial). Decreasing in alpha, with the closed-form time
+    integral as the alpha -> 0 limit."""
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    quad = quad or QuadratureSpec()
     rx, ry, d = _norms(x, y)
     _require_off_origin(rx, ry)
     _require_off_diagonal(d)
-    N, s, g = params.dim, params.order, params.exponent_gamma
-    rx, ry, d = float(rx), float(ry), float(d)
-    T = d ** (2.0 * s)
-    scale = float(green_time_integral(x, y, params))
-
-    # the weight expands as sum_j w_j t^(j c), c = g/2s, with the
-    # surrogate's term weights w_j
-    c = g / (2.0 * s)
-    weights = [w for w, _ in surrogate_terms(rx, ry, params)]
-
-    def tail_bound(t_end):
-        total = 0.0
-        for j, coef in enumerate(weights):
-            q = N / (2.0 * s) - j * c
-            total += coef * t_end ** (1.0 - q) / (q - 1.0)
-        return math.exp(-alpha * t_end) * total
-
-    t_end = 8.0 * T
-    while tail_bound(t_end) > 0.01 * quad.rel_tol * scale:
-        t_end *= 4.0
-        if t_end > 1e300:
-            break
-
-    def integrand(t):
-        return np.exp(-alpha * t) * heat_profile_radial(t, d, rx, ry, params)
-
-    val, _ = adaptive_panel_integral(
-        integrand, log_edges(T * 2.0 ** -40, t_end, 4, splits=(T,)), quad,
-        scale_hint=scale, label="resolvent-profile")
-    return float(val)
+    return float(resolvent_radial(alpha, d, rx, ry, params))
 
 
 def riesz_kernel(x, y, params: ProblemParams):

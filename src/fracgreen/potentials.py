@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import RadialField
-from .kernels import heat_profile_radial, surrogate_radial, surrogate_terms
+from .kernels import resolvent_radial, surrogate_radial, surrogate_terms
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_panel_integral, axis_point,
                          bipolar_sphere_integral, frac_laplacian_at_detailed,
@@ -29,6 +29,7 @@ from .quadrature import (QuadratureSpec, adaptive_panel_integral, axis_point,
 from .reports import VerificationReport
 
 KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
+_SHELL_BLOCK = 128  # shells per batched resolvent sphere-mean call
 
 
 class _RieszKernel:
@@ -67,63 +68,44 @@ class _SurrogateKernel:
 
 
 class _ResolventKernel:
-    """Exponentially weighted time integral of the heat comparison profile."""
+    """Exponentially weighted time integral of the heat comparison profile,
+    in closed form (kernels.resolvent_radial)."""
 
     distance_only = False
 
-    def __init__(self, params: ProblemParams, alpha: float,
-                 quad: QuadratureSpec):
+    def __init__(self, params: ProblemParams, alpha: float):
         if alpha is None or alpha <= 0.0:
             raise DomainError("resolvent kernel needs alpha > 0")
         self.p = params
         self.alpha = float(alpha)
-        self.quad = quad
 
     def pair_value(self, d, rho, r):
-        p, alpha = self.p, self.alpha
-        N, s, g = p.dim, p.order, p.exponent_gamma
-        d = np.atleast_1d(np.asarray(d, float))
-        r = np.broadcast_to(np.asarray(r, float), d.shape)
-        T = d ** (2.0 * s)
-        c = g / (2.0 * s)
-        # tau = t / T puts the min-branch switch at tau = 1 for every row
-        q_min = N / (2.0 * s) - 2.0 * c
-        decades = (10.0 / (q_min - 1.0) + 10.0)
-        tau_hi_pow = 10.0 ** decades
-        # exponential truncation: alpha T tau ~ 40 suffices
-        tau_hi = min(tau_hi_pow, max(10.0, 45.0 / (alpha * float(T.min()))))
-        edges = log_edges(2.0 ** -30, max(tau_hi, 10.0), 3, splits=(1.0,))
-        tau, w = panel_nodes(edges, 8)
-        t = T[:, None] * tau[None, :]
-        vals = np.exp(-alpha * t) * heat_profile_radial(
-            t, d[:, None], rho, r[:, None], p)
-        return T * (vals @ w)
+        return resolvent_radial(self.alpha, d, rho, r, self.p)
 
     def sphere_mean(self, rho, r):
         r = np.atleast_1d(np.asarray(r, float))
+        out = np.empty_like(r)
+        # blocks of shells bound the (shells, angle nodes) temporaries
+        for i in range(0, r.size, _SHELL_BLOCK):
+            rb = r[i:i + _SHELL_BLOCK]
+            out[i:i + _SHELL_BLOCK] = bipolar_sphere_integral(
+                lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
+                self.p.dim, order=12)
+        return out
 
-        # pair_value sizes its time grid by the smallest distance it is
-        # given, so each shell gets its own call
-        def kernel(d):
-            return np.array([self.pair_value(d_i, rho, r_i)
-                             for d_i, r_i in zip(d, r)])
 
-        return bipolar_sphere_integral(kernel, rho, r, self.p.dim, order=12)
-
-
-def _make_kernel(kind: str, params: ProblemParams, quad: QuadratureSpec,
-                 alpha: float | None):
+def _make_kernel(kind: str, params: ProblemParams, alpha: float | None):
     if kind == "riesz_exact":
         return _RieszKernel(params)
     if kind == "surrogate":
         return _SurrogateKernel(params)
     if kind == "resolvent_surrogate":
-        return _ResolventKernel(params, alpha, quad)
+        return _ResolventKernel(params, alpha)
     raise DomainError(f"unknown kernel kind {kind!r}; choose from "
                       f"{KERNEL_KINDS}")
 
 
-def _density_range(phi: RadialField, quad: QuadratureSpec):
+def _density_range(phi: RadialField):
     sup = phi.support_radius()
     if sup is None:
         raise DomainError("potential densities must be compactly supported")
@@ -140,9 +122,9 @@ def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
     rho = float(np.linalg.norm(x))
     if rho == 0.0:
         raise DomainError("potentials are evaluated away from the origin")
-    kern = _make_kernel(kernel_kind, params, quad, alpha)
+    kern = _make_kernel(kernel_kind, params, alpha)
     N, s = params.dim, params.order
-    lo, hi = _density_range(phi, quad)
+    lo, hi = _density_range(phi)
     c = phi.center_norm
 
     if kern.distance_only:
@@ -325,7 +307,7 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     omega = sphere_area(N)
-    lo_sup, hi_sup = _density_range(phi, quad)
+    lo_sup, hi_sup = _density_range(phi)
     R = 2.0 * max(hi_sup, 1.0)
     R_far = 100.0 * R
     pot = PotentialField(kernel_kind, phi, params, quad, alpha)

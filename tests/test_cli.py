@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -191,6 +192,17 @@ class TestSolve:
                                "--radii", "0.3:1:2", *field_args)
         assert code == 2
         assert "Traceback" not in err and "DomainError" in err
+
+    def test_resolvent_near_gamma_limit(self):
+        # gamma at 0.999 of its limit (N - 2s)/2 = 0.6
+        code, out, err = run_cli("solve", "--N", "2", "--s", "0.4",
+                                 "--gamma", "0.5994", "--kernel",
+                                 "resolvent_surrogate", "--radii", "0.3:0.5:2")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r["psi"])) and float(r["psi"]) > 0
+                   for r in rows)
 
     def test_bad_radii_exits_2(self):
         code, _, _ = run_cli("solve", "--N", "3", "--s", "0.5",

@@ -11,6 +11,7 @@ from fracgreen import (DegenerateInputError, DomainError, ProblemParams,
                        green_time_integral, green_time_integral_quadrature,
                        heat_profile, resolvent_profile_integral, riesz_kernel,
                        time_integral_coefficients)
+from fracgreen.kernels import generalized_expint, resolvent_radial
 
 
 def rand_pair(rng, dim, lo=1e-2):
@@ -201,27 +202,27 @@ class TestTimeIntegral:
 
 
 class TestResolvent:
-    def test_small_alpha_limit(self, params_3half, quad):
+    def test_small_alpha_limit(self, params_3half):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([-0.3, 0.6, 0.1])
         closed = float(green_time_integral(x, y, params_3half))
-        val = resolvent_profile_integral(1e-8, x, y, params_3half, quad)
+        val = resolvent_profile_integral(1e-8, x, y, params_3half)
         assert abs(val - closed) <= 1e-4 * closed
 
-    def test_monotone_in_alpha(self, params_3half, quad):
+    def test_monotone_in_alpha(self, params_3half):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([-0.3, 0.6, 0.1])
-        vals = [resolvent_profile_integral(a, x, y, params_3half, quad)
+        vals = [resolvent_profile_integral(a, x, y, params_3half)
                 for a in (0.1, 0.5, 1.0, 5.0, 20.0)]
         assert np.all(np.diff(vals) < 0)
 
-    def test_brute_force_log_grid(self, params_3half, quad):
+    def test_brute_force_log_grid(self, params_3half):
         # 10^6 uniform-in-log time nodes, trapezoid
         p = params_3half
         x = np.array([0.9, 0.2, 0.0])
         y = np.array([-0.4, 0.5, 0.3])
         alpha = 1.0
-        val = resolvent_profile_integral(alpha, x, y, p, quad)
+        val = resolvent_profile_integral(alpha, x, y, p)
         t = np.geomspace(1e-12, 1e3, 1_000_000)
         rx, ry, d = (np.linalg.norm(x), np.linalg.norm(y),
                      np.linalg.norm(x - y))
@@ -233,13 +234,63 @@ class TestResolvent:
         brute = np.trapezoid(vals, t)
         assert val == pytest.approx(brute, rel=1e-6)
 
-    def test_domain(self, params_3half, quad):
+    def test_domain(self, params_3half):
         x = np.array([1.0, 0, 0])
         y = np.array([0.0, 1, 0])
         with pytest.raises(DomainError):
-            resolvent_profile_integral(0.0, x, y, params_3half, quad)
+            resolvent_profile_integral(0.0, x, y, params_3half)
         with pytest.raises(DegenerateInputError):
-            resolvent_profile_integral(1.0, x, x, params_3half, quad)
+            resolvent_profile_integral(1.0, x, x, params_3half)
+
+    @pytest.mark.parametrize("q", [
+        1.02, 1.3, 1.9999999999999987, 2.0, 2.0 + 1e-13, 2.5, 3.0 - 1e-2,
+        3.0 + 1e-2, 3.0 - 1e-4, 3.0 + 1e-4, 3.0 - 1e-7, 3.0 + 1e-7, 5.0])
+    def test_expint_vs_mpmath(self, q):
+        # both routes, integer and near-integer q (the folded pole)
+        mp = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-9, 80.0, 90)
+        with mp.workdps(40):
+            ref = np.array([float(mp.expint(mp.mpf(q), mp.mpf(xi)))
+                            for xi in x])
+        got = generalized_expint(q, x)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("dim, order, gamma_frac", [
+        (2, 0.4, 0.8), (4, 0.75, 0.8), (3, 3.0 / (2.0 * (3.0 + 1e-7)), 0.8),
+        (2, 0.4, 0.999)])
+    def test_radial_vs_mpmath_quad(self, dim, order, gamma_frac):
+        # the defining time integral, in u = ln(t/T), one piece per branch
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams.from_gamma(dim, order,
+                                     gamma_frac * (dim - 2.0 * order) / 2.0)
+
+        def oracle(alpha, d, rx, ry):
+            N, s = mp.mpf(dim), mp.mpf(order)
+            g = mp.mpf(p.exponent_gamma)
+            d, rx, ry, alpha = map(mp.mpf, (d, rx, ry, alpha))
+            T, c = d ** (2 * s), g / (2 * s)
+
+            def piece(below):
+                def f(u):
+                    t = T * mp.exp(u)
+                    h = t * d ** (-(N + 2 * s)) if below \
+                        else t ** (-N / (2 * s))
+                    return (mp.exp(-alpha * t) * (1 + t ** c * rx ** -g)
+                            * (1 + t ** c * ry ** -g) * h * t)
+                return f
+
+            lx = -mp.log(alpha * T)  # the exponential cut-off
+            lo, hi = min(0, lx) - 60, max(0, lx) + mp.log(80)
+            return (mp.quad(piece(True), sorted({lo, min(lx, 0), 0}))
+                    + mp.quad(piece(False), sorted({0, max(lx, 0), hi})))
+
+        with mp.workdps(17):
+            for alpha in (1e-3, 1.0, 100.0):
+                for d, rx, ry in ((1e-7, 0.5, 0.5 + 1e-7), (0.3, 1.0, 0.8),
+                                  (5.0, 2.0, 3.0)):
+                    ref = oracle(alpha, d, rx, ry)
+                    got = float(resolvent_radial(alpha, d, rx, ry, p))
+                    assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestRieszKernel:

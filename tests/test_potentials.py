@@ -10,6 +10,7 @@ from fracgreen import (Bump, DomainError, Gaussian, PotentialField,
                        delta_identity_check, green_potential,
                        green_potential_detailed, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
+from fracgreen.potentials import _ResolventKernel
 
 
 class TestGreenPotential:
@@ -87,6 +88,16 @@ class TestGreenPotential:
         with pytest.raises(DomainError):
             green_potential(Bump(1.0), axis_point(1.0, 3), params_3half,
                             quad, kernel_kind="mystery")
+
+    def test_resolvent_sphere_mean_blocks_match_single_shells(self,
+                                                              params_2d):
+        # the batched shells (blocks of 128) are bit-identical to one shell
+        # per call, so a shell's value does not depend on its batch
+        kern = _ResolventKernel(params_2d, 1.0)
+        r = np.geomspace(1e-4, 3.0, 1000)
+        batched = kern.sphere_mean(0.7, r)
+        single = np.array([kern.sphere_mean(0.7, ri)[0] for ri in r])
+        assert np.array_equal(batched, single)
 
 
 class TestOriginSlope:
