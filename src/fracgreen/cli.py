@@ -24,9 +24,10 @@ from . import __version__
 from .config import RunConfig, load_config_file
 from .errors import FracgreenError
 from .fields import Bump, Bubble, Gaussian, make_field, near_optimizer
-from .kernels import (green_surrogate_expanded, green_surrogate_product,
-                      green_time_integral, green_time_integral_quadrature,
-                      heat_profile, resolvent_profile_integral, riesz_kernel)
+from .kernels import (RESOLVENT_REL_ERR, green_surrogate_expanded,
+                      green_surrogate_product, green_time_integral,
+                      green_time_integral_quadrature, heat_profile,
+                      resolvent_profile_integral, riesz_kernel)
 from .operator import fundamental_residual, hardy_ratio
 from .params import (ProblemParams, gamma_of_theta, sharp_hardy_constant,
                      theta_of_gamma)
@@ -167,7 +168,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
             "riesz_kernel": float(riesz_kernel(x, y, params)),
             "riesz_kernel_err": 0.0,
             "resolvent": resv,
-            "resolvent_err": cfg.quad.rel_tol * resv,
+            "resolvent_err": RESOLVENT_REL_ERR * resv,
         })
     meta = _meta(cfg, params)
     meta["profile_time"] = t_val

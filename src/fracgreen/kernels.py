@@ -160,18 +160,24 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
     N, s, g = params.dim, params.order, params.exponent_gamma
     rx, ry, d = float(rx), float(ry), float(d)
     T = d ** (2.0 * s)
-    # far-side integrand decays like t^(1 - (N-2g)/2s); pick the stop so the
-    # analytic remainder is negligible at the requested tolerance
-    q_min = (N - 2.0 * g) / (2.0 * s) - 1.0
-    decades = max(4.0, (9.0 + math.log10(1.0 / quad.rel_tol)) / q_min)
-    t_hi = T * 10.0 ** decades
+    # beyond T the profile is exactly sum_j W_j t^(-q_j), q_j = N/2s - j c
+    # (surrogate_terms weights), integrated analytically beyond t_hi
+    c = g / (2.0 * s)
+    far = tuple((w, N / (2.0 * s) - j * c - 1.0) for j, (w, _) in
+                enumerate(surrogate_terms(rx, ry, params)))
+    # the panels check the profile on as many decades beyond T as the
+    # slowest far term needs to fall below the tolerance, but stop where
+    # the profile's factor t^(-N/2s) would leave the normal floats
+    decades = max(4.0, (9.0 + math.log10(1.0 / quad.rel_tol)) / far[-1][1])
+    t_hi = 10.0 ** min(math.log10(T) + decades,
+                       -math.log10(np.finfo(float).tiny) * 2.0 * s / N)
     t_lo = T * 2.0 ** -40
 
     # below t_lo the integrand is ~ t d^-(N+2s)
     val, _ = adaptive_panel_integral(
         lambda t: heat_profile_radial(t, d, rx, ry, params),
         log_edges(t_lo, t_hi, 4, splits=(T,)), quad,
-        label="green-time-quadrature", head_power=1.0)
+        label="green-time-quadrature", head_power=1.0, tail=far)
     return val
 
 
@@ -232,6 +238,11 @@ def generalized_expint(q: float, x):
         t += q + 2.0 * (i - 1)
     out[~small] = np.exp(-xl) / t
     return out
+
+
+#: relative error bound of resolvent_radial, held against an mpmath
+#: quadrature of the defining time integral by the kernel tests
+RESOLVENT_REL_ERR = 1e-12
 
 
 def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):

@@ -42,7 +42,7 @@ from .errors import (DivergenceError, DomainError, SingularityError,
 from .fields import RadialField, TruncatedPowerLaw
 from .params import ProblemParams, power_multiplier
 
-_MAX_DOUBLINGS = 7
+_MAX_ROUNDS = 7
 _DEFAULT_ORDER = 12
 
 
@@ -54,7 +54,12 @@ class QuadratureSpec:
     symmetrized integrand is completed by its Taylor limit; outer_radius is
     the absolute far-field truncation radius beyond which analytic power
     tails take over; angular_order is the Gauss-Legendre order of the
-    spherical panels. Panel refinement stops after _MAX_DOUBLINGS rounds.
+    spherical panels. rel_tol is the target of every radial integral:
+    adaptive_panel_integral bisects only the panels whose own defects
+    (a panel's Gauss-Legendre sum against the sum over its two halves) do
+    not yet fit in a quarter of rel_tol times the scale, for at most
+    _MAX_ROUNDS rounds, and reports the summed per-panel defects as its
+    error estimate.
     """
 
     inner_radius: float = 1e-3
@@ -106,15 +111,22 @@ def panel_nodes(edges: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _refine_edges(edges: np.ndarray) -> np.ndarray:
-    lo, hi = edges[:-1], edges[1:]
+def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Split points of the panels [lo, hi]: geometric when hi > 2 lo > 0,
+    arithmetic otherwise."""
     geo = (lo > 0) & (hi > 2.0 * lo)
-    mid = np.where(geo, np.sqrt(np.maximum(lo, 1e-300) * hi),
-                   0.5 * (lo + hi))
-    out = np.empty(edges.size * 2 - 1)
-    out[0::2] = edges
-    out[1::2] = mid
-    return out
+    return np.where(geo, np.sqrt(np.maximum(lo, 1e-300) * hi),
+                    0.5 * (lo + hi))
+
+
+def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre sums of fn over the panels [lo, hi] in one fn call,
+    with the nodes and values, one row per panel."""
+    x, w = _gl(order)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]
+    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return (vals @ w) * half, nodes, vals
 
 
 def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
@@ -123,21 +135,30 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
     """Integrate a vectorized integrand over the panel edges [lo, hi], plus
     an analytic power head on (0, lo) and power tails on (hi, inf).
 
-    Panels are doubled until two refinements agree to rel_tol.
+    Local bisection: each panel's order-`order` Gauss-Legendre sum is its
+    coarse value, the sum over its two halves its fine value, and
+    |fine - coarse| its defect. Each round evaluates the halves of every
+    open panel in one fn call, sorts the defects, and bisects the largest
+    until the remainder fits in a quarter of rel_tol times the scale; the
+    other panels are closed with their fine value and defect, and the
+    halves of a bisected panel become its children's coarse values.
     head_power=p: the integrand is C r^p below lo, with C fitted by one call
     fn(lo) made before the panels, so the head is fn(lo) lo / (p + 1).
     tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi;
     each adds coef hi^(-k) / k.
 
-    The panel defect is judged against rel_tol times the largest of |value|,
-    scale_hint and, with a head, |fn(lo)| lo. Each power piece is charged
-    its own size times the relative defect of its model: the tail's is
-    measured against the integrand at the last node, the head's (exact at
-    lo, where it is fitted) is taken as (lo/hi)^2.
+    The scale is the largest of |value|, scale_hint and, with a head,
+    |fn(lo)| lo. The panel error is the sum of the per-panel defects, never
+    a signed difference that could cancel. Each power piece is charged its
+    own size times the relative defect of its model, measured against the
+    integrand: the tail's at the node nearest hi; the head's (exact at lo,
+    where it is fitted) at the top node t lo of the first panel, divided by
+    t - 1, which bounds the head's defect when the integrand is
+    C r^p (1 + O(r^k)) with k >= 1.
 
     Returns (value, error_estimate), both including head and tail; raises
-    ToleranceError if the doubling budget runs out while the panel defect is
-    still well above tolerance.
+    ToleranceError if the round budget runs out while the panel error is
+    still above 5 rel_tol times the scale.
     """
     order = order or _DEFAULT_ORDER
     edges = np.unique(np.asarray(edges, dtype=float))
@@ -155,29 +176,56 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
         f_lo = float(np.asarray(fn(np.array([lo])), dtype=float)[0])
         head = f_lo * lo / (head_power + 1.0)
         floor = max(floor, abs(f_lo) * lo)
-    prev = None
-    val, err = 0.0, math.inf
-    for _ in range(_MAX_DOUBLINGS):
-        nodes, weights = panel_nodes(edges, order)
-        vals = np.asarray(fn(nodes), dtype=float)
-        val = float(np.dot(vals, weights))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= quad.rel_tol * max(abs(val), floor, 1e-300):
-                break
-        prev = val
-        edges = _refine_edges(edges)
-    else:
-        if err > 5.0 * quad.rel_tol * max(abs(val), floor, 1e-300):
-            raise ToleranceError(
-                f"panel integral {label or 'anonymous'}: defect {err:.3e} "
-                f"at value {val:.6e} after {_MAX_DOUBLINGS} refinements")
+    # the first round also evaluates every panel's coarse sum
+    p_lo, p_hi = edges[:-1], edges[1:]
+    n = p_lo.size
+    mid = _bisect(p_lo, p_hi)
+    sums, nodes, vals = _panel_sums(fn, np.concatenate([p_lo, p_lo, mid]),
+                                    np.concatenate([p_hi, mid, p_hi]), order)
+    coarse, halves = sums[:n], sums[n:]
+    # the top coarse node of the first panel probes the head model, the
+    # node nearest hi the tail model
+    x_head, f_head = nodes[0, -1], vals[0, -1]
+    x_top, f_top = nodes[-1, -1], vals[-1, -1]
+    val, err = 0.0, 0.0
+    for rnd in range(_MAX_ROUNDS):
+        if rnd:
+            mid = _bisect(p_lo, p_hi)
+            halves, nodes, vals = _panel_sums(
+                fn, np.concatenate([p_lo, mid]), np.concatenate([mid, p_hi]),
+                order)
+            if p_hi[-1] == hi:
+                x_top, f_top = nodes[-1, -1], vals[-1, -1]
+        left, right = halves[:n], halves[n:]
+        fine = left + right
+        defect = np.abs(fine - coarse)
+        budget = 0.25 * quad.rel_tol * max(abs(val + fine.sum()), floor,
+                                           1e-300) - err
+        split = np.zeros(n, dtype=bool)
+        if rnd < _MAX_ROUNDS - 1:
+            rank = np.argsort(defect)
+            fits = np.searchsorted(np.cumsum(defect[rank]), budget, "right")
+            split[rank[fits:]] = True
+        val += float(fine[~split].sum())
+        err += float(defect[~split].sum())
+        if not split.any():
+            break
+        p_lo = np.column_stack([p_lo[split], mid[split]]).ravel()
+        p_hi = np.column_stack([mid[split], p_hi[split]]).ravel()
+        coarse = np.column_stack([left[split], right[split]]).ravel()
+        n = p_lo.size
+    if err > 5.0 * quad.rel_tol * max(abs(val), floor, 1e-300):
+        raise ToleranceError(
+            f"panel integral {label or 'anonymous'}: defect {err:.3e} "
+            f"at value {val:.6e} after {_MAX_ROUNDS} rounds")
     tail_val = sum(coef * hi ** (-k) / k for coef, k in tail)
     if tail:
-        model = sum(coef * nodes[-1] ** (-k - 1.0) for coef, k in tail)
+        model = sum(coef * x_top ** (-k - 1.0) for coef, k in tail)
         if model != 0.0:
-            err += abs(tail_val * (vals[-1] - model) / model)
-    err += abs(head) * (lo / hi) ** 2
+            err += abs(tail_val * (f_top - model) / model)
+    if head != 0.0:
+        model = f_lo * (x_head / lo) ** head_power
+        err += abs(head * (f_head - model) / model) / (x_head / lo - 1.0)
     return val + head + tail_val, err
 
 

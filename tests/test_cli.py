@@ -9,6 +9,7 @@ import pytest
 
 from fracgreen import cli, errors, gamma_of_theta
 from fracgreen.cli import main
+from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
 def run_cli(*argv):
@@ -68,6 +69,19 @@ class TestKernel:
                     "resolvent"))
         for r in rows:
             assert float(r["form_identity_diff"]) <= 1e-12
+            assert float(r["closed_vs_quadrature_diff"]) <= 1e-6
+            # the closed-form resolvent's bound, held against mpmath
+            assert float(r["resolvent_err"]) == pytest.approx(
+                RESOLVENT_REL_ERR * float(r["resolvent"]), rel=1e-15)
+
+    def test_time_quadrature_near_gamma_limit(self):
+        # gamma at 0.999 of its limit (N - 2s)/2 = 0.6, where the slowest
+        # far term of the time integral decays like t^(-1.0015)
+        code, out, err = run_cli("kernel", "--N", "2", "--s", "0.4",
+                                 "--gamma", "0.5994", "--pairs", "2")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        for r in rows:
             assert float(r["closed_vs_quadrature_diff"]) <= 1e-6
 
     def test_swapped_pair_rows_equal(self):

@@ -11,7 +11,8 @@ from fracgreen import (DegenerateInputError, DomainError, ProblemParams,
                        green_time_integral, green_time_integral_quadrature,
                        heat_profile, resolvent_profile_integral, riesz_kernel,
                        time_integral_coefficients)
-from fracgreen.kernels import generalized_expint, resolvent_radial
+from fracgreen.kernels import (RESOLVENT_REL_ERR, generalized_expint,
+                              resolvent_radial)
 
 
 def rand_pair(rng, dim, lo=1e-2):
@@ -290,7 +291,7 @@ class TestResolvent:
                                   (5.0, 2.0, 3.0)):
                     ref = oracle(alpha, d, rx, ry)
                     got = float(resolvent_radial(alpha, d, rx, ry, p))
-                    assert abs(got - ref) <= 1e-12 * ref
+                    assert abs(got - ref) <= RESOLVENT_REL_ERR * ref
 
 
 class TestRieszKernel:

@@ -9,9 +9,10 @@ from scipy.special import gamma as gamma_fn
 
 from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        PowerLaw, ProblemParams, QuadratureSpec,
-                       SingularityError, TruncatedPowerLaw, axis_point,
-                       frac_laplacian_at, frac_laplacian_at_detailed,
-                       frac_laplacian_power_law, integrate_radial_singular,
+                       SingularityError, ToleranceError, TruncatedPowerLaw,
+                       axis_point, frac_laplacian_at,
+                       frac_laplacian_at_detailed, frac_laplacian_power_law,
+                       integrate_radial_singular,
                        sphere_area, sphere_mean_power,
                        truncation_correction_detailed)
 from fracgreen.quadrature import (adaptive_panel_integral, log_edges,
@@ -47,6 +48,8 @@ class TestPanelIntegral:
                 fn, edges, quad, head_power=p, tail=((1.0, q - p - 1.0),))
             assert val == pytest.approx(exact, rel=1e-11)
             assert 0.0 <= err < 1e-10 * exact
+            # the estimate covers the miss, up to the reference's rounding
+            assert abs(val - exact) <= err + 1e-15 * exact
             # the panels alone miss the head and tail
             bare, _ = adaptive_panel_integral(fn, edges, quad)
             assert abs(bare - exact) > 1e3 * abs(val - exact)
@@ -63,6 +66,33 @@ class TestPanelIntegral:
         assert calls[0].tolist() == [1e-6]
         assert all(c.size > 1 for c in calls[1:])
         assert calls[-1].size == max(c.size for c in calls)
+
+    def test_local_bisection_on_square_root_endpoint(self, quad):
+        # sqrt(r - 1) starts at the edge r = 1: only the panels next to it
+        # converge algebraically, and only they are bisected
+        sizes = []
+
+        def fn(r):
+            sizes.append(r.size)
+            return np.exp(-r) + np.sqrt(np.maximum(r - 1.0, 0.0))
+
+        edges = log_edges(1e-3, 10.0, 4, splits=(1.0,))
+        val, err = adaptive_panel_integral(fn, edges, quad)
+        exact = math.exp(-1e-3) - math.exp(-10.0) + 18.0
+        assert abs(val - exact) <= min(err, quad.rel_tol * exact)
+        assert len(sizes) > 2
+        assert all(b <= a for a, b in zip(sizes[1:], sizes[2:]))
+        # doubling every panel down to the same finest width: 2^k panels
+        # per edge panel at round k = 0..len(sizes), order nodes each
+        uniform = (edges.size - 1) * 12 * (2 ** (len(sizes) + 1) - 1)
+        assert sum(sizes) < uniform / 5
+
+    def test_unresolved_defect_raises_naming_the_label(self, quad):
+        # a jump inside a panel: each bisection only halves its defect
+        with pytest.raises(ToleranceError, match="jump-test"):
+            adaptive_panel_integral(lambda r: np.where(r < 0.3, 0.0, 1.0),
+                                    np.array([0.0, 1.0]), quad,
+                                    label="jump-test")
 
     def test_non_integrable_pieces_rejected(self, quad):
         edges = log_edges(1e-3, 1e3, 4)
@@ -209,12 +239,14 @@ class TestFracLaplacian:
     @pytest.mark.parametrize("dim, s", ((1, 0.25), (2, 0.4), (3, 0.3),
                                         (4, 0.75), (5, 0.9)))
     def test_bubble_sweep(self, dim, s, rho, quad):
-        # the conformal bubble across the admissible (N, s), to rel_tol
+        # the conformal bubble across the admissible (N, s), to rel_tol and
+        # within the reported error estimate
         params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
-        val = frac_laplacian_at(Bubble(dim - 2 * s), axis_point(rho, dim),
-                                params, quad)
-        assert val == pytest.approx(bubble_flap_exact(rho, dim, s),
-                                    rel=quad.rel_tol)
+        val, err = frac_laplacian_at_detailed(
+            Bubble(dim - 2 * s), axis_point(rho, dim), params, quad)
+        exact = bubble_flap_exact(rho, dim, s)
+        assert val == pytest.approx(exact, rel=quad.rel_tol)
+        assert abs(val - exact) <= err
 
     def test_linearity(self, params_3half, quad):
         u = Bump(1.0)
