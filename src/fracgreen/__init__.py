@@ -13,10 +13,9 @@ from .errors import (ConvergenceError, DegenerateInputError, DivergenceError,
 from .fields import (Bubble, Bump, Gaussian, PowerLaw, RadialField,
                      SampledRadial, TruncatedPowerLaw, make_field,
                      near_optimizer)
-from .kernels import (GreenSurrogateEval, green_surrogate_expanded,
-                      green_surrogate_product, green_time_integral,
-                      green_time_integral_quadrature, heat_profile,
-                      resolvent_profile_integral, riesz_kernel,
+from .kernels import (green_surrogate_expanded, green_surrogate_product,
+                      green_time_integral, green_time_integral_quadrature,
+                      heat_profile, resolvent_profile_integral, riesz_kernel,
                       time_integral_coefficients)
 from .operator import (FormEval, OperatorEval, apply_P, energy_form,
                        fundamental_residual, hardy_ratio,
@@ -39,7 +38,7 @@ __all__ = [
     "Bubble", "Bump", "Gaussian", "PowerLaw", "RadialField", "SampledRadial",
     "TruncatedPowerLaw", "make_field", "near_optimizer",
     "ProblemParams", "QuadratureSpec", "VerificationReport",
-    "FormEval", "OperatorEval", "GreenSurrogateEval",
+    "FormEval", "OperatorEval",
     "PotentialField",
     "frac_laplacian_normalizer", "sharp_hardy_constant", "theta_of_gamma",
     "gamma_of_theta", "riesz_normalization", "power_multiplier", "log_gamma",

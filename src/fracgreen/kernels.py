@@ -27,7 +27,6 @@ kernel genuinely blows up there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -294,23 +293,3 @@ def riesz_kernel(x, y, params: ProblemParams):
     d = np.linalg.norm(x - y, axis=-1)
     _require_off_diagonal(d)
     return params.riesz_constant * d ** (2.0 * s - N)
-
-
-@dataclass(frozen=True)
-class GreenSurrogateEval:
-    """Both algebraic forms of the Green surrogate plus the time integral."""
-
-    source: tuple
-    target: tuple
-    product_form: float
-    expanded_form: float
-    closed_time_integral: float
-
-    @classmethod
-    def compute(cls, x, y, params: ProblemParams) -> "GreenSurrogateEval":
-        return cls(
-            source=tuple(np.ravel(x)), target=tuple(np.ravel(y)),
-            product_form=float(green_surrogate_product(x, y, params)),
-            expanded_form=float(green_surrogate_expanded(x, y, params)),
-            closed_time_integral=float(green_time_integral(x, y, params)),
-        )

@@ -101,14 +101,20 @@ def _gl(order: int):
 
 
 def panel_nodes(edges: np.ndarray, order: int):
-    """Nodes/weights of composite Gauss-Legendre over consecutive panels."""
+    """Nodes/weights of composite Gauss-Legendre over consecutive panels.
+
+    `edges` may hold one row of edges per integral (edges along the last
+    axis); each row gets its own nodes and weights, row by row identical to
+    a separate call.
+    """
     x, w = _gl(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    nodes = mid[..., None] + half[..., None] * x
+    weights = half[..., None] * w
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -315,8 +321,9 @@ def _horner(coef: np.ndarray, w: np.ndarray, w_max: float) -> np.ndarray:
     return acc
 
 
-def sphere_mean_power(lam: float, rho: float, r, dim: int):
-    """int_{S^(N-1)} |rho e1 - r w|^(-lam) dsigma(w), vectorized in r.
+def sphere_mean_power(lam: float, rho, r, dim: int):
+    """int_{S^(N-1)} |rho e1 - r w|^(-lam) dsigma(w), vectorized: rho and r
+    broadcast against each other.
 
     Equals |S^(N-1)| max^(-lam) 2F1(a, b; c; z) with a = lam/2,
     b = (lam-N)/2 + 1, c = N/2 and z = (min/max)^2, where m = c - a - b
@@ -415,45 +422,6 @@ def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
                                              r[~full], dim, d_min, order,
                                              n_panels)
     return out
-
-
-def sphere_pair_integral(fn_two_cos, beta: float, dim: int,
-                         order: int = 16, theta_edges=None):
-    """int_{S^(N-1)} F(<w, e_a>, <w, e_b>) dsigma(w), angle(e_a, e_b) = beta.
-
-    Used for integrands combining a kernel centered on one axis with a
-    density centered on another. `theta_edges` refines the polar panels
-    (the kernel direction); the second reduction angle is always smooth.
-    The integrand is called as F(mu1, mu2, vers1) where vers1 = 1 - mu1 is
-    supplied in cancellation-free form (2 sin^2(theta/2)) so near-diagonal
-    kernel distances can be assembled stably.
-    """
-    if dim == 1:
-        cb = math.cos(beta)
-        return fn_two_cos(np.array([1.0, -1.0]), np.array([cb, -cb]),
-                          np.array([0.0, 2.0])).sum()
-    if theta_edges is None:
-        theta_edges = np.linspace(0.0, math.pi, 13)
-    if dim == 2:
-        # full circle: w at angle phi from e_a, e_b at angle beta
-        phi, w = panel_nodes(np.asarray(theta_edges), order)
-        both = np.concatenate([phi, -phi])
-        wts = np.concatenate([w, w])
-        vers = 2.0 * np.sin(0.5 * both) ** 2
-        return float(np.dot(fn_two_cos(np.cos(both), np.cos(both - beta),
-                                       vers), wts))
-    theta, wt = panel_nodes(np.asarray(theta_edges), order)
-    chi, wc = panel_nodes(np.linspace(0.0, math.pi, 9), order)
-    ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    cchi = np.cos(chi)[None, :]
-    mu2 = ct * math.cos(beta) + st * math.sin(beta) * cchi
-    mu1 = np.broadcast_to(ct, mu2.shape)
-    vers1 = np.broadcast_to((2.0 * np.sin(0.5 * theta) ** 2)[:, None],
-                            mu2.shape)
-    vals = fn_two_cos(mu1, mu2, vers1)
-    vals = vals * st ** (dim - 2) * np.sin(chi)[None, :] ** (dim - 3)
-    inner = vals @ wc
-    return float(sphere_area(dim - 2) * np.dot(inner, wt))
 
 
 # ---------------------------------------------------------------------------

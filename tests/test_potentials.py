@@ -10,7 +10,19 @@ from fracgreen import (Bump, DomainError, Gaussian, PotentialField,
                        delta_identity_check, green_potential,
                        green_potential_detailed, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
-from fracgreen.potentials import _ResolventKernel
+from fracgreen.potentials import (_density_range, _potential_pair,
+                                  _ResolventKernel, _RieszKernel)
+
+# the (N, s) sweep of the radial-form checks
+SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
+
+
+def riesz_pair_potential(phi, x, params, quad):
+    """The two-angle pair rule applied to the exact zero-coupling kernel."""
+    rho = float(np.linalg.norm(x))
+    lo, hi = _density_range(phi)
+    return _potential_pair(_RieszKernel(params), phi, x, rho, lo, hi,
+                           params, quad)[0]
 
 
 class TestGreenPotential:
@@ -100,7 +112,45 @@ class TestGreenPotential:
         assert np.array_equal(batched, single)
 
 
+class TestPairRule:
+    # The pair rule is the only route for a coupling-dependent kernel with
+    # an off-centre density. On the Riesz kernel the exact bipolar
+    # reduction about the density centre is an independent oracle. The
+    # bound covers the pair rule's angular error, which its error estimate
+    # leaves out: 6.4e-5 at (5, .9), x = (0.6, 0.5).
+    @pytest.mark.parametrize("dim,s", SWEEP)
+    def test_riesz_against_bipolar_reduction(self, dim, s, quad):
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        phi = Bump(0.35, center_norm=1.0)
+        # off the density axis: outside the support, then inside it
+        for xy in ((0.6, 0.5), (1.1, 0.1)):
+            x = np.r_[xy, np.zeros(dim - 2)] if dim > 1 else np.array(xy[:1])
+            ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+            val = riesz_pair_potential(phi, x, p, quad)
+            assert val == pytest.approx(ref, rel=1e-4), (dim, s, xy)
+
+    def test_origin_covering_density(self, quad):
+        # every polar panel of the shells r < R - c reaches the support
+        p = ProblemParams.from_gamma(3, 0.3, 0.96)
+        phi = Bump(1.0, center_norm=-0.5)
+        x = np.array([1.0, 1.2, 0.0])
+        ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+        assert riesz_pair_potential(phi, x, p, quad) == pytest.approx(
+            ref, rel=1e-4)
+
+
 class TestOriginSlope:
+    @pytest.mark.parametrize("dim,s,pinned", [(3, 0.5, -0.791030047486141),
+                                              (2, 0.4, -0.450308906268193)])
+    def test_verify_slope_pinned(self, dim, s, pinned, quad):
+        # verify's origin-slope geometry at the default gamma; the values
+        # pin the pair rule's numerics, which its batching and support
+        # pruning must not move
+        p = ProblemParams.from_gamma(dim, s, 0.8 * (dim - 2 * s) / 2)
+        slope, _, _ = origin_slope_fit(Bump(0.35, center_norm=1.0), p, quad,
+                                       n_radii=6, n_directions=2)
+        assert slope == pytest.approx(pinned, abs=1e-10)
+
     def test_surrogate_slope_large_gamma(self, params_3big, quad):
         phi = Bump(0.35, center_norm=1.0)
         slope, _, _ = origin_slope_fit(phi, params_3big, quad, n_radii=6,

@@ -169,6 +169,29 @@ class TestSphereMeans:
             rel = np.abs(vals / refs - 1.0)
             assert rel.max() <= 1e-12, (dim, lam, r[rel.argmax()])
 
+    @pytest.mark.parametrize("dim,lam,exact", [
+        (3, 4.0, True),    # b = c: elementary
+        (4, 1.0, True),    # integer m: scipy's hyp2f1
+        (3, 2.0, True),    # integer m = 0, the logarithmic case
+        (1, 1.5, True),
+        (5, 6.8, False),   # connection formula for z >= 1/2
+        (2, 2.8, False),
+    ])
+    def test_array_rho_matches_per_rho_calls(self, dim, lam, exact):
+        r = np.geomspace(0.05, 0.999, 300)
+        rho = np.concatenate([np.geomspace(0.5, 0.9999, 40),
+                              1.0 + np.geomspace(1e-9, 5.0, 40)])
+        batched = sphere_mean_power(lam, rho[:, None], r, dim)
+        loop = np.array([sphere_mean_power(lam, rh, r, dim) for rh in rho])
+        if exact:
+            assert np.array_equal(batched, loop)
+        else:
+            # a call cuts its Gauss series where its largest w needs, so a
+            # batch can keep a few more terms (each below 1e-17 of the sum)
+            # than one of its rows alone
+            np.testing.assert_allclose(batched, loop,
+                                       rtol=4 * np.finfo(float).eps, atol=0)
+
     def test_constant_normalization(self):
         for dim in (1, 2, 3, 4):
             val = float(sphere_mean_power(0.0, 1.0, np.array([0.5]), dim)[0])
