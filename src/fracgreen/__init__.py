@@ -29,8 +29,7 @@ from .potentials import (PotentialField, delta_identity_check,
 from .quadrature import (QuadratureSpec, axis_point, frac_laplacian_at,
                          frac_laplacian_at_detailed, frac_laplacian_power_law,
                          integrate_radial_singular, sphere_area,
-                         sphere_mean_power, truncation_correction,
-                         truncation_correction_detailed)
+                         sphere_mean_power, truncation_correction_detailed)
 from .reports import VerificationReport
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
     "riesz_kernel",
     "frac_laplacian_at", "frac_laplacian_at_detailed",
     "frac_laplacian_power_law", "integrate_radial_singular",
-    "truncation_correction", "truncation_correction_detailed",
+    "truncation_correction_detailed",
     "sphere_area", "sphere_mean_power", "axis_point",
     "apply_P", "energy_form", "hardy_ratio", "hardy_weight_integral",
     "fundamental_residual", "near_optimizer_sweep",

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config_file
+from .config import ConfigError, RunConfig, load_config_file
 from .errors import FracgreenError
 from .fields import Bump, Bubble, Gaussian, make_field, near_optimizer
 from .kernels import (RESOLVENT_REL_ERR, green_surrogate_expanded,
@@ -46,31 +46,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(rows: list[dict], header_meta: dict, cfg: RunConfig,
-                 stream) -> None:
+def _header(meta: dict) -> list[str]:
+    return [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
+
+
+def _table(rows: list[dict], header_meta: dict, cfg: RunConfig) -> str:
     if cfg.fmt == "json":
         doc = {"schema": SCHEMA_VERSION, **header_meta, "rows": rows}
-        stream.write(json.dumps(doc, sort_keys=True, indent=1,
-                                default=float))
-        stream.write("\n")
-        return
-    for key in sorted(header_meta):
-        stream.write(f"# {key} = {_fmt(header_meta[key])}\n")
-    stream.write(f"# schema = {SCHEMA_VERSION}\n")
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    stream.write(",".join(cols) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        return json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n"
+    lines = _header(header_meta) + [f"# schema = {SCHEMA_VERSION}"]
+    if rows:
+        cols = list(rows[0].keys())
+        lines.append(",".join(cols))
+        lines.extend(",".join(_fmt(row[c]) for c in cols) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _emit(rows, meta, cfg: RunConfig) -> None:
+def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            _write_table(rows, meta, cfg, fh)
+            fh.write(text)
     else:
-        _write_table(rows, meta, cfg, sys.stdout)
+        sys.stdout.write(text)
 
 
 def _meta(cfg: RunConfig, params: ProblemParams | None) -> dict:
@@ -96,7 +93,9 @@ def cmd_constants(cfg: RunConfig, args) -> int:
     params = ProblemParams.from_gamma(N, s, half / 2)
     lam = params.sharp_constant
     rows = []
-    n_grid = int(args.gamma_grid)
+    n_grid = args.gamma_grid
+    if n_grid < 1:
+        raise ConfigError(f"--gamma-grid {n_grid}: need a positive size")
     for g in np.linspace(half / n_grid, half * (1.0 - 1.0 / n_grid), n_grid):
         rows.append({
             "gamma": float(g), "gamma_err": 0.0,
@@ -115,7 +114,7 @@ def cmd_constants(cfg: RunConfig, args) -> int:
         rows.append({"gamma": cfg.gamma, "gamma_err": 0.0,
                      "theta": th, "theta_err": 0.0})
         meta["theta_of_gamma"] = th
-    _emit(rows, meta, cfg)
+    _emit(_table(rows, meta, cfg), cfg)
     return 0
 
 
@@ -173,7 +172,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     meta = _meta(cfg, params)
     meta["profile_time"] = t_val
     meta["resolvent_alpha"] = alpha
-    _emit(rows, meta, cfg)
+    _emit(_table(rows, meta, cfg), cfg)
     return 0
 
 
@@ -238,7 +237,10 @@ def _verify_hardy(params, quad) -> VerificationReport:
         catalog["bubble"] = Bubble(N - 2.0 * s)
     else:
         skipped["bubble"] = "not in L^2: 2(N-2s) <= N"
-    catalog["near_optimizer"] = near_optimizer(0.2, N, s)
+    # the near-optimizer needs eps < (N-2s)/2: 0.2 where that holds
+    half = (N - 2.0 * s) / 2.0
+    eps = 0.2 if 0.2 < half else half / 2.0
+    catalog["near_optimizer"] = near_optimizer(eps, N, s)
     ratios = {name: hardy_ratio(f, params, quad)
               for name, f in catalog.items()}
     worst = min(ratios.values())
@@ -302,20 +304,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     meta = _meta(cfg, params)
     meta["sabotage"] = args.sabotage or "none"
     if cfg.fmt == "json":
-        _emit(rows, meta, cfg)
+        _emit(_table(rows, meta, cfg), cfg)
     else:
-        stream = open(cfg.out, "w", encoding="utf-8") if cfg.out \
-            else sys.stdout
-        try:
-            for key in sorted(meta):
-                stream.write(f"# {key} = {_fmt(meta[key])}\n")
-            for r in reports:
-                stream.write(r.line() + "\n")
-            stream.write("overall: " + ("PASS" if code == 0 else "FAIL")
-                         + "\n")
-        finally:
-            if cfg.out:
-                stream.close()
+        lines = (_header(meta) + [r.line() for r in reports]
+                 + ["overall: " + ("PASS" if code == 0 else "FAIL")])
+        _emit("\n".join(lines) + "\n", cfg)
     return code
 
 
@@ -369,7 +362,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     meta["density"] = type(phi).__name__
     if alpha is not None:
         meta["alpha"] = alpha
-    _emit(rows, meta, cfg)
+    _emit(_table(rows, meta, cfg), cfg)
     return 0
 
 
@@ -387,12 +380,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--s", type=float, default=None)
+        # dests are the RunConfig attributes of config.SETTINGS
+        p.add_argument("--N", dest="dim", metavar="N", type=int,
+                       default=None)
+        p.add_argument("--s", dest="order", metavar="S", type=float,
+                       default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                       default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
 
@@ -426,23 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     blocks = load_config_file(args.config) if args.config else {"": {}}
-    cfg = RunConfig.from_blocks(blocks)
-    if args.N is not None:
-        cfg.dim = args.N
-    if args.s is not None:
-        cfg.order = args.s
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
+    return RunConfig.from_sources(blocks, args)
 
 
 def main(argv=None) -> int:

@@ -70,19 +70,39 @@ def load_config_file(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
+#: every run setting once: (config block, key, RunConfig attribute, type).
+#: The attribute is also the argparse dest of the setting's flag; [params]
+#: keys may also stand before any block.
+SETTINGS = (
+    ("params", "N", "dim", int),
+    ("params", "s", "order", float),
+    ("params", "theta", "theta", float),
+    ("params", "gamma", "gamma", float),
+    ("output", "format", "fmt", str),
+    ("output", "path", "out", str),
+    ("output", "seed", "seed", int),
+)
+
+def _typed(block: str, key: str, value, typ: type):
+    """A config value as typ: a float key also takes an integer; anything
+    else (true/false, a list, a string for a number) is a ConfigError
+    naming the key."""
+    if not (type(value) is typ or (typ is float and type(value) is int)):
+        raise ConfigError(f"[{block}] {key} = {value!r}: expected "
+                          f"{typ.__name__}")
+    return typ(value)
+
+
 def _quadrature_spec(block: dict) -> QuadratureSpec:
     """QuadratureSpec from a [quadrature] block: each key names a field and
-    its value is converted to the type of that field's default."""
-    spec = {f.name: f for f in fields(QuadratureSpec)}
+    takes the type of that field's default."""
+    spec = {f.name: type(f.default) for f in fields(QuadratureSpec)}
     unknown = sorted(set(block) - set(spec))
     if unknown:
         raise ConfigError(f"[quadrature]: unknown key(s) {unknown}; "
                           f"choose from {list(spec)}")
-    try:
-        return QuadratureSpec(**{key: type(spec[key].default)(val)
-                                 for key, val in block.items()})
-    except (TypeError, ValueError) as ex:
-        raise ConfigError(f"[quadrature]: {ex}")
+    return QuadratureSpec(**{key: _typed("quadrature", key, val, spec[key])
+                             for key, val in block.items()})
 
 
 @dataclass
@@ -100,25 +120,18 @@ class RunConfig:
     blocks: dict = field(default_factory=dict)
 
     @classmethod
-    def from_blocks(cls, blocks: dict) -> "RunConfig":
-        cfg = cls(blocks=blocks)
-        p = {**blocks.get("", {}), **blocks.get("params", {})}
-        if "N" in p:
-            cfg.dim = int(p["N"])
-        if "s" in p:
-            cfg.order = float(p["s"])
-        if "theta" in p:
-            cfg.theta = float(p["theta"])
-        if "gamma" in p:
-            cfg.gamma = float(p["gamma"])
-        cfg.quad = _quadrature_spec(blocks.get("quadrature", {}))
-        o = blocks.get("output", {})
-        if "format" in o:
-            cfg.fmt = str(o["format"])
-        if "path" in o:
-            cfg.out = str(o["path"])
-        if "seed" in o:
-            cfg.seed = int(o["seed"])
+    def from_sources(cls, blocks: dict, flags) -> "RunConfig":
+        """Settings from the config blocks, each overridden by its flag
+        (the flags' attribute of the same name) when that is not None."""
+        cfg = cls(blocks=blocks,
+                  quad=_quadrature_spec(blocks.get("quadrature", {})))
+        params = {**blocks.get("", {}), **blocks.get("params", {})}
+        for block, key, attr, typ in SETTINGS:
+            given = params if block == "params" else blocks.get(block, {})
+            if key in given:
+                setattr(cfg, attr, _typed(block, key, given[key], typ))
+            if getattr(flags, attr) is not None:
+                setattr(cfg, attr, getattr(flags, attr))
         cfg.validate()
         return cfg
 

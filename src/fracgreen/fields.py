@@ -367,4 +367,7 @@ def make_field(kind: str, **kwargs) -> RadialField:
     except TypeError as ex:
         raise DomainError(f"field {kind!r}: {ex}; its parameters are "
                           f"{list(sig.parameters)}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as ex:
+        raise DomainError(f"field {kind!r} with {kwargs}: {ex}")

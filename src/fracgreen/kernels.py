@@ -150,9 +150,8 @@ def green_time_integral(x, y, params: ProblemParams):
 
 
 def green_time_integral_quadrature(x, y, params: ProblemParams,
-                                   quad: QuadratureSpec | None = None):
+                                   quad: QuadratureSpec):
     """Adaptive time quadrature of the heat profile (cross-check path)."""
-    quad = quad or QuadratureSpec()
     rx, ry, d = _norms(x, y)
     _require_off_origin(rx, ry)
     _require_off_diagonal(d)

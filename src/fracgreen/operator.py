@@ -135,10 +135,10 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
     return val
 
 
-def energy_form(f: RadialField, params: ProblemParams,
-                quad: QuadratureSpec) -> FormEval:
-    """Nonlocal Dirichlet energy (c/2) iint (f(x)-f(y))^2 |x-y|^(-N-2s),
-    the Hardy weight term, and the squared L2 norm.
+def _dirichlet_energy(f: RadialField, params: ProblemParams,
+                      quad: QuadratureSpec) -> tuple[float, float]:
+    """Nonlocal Dirichlet energy (c/2) iint (f(x)-f(y))^2 |x-y|^(-N-2s) and
+    the squared L2 norm.
 
     Radial reduction: the double integral collapses to (|x|, |y|) against the
     kernel sphere mean; the diagonal band is completed by its Taylor limit.
@@ -200,11 +200,17 @@ def energy_form(f: RadialField, params: ProblemParams,
         if sup is not None:
             break
         hi *= 4.0
-    energy = params.normalizer * omega * prev
+    return float(params.normalizer * omega * prev), float(l2)
 
+
+def energy_form(f: RadialField, params: ProblemParams,
+                quad: QuadratureSpec) -> FormEval:
+    """Nonlocal Dirichlet energy (c/2) iint (f(x)-f(y))^2 |x-y|^(-N-2s),
+    the Hardy weight term, and the squared L2 norm."""
+    energy, l2 = _dirichlet_energy(f, params, quad)
     hardy = hardy_weight_integral(f, params, quad)
-    return FormEval(energy=float(energy), hardy_term=float(
-        params.hardy_strength * hardy), l2_norm_sq=float(l2))
+    return FormEval(energy=energy, hardy_term=float(
+        params.hardy_strength * hardy), l2_norm_sq=l2)
 
 
 def hardy_ratio(f: RadialField, params: ProblemParams,
@@ -213,20 +219,16 @@ def hardy_ratio(f: RadialField, params: ProblemParams,
     denom = hardy_weight_integral(f, params, quad)
     if denom < 1e-14:
         raise DegenerateInputError("Hardy weight term vanishes for this field")
-    form = energy_form(f, params, quad)
-    return form.energy / denom
+    return _dirichlet_energy(f, params, quad)[0] / denom
 
 
 def near_optimizer_sweep(eps_values, params: ProblemParams,
-                         quad: QuadratureSpec,
-                         inner_cut: float = 1e-3,
-                         outer_cut: float = 1e3):
+                         quad: QuadratureSpec):
     """Hardy quotients of the near-optimizer family, one per eps."""
     from .fields import near_optimizer
     out = []
     for eps in eps_values:
-        f = near_optimizer(eps, params.dim, params.order,
-                           inner_cut=inner_cut, outer_cut=outer_cut)
+        f = near_optimizer(eps, params.dim, params.order)
         out.append(hardy_ratio(f, params, quad))
     return out
 
@@ -236,21 +238,19 @@ def near_optimizer_sweep(eps_values, params: ProblemParams,
 # ---------------------------------------------------------------------------
 
 def fundamental_residual(x_grid, params: ProblemParams, quad: QuadratureSpec,
-                         theta_scale: float = 1.0,
-                         inner_cut: float = 1e-3,
-                         outer_cut: float = 1e3) -> VerificationReport:
+                         theta_scale: float = 1.0) -> VerificationReport:
     """Quadrature check that |x|^(-(N-2s-gamma)) is annihilated pointwise.
 
-    Evaluates the operator on the smoothly truncated profile over the grid,
-    subtracts the analytic truncation effect, and reports the worst residual
-    relative to theta |x|^(-(N-gamma)). `theta_scale` != 1 deliberately
-    detunes the Hardy coupling (sensitivity control: theta/2 shifts the
-    residual to ~1/2).
+    Evaluates the operator over the grid on the profile truncated smoothly
+    at 1e-3 and 1e3, subtracts the analytic truncation effect, and reports
+    the worst residual relative to theta |x|^(-(N-gamma)). `theta_scale`
+    != 1 deliberately detunes the Hardy coupling (sensitivity control:
+    theta/2 shifts the residual to ~1/2).
     """
     N, s = params.dim, params.order
     theta = params.hardy_strength
     alpha = params.homogeneous_exponent()
-    field = TruncatedPowerLaw(alpha, inner_cut, outer_cut)
+    field = TruncatedPowerLaw(alpha, 1e-3, 1e3)
     worst = 0.0
     rows = []
     for x in x_grid:

@@ -141,14 +141,13 @@ def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
         # only |x - y| matters: bipolar about the density center
         rho_c = float(np.linalg.norm(x - phi.center(N)))
         return _potential_1d(kern, phi, rho_c, 0.0, phi.support_radius(),
-                             params, quad, about_center=True)
+                             params, quad)
     if c == 0.0:
-        return _potential_1d(kern, phi, rho, lo, hi, params, quad,
-                             about_center=False)
+        return _potential_1d(kern, phi, rho, lo, hi, params, quad)
     return _potential_pair(kern, phi, x, rho, lo, hi, params, quad)
 
 
-def _potential_1d(kern, phi, rho, lo, hi, params, quad, about_center):
+def _potential_1d(kern, phi, rho, lo, hi, params, quad):
     N, s = params.dim, params.order
 
     def integrand(r):
@@ -298,11 +297,7 @@ def green_potential(phi: RadialField, x, params: ProblemParams,
 
 @dataclass
 class PotentialField:
-    """A potential with memoized point evaluations.
-
-    The cache is filled by whoever evaluates first; concurrent readers are
-    fine once populated (single-writer contract).
-    """
+    """A potential with memoized point evaluations."""
 
     kernel_kind: str
     density: RadialField
@@ -342,9 +337,9 @@ def _directions(dim: int, n: int):
 def origin_slope_fit(phi: RadialField, params: ProblemParams,
                      quad: QuadratureSpec, kernel_kind: str = "surrogate",
                      alpha: float | None = None,
-                     window: tuple[float, float] = (1e-3, 1e-2),
                      n_radii: int = 8, n_directions: int = 4):
-    """Least-squares slope of log psi against log |x| near the origin.
+    """Least-squares slope of log psi against log |x| near the origin, on
+    n_radii radii geometric in [1e-3, 1e-2].
 
     psi is averaged over a few directions at each radius. For the surrogate
     kernel the leading term forces the slope toward -gamma (contaminated by
@@ -352,7 +347,7 @@ def origin_slope_fit(phi: RadialField, params: ProblemParams,
     """
     if n_radii < 3:
         raise DomainError("slope fit needs at least 3 radii")
-    radii = np.geomspace(window[0], window[1], n_radii)
+    radii = np.geomspace(1e-3, 1e-2, n_radii)
     n_dir = 1 if phi.center_norm == 0.0 else n_directions
     dirs = _directions(params.dim, n_dir)
     means = []
@@ -371,9 +366,8 @@ def origin_slope_fit(phi: RadialField, params: ProblemParams,
 def hardy_integrability_check(phi: RadialField, params: ProblemParams,
                               quad: QuadratureSpec,
                               kernel_kind: str = "surrogate",
-                              alpha: float | None = None,
-                              n_interior: int = 17,
-                              n_exterior: int = 13) -> VerificationReport:
+                              alpha: float | None = None
+                              ) -> VerificationReport:
     """Check int psi^2 |x|^(-2s) dx is finite and refinement-stable.
 
     Split at a ball containing the density support well inside; interior and
@@ -405,8 +399,8 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
 
     results = {}
     ratios = {}
-    for name, lo, hi, n in (("interior", 1e-3 * R, R, n_interior),
-                            ("exterior", R, R_far, n_exterior)):
+    for name, lo, hi, n in (("interior", 1e-3 * R, R, 17),
+                            ("exterior", R, R_far, 13)):
         r_coarse = np.geomspace(lo, hi, n)
         r_fine = np.geomspace(lo, hi, 2 * n - 1)
         _, v_c = piece(r_coarse)

@@ -371,12 +371,11 @@ def sphere_mean_power(lam: float, rho, r, dim: int):
 
 
 def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
-                            d_min: float | None = None, order: int = 16,
-                            n_panels: int = 12):
+                            d_min: float | None = None, order: int = 16):
     """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r,
     restricted to d > d_min when d_min is given.
 
-    Composite Gauss-Legendre on n_panels uniform panels in the bipolar angle
+    Composite Gauss-Legendre on 12 uniform panels in the bipolar angle
     psi (module docstring); on shells straddling the cut the psi-range
     starts at psi*, where d(psi*) = d_min. Intended for shells
     [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere),
@@ -396,7 +395,7 @@ def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
     if d_min is not None:
         s2 = np.clip((d_min ** 2 - a ** 2) / (b ** 2 - a ** 2), 0.0, 1.0)
         psi_star = np.arcsin(np.sqrt(s2))
-    u, u_w = panel_nodes(np.linspace(0.0, 1.0, n_panels + 1), order)
+    u, u_w = panel_nodes(np.linspace(0.0, 1.0, 13), order)
     span = math.pi / 2.0 - psi_star
     psi = psi_star + span * u
     w = span * u_w
@@ -406,7 +405,7 @@ def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
 
 
 def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
-                     order: int = 16, n_panels: int = 12):
+                     order: int = 16):
     """Partial sphere integral of d^(-lam) restricted to d > d_min.
 
     Equals sphere_mean_power wherever the whole shell satisfies d > d_min;
@@ -419,8 +418,7 @@ def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
         out[full] = sphere_mean_power(lam, rho, r[full], dim)
     if not np.all(full):
         out[~full] = bipolar_sphere_integral(lambda d: d ** (-lam), rho,
-                                             r[~full], dim, d_min, order,
-                                             n_panels)
+                                             r[~full], dim, d_min, order)
     return out
 
 
@@ -660,8 +658,3 @@ def truncation_correction_detailed(field: TruncatedPowerLaw, x,
     c_ns = params.normalizer
     return c_ns * (inner_val + outer_val), c_ns * (inner_err + outer_err)
 
-
-def truncation_correction(field: TruncatedPowerLaw, x,
-                          params: ProblemParams,
-                          quad: QuadratureSpec) -> float:
-    return truncation_correction_detailed(field, x, params, quad)[0]

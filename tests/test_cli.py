@@ -144,6 +144,16 @@ class TestVerify:
         assert "bubble" in catalog["skipped"]
         assert {"bump", "gaussian", "near_optimizer"} <= set(catalog)
 
+    def test_near_optimizer_close_to_the_gamma_limit(self):
+        # at N = 1, s = 0.45 the catalog's eps = 0.2 exceeds (N-2s)/2 = 0.05
+        code, out, err = run_cli("verify", "--N", "1", "--s", "0.45",
+                                 "--format", "json")
+        assert code in (0, 1) and "Traceback" not in err
+        rows = {r["name"]: r for r in json.loads(out)["rows"]}
+        assert len(rows) == 9
+        catalog = rows["hardy-ratio-catalog"]["details"]
+        assert {"bump", "gaussian", "near_optimizer"} <= set(catalog)
+
     def test_config_file_block_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -229,6 +239,26 @@ def test_main_entry_direct(tmp_path, capsys):
     rc = main(["constants", "--N", "3", "--s", "0.5"])
     assert rc == 0
     assert "sharp_constant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("constants", "--gamma-grid", "0"), None),
+    (("constants", "--gamma-grid", "-2"), None),
+    (("solve", "--radii", "0.3:1:2"), '[field]\nradius = "big"\n'),
+    (("verify",), '[params]\nN = "three"\n'),
+    (("verify",), "[params]\nN = [1, 2]\n"),
+    (("verify",), '[output]\nseed = "x"\n'),
+    (("verify",), "[quadrature]\nangular_order = 16.5\n"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv += ("--config", str(path))
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("error_cls", [

@@ -186,6 +186,23 @@ class TestHardyRatio:
         gaps = np.array(ratios) - lam
         assert gaps[-1] < 0.5 * gaps[0]
 
+    def test_weight_integral_evaluated_once(self, params_3half, quad,
+                                            monkeypatch):
+        from fracgreen import operator
+        f = Bump(1.0)
+        form = energy_form(f, params_3half, quad)
+        weight = hardy_weight_integral(f, params_3half, quad)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hardy_weight_integral(*args)
+
+        monkeypatch.setattr(operator, "hardy_weight_integral", counted)
+        ratio = hardy_ratio(f, params_3half, quad)
+        assert len(calls) == 1
+        assert ratio == form.energy / weight  # bit for bit
+
     def test_degenerate_weight(self, params_3half, quad):
         with pytest.raises(DegenerateInputError):
             hardy_ratio(Bump(1.0, amplitude=0.0), params_3half, quad)
