@@ -6,10 +6,10 @@ a(N,s)|x-y|^(2s-N), the closed-form comparison surrogate, or the
 exponentially weighted resolvent surrogate.
 
 Everything reduces to 1D radial integrals against kernel sphere means
-(bipolar reduction) when the density is centered at the origin or the kernel
-depends on |x-y| alone; the remaining case (off-center density, coupling-
-dependent kernel, arbitrary x) integrates each shell |y| = r with a
-two-angle rule, batched over the shells (_pair_shell_integrals).
+(quadrature.polar_rule) when the density is centered at the origin or the
+kernel depends on |x-y| alone; the remaining case (off-center density,
+coupling-dependent kernel, arbitrary x) integrates each shell |y| = r with
+a two-angle rule, batched over the shells (_pair_shell_integrals).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .params import ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_panel_integral, axis_point,
                          bipolar_sphere_integral, frac_laplacian_at_detailed,
                          log_edges, log_edges_with_diagonal, panel_nodes,
-                         sphere_area, sphere_mean_power)
+                         polar_rule, shell_distance, sphere_area,
+                         sphere_mean_power)
 from .reports import VerificationReport
 
 KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
@@ -40,6 +41,15 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 _DELTA_EDGES = np.concatenate([np.delete(np.linspace(0.0, math.pi, 13), 6),
                                math.pi - np.geomspace(1e-7, 0.49 * math.pi,
                                                       14)])
+
+
+def _blockwise(fn, size, *arrays):
+    """fn over consecutive blocks of `size` entries of the arrays (sliced
+    alike), results concatenated: bounds the (shells, angle nodes)
+    temporaries. A shell's value does not depend on its block."""
+    n = len(arrays[0])
+    return np.concatenate([fn(*(a[i:i + size] for a in arrays))
+                           for i in range(0, n, size)])
 
 
 class _RieszKernel:
@@ -93,15 +103,10 @@ class _ResolventKernel:
         return resolvent_radial(self.alpha, d, rho, r, self.p)
 
     def sphere_mean(self, rho, r):
-        r = np.atleast_1d(np.asarray(r, float))
-        out = np.empty_like(r)
-        # blocks of shells bound the (shells, angle nodes) temporaries
-        for i in range(0, r.size, _SHELL_BLOCK):
-            rb = r[i:i + _SHELL_BLOCK]
-            out[i:i + _SHELL_BLOCK] = bipolar_sphere_integral(
-                lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
-                self.p.dim, order=12)
-        return out
+        return _blockwise(lambda rb: bipolar_sphere_integral(
+            lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
+            self.p.dim, order=12), _SHELL_BLOCK,
+            np.atleast_1d(np.asarray(r, float)))
 
 
 def _make_kernel(kind: str, params: ProblemParams, alpha: float | None):
@@ -193,11 +198,8 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
     beta = math.acos(cos_beta)
 
     def integrand(r_nodes):
-        r_nodes = np.atleast_1d(r_nodes)
-        out = np.concatenate([
-            _pair_shell_integrals(kern, phi, rho, beta,
-                                  r_nodes[i:i + _PAIR_BLOCK], N)
-            for i in range(0, r_nodes.size, _PAIR_BLOCK)])
+        out = _blockwise(lambda rb: _pair_shell_integrals(
+            kern, phi, rho, beta, rb, N), _PAIR_BLOCK, r_nodes)
         return out * r_nodes ** (N - 1.0)
 
     edges = log_edges_with_diagonal(max(lo, 1e-10 * hi), hi, rho,
@@ -215,17 +217,6 @@ def _row_edges(run_lo, run_hi, n_run, fixed):
     run = np.geomspace(run_lo, run_hi, n_run, axis=1)
     fixed = np.broadcast_to(fixed, (run.shape[0], len(fixed)))
     return np.sort(np.hstack([run, fixed]), axis=1)
-
-
-def _polar_rule(dim, order, edges):
-    """Nodes and weights in the polar angle theta of
-    int_{S^(N-1)} F(theta) dsigma, one row per row of edges: the reference
-    Gauss-Legendre rule mapped onto each row's panels, the weights carrying
-    |S^(N-2)| sin^(N-2) theta. N = 1: the points theta = 0, pi (one row)."""
-    if dim == 1:
-        return np.array([[0.0, math.pi]]), np.ones((1, 2))
-    theta, w = panel_nodes(edges, order)
-    return theta, sphere_area(dim - 1) * w * np.sin(theta) ** (dim - 2)
 
 
 def _second_angle(dim):
@@ -247,25 +238,25 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
 
     theta is the angle from x, on polar panels refined geometrically into
     each shell's kernel boundary layer. The kernel depends on theta alone,
-    through d^2 = (rho - r)^2 + 2 rho r vers(theta) (no cancellation near
-    the diagonal), so it is evaluated once per polar node; the density is
-    averaged over the second angle at each. Only the theta-panels that can
-    reach the density's support are evaluated: on the shell r, phi vanishes
-    wherever the angle between w and y_c exceeds
-    cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that angle is at least
-    |theta - beta|. The skipped panels would add exact zeros.
+    through shell_distance, so it is evaluated once per polar node; the
+    density is averaged over the second angle at each (off the density's
+    axis). Only the theta-panels that can reach the density's support are
+    evaluated: on the shell r, phi vanishes wherever the angle between w
+    and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that
+    angle is at least |theta - beta|. The skipped panels would add exact
+    zeros.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
     n = r.size
     r = r[:, None]
     if dim == 1:
-        theta, wt = _polar_rule(dim, 10, None)
+        theta, wt = polar_rule(dim, 10, None)
         keep = np.ones((n, 1), dtype=bool)  # one panel of two nodes
     else:
         layer = np.clip(np.abs(rho - r[:, 0]) / rho, 1e-8, 0.3)
         edges = _row_edges(0.01 * layer, math.pi, 24, _PAIR_EDGES)
-        theta, wt = _polar_rule(dim, 10, edges)
+        theta, wt = polar_rule(dim, 10, edges)
         cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
                                 -1.0, 1.0))
         keep = (edges[:, 1:] >= beta - cap) & (edges[:, :-1] <= beta + cap)
@@ -275,13 +266,12 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     w_th = np.broadcast_to(wt, shape).reshape(keep.shape + (-1,))[keep]
     rows = np.nonzero(keep)[0]
     rk = r[rows]
-    vers = 2.0 * np.sin(0.5 * th) ** 2
-    d = np.sqrt(np.maximum((rho - rk) ** 2 + 2.0 * rho * rk * vers, 1e-300))
-    kv = kern.pair_value(d, rho, rk)
+    kv = kern.pair_value(shell_distance(rho, rk, th), rho, rk)
     # |r w - y_c|^2 = a - b cos(chi)
     a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * math.cos(beta)
     b = 2.0 * c * rk * np.sin(th) * math.sin(beta)
-    cos_chi, w2 = _second_angle(dim)
+    # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
+    cos_chi, w2 = _second_angle(1 if abs(math.cos(beta)) == 1.0 else dim)
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
     mean = (phi.profile(t).reshape(-1, w2.size) @ w2).reshape(th.shape)
     return np.bincount(rows, weights=(kv * mean * w_th).sum(axis=1),
@@ -490,14 +480,10 @@ class FlapProfile:
 
     def outside(self, r):
         """-c int f(y) |r e1 - y|^(-N-2s) dy, exact for r > support."""
-        r = np.atleast_1d(np.asarray(r, float))
-        N, s = self.p.dim, self.p.order
-        out = np.empty_like(r)
-        for i in range(0, r.size, _SHELL_BLOCK):
-            blk = slice(i, i + _SHELL_BLOCK)
-            mean = sphere_mean_power(N + 2.0 * s, r[blk, None], self._q_nodes,
-                                     N)
-            out[blk] = (self._q_f * mean) @ self._q_w
+        lam = self.p.dim + 2.0 * self.p.order
+        out = _blockwise(lambda rb: (self._q_f * sphere_mean_power(
+            lam, rb[:, None], self._q_nodes, self.p.dim)) @ self._q_w,
+            _SHELL_BLOCK, np.atleast_1d(np.asarray(r, float)))
         return -self.p.normalizer * out
 
     def __call__(self, r):
@@ -522,7 +508,7 @@ def delta_identity_check(f: RadialField, x0, params: ProblemParams,
     from zero, absolute in the peak otherwise).
     mode="comparability": coupling > 0 with the surrogate kernel; only the
     ratio to f(x0) and its refinement stability are reported (the surrogate
-    matches the true kernel up to unknown two-sided constants).
+    matches the true kernel up to unknown two-sided constants); N >= 2.
     """
     if mode not in ("strict", "comparability"):
         raise DomainError("mode must be 'strict' or 'comparability'")
@@ -532,6 +518,10 @@ def delta_identity_check(f: RadialField, x0, params: ProblemParams,
                           "for the surrogate")
     if mode == "comparability" and kernel_kind not in (None, "surrogate"):
         raise DomainError("comparability mode uses the surrogate kernel")
+    if mode == "comparability" and params.dim == 1:
+        raise DomainError("comparability mode needs N >= 2: at N = 1 both "
+                          "angular orders give one two-point rule, and the "
+                          "radial panels miss the kernel's diagonal")
     x0 = np.asarray(x0, dtype=float)
     rho0 = float(np.linalg.norm(x0))
     if rho0 == 0.0:
@@ -594,42 +584,32 @@ def _delta_strict_value(flap: FlapProfile, f, x0, params, quad) -> float:
 def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
                            order: int = 10) -> float:
     """int K_surrogate(x0, z) (P f)(z) dz on collinear geometry."""
-    N, s, g = params.dim, params.order, params.exponent_gamma
+    N, s = params.dim, params.order
     theta = params.hardy_strength
     kern = _SurrogateKernel(params)
     c = f.center_norm
-    x0 = np.asarray(x0, float)
-    rho0 = x0[0] if N > 1 else float(x0)
+    rho0 = float(np.asarray(x0, float)[0])
     sup = flap.sup
     r_hi = max(quad.outer_radius, 50.0 * sup, 8.0 * abs(rho0), 8.0 * abs(c))
 
     q = rho0 - c  # displacement of x0 from the density center, signed
-    sign = 1.0 if q >= 0 else -1.0
+
+    def shells(t, fp, fv):
+        # z = c e1 + t nu, th = angle(nu, sign(q) e1): the kernel diagonal
+        # sits at th = 0, and the angle of nu from e1 is th or pi - th
+        layer = np.clip(np.abs(t - abs(q)) / max(abs(q), 1e-3), 1e-7, 0.3)
+        th, w = polar_rule(N, order, _row_edges(
+            0.005 * layer, 0.5 * math.pi, 14, _DELTA_EDGES))
+        t = t[:, None]
+        d0 = shell_distance(abs(q), t, th)
+        z = shell_distance(c, t, math.pi - th if q >= 0 else th)
+        kv = kern.pair_value(d0, abs(rho0), z)
+        p_f = fp[:, None] - theta * fv[:, None] * z ** (-2.0 * s)
+        return (kv * p_f * w).sum(axis=1)
 
     def integrand(t_nodes):
-        t_nodes = np.atleast_1d(t_nodes)
-        out = np.empty_like(t_nodes)
-        fp = flap(t_nodes)
-        fv = f.profile(t_nodes)
-        for i in range(0, t_nodes.size, _SHELL_BLOCK):
-            blk = slice(i, i + _SHELL_BLOCK)
-            t = t_nodes[blk, None]
-            # z = c e1 + t nu, th = angle(nu, sign(q) e1): the kernel
-            # diagonal sits at th = 0; both distance squares are assembled
-            # from versines so no catastrophic cancellation occurs
-            layer = np.clip(np.abs(t[:, 0] - abs(q)) / max(abs(q), 1e-3),
-                            1e-7, 0.3)
-            th, w = _polar_rule(N, order, _row_edges(
-                0.005 * layer, 0.5 * math.pi, 14, _DELTA_EDGES))
-            vers = 2.0 * np.sin(0.5 * th) ** 2    # 1 - cos(th)
-            covers = 2.0 * np.cos(0.5 * th) ** 2  # 1 + cos(th)
-            d0_sq = (t - abs(q)) ** 2 + 2.0 * abs(q) * t * vers
-            z_vers = covers if sign > 0 else vers
-            z2 = np.maximum((t - c) ** 2 + 2.0 * c * t * z_vers, 1e-300)
-            d0 = np.sqrt(np.maximum(d0_sq, 1e-300))
-            kv = kern.pair_value(d0, abs(rho0), np.sqrt(z2))
-            p_f = fp[blk, None] - theta * fv[blk, None] * z2 ** (-s)
-            out[blk] = (kv * p_f * w).sum(axis=1)
+        out = _blockwise(shells, _SHELL_BLOCK, t_nodes, flap(t_nodes),
+                         f.profile(t_nodes))
         return out * t_nodes ** (N - 1.0)
 
     splits = [abs(rho0 - c), abs(c), sup, 0.999 * sup]

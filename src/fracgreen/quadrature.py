@@ -4,12 +4,13 @@ Pointwise evaluation of the fractional Laplacian by its principal-value
 integral, weighted radial integrals, and the spherical reductions they need.
 
 Geometry conventions: integrals over R^N are reduced to the radius r = |y|
-and the bipolar angle psi with d(psi)^2 = a^2 cos^2 psi + b^2 sin^2 psi,
-a = |rho - r|, b = rho + r, which maps the sphere integral of any function of
-d = |x - y| (|x| = rho, |y| = r) onto a smooth integral over [0, pi/2]:
+and the polar angle theta of y from x (|x| = rho). One rule, polar_rule,
+integrates every sphere |y| = r on the caller's theta-panels:
 
-    int_{S^{N-1}} K(|rho e1 - r w|) dsigma(w)
-        = 2^(N-1) |S^(N-2)| int_0^(pi/2) K(d(psi)) (sin psi cos psi)^(N-2) dpsi.
+    int_{S^(N-1)} F dsigma = |S^(N-2)| int_0^pi F(theta) sin^(N-2) theta dtheta
+
+(two points theta = 0, pi for N = 1), and shell_distance gives |x - y| from
+d^2 = (rho - r)^2 + 2 rho r vers(theta), without cancellation near x = y.
 
 For pure powers K(d) = d^(-lam) the same integral has the hypergeometric
 closed form |S^(N-1)| max^(-lam) 2F1(lam/2, (lam-N)/2+1; N/2; (min/max)^2),
@@ -54,12 +55,13 @@ class QuadratureSpec:
     symmetrized integrand is completed by its Taylor limit; outer_radius is
     the absolute far-field truncation radius beyond which analytic power
     tails take over; angular_order is the Gauss-Legendre order of the
-    spherical panels. rel_tol is the target of every radial integral:
-    adaptive_panel_integral bisects only the panels whose own defects
-    (a panel's Gauss-Legendre sum against the sum over its two halves) do
-    not yet fit in a quarter of rel_tol times the scale, for at most
-    _MAX_ROUNDS rounds, and reports the summed per-panel defects as its
-    error estimate.
+    flap-inner and flap-outer shells only (the potentials' sphere rules
+    have fixed orders 12, 10, and 10 and 14). rel_tol is the target of
+    every radial integral: adaptive_panel_integral bisects only the panels
+    whose own defects (a panel's Gauss-Legendre sum against the sum over
+    its two halves) do not yet fit in a quarter of rel_tol times the scale,
+    for at most _MAX_ROUNDS rounds, and reports the summed per-panel
+    defects as its error estimate.
     """
 
     inner_radius: float = 1e-3
@@ -118,11 +120,14 @@ def panel_nodes(edges: np.ndarray, order: int):
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Split points of the panels [lo, hi]: geometric when hi > 2 lo > 0,
-    arithmetic otherwise."""
+    """Split points of the panels [lo, hi]: geometric when hi > 2 lo > 0
+    (sqrt(lo) sqrt(hi) where lo hi overflows), arithmetic otherwise."""
     geo = (lo > 0) & (hi > 2.0 * lo)
-    return np.where(geo, np.sqrt(np.maximum(lo, 1e-300) * hi),
-                    0.5 * (lo + hi))
+    with np.errstate(over="ignore"):
+        root = np.sqrt(np.maximum(lo, 1e-300) * hi)
+    big = ~np.isfinite(root)
+    root[big] = np.sqrt(lo[big]) * np.sqrt(hi[big])
+    return np.where(geo, root, 0.5 * (lo + hi))
 
 
 def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray, order: int):
@@ -265,7 +270,11 @@ def log_edges_with_diagonal(lo, hi, rho, splits):
             pieces.append(rho + np.geomspace(a_floor, span_r, 20))
         pieces.append(np.array([rho]))
     edges = np.unique(np.concatenate(pieces))
-    return edges[(edges >= lo) & (edges <= hi)]
+    # drop inner edges a few ulps from rho: their sliver panels' Gauss
+    # nodes would round onto the diagonal
+    sliver = (np.abs(edges - rho) < 0.5 * a_floor) & (edges != rho) \
+        & (edges > lo) & (edges < hi)
+    return edges[(edges >= lo) & (edges <= hi) & ~sliver]
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +379,48 @@ def sphere_mean_power(lam: float, rho, r, dim: int):
     return sphere_area(dim) * mx ** (-lam) * f.reshape(mx.shape)
 
 
+def polar_rule(dim: int, order: int, edges):
+    """Nodes and weights in theta of int_{S^(N-1)} F(theta) dsigma:
+    panel_nodes on `edges` (one row per integral), the weights carrying
+    |S^(N-2)| sin^(N-2) theta; for N = 1 the points 0, pi (one row)."""
+    if dim == 1:
+        return np.array([[0.0, math.pi]]), np.ones((1, 2))
+    theta, w = panel_nodes(edges, order)
+    return theta, sphere_area(dim - 1) * w * np.sin(theta) ** (dim - 2)
+
+
+def shell_distance(rho, r, theta):
+    """|rho e1 - r w| for w at polar angle theta from e1, by the versine
+    form (module docstring), floored at 1e-150."""
+    vers = 2.0 * np.sin(0.5 * theta) ** 2
+    return np.sqrt(np.maximum((rho - r) ** 2 + 2.0 * rho * r * vers, 1e-300))
+
+
 def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
                             d_min: float | None = None, order: int = 16):
     """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r,
     restricted to d > d_min when d_min is given.
 
-    Composite Gauss-Legendre on 12 uniform panels in the bipolar angle
-    psi (module docstring); on shells straddling the cut the psi-range
-    starts at psi*, where d(psi*) = d_min. Intended for shells
-    [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere),
-    where the psi-panels converge spectrally. `kernel` is called once with
-    the distances as a (len(r), nodes) array, row i belonging to r[i].
+    polar_rule on 12 uniform panels in theta; on shells straddling the cut
+    the theta-range starts at theta* = 2 arcsin(sqrt(vers*/2)), where
+    d(theta*) = d_min. Intended for shells [|rho-r|, rho+r] clear of kernel
+    breakpoints (callers split elsewhere), where the panels converge
+    spectrally. `kernel` is called once with the distances as a
+    (len(r), nodes) array, row i belonging to r[i].
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    a = np.abs(rho - r)[:, None]
-    b = (rho + r)[:, None]
-    if dim == 1:
-        d = np.hstack([a, b])
-        vals = kernel(d)
-        if d_min is not None:
-            vals = np.where(d > d_min, vals, 0.0)
-        return vals.sum(axis=1)
-    psi_star = 0.0
+    r = np.atleast_1d(np.asarray(r, dtype=float))[:, None]
+    theta_star = 0.0
     if d_min is not None:
-        s2 = np.clip((d_min ** 2 - a ** 2) / (b ** 2 - a ** 2), 0.0, 1.0)
-        psi_star = np.arcsin(np.sqrt(s2))
-    u, u_w = panel_nodes(np.linspace(0.0, 1.0, 13), order)
-    span = math.pi / 2.0 - psi_star
-    psi = psi_star + span * u
-    w = span * u_w
-    d = np.sqrt((a * np.cos(psi)) ** 2 + (b * np.sin(psi)) ** 2)
-    vals = kernel(d) * (np.sin(psi) * np.cos(psi)) ** (dim - 2)
-    return 2.0 ** (dim - 1) * sphere_area(dim - 1) * np.sum(vals * w, axis=1)
+        vers_star = np.clip((d_min ** 2 - (rho - r) ** 2) / (2.0 * rho * r),
+                            0.0, 2.0)
+        theta_star = 2.0 * np.arcsin(np.sqrt(0.5 * vers_star))
+    edges = theta_star + (math.pi - theta_star) * np.linspace(0.0, 1.0, 13)
+    theta, w = polar_rule(dim, order, edges)
+    d = shell_distance(rho, r, theta)
+    vals = kernel(d)
+    if d_min is not None and dim == 1:
+        vals = np.where(d > d_min, vals, 0.0)
+    return np.sum(vals * w, axis=1)
 
 
 def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
@@ -409,7 +428,7 @@ def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
     """Partial sphere integral of d^(-lam) restricted to d > d_min.
 
     Equals sphere_mean_power wherever the whole shell satisfies d > d_min;
-    straddling shells go through the bipolar rule from the cut.
+    straddling shells go through the polar rule from the cut.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)

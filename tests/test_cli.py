@@ -167,6 +167,11 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 7
 
+    def test_slow_far_decay_prints_no_warning(self):
+        # at (1, .45) the time quadrature's panels reach t ~ 1e277
+        _, _, err = run_cli("verify", "--N", "1", "--s", "0.45")
+        assert "Warning" not in err
+
     def test_delta_only_flag(self):
         code, out, _ = run_cli("verify", "--N", "3", "--s", "0.5",
                                "--gamma", "0.8", "--delta")
@@ -227,6 +232,16 @@ class TestSolve:
         assert len(rows) == 2
         assert all(math.isfinite(float(r["psi"])) and float(r["psi"]) > 0
                    for r in rows)
+
+    def test_point_beside_a_base_grid_edge(self):
+        # |x - y_c| = 1.3 - 1.2 lies 9e-17 from a radial grid edge
+        code, out, err = run_cli("solve", "--N", "2", "--s", "0.4",
+                                 "--kernel", "riesz_exact",
+                                 "--field-center", "1.2",
+                                 "--radii", "1.3:2:2")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(r["psi"])) for r in rows)
 
     def test_bad_radii_exits_2(self):
         code, _, _ = run_cli("solve", "--N", "3", "--s", "0.5",

@@ -1,6 +1,7 @@
 """Closed-form kernels against symbolic and quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ class TestTimeIntegral:
             closed = float(green_time_integral(x, y, params_3half))
             num = green_time_integral_quadrature(x, y, params_3half, quad)
             assert abs(closed - num) <= 1e-6 * closed
+
+    def test_quadrature_with_far_panels_beyond_1e154(self, quad):
+        # at (1, .45) the panels reach t ~ 1e277, where a panel's lo * hi
+        # overflows; the value stands, and no warning is raised
+        p = ProblemParams.from_gamma(1, 0.45, 0.04)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = green_time_integral_quadrature(
+                np.array([0.7]), np.array([-1.3]), p, quad)
+        assert val == pytest.approx(83.66066076418183, rel=1e-12)
 
     def test_tail_finite_needs_gap(self):
         # the far-side coefficients blow up as 2 gamma -> N - 2s

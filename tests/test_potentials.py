@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracgreen import (Bump, DomainError, Gaussian, PotentialField,
+from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
+                       PotentialField,
                        ProblemParams, axis_point,
                        delta_identity_check, green_potential,
                        green_potential_detailed, hardy_integrability_check,
@@ -110,6 +111,20 @@ class TestGreenPotential:
         batched = kern.sphere_mean(0.7, r)
         single = np.array([kern.sphere_mean(0.7, ri)[0] for ri in r])
         assert np.array_equal(batched, single)
+
+
+    @pytest.mark.parametrize("dim,s", [(2, 0.4), (3, 0.25)])
+    def test_point_beside_a_base_grid_edge(self, dim, s, quad):
+        # |x - y_c| = 1.3 - 1.2 lies 9e-17 from the log-grid edge 0.1; the
+        # potential there is finite and continuous
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        phi = Bump(1.0, center_norm=1.2)
+        val, err = green_potential_detailed(phi, axis_point(1.3, dim), p,
+                                            quad, "riesz_exact")
+        near = green_potential(phi, axis_point(1.3 * (1 + 1e-12), dim), p,
+                               quad, "riesz_exact")
+        assert math.isfinite(val) and math.isfinite(err)
+        assert val == pytest.approx(near, rel=1e-6)
 
 
 class TestPairRule:
@@ -234,14 +249,32 @@ class TestDeltaIdentity:
             delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
                                  quad, mode="verify")
 
-    def test_comparability_reports_stable_ratio(self, params_3half, quad):
+    def test_comparability_reports_stable_ratio(self, params_3half,
+                                                params_2d, quad):
         f = Bump(0.4, center_norm=1.2)
-        rep = delta_identity_check(f, axis_point(1.3, 3), params_3half, quad,
-                                   mode="comparability")
-        assert rep.details["mode"] == "comparability"
-        assert math.isfinite(rep.details["ratio"])
-        assert rep.details["refinement_stability"] < 0.05
-        assert rep.passed
+        for dim, p in ((3, params_3half), (2, params_2d)):
+            rep = delta_identity_check(f, axis_point(1.3, dim), p, quad,
+                                       mode="comparability")
+            assert rep.details["mode"] == "comparability"
+            assert math.isfinite(rep.details["ratio"])
+            assert rep.details["refinement_stability"] < 0.05
+            assert rep.passed
+        # N = 1 has no angular refinement to compare
+        p1 = ProblemParams.from_gamma(1, 0.25, 0.2)
+        with pytest.raises(FracgreenError, match="N >= 2"):
+            delta_identity_check(f, axis_point(1.3, 1), p1, quad,
+                                 mode="comparability")
+
+    @pytest.mark.parametrize("dim,s", SWEEP)
+    def test_strict_sweep(self, dim, s, quad):
+        # the zero-coupling identity through the uncut polar rule at every
+        # N, N = 1's two-point sphere included
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        for rho in (0.4, 0.8):
+            rep = delta_identity_check(Bump(1.0), axis_point(rho, dim), p,
+                                       quad, n_inside=32)
+            assert rep.passed, (dim, s, rho, rep.residual)
+            assert rep.residual <= 1e-3
 
 
 class TestRoundTrip:

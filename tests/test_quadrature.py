@@ -1,6 +1,7 @@
 """Singular quadrature engine against closed-form and stochastic oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        integrate_radial_singular,
                        sphere_area, sphere_mean_power,
                        truncation_correction_detailed)
-from fracgreen.quadrature import (adaptive_panel_integral, log_edges,
-                                  panel_nodes, sphere_power_cut)
+from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
+                                  bipolar_sphere_integral, log_edges,
+                                  log_edges_with_diagonal, panel_nodes,
+                                  sphere_power_cut)
 
 
 def bubble_flap_exact(rho, N, s):
@@ -94,6 +97,25 @@ class TestPanelIntegral:
                                     np.array([0.0, 1.0]), quad,
                                     label="jump-test")
 
+    def test_bisect_beyond_the_square_root_of_the_largest_float(self):
+        # lo * hi overflows above about 1e154: the midpoint is formed from
+        # the square roots there, and the product wherever it is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mid = _bisect(np.array([1e200, 1.0]), np.array([1e250, 3.0]))
+        assert mid[0] == pytest.approx(1e225, rel=1e-15)
+        assert mid[1] == math.sqrt(3.0)
+
+    def test_diagonal_run_leaves_no_sliver_panel(self):
+        # 1.3 - 1.2 = 0.10000000000000009 sits 9e-17 from the base-grid
+        # edge 0.1; that edge is dropped, and the run around rho is kept
+        rho = 1.3 - 1.2
+        edges = log_edges_with_diagonal(1e-10, 1.0, rho, ())
+        gaps = np.abs(edges - rho)
+        assert rho in edges
+        assert np.all((gaps == 0.0) | (gaps >= 0.5e-9 * rho))
+        assert edges[0] == 1e-10 and edges[-1] == 1.0
+
     def test_non_integrable_pieces_rejected(self, quad):
         edges = log_edges(1e-3, 1e3, 4)
         with pytest.raises(DivergenceError):
@@ -139,6 +161,16 @@ class TestSphereMeans:
                 val = sphere_power_cut(lam, rho, np.array([r]), dim,
                                        d_min)[0]
             assert float(val) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_polar_rule_on_whole_shells(self, dim):
+        # the uncut polar rule against the closed form on shells clear of
+        # the diagonal, N = 1's two points included
+        for lam in (0.6, dim + 0.8):
+            r = np.array([0.2, 0.7, 1.6, 3.0])
+            val = bipolar_sphere_integral(lambda d: d ** (-lam), 1.0, r, dim)
+            ref = sphere_mean_power(lam, 1.0, r, dim)
+            np.testing.assert_allclose(val, ref, rtol=1e-12)
 
     def test_power_mean_vs_mpmath(self):
         # every evaluation route against a 40-digit oracle at the double
