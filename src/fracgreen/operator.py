@@ -17,10 +17,10 @@ from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField, TruncatedPowerLaw
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_panel_integral,
-                         frac_laplacian_at_detailed, frac_laplacian_power_law,
-                         integrate_radial_singular, log_edges, panel_nodes,
-                         sphere_area, sphere_mean_power,
-                         truncation_correction_detailed)
+                         diagonal_panel_integral, frac_laplacian_at_detailed,
+                         frac_laplacian_power_law, integrate_radial_singular,
+                         log_edges, panel_nodes, sphere_area,
+                         sphere_mean_power, truncation_correction_detailed)
 from .reports import VerificationReport
 
 
@@ -128,10 +128,12 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
         if p + 2.0 * s <= N:
             raise DomainError("Hardy weight term diverges for this tail")
         far = ((sphere_area(N) * coef, p + 2.0 * s - N),)
-    lo = 1e-10 * max(c, 1.0)
-    edges = log_edges(lo, hi, 4, splits=(c,) + tuple(sq.breakpoints()))
-    val, _ = adaptive_panel_integral(integrand, edges, quad,
-                                     label="hardy-weight", tail=far)
+    # the weight's sphere mean grows like |t - c|^(N-1-2s) where the
+    # support holds the origin
+    val, _ = diagonal_panel_integral(
+        integrand, 1e-10 * max(c, 1.0), hi, c, quad,
+        min(0.0, N - 1.0 - 2.0 * s), sq.breakpoints(), label="hardy-weight",
+        tail=far)
     return val
 
 

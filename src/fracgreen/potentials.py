@@ -23,11 +23,10 @@ from .errors import DomainError
 from .fields import RadialField
 from .kernels import resolvent_radial, surrogate_radial, surrogate_terms
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, adaptive_panel_integral, axis_point,
-                         bipolar_sphere_integral, frac_laplacian_at_detailed,
-                         log_edges, log_edges_with_diagonal, panel_nodes,
-                         polar_rule, shell_distance, sphere_area,
-                         sphere_mean_power)
+from .quadrature import (QuadratureSpec, axis_point, bipolar_sphere_integral,
+                         diagonal_panel_integral, frac_laplacian_at_detailed,
+                         log_edges, panel_nodes, polar_rule, shell_distance,
+                         sphere_area, sphere_mean_power)
 from .reports import VerificationReport
 
 KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
@@ -158,26 +157,12 @@ def _potential_1d(kern, phi, rho, lo, hi, params, quad):
     def integrand(r):
         return phi.profile(r) * r ** (N - 1.0) * kern.sphere_mean(rho, r)
 
-    lo_eff = max(lo, 1e-10 * hi)
-    edges = log_edges_with_diagonal(lo_eff, hi, rho,
-                                    splits=phi.breakpoints())
-    if edges is None:
-        return 0.0, 0.0
-    # a head below lo_eff only when the density reaches the origin
-    val, err = adaptive_panel_integral(
-        integrand, edges, quad, label="potential-1d",
+    # the kernel mean grows like |r - rho|^(2s-1) at the diagonal; a head
+    # below max(lo, 1e-10 hi) only when the density reaches the origin
+    return diagonal_panel_integral(
+        integrand, max(lo, 1e-10 * hi), hi, rho, quad, min(0.0, 2.0 * s - 1.0),
+        phi.breakpoints(), label="potential-1d",
         head_power=N - 1.0 if lo == 0.0 else None)
-    # diagonal band completion when the density covers |y| = rho
-    if lo_eff < rho < hi:
-        a_c = 1e-9 * rho
-        mean_band = 0.5 * (
-            float(kern.sphere_mean(rho, np.array([rho - a_c]))[0])
-            + float(kern.sphere_mean(rho, np.array([rho + a_c]))[0]))
-        band = (2.0 * float(phi.profile(np.array([rho]))[0])
-                * rho ** (N - 1.0) * mean_band * a_c / (2.0 * s))
-        val += band
-        err += abs(band)
-    return float(val), float(err)
 
 
 def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
@@ -202,13 +187,10 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
             kern, phi, rho, beta, rb, N), _PAIR_BLOCK, r_nodes)
         return out * r_nodes ** (N - 1.0)
 
-    edges = log_edges_with_diagonal(max(lo, 1e-10 * hi), hi, rho,
-                                    splits=phi.breakpoints())
-    if edges is None:
-        return 0.0, 0.0
-    val, err = adaptive_panel_integral(integrand, edges, quad, order=8,
-                                       label="potential-pair")
-    return float(val), float(err)
+    return diagonal_panel_integral(
+        integrand, max(lo, 1e-10 * hi), hi, rho, quad,
+        min(0.0, 2.0 * params.order - 1.0), phi.breakpoints(), order=8,
+        label="potential-pair")
 
 
 def _row_edges(run_lo, run_hi, n_run, fixed):
@@ -571,12 +553,10 @@ def _delta_strict_value(flap: FlapProfile, f, x0, params, quad) -> float:
     def integrand(t):
         return flap(t) * t ** (N - 1.0) * sphere_mean_power(lam, rho_c, t, N)
 
-    edges = log_edges_with_diagonal(1e-9 * sup, r_hi, rho_c,
-                                    splits=(sup, 0.999 * sup))
     # tail: flap ~ -c M r^(-N-2s) against the kernel mean ~ omega r^(-lam)
-    val, _ = adaptive_panel_integral(
-        integrand, edges, quad, scale_hint=abs(flap.mass),
-        label="delta-strict",
+    val, _ = diagonal_panel_integral(
+        integrand, 1e-9 * sup, r_hi, rho_c, quad, min(0.0, 2.0 * s - 1.0),
+        (sup, 0.999 * sup), scale_hint=abs(flap.mass), label="delta-strict",
         tail=((-params.normalizer * flap.mass * sphere_area(N), N),))
     return a_const * val
 
@@ -612,9 +592,7 @@ def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
                          f.profile(t_nodes))
         return out * t_nodes ** (N - 1.0)
 
-    splits = [abs(rho0 - c), abs(c), sup, 0.999 * sup]
-    edges = log_edges_with_diagonal(1e-9 * sup, r_hi, abs(rho0 - c),
-                                    splits=splits)
-    val, _ = adaptive_panel_integral(integrand, edges, quad, order=8,
-                                     label="delta-surrogate")
+    val, _ = diagonal_panel_integral(
+        integrand, 1e-9 * sup, r_hi, abs(q), quad, min(0.0, 2.0 * s - 1.0),
+        (abs(c), sup, 0.999 * sup), order=8, label="delta-surrogate")
     return float(val)

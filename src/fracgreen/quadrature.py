@@ -54,28 +54,24 @@ class QuadratureSpec:
     inner_radius is a fraction of the local smoothness scale below which the
     symmetrized integrand is completed by its Taylor limit; outer_radius is
     the absolute far-field truncation radius beyond which analytic power
-    tails take over; angular_order is the Gauss-Legendre order of the
-    flap-inner and flap-outer shells only (the potentials' sphere rules
-    have fixed orders 12, 10, and 10 and 14). rel_tol is the target of
-    every radial integral: adaptive_panel_integral bisects only the panels
-    whose own defects (a panel's Gauss-Legendre sum against the sum over
-    its two halves) do not yet fit in a quarter of rel_tol times the scale,
-    for at most _MAX_ROUNDS rounds, and reports the summed per-panel
-    defects as its error estimate.
+    tails take over. rel_tol is the target of every radial integral:
+    adaptive_panel_integral bisects only the panels whose own defects (a
+    panel's Gauss-Legendre sum against the sum over its two halves) do not
+    yet fit in a quarter of rel_tol times the scale, for at most _MAX_ROUNDS
+    rounds, and reports the summed per-panel defects as its error estimate.
+    The sphere rules have fixed Gauss-Legendre orders: 16 on the flap-inner
+    and flap-outer shells, 12, 10, and 10 and 14 in the potentials.
     """
 
     inner_radius: float = 1e-3
     outer_radius: float = 1e3
     rel_tol: float = 1e-7
-    angular_order: int = 16
 
     def __post_init__(self):
         if not self.inner_radius < self.outer_radius:
             raise DomainError("need inner_radius < outer_radius")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2]")
-        if self.angular_order < 4:
-            raise DomainError("angular_order must be >= 4")
 
 
 def axis_point(rho: float, dim: int) -> np.ndarray:
@@ -253,28 +249,51 @@ def log_edges(lo: float, hi: float, per_decade: int = 4,
     return edges
 
 
-def log_edges_with_diagonal(lo, hi, rho, splits):
-    """log_edges on [max(lo, 1e-12 hi), hi], clustered geometrically on both
-    sides of r = rho when rho lies inside; None if the range is empty."""
-    a_floor = 1e-9 * max(rho, 1e-30)
-    lo = max(lo, 1e-12 * hi)
-    if lo >= hi:
-        return None
-    pieces = [log_edges(lo, hi, 4, splits=splits)]
-    if lo < rho < hi:
-        span_l = min(0.4 * rho, rho - lo)
-        span_r = min(0.4 * rho, hi - rho)
-        if span_l > a_floor:
-            pieces.append(rho - np.geomspace(a_floor, span_l, 20))
-        if span_r > a_floor:
-            pieces.append(rho + np.geomspace(a_floor, span_r, 20))
-        pieces.append(np.array([rho]))
-    edges = np.unique(np.concatenate(pieces))
-    # drop inner edges a few ulps from rho: their sliver panels' Gauss
-    # nodes would round onto the diagonal
-    sliver = (np.abs(edges - rho) < 0.5 * a_floor) & (edges != rho) \
-        & (edges > lo) & (edges < hi)
-    return edges[(edges >= lo) & (edges <= hi) & ~sliver]
+def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
+                            power: float, splits=(), **kw):
+    """int_lo^hi fn(t) dt, plus adaptive_panel_integral's head and tail from
+    the keywords passed on, where fn may grow like |t - rho|^power,
+    -1 < power <= 0, at an interior t = rho.
+
+    With rho outside (lo, hi) this is adaptive_panel_integral on
+    log_edges(lo, hi, 4, splits). Otherwise the band (rho - a, rho + a),
+    a = 1e-9 rho clipped to [lo, hi], is one panel on which fn is never
+    evaluated, so it adds 0 with defect 0; the edges gain the geometric runs
+    rho -+ geomspace(a, 0.4 rho, 20), and every edge inside the band goes.
+    Each side of the band is the engine's head formula
+    fn(rho -+ a) a / (power + 1), charged its size times the relative defect
+    of that power model at rho -+ 2a.
+
+    Returns (value, error_estimate).
+    """
+    edges = log_edges(lo, hi, 4, splits=splits)
+    if not lo < rho < hi:
+        return adaptive_panel_integral(fn, edges, quad, **kw)
+    a = 1e-9 * rho
+    b_lo, b_hi = max(lo, rho - a), min(hi, rho + a)
+    runs = [edges, [b_lo, b_hi]]
+    for side, span in ((-1.0, rho - lo), (1.0, hi - rho)):
+        span = min(0.4 * rho, span)
+        if span > a:
+            runs.append(rho + side * np.geomspace(a, span, 20))
+    edges = np.concatenate(runs)
+    edges = edges[(edges <= b_lo) | (edges >= b_hi)]
+
+    def outside_band(t):
+        out = np.zeros_like(t)
+        keep = (t <= b_lo) | (t >= b_hi)
+        out[keep] = fn(t[keep])
+        return out
+
+    val, err = adaptive_panel_integral(outside_band, edges, quad, **kw)
+    width = np.array([rho - b_lo, b_hi - rho])
+    probe = rho + np.array([-1.0, 1.0, -2.0, 2.0]) * np.tile(width, 2)
+    f1, f2 = np.asarray(fn(probe), dtype=float).reshape(2, 2)
+    band = f1 * width / (power + 1.0)
+    # |band| |f2 - f1 2^power| / |f1 2^power|, without dividing by f1
+    charge = np.abs(f2 - f1 * 2.0 ** power) * width / (
+        (power + 1.0) * 2.0 ** power)
+    return val + float(band.sum()), err + float(charge.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +442,7 @@ def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
     return np.sum(vals * w, axis=1)
 
 
-def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
-                     order: int = 16):
+def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float):
     """Partial sphere integral of d^(-lam) restricted to d > d_min.
 
     Equals sphere_mean_power wherever the whole shell satisfies d > d_min;
@@ -437,7 +455,7 @@ def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float,
         out[full] = sphere_mean_power(lam, rho, r[full], dim)
     if not np.all(full):
         out[~full] = bipolar_sphere_integral(lambda d: d ** (-lam), rho,
-                                             r[~full], dim, d_min, order)
+                                             r[~full], dim, d_min)
     return out
 
 
@@ -572,7 +590,7 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     # S_diff(r) = int_S [u(x + r w) - u(x)] dsigma(w)
     def inner_integrand(r):
         diff = bipolar_sphere_integral(lambda d: field.profile(d) - u_x,
-                                       rho, r, N, order=quad.angular_order)
+                                       rho, r, N)
         return diff * r ** (-1.0 - 2.0 * s)
 
     # below r_c the shell means grow like r^2 (Taylor limit)
@@ -600,8 +618,7 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     r_lo = min(r_lo, 1e-6 * rho)
 
     def outer_integrand(r):
-        cut = sphere_power_cut(lam, rho, r, N, r_split,
-                               order=quad.angular_order)
+        cut = sphere_power_cut(lam, rho, r, N, r_split)
         return field.profile(r) * r ** (N - 1.0) * cut
 
     edges = log_edges(r_lo, r_hi, per_decade=4,

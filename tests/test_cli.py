@@ -173,11 +173,14 @@ class TestVerify:
         assert "Warning" not in err
 
     def test_delta_only_flag(self):
-        code, out, _ = run_cli("verify", "--N", "3", "--s", "0.5",
-                               "--gamma", "0.8", "--delta")
-        assert code == 0
-        assert "delta-identity" in out
-        assert "bijection" not in out
+        # (2, .05): the Green kernel's sphere mean grows like |t - rho|^-0.9
+        # at the diagonal of the radial integral
+        for params in (("--N", "3", "--s", "0.5", "--gamma", "0.8"),
+                       ("--N", "2", "--s", "0.05")):
+            code, out, err = run_cli("verify", *params, "--delta")
+            assert code == 0, (params, err)
+            assert "delta-identity" in out
+            assert "bijection" not in out
 
 
 class TestSolve:
@@ -263,7 +266,7 @@ def test_main_entry_direct(tmp_path, capsys):
     (("verify",), '[params]\nN = "three"\n'),
     (("verify",), "[params]\nN = [1, 2]\n"),
     (("verify",), '[output]\nseed = "x"\n'),
-    (("verify",), "[quadrature]\nangular_order = 16.5\n"),
+    (("verify",), "[quadrature]\nrel_tol = true\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:

@@ -215,6 +215,34 @@ class TestHardyRatio:
         ref, _ = spquad(lambda t: f.profile(np.array([abs(t - 2.0)]))[0] ** 2
                         * abs(t) ** (-0.5), 1.6, 2.4, limit=200)
         assert val == pytest.approx(ref, rel=1e-7)
+        # a support holding the origin: the weight's sphere mean about the
+        # centre c = 0.5 is singular at t = c. Oracles: the line integral
+        # split at 0 (N = 1), nested quad in origin-centred polar
+        # coordinates (N = 2, 3)
+        f = Bump(1.0, center_norm=0.5)
+
+        def sq(t):
+            return f.profile(np.array([abs(t)]))[0] ** 2
+
+        for dim, s in ((1, 0.45), (2, 0.6), (3, 0.9)):
+            p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+            val = hardy_weight_integral(f, p, quad)
+            if dim == 1:
+                ref = sum(spquad(lambda t: sq(t - 0.5) * abs(t) ** (-2 * s),
+                                 a, b, epsabs=0.0, epsrel=1e-12,
+                                 limit=200)[0]
+                          for a, b in ((-0.5, 0.0), (0.0, 1.5)))
+            else:
+                def shell(r):
+                    return spquad(lambda th: sq(math.sqrt(
+                        r * r + 0.25 - r * math.cos(th)))
+                        * math.sin(th) ** (dim - 2), 0.0, math.pi,
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+                ref = sphere_area(dim - 1) * spquad(
+                    lambda r: r ** (dim - 1 - 2 * s) * shell(r), 0.0, 1.5,
+                    epsabs=0.0, epsrel=1e-12, limit=200, points=[0.5])[0]
+            assert val == pytest.approx(ref, rel=1e-8), (dim, s)
 
 
 class TestFundamentalResidual:

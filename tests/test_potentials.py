@@ -26,6 +26,32 @@ def riesz_pair_potential(phi, x, params, quad):
                            params, quad)[0]
 
 
+def riesz_centred_bump_oracle(dim, s, rho):
+    """The Riesz potential of Bump(1) at |x| = rho by scipy quad of the
+    closed-form sphere mean (N = 1 or 3), split at the diagonal t = rho."""
+    from scipy.integrate import quad as spquad
+    p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+    lam = dim - 2.0 * s
+    phi = Bump(1.0)
+
+    def mean(t):
+        if dim == 1:
+            return abs(rho - t) ** (-lam) + (rho + t) ** (-lam)
+        if lam == 2.0:
+            return 2.0 * math.pi * math.log((rho + t) / abs(rho - t)) \
+                / (rho * t)
+        return 2.0 * math.pi * ((rho + t) ** (2.0 - lam)
+                                - abs(rho - t) ** (2.0 - lam)) \
+            / (rho * t * (2.0 - lam))
+
+    def integrand(t):
+        return phi.profile(np.array([t]))[0] * t ** (dim - 1.0) * mean(t)
+
+    total = sum(spquad(integrand, a, b, epsabs=0.0, epsrel=1e-10,
+                       limit=400)[0] for a, b in ((0.0, rho), (rho, 1.0)))
+    return p, p.riesz_constant * total
+
+
 class TestGreenPotential:
     def test_zero_density(self, params_3half, quad):
         phi = Bump(1.0, amplitude=0.0)
@@ -113,6 +139,16 @@ class TestGreenPotential:
         assert np.array_equal(batched, single)
 
 
+    @pytest.mark.parametrize("dim,s", [(1, 0.1), (1, 0.25), (3, 0.1),
+                                       (3, 0.25), (3, 0.5)])
+    def test_riesz_through_the_diagonal(self, dim, s, quad):
+        # the radial integral crosses t = |x|, where the kernel mean grows
+        # like |t - |x||^(2s-1) (log at s = 1/2)
+        p, ref = riesz_centred_bump_oracle(dim, s, 0.5)
+        val, err = green_potential_detailed(Bump(1.0), axis_point(0.5, dim),
+                                            p, quad, "riesz_exact")
+        assert abs(val - ref) <= min(1e-8 * abs(ref), err), (val, ref, err)
+
     @pytest.mark.parametrize("dim,s", [(2, 0.4), (3, 0.25)])
     def test_point_beside_a_base_grid_edge(self, dim, s, quad):
         # |x - y_c| = 1.3 - 1.2 lies 9e-17 from the log-grid edge 0.1; the
@@ -143,6 +179,17 @@ class TestPairRule:
             ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
             val = riesz_pair_potential(phi, x, p, quad)
             assert val == pytest.approx(ref, rel=1e-4), (dim, s, xy)
+
+    @pytest.mark.parametrize("s", [0.1, 0.25])
+    def test_riesz_on_the_line_through_the_diagonal(self, s, quad):
+        # N = 1 has no angular error: the pair rule's radial integral,
+        # which crosses the diagonal at t = 1.1, meets the exact reduction
+        p = ProblemParams.from_gamma(1, s, 0.4 * (1 - 2 * s))
+        phi = Bump(0.35, center_norm=1.0)
+        x = np.array([1.1])
+        ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+        assert riesz_pair_potential(phi, x, p, quad) == pytest.approx(
+            ref, rel=1e-7)
 
     def test_origin_covering_density(self, quad):
         # every polar panel of the shells r < R - c reaches the support
@@ -265,7 +312,9 @@ class TestDeltaIdentity:
             delta_identity_check(f, axis_point(1.3, 1), p1, quad,
                                  mode="comparability")
 
-    @pytest.mark.parametrize("dim,s", SWEEP)
+    # small s: the kernel mean grows like |t - rho|^(2s-1) at the diagonal
+    @pytest.mark.parametrize("dim,s", SWEEP + [(1, 0.1), (2, 0.05),
+                                               (3, 0.15)])
     def test_strict_sweep(self, dim, s, quad):
         # the zero-coupling identity through the uncut polar rule at every
         # N, N = 1's two-point sphere included

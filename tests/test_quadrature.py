@@ -17,9 +17,9 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        sphere_area, sphere_mean_power,
                        truncation_correction_detailed)
 from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
-                                  bipolar_sphere_integral, log_edges,
-                                  log_edges_with_diagonal, panel_nodes,
-                                  sphere_power_cut)
+                                  bipolar_sphere_integral,
+                                  diagonal_panel_integral, log_edges,
+                                  panel_nodes, sphere_power_cut)
 
 
 def bubble_flap_exact(rho, N, s):
@@ -106,15 +106,27 @@ class TestPanelIntegral:
         assert mid[0] == pytest.approx(1e225, rel=1e-15)
         assert mid[1] == math.sqrt(3.0)
 
-    def test_diagonal_run_leaves_no_sliver_panel(self):
+    def test_diagonal_band_beside_a_base_grid_edge(self, quad):
         # 1.3 - 1.2 = 0.10000000000000009 sits 9e-17 from the base-grid
-        # edge 0.1; that edge is dropped, and the run around rho is kept
+        # edge 0.1, inside the band around rho: that edge goes, fn is never
+        # called within the band, and the band's power head completes it
         rho = 1.3 - 1.2
-        edges = log_edges_with_diagonal(1e-10, 1.0, rho, ())
-        gaps = np.abs(edges - rho)
-        assert rho in edges
-        assert np.all((gaps == 0.0) | (gaps >= 0.5e-9 * rho))
-        assert edges[0] == 1e-10 and edges[-1] == 1.0
+        for p in (-0.9, -0.5, 0.0):
+            nearest = []
+
+            def fn(t):
+                nearest.append(np.min(np.abs(t - rho)))
+                return np.abs(t - rho) ** p
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val, err = diagonal_panel_integral(fn, 1e-10, 1.0, rho, quad,
+                                                   p)
+            exact = ((rho - 1e-10) ** (p + 1.0) + (1.0 - rho) ** (p + 1.0)) \
+                / (p + 1.0)
+            assert val == pytest.approx(exact, rel=1e-9), p
+            assert abs(val - exact) <= err + 1e-15 * exact, p
+            assert min(nearest) >= 0.5e-9 * rho, p
 
     def test_non_integrable_pieces_rejected(self, quad):
         edges = log_edges(1e-3, 1e3, 4)
