@@ -96,7 +96,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
     n_grid = args.gamma_grid
     if n_grid < 1:
         raise ConfigError(f"--gamma-grid {n_grid}: need a positive size")
-    for g in np.linspace(half / n_grid, half * (1.0 - 1.0 / n_grid), n_grid):
+    # interior points only: gamma = half is theta = Lambda, outside (0, Lambda)
+    for g in half * np.arange(1, n_grid + 1) / (n_grid + 1):
         rows.append({
             "gamma": float(g), "gamma_err": 0.0,
             "theta": theta_of_gamma(float(g), N, s), "theta_err": 0.0,

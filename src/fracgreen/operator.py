@@ -16,10 +16,10 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField, TruncatedPowerLaw
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, adaptive_panel_integral,
+from .quadrature import (QuadratureSpec, adaptive_panel_integral, blockwise,
                          diagonal_panel_integral, frac_laplacian_at_detailed,
                          frac_laplacian_power_law, integrate_radial_singular,
-                         log_edges, panel_nodes, sphere_area,
+                         log_edge_count, log_edges, panel_nodes, sphere_area,
                          sphere_mean_power, truncation_correction_detailed)
 from .reports import VerificationReport
 
@@ -137,51 +137,95 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
     return val
 
 
+_ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation
+
+
+def _inner_below(f: RadialField, rho: np.ndarray,
+                 params: ProblemParams) -> np.ndarray:
+    """int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega_lam(rho, r) dr for each rho,
+    Omega_lam the sphere mean of |x-y|^(-N-2s), on fixed panels: the edges
+    log_edges(min(1e-8 rho, 1e-8), rho/2, 4, breakpoints), then the run
+    rho - geomspace(1e-5 rho, rho/2, 28) into the diagonal, order 12; the
+    band (rho - 1e-5 rho, rho) is completed by its Taylor limit.
+
+    Rows sharing a panel count and a set of breakpoints are evaluated
+    together, _ENERGY_BLOCK at a time; each row is summed on its own.
+    """
+    breaks = np.asarray(f.breakpoints(), dtype=float)
+    lo = np.minimum(1e-8 * rho, 1e-8)
+    hi = rho - 0.5 * rho
+    count = [log_edge_count(a, b, 4) for a, b in zip(lo, hi)]
+    inside = (breaks > lo[:, None]) & (breaks < hi[:, None])
+    _, group = np.unique(np.column_stack([count, inside]), axis=0,
+                         return_inverse=True)
+    group = group.ravel()
+    out = np.empty_like(rho)
+    for g in range(group.max() + 1):
+        rows = np.flatnonzero(group == g)
+        out[rows] = blockwise(
+            lambda *block: _inner_block(f, *block, count[rows[0]],
+                                        breaks[inside[rows[0]]], params),
+            _ENERGY_BLOCK, rho[rows], lo[rows], hi[rows])
+    return out
+
+
+def _inner_block(f, rho, lo, hi, n, splits, params):
+    """_inner_below on rows that share the edge count n of their log panels
+    [lo, hi] and the splits."""
+    N, s = params.dim, params.order
+    lam = N + 2.0 * s
+    a_c = 1e-5 * rho
+    geo = np.geomspace(lo, hi, n, axis=1)
+    run = rho[:, None] - np.geomspace(a_c, 0.5 * rho, 28, axis=1)[:, -2::-1]
+    edges = np.concatenate([
+        np.sort(np.concatenate(
+            [geo, np.broadcast_to(splits, (rho.size, splits.size))], axis=1),
+            axis=1),
+        run], axis=1)
+    r, w = panel_nodes(edges, 12)
+    f_all = f.profile(np.column_stack([r, rho, rho - a_c]))
+    f_rho, f_in = f_all[:, -2], f_all[:, -1]
+    diff = f_all[:, :-2] - f_rho[:, None]
+    vals = diff * diff * r ** (N - 1.0) * sphere_mean_power(
+        lam, rho[:, None], r, N)
+    # np.dot row by row, as the per-node rule summed: einsum rounds otherwise
+    val = np.array([np.dot(v, wr) for v, wr in zip(vals, w)])
+    # Taylor completion of the diagonal band
+    slope2 = ((f_rho - f_in) / a_c) ** 2
+    c_om = sphere_mean_power(lam, rho, rho - a_c, N) * a_c ** (1.0 + 2.0 * s)
+    band = slope2 * rho ** (N - 1.0) * c_om \
+        * a_c ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    return val + band
+
+
 def _dirichlet_energy(f: RadialField, params: ProblemParams,
                       quad: QuadratureSpec) -> tuple[float, float]:
     """Nonlocal Dirichlet energy (c/2) iint (f(x)-f(y))^2 |x-y|^(-N-2s) and
     the squared L2 norm.
 
-    Radial reduction: the double integral collapses to (|x|, |y|) against the
-    kernel sphere mean; the diagonal band is completed by its Taylor limit.
+    Radial reduction: the double integral collapses to
+    c |S^(N-1)| int_0^inf rho^(N-1) int_0^rho (f(rho)-f(r))^2 r^(N-1)
+    Omega_lam(rho, r) dr drho. The outer integral is adaptive
+    ("energy-outer"); the inner one is the fixed rule of _inner_below,
+    evaluated for all outer nodes of a round at once.
+
+    Two errors go unestimated. The inner rule has no error estimate. The
+    outer integral stops at max(outer_radius, 2 x support) (tail_start for
+    an unbounded field, where the cut then moves out fourfold until the
+    value settles) and adds the far tail |f|_2^2 rho^(-1-2s) beyond it, a
+    model that is still about 9% off at twice a compact support.
     """
     if f.center_norm != 0.0:
         raise DomainError("energy quadrature expects an origin-centered field")
     N, s = params.dim, params.order
-    lam = N + 2.0 * s
     omega = sphere_area(N)
     sup = f.support_radius()
     scale0 = sup if sup is not None else f.tail_start()
     breaks = tuple(f.breakpoints())
 
-    def inner_below(rho: float) -> float:
-        # int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega_lam dr on fixed panels,
-        # with the band (rho - a_c, rho) completed by its Taylor limit
-        a_c = 1e-5 * rho
-        f_rho = float(f.profile(np.array([rho]))[0])
-        lo = min(1e-8 * rho, 1e-8)
-        a_hi = 0.5 * rho
-        edges = np.unique(np.concatenate([
-            log_edges(lo, rho - a_hi, 4,
-                      splits=tuple(b for b in breaks if b < rho - a_hi)),
-            rho - np.geomspace(a_c, a_hi, 28)[::-1],
-        ]))
-        r, w = panel_nodes(edges, 12)
-        diff = f.profile(r) - f_rho
-        vals = diff * diff * r ** (N - 1.0) * sphere_mean_power(lam, rho, r, N)
-        val = float(np.dot(vals, w))
-        # Taylor completion of the diagonal band
-        f_in = float(f.profile(np.array([rho - a_c]))[0])
-        slope2 = ((f_rho - f_in) / a_c) ** 2
-        c_om = float(sphere_mean_power(lam, rho, np.array([rho - a_c]), N)[0]
-                     ) * a_c ** (1.0 + 2.0 * s)
-        band = slope2 * rho ** (N - 1.0) * c_om \
-            * a_c ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        return val + band
-
     def outer_integrand(rho_nodes):
-        return np.array([inner_below(float(r)) * float(r) ** (N - 1.0)
-                         for r in np.atleast_1d(rho_nodes)])
+        rho = np.atleast_1d(rho_nodes)
+        return _inner_below(f, rho, params) * rho ** (N - 1.0)
 
     l2 = integrate_radial_singular(_Squared(f), 0.0, N, quad)
     lo = min(1e-6 * scale0,
@@ -190,7 +234,7 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     hi = max(quad.outer_radius, 2.0 * scale0)
     for _ in range(6):
         edges = log_edges(lo, hi, 3, splits=breaks)
-        # far tail: inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
+        # far tail: _inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
         val, _ = adaptive_panel_integral(outer_integrand, edges, quad,
                                          order=8, label="energy-outer",
                                          tail=((l2, 2.0 * s),))

@@ -24,9 +24,10 @@ from .fields import RadialField
 from .kernels import resolvent_radial, surrogate_radial, surrogate_terms
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, axis_point, bipolar_sphere_integral,
-                         diagonal_panel_integral, frac_laplacian_at_detailed,
-                         log_edges, panel_nodes, polar_rule, shell_distance,
-                         sphere_area, sphere_mean_power)
+                         blockwise, diagonal_panel_integral,
+                         frac_laplacian_at_detailed, log_edges, panel_nodes,
+                         polar_rule, shell_distance, sphere_area,
+                         sphere_mean_power)
 from .reports import VerificationReport
 
 KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
@@ -40,15 +41,6 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 _DELTA_EDGES = np.concatenate([np.delete(np.linspace(0.0, math.pi, 13), 6),
                                math.pi - np.geomspace(1e-7, 0.49 * math.pi,
                                                       14)])
-
-
-def _blockwise(fn, size, *arrays):
-    """fn over consecutive blocks of `size` entries of the arrays (sliced
-    alike), results concatenated: bounds the (shells, angle nodes)
-    temporaries. A shell's value does not depend on its block."""
-    n = len(arrays[0])
-    return np.concatenate([fn(*(a[i:i + size] for a in arrays))
-                           for i in range(0, n, size)])
 
 
 class _RieszKernel:
@@ -102,7 +94,7 @@ class _ResolventKernel:
         return resolvent_radial(self.alpha, d, rho, r, self.p)
 
     def sphere_mean(self, rho, r):
-        return _blockwise(lambda rb: bipolar_sphere_integral(
+        return blockwise(lambda rb: bipolar_sphere_integral(
             lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
             self.p.dim, order=12), _SHELL_BLOCK,
             np.atleast_1d(np.asarray(r, float)))
@@ -183,7 +175,7 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
     beta = math.acos(cos_beta)
 
     def integrand(r_nodes):
-        out = _blockwise(lambda rb: _pair_shell_integrals(
+        out = blockwise(lambda rb: _pair_shell_integrals(
             kern, phi, rho, beta, rb, N), _PAIR_BLOCK, r_nodes)
         return out * r_nodes ** (N - 1.0)
 
@@ -463,7 +455,7 @@ class FlapProfile:
     def outside(self, r):
         """-c int f(y) |r e1 - y|^(-N-2s) dy, exact for r > support."""
         lam = self.p.dim + 2.0 * self.p.order
-        out = _blockwise(lambda rb: (self._q_f * sphere_mean_power(
+        out = blockwise(lambda rb: (self._q_f * sphere_mean_power(
             lam, rb[:, None], self._q_nodes, self.p.dim)) @ self._q_w,
             _SHELL_BLOCK, np.atleast_1d(np.asarray(r, float)))
         return -self.p.normalizer * out
@@ -588,8 +580,8 @@ def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
         return (kv * p_f * w).sum(axis=1)
 
     def integrand(t_nodes):
-        out = _blockwise(shells, _SHELL_BLOCK, t_nodes, flap(t_nodes),
-                         f.profile(t_nodes))
+        out = blockwise(shells, _SHELL_BLOCK, t_nodes, flap(t_nodes),
+                        f.profile(t_nodes))
         return out * t_nodes ** (N - 1.0)
 
     val, _ = diagonal_panel_integral(

@@ -115,6 +115,15 @@ def panel_nodes(edges: np.ndarray, order: int):
     return nodes.reshape(shape), weights.reshape(shape)
 
 
+def blockwise(fn, size, *arrays):
+    """fn over consecutive blocks of `size` entries of the arrays (sliced
+    alike), results concatenated: bounds the temporaries of a batched
+    evaluation. An entry's value does not depend on its block."""
+    n = len(arrays[0])
+    return np.concatenate([fn(*(a[i:i + size] for a in arrays))
+                           for i in range(0, n, size)])
+
+
 def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Split points of the panels [lo, hi]: geometric when hi > 2 lo > 0
     (sqrt(lo) sqrt(hi) where lo hi overflows), arithmetic otherwise."""
@@ -236,13 +245,17 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
     return val + head + tail_val, err
 
 
+def log_edge_count(lo: float, hi: float, per_decade: int) -> int:
+    """Number of geometric edges log_edges puts on [lo, hi], splits aside."""
+    return max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+
+
 def log_edges(lo: float, hi: float, per_decade: int = 4,
               splits=()) -> np.ndarray:
     """Geometric panel edges on [lo, hi] with extra split points inserted."""
     if not 0 < lo < hi:
         raise DomainError("log_edges needs 0 < lo < hi")
-    n = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
-    edges = np.geomspace(lo, hi, n)
+    edges = np.geomspace(lo, hi, log_edge_count(lo, hi, per_decade))
     extra = [p for p in splits if lo < p < hi]
     if extra:
         edges = np.unique(np.concatenate([edges, np.asarray(extra)]))

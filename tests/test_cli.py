@@ -47,6 +47,20 @@ class TestConstants:
         _, rows = parse_csv(out)
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_grid_rows_are_distinct_and_admissible(self, n, capsys):
+        N, s = 3, 0.5
+        assert main(["constants", "--N", str(N), "--s", str(s),
+                     "--gamma-grid", str(n), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = doc["rows"]
+        half = (N - 2 * s) / 2
+        assert len(rows) == n
+        assert len({r["gamma"] for r in rows}) == n
+        for r in rows:
+            assert 0 < r["gamma"] < half
+            assert 0 < r["theta"] < doc["sharp_constant"]
+
     def test_theta_above_sharp_constant_exits_2(self):
         code, _, err = run_cli("constants", "--N", "3", "--s", "0.5",
                                "--theta", "0.7")

@@ -245,6 +245,79 @@ class TestHardyRatio:
             assert val == pytest.approx(ref, rel=1e-8), (dim, s)
 
 
+def inner_below_per_node(f, rho, params):
+    """The energy form's inner integral for one outer node, as it was
+    written before it was batched: the reference for operator._inner_below.
+    """
+    from fracgreen.quadrature import log_edges, panel_nodes, sphere_mean_power
+    N, s = params.dim, params.order
+    lam = N + 2.0 * s
+    breaks = tuple(f.breakpoints())
+    a_c = 1e-5 * rho
+    f_rho = float(f.profile(np.array([rho]))[0])
+    lo = min(1e-8 * rho, 1e-8)
+    a_hi = 0.5 * rho
+    edges = np.unique(np.concatenate([
+        log_edges(lo, rho - a_hi, 4,
+                  splits=tuple(b for b in breaks if b < rho - a_hi)),
+        rho - np.geomspace(a_c, a_hi, 28)[::-1],
+    ]))
+    r, w = panel_nodes(edges, 12)
+    diff = f.profile(r) - f_rho
+    vals = diff * diff * r ** (N - 1.0) * sphere_mean_power(lam, rho, r, N)
+    val = float(np.dot(vals, w))
+    f_in = float(f.profile(np.array([rho - a_c]))[0])
+    slope2 = ((f_rho - f_in) / a_c) ** 2
+    c_om = float(sphere_mean_power(lam, rho, np.array([rho - a_c]), N)[0]
+                 ) * a_c ** (1.0 + 2.0 * s)
+    band = slope2 * rho ** (N - 1.0) * c_om \
+        * a_c ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    return val + band
+
+
+class TestInnerRule:
+    """operator._inner_below batches the per-node inner rule of the energy
+    form over all outer nodes of a round."""
+
+    # 100 rows below rho = 1 share one panel count (several blocks); above it
+    # the count grows with log(rho), and Bump(1)'s breakpoint enters the
+    # log panels once rho > 2
+    RHO = np.concatenate([np.geomspace(1e-3, 0.9, 100),
+                          np.geomspace(1.1, 1e3, 40)])
+
+    @pytest.mark.parametrize("N, s", [(2, 0.4), (5, 0.9), (3, 0.5)])
+    @pytest.mark.parametrize("f", [Bump(1.0), Gaussian(1.0),
+                                   Bump(3.0, amplitude=2.0)])
+    def test_matches_per_node_rule(self, N, s, f):
+        from fracgreen.operator import _ENERGY_BLOCK, _inner_below
+        assert (self.RHO < 1.0).sum() > _ENERGY_BLOCK
+        p = ProblemParams.from_gamma(N, s, 0.25 * (N - 2 * s))
+        got = _inner_below(f, self.RHO, p)
+        ref = np.array([inner_below_per_node(f, float(r), p)
+                        for r in self.RHO])
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_one_sphere_mean_call_per_block(self, params_2d, quad,
+                                            monkeypatch):
+        from fracgreen import operator
+        calls, nodes = [0], [0]
+        mean, inner = operator.sphere_mean_power, operator._inner_below
+
+        def counted_mean(*args):
+            calls[0] += 1
+            return mean(*args)
+
+        def counted_inner(f, rho, params):
+            nodes[0] += rho.size
+            return inner(f, rho, params)
+
+        monkeypatch.setattr(operator, "sphere_mean_power", counted_mean)
+        monkeypatch.setattr(operator, "_inner_below", counted_inner)
+        hardy_ratio(Gaussian(1.0), params_2d, quad)
+        assert nodes[0] > 0
+        assert 10 * calls[0] <= nodes[0]
+
+
 class TestFundamentalResidual:
     def test_passes_on_grid(self, params_3half, quad):
         rep = fundamental_residual(
