@@ -420,14 +420,22 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
 class FlapProfile:
     """Radial profile of (-Delta)^s f about the center of a compact field f.
 
-    Spline of pointwise quadrature values inside the support; the exact
-    convolution formula (no principal value needed) outside, where f itself
-    vanishes. Decays like -c (int f) r^(-N-2s).
+    Spline of n_inside pointwise quadrature values inside the support; the
+    exact convolution formula (no principal value needed) outside, where f
+    itself vanishes. Decays like -c (int f) r^(-N-2s).
+
+    The profile depends only on the field, the parameters and the
+    quadrature, not on the point where the delta identity is checked, so
+    one profile serves every point (delta_identity): `fracgreen verify`
+    builds one and evaluates both of its points on it.
     """
 
     def __init__(self, f: RadialField, params: ProblemParams,
                  quad: QuadratureSpec, n_inside: int = 40):
         from scipy.interpolate import CubicSpline
+        if n_inside < 2:
+            raise DomainError(f"n_inside = {n_inside}: the flap spline "
+                              f"needs at least 2 points inside the support")
         sup = f.support_radius()
         if sup is None:
             raise DomainError("delta-identity test functions must be compact")
@@ -470,20 +478,41 @@ class FlapProfile:
             out[~inside] = self.outside(r[~inside])
         return out
 
+    def delta_identity(self, x0, mode: str = "strict") -> VerificationReport:
+        """The weak delta identity of self.f at x0 (delta_identity_check),
+        on this profile."""
+        x0 = _delta_point(x0, self.p, mode)
+        f_x0 = float(self.f(x0))
+        peak = float(np.max(self.f.profile(np.linspace(0.0, self.sup, 512))))
 
-def delta_identity_check(f: RadialField, x0, params: ProblemParams,
-                         quad: QuadratureSpec, mode: str = "strict",
-                         kernel_kind: str | None = None,
-                         n_inside: int = 40) -> VerificationReport:
-    """Weak delta identity: int K(x0, z) (P f)(z) dz should return f(x0).
+        if mode == "strict":
+            computed = _delta_strict_value(self, x0)
+            scale = abs(f_x0) if abs(f_x0) > 0.1 * peak else peak
+            residual = abs(computed - f_x0) / scale
+            return VerificationReport(
+                name="delta-identity-zero-coupling",
+                computed=computed, reference=f_x0, tolerance=1e-3,
+                residual=residual, passed=bool(residual <= 1e-3),
+                details={"mode": mode, "relative_scale": scale})
 
-    mode="strict": zero-coupling case with the exact kernel; P reduces to
-    (-Delta)^s and the pass tolerance is 1e-3 (relative where f(x0) is away
-    from zero, absolute in the peak otherwise).
-    mode="comparability": coupling > 0 with the surrogate kernel; only the
-    ratio to f(x0) and its refinement stability are reported (the surrogate
-    matches the true kernel up to unknown two-sided constants); N >= 2.
-    """
+        # comparability: collinear geometry, surrogate kernel, full operator
+        v1 = _delta_surrogate_value(self, x0, order=10)
+        v2 = _delta_surrogate_value(self, x0, order=14)
+        ratio = v1 / f_x0 if f_x0 != 0 else math.inf
+        stability = abs(v2 - v1) / max(abs(v2), 1e-300)
+        return VerificationReport(
+            name="delta-identity-comparability",
+            computed=v2 / f_x0 if f_x0 != 0 else math.inf,
+            reference=1.0, tolerance=math.inf,
+            residual=stability,
+            passed=bool(math.isfinite(ratio) and stability < 0.05),
+            details={"mode": mode, "ratio": ratio,
+                     "refinement_stability": stability})
+
+
+def _delta_point(x0, params: ProblemParams, mode: str,
+                 kernel_kind: str | None = None):
+    """Check the arguments of the delta identity at x0; x0 as an array."""
     if mode not in ("strict", "comparability"):
         raise DomainError("mode must be 'strict' or 'comparability'")
     if mode == "strict" and kernel_kind not in (None, "riesz_exact"):
@@ -500,43 +529,38 @@ def delta_identity_check(f: RadialField, x0, params: ProblemParams,
     rho0 = float(np.linalg.norm(x0))
     if rho0 == 0.0:
         raise DomainError("the identity is checked away from the origin")
-    N, s = params.dim, params.order
-    flap = FlapProfile(f, params, quad, n_inside=n_inside)
-    f_x0 = float(f(x0))
-    peak = float(np.max(f.profile(
-        np.linspace(0.0, f.support_radius(), 512))))
-
-    if mode == "strict":
-        computed = _delta_strict_value(flap, f, x0, params, quad)
-        scale = abs(f_x0) if abs(f_x0) > 0.1 * peak else peak
-        residual = abs(computed - f_x0) / scale
-        return VerificationReport(
-            name="delta-identity-zero-coupling",
-            computed=computed, reference=f_x0, tolerance=1e-3,
-            residual=residual, passed=bool(residual <= 1e-3),
-            details={"mode": mode, "relative_scale": scale})
-
-    # comparability mode: collinear geometry, surrogate kernel, full operator
-    if abs(float(np.linalg.norm(x0[1:]))) > 1e-12 * rho0:
+    off_axis = float(np.linalg.norm(x0[1:]))
+    if mode == "comparability" and off_axis > 1e-12 * rho0:
         raise DomainError("comparability mode expects x0 on the first axis")
-    v1 = _delta_surrogate_value(flap, f, x0, params, quad, order=10)
-    v2 = _delta_surrogate_value(flap, f, x0, params, quad, order=14)
-    ratio = v1 / f_x0 if f_x0 != 0 else math.inf
-    stability = abs(v2 - v1) / max(abs(v2), 1e-300)
-    return VerificationReport(
-        name="delta-identity-comparability",
-        computed=v2 / f_x0 if f_x0 != 0 else math.inf,
-        reference=1.0, tolerance=math.inf,
-        residual=stability,
-        passed=bool(math.isfinite(ratio) and stability < 0.05),
-        details={"mode": mode, "ratio": ratio,
-                 "refinement_stability": stability})
+    return x0
 
 
-def _delta_strict_value(flap: FlapProfile, f, x0, params, quad) -> float:
+def delta_identity_check(f: RadialField, x0, params: ProblemParams,
+                         quad: QuadratureSpec, mode: str = "strict",
+                         kernel_kind: str | None = None,
+                         n_inside: int = 40) -> VerificationReport:
+    """Weak delta identity: int K(x0, z) (P f)(z) dz should return f(x0).
+
+    mode="strict": zero-coupling case with the exact kernel; P reduces to
+    (-Delta)^s and the pass tolerance is 1e-3 (relative where f(x0) is away
+    from zero, absolute in the peak otherwise).
+    mode="comparability": coupling > 0 with the surrogate kernel; only the
+    ratio to f(x0) and its refinement stability are reported (the surrogate
+    matches the true kernel up to unknown two-sided constants); N >= 2.
+
+    Builds the flap profile of f for this one point; to check several
+    points of one field, build a FlapProfile and call its delta_identity.
+    """
+    x0 = _delta_point(x0, params, mode, kernel_kind)
+    flap = FlapProfile(f, params, quad, n_inside=n_inside)
+    return flap.delta_identity(x0, mode)
+
+
+def _delta_strict_value(flap: FlapProfile, x0) -> float:
     """int Phi(x0 - z) (-Delta)^s f(z) dz via the bipolar reduction."""
+    params, quad = flap.p, flap.quad
     N, s = params.dim, params.order
-    rho_c = float(np.linalg.norm(np.asarray(x0, float) - f.center(N)))
+    rho_c = float(np.linalg.norm(np.asarray(x0, float) - flap.f.center(N)))
     a_const = params.riesz_constant
     lam = N - 2.0 * s
     sup = flap.sup
@@ -553,9 +577,9 @@ def _delta_strict_value(flap: FlapProfile, f, x0, params, quad) -> float:
     return a_const * val
 
 
-def _delta_surrogate_value(flap: FlapProfile, f, x0, params, quad,
-                           order: int = 10) -> float:
+def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
     """int K_surrogate(x0, z) (P f)(z) dz on collinear geometry."""
+    f, params, quad = flap.f, flap.p, flap.quad
     N, s = params.dim, params.order
     theta = params.hardy_strength
     kern = _SurrogateKernel(params)

@@ -26,3 +26,20 @@ def params_3big():
 def params_2d():
     """N=2, s=0.4, gamma=0.3."""
     return ProblemParams.from_gamma(2, 0.4, 0.3)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for one test and returns
+    the list that receives each call's positional arguments."""
+    def install(owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    return install

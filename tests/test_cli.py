@@ -1,18 +1,43 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from fracgreen import cli, errors, gamma_of_theta
+from fracgreen import cli, errors, gamma_of_theta, potentials
 from fracgreen.cli import main
 from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
 def run_cli(*argv):
+    """cli.main in this process: (exit code, stdout, stderr).
+
+    argparse's SystemExit becomes its exit code, and every warning is
+    written to stderr as the interpreter would print it, so the result reads
+    like run_cli_process's without the interpreter start-up."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as ex:
+                code = ex.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename,
+                                         w.lineno, w.line))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(*argv):
+    """`python -m fracgreen.cli` in a subprocess: the entry point and the
+    exit-code contract end to end, one test per exit code."""
     proc = subprocess.run([sys.executable, "-m", "fracgreen.cli", *argv],
                           capture_output=True, text=True, timeout=900)
     return proc.returncode, proc.stdout, proc.stderr
@@ -27,8 +52,8 @@ def parse_csv(text):
 
 class TestConstants:
     def test_gamma_matches_library(self):
-        code, out, _ = run_cli("constants", "--N", "3", "--s", "0.5",
-                               "--theta", "0.31831")
+        code, out, _ = run_cli_process("constants", "--N", "3", "--s",
+                                       "0.5", "--theta", "0.31831")
         assert code == 0
         g_lib = gamma_of_theta(0.31831, 3, 0.5)
         assert any(f"gamma_of_theta = {g_lib:.17g}" in line
@@ -62,8 +87,8 @@ class TestConstants:
             assert 0 < r["theta"] < doc["sharp_constant"]
 
     def test_theta_above_sharp_constant_exits_2(self):
-        code, _, err = run_cli("constants", "--N", "3", "--s", "0.5",
-                               "--theta", "0.7")
+        code, _, err = run_cli_process("constants", "--N", "3", "--s",
+                                       "0.5", "--theta", "0.7")
         assert code == 2
         assert "Lambda" in err
 
@@ -127,8 +152,8 @@ class TestVerify:
         assert all(row["passed"] for row in doc["rows"])
 
     def test_sabotaged_theta_exits_1(self):
-        code, out, _ = run_cli("verify", "--N", "3", "--s", "0.5",
-                               "--sabotage", "theta-half")
+        code, out, _ = run_cli_process("verify", "--N", "3", "--s", "0.5",
+                                       "--sabotage", "theta-half")
         assert code == 1
         line = [l for l in out.splitlines() if "fundamental-residual" in l]
         assert line and "FAIL" in line[0]
@@ -185,6 +210,18 @@ class TestVerify:
         # at (1, .45) the time quadrature's panels reach t ~ 1e277
         _, _, err = run_cli("verify", "--N", "1", "--s", "0.45")
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("flags", [("--delta",), ()])
+    def test_one_flap_profile_per_run(self, count_calls, flags):
+        # both points of the delta identity share one flap profile: one
+        # build of 32 pointwise values, not one per point
+        built = count_calls(potentials.FlapProfile, "__init__")
+        pointwise = count_calls(potentials, "frac_laplacian_at_detailed")
+        code, out, err = run_cli("verify", "--N", "3", "--s", "0.5", *flags)
+        assert code == 0, err
+        assert "delta-identity-zero-coupling" in out
+        assert len(built) == 1
+        assert len(pointwise) == 32
 
     def test_delta_only_flag(self):
         # (2, .05): the Green kernel's sphere mean grows like |t - rho|^-0.9

@@ -11,8 +11,10 @@ from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
                        delta_identity_check, green_potential,
                        green_potential_detailed, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
-from fracgreen.potentials import (_density_range, _potential_pair,
-                                  _ResolventKernel, _RieszKernel)
+from fracgreen import potentials
+from fracgreen.potentials import (FlapProfile, _density_range,
+                                  _potential_pair, _ResolventKernel,
+                                  _RieszKernel)
 
 # the (N, s) sweep of the radial-form checks
 SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
@@ -270,10 +272,9 @@ class TestIntegrability:
 
 class TestDeltaIdentity:
     def test_strict_at_interior_points(self, params_3big, quad):
-        f = Bump(1.0)
+        flap = FlapProfile(Bump(1.0), params_3big, quad)
         for rho in (0.3, 0.6):
-            rep = delta_identity_check(f, axis_point(rho, 3), params_3big,
-                                       quad)
+            rep = flap.delta_identity(axis_point(rho, 3))
             assert rep.passed
             assert rep.residual <= 1e-3
 
@@ -288,13 +289,55 @@ class TestDeltaIdentity:
         rep = delta_identity_check(f, axis_point(1.3, 3), params_3big, quad)
         assert rep.passed
 
-    def test_mode_error(self, params_3half, quad):
+    def test_mode_error(self, count_calls, params_3half, quad):
+        built = count_calls(FlapProfile, "__init__")
         with pytest.raises(DomainError):
             delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
                                  quad, mode="strict", kernel_kind="surrogate")
         with pytest.raises(DomainError):
             delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
                                  quad, mode="verify")
+        assert built == []  # raised before any profile was built
+
+    @pytest.mark.parametrize("dim,x0,kwargs", [
+        (3, (0.5, 0.0, 0.0), {"mode": "comparability",
+                              "kernel_kind": "riesz_exact"}),
+        (1, (0.5,), {"mode": "comparability"}),
+        (3, (0.0, 0.0, 0.0), {}),
+        (3, (0.5, 0.5, 0.0), {"mode": "comparability"}),
+    ])
+    def test_argument_errors_before_any_profile(self, count_calls, quad,
+                                                dim, x0, kwargs):
+        built = count_calls(FlapProfile, "__init__")
+        p = ProblemParams.from_gamma(dim, 0.25, 0.4 * (dim - 0.5))
+        with pytest.raises(DomainError):
+            delta_identity_check(Bump(1.0), np.array(x0), p, quad, **kwargs)
+        assert built == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_inside", [0, 1])
+    def test_too_few_inside_points(self, count_calls, params_3big, quad,
+                                   n_inside):
+        # the flap spline needs two points; the error comes before any
+        # pointwise integral
+        pointwise = count_calls(potentials, "frac_laplacian_at_detailed")
+        with pytest.raises(DomainError, match="n_inside"):
+            delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3big,
+                                 quad, n_inside=n_inside)
+        assert pointwise == []
+
+    @pytest.mark.parametrize("dim,s", [(3, 0.5), (2, 0.4), (4, 0.75)])
+    def test_shared_profile_matches_separate_checks(self, dim, s, quad):
+        # verify's two points on one profile report exactly what one
+        # delta_identity_check per point reports
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        flap = FlapProfile(Bump(1.0), p, quad, n_inside=32)
+        for rho in (0.4, 0.8):
+            x0 = axis_point(rho, dim)
+            shared = flap.delta_identity(x0).as_dict()
+            alone = delta_identity_check(Bump(1.0), x0, p, quad,
+                                         n_inside=32).as_dict()
+            assert shared == alone, (dim, s, rho)
 
     def test_comparability_reports_stable_ratio(self, params_3half,
                                                 params_2d, quad):
@@ -319,9 +362,9 @@ class TestDeltaIdentity:
         # the zero-coupling identity through the uncut polar rule at every
         # N, N = 1's two-point sphere included
         p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        flap = FlapProfile(Bump(1.0), p, quad, n_inside=32)
         for rho in (0.4, 0.8):
-            rep = delta_identity_check(Bump(1.0), axis_point(rho, dim), p,
-                                       quad, n_inside=32)
+            rep = flap.delta_identity(axis_point(rho, dim))
             assert rep.passed, (dim, s, rho, rep.residual)
             assert rep.residual <= 1e-3
 
