@@ -134,9 +134,11 @@ def _sample_pairs(rng, n, dim):
 
 
 def cmd_kernel(cfg: RunConfig, args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs {args.pairs}: need a positive count")
     params = cfg.params(default_gamma=0.5)
     rng = np.random.default_rng(cfg.seed)
-    sampled = _sample_pairs(rng, int(args.pairs), cfg.dim)
+    sampled = _sample_pairs(rng, args.pairs, cfg.dim)
     # each sampled pair is followed by its swap so symmetry shows in rows
     pairs = [p for x, y in sampled for p in ((x, y), (y, x))]
     t_val = float(args.time)

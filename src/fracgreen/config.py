@@ -157,6 +157,9 @@ class RunConfig:
                 raise ConfigError(
                     f"theta={self.theta} and gamma={self.gamma} disagree "
                     f"(gamma implies theta={implied:.12g})")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be a non-negative "
+                              f"integer")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format={self.fmt!r} must be csv or json")
 

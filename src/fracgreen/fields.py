@@ -18,7 +18,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -224,8 +223,76 @@ class TruncatedPowerLaw(RadialField):
         return (2.0 * self.inner_cut, 0.5 * self.outer_cut)
 
 
+class _CubicSpline:
+    """C^2 cubic interpolant of the knots x and values y.
+
+    `start` and `end` are the end conditions: a number (the first
+    derivative there), "natural" (zero second derivative) or "not-a-knot"
+    (a continuous third derivative at the second knot from that end; the
+    chord slope when there are only two knots). Not-a-knot at both ends
+    needs at least four knots. The knot slopes solve a tridiagonal system
+    in O(n); each piece is a cubic in powers of (r - x_i), evaluated by
+    Horner, and the end pieces continue beyond the knots.
+    """
+
+    def __init__(self, x, y, start, end):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if (x.ndim != 1 or x.size < 2 or y.shape != x.shape
+                or not np.all(np.isfinite(x)) or not np.all(np.isfinite(y))):
+            raise DomainError("a spline needs at least 2 finite knots, one "
+                              "finite value per knot")
+        h = np.diff(x)
+        m = np.diff(y) / h
+        n = x.size
+        # row i multiplies the slopes (s[i-1], s[i], s[i+1]) by
+        # (lower[i], diag[i], upper[i]); interior rows are C^2 continuity
+        lower, diag, upper, rhs = (np.zeros(n) for _ in range(4))
+        lower[1:-1] = h[1:]
+        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+        upper[1:-1] = h[:-1]
+        rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+        diag[0], upper[0], rhs[0] = self._end_row(start, h, m)
+        diag[-1], lower[-1], rhs[-1] = self._end_row(end, h[::-1], m[::-1])
+        # Thomas elimination (no pivoting: each pivot stays positive)
+        lower, diag, upper, s = (a.tolist() for a in (lower, diag, upper, rhs))
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            s[i] -= w * s[i - 1]
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        s = np.array(s)
+        t = (s[:-1] + s[1:] - 2.0 * m) / h
+        self.x = x
+        self.coef = np.array([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]])
+
+    @staticmethod
+    def _end_row(cond, h, m):
+        """(diag, off-diagonal, rhs) of the end condition's row, with the
+        widths h and chord slopes m ordered from that end inward."""
+        if cond == "natural":
+            return 2.0 * h[0], h[0], 3.0 * h[0] * m[0]
+        if cond == "not-a-knot":
+            if h.size == 1:
+                return 1.0, 0.0, m[0]
+            d = h[0] + h[1]
+            return h[1], d, ((h[0] + 2.0 * d) * h[1] * m[0]
+                             + h[0] ** 2 * m[1]) / d
+        return 1.0, 0.0, float(cond)
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1,
+                    0, self.x.size - 2)
+        t = r - self.x[i]
+        c = self.coef[:, i]
+        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+
 class SampledRadial(RadialField):
-    """Cubic interpolation of (radius, value) samples.
+    """Natural cubic spline through (radius, value) samples.
 
     Constant continuation below the first sample; power-law extrapolation
     with the given decay exponent beyond the last sample.
@@ -245,7 +312,7 @@ class SampledRadial(RadialField):
         self.values = values
         self.decay_exponent = float(decay_exponent)
         self.center_norm = float(center_norm)
-        self._spline = CubicSpline(radii, values, bc_type="natural")
+        self._spline = _CubicSpline(radii, values, "natural", "natural")
         self._tail_coef = values[-1] * radii[-1] ** decay_exponent
 
     def profile(self, r):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
 from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, DomainError
@@ -96,12 +95,13 @@ def theta_of_gamma(gamma: float, dim: int, order: float) -> float:
     return _theta_expr(gamma, dim, order)
 
 
-def gamma_of_theta(theta: float, dim: int, order: float,
-                   max_iter: int = 200) -> float:
+def gamma_of_theta(theta: float, dim: int, order: float) -> float:
     """Invert the gamma -> theta map on (0, Lambda(N,s)).
 
-    Bracketed Brent on the strictly monotone map; the result satisfies
-    |theta(gamma) - theta| <= 1e-12 * Lambda(N,s).
+    Bisection of the strictly increasing map on [eps, (N-2s)/2 - eps],
+    eps = 1e-12 (N-2s), until the bracket is two adjacent floats; of those
+    the one whose theta lies nearer wins. The result satisfies
+    |theta(gamma) - theta| <= 1e-12 * Lambda(N,s), or ConvergenceError.
     """
     _check_dim_order(dim, order)
     lam = sharp_hardy_constant(dim, order)
@@ -109,14 +109,23 @@ def gamma_of_theta(theta: float, dim: int, order: float,
         raise DomainError(f"theta={theta} outside (0, Lambda={lam})")
     half = (dim - 2 * order) / 2.0
     eps = 1e-12 * (dim - 2 * order)
-    f = lambda g: _theta_expr(g, dim, order) - theta
-    gamma = brentq(f, eps, half - eps, xtol=1e-15, rtol=8.9e-16,
-                   maxiter=max_iter)
-    resid = abs(_theta_expr(gamma, dim, order) - theta)
+    lo, hi = eps, half - eps
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _theta_expr(mid, dim, order) < theta:
+            lo = mid
+        else:
+            hi = mid
+    miss = lambda g: abs(_theta_expr(g, dim, order) - theta)
+    gamma = min(lo, hi, key=miss)
+    resid = miss(gamma)
     if resid > 1e-12 * lam:
         raise ConvergenceError(
-            f"gamma_of_theta residual {resid:.3e} exceeds {1e-12 * lam:.3e}")
-    return float(gamma)
+            f"gamma_of_theta(theta={theta}, N={dim}, s={order}): residual "
+            f"{resid:.3e} exceeds {1e-12 * lam:.3e}")
+    return gamma
 
 
 def riesz_normalization(dim: int, order: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DomainError
-from .fields import RadialField
+from .fields import RadialField, _CubicSpline
 from .kernels import resolvent_radial, surrogate_radial, surrogate_terms
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, axis_point, bipolar_sphere_integral,
@@ -420,9 +420,11 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
 class FlapProfile:
     """Radial profile of (-Delta)^s f about the center of a compact field f.
 
-    Spline of n_inside pointwise quadrature values inside the support; the
-    exact convolution formula (no principal value needed) outside, where f
-    itself vanishes. Decays like -c (int f) r^(-N-2s).
+    Cubic spline of n_inside pointwise quadrature values inside the
+    support, with zero slope at the center (the profile is even in r) and
+    not-a-knot at the top; the exact convolution formula (no principal
+    value needed) outside, where f itself vanishes. Decays like
+    -c (int f) r^(-N-2s).
 
     The profile depends only on the field, the parameters and the
     quadrature, not on the point where the delta identity is checked, so
@@ -432,7 +434,6 @@ class FlapProfile:
 
     def __init__(self, f: RadialField, params: ProblemParams,
                  quad: QuadratureSpec, n_inside: int = 40):
-        from scipy.interpolate import CubicSpline
         if n_inside < 2:
             raise DomainError(f"n_inside = {n_inside}: the flap spline "
                               f"needs at least 2 points inside the support")
@@ -452,8 +453,7 @@ class FlapProfile:
             * sup * 0.999
         vals = [frac_laplacian_at_detailed(
             f, center + axis_point(r, N), params, quad)[0] for r in grid]
-        self._spline = CubicSpline(grid, vals, bc_type=(
-            (1, 0.0), "not-a-knot"))
+        self._spline = _CubicSpline(grid, vals, 0.0, "not-a-knot")
         # nodes of the direct convolution formula used outside the support
         edges = log_edges(1e-8 * sup, sup, 6)
         self._q_nodes, self._q_w = panel_nodes(edges, 12)

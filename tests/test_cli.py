@@ -6,12 +6,14 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import pytest
 
 from fracgreen import cli, errors, gamma_of_theta, potentials
 from fracgreen.cli import main
+from fracgreen.config import ConfigError, RunConfig
 from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
@@ -318,6 +320,12 @@ def test_main_entry_direct(tmp_path, capsys):
     (("verify",), "[params]\nN = [1, 2]\n"),
     (("verify",), '[output]\nseed = "x"\n'),
     (("verify",), "[quadrature]\nrel_tol = true\n"),
+    (("verify", "--seed", "-1"), None),
+    (("kernel", "--seed", "-1"), None),
+    (("verify",), "[output]\nseed = -5\n"),
+    (("kernel", "--pairs", "0"), None),
+    (("kernel", "--pairs", "-3"), None),
+    (("constants", "--theta", "1e-30"), None),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:
@@ -328,6 +336,12 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_negative_seed_is_a_config_error():
+    # numpy's generators take no negative seed
+    with pytest.raises(ConfigError, match="seed=-5"):
+        RunConfig(seed=-5).validate()
 
 
 @pytest.mark.parametrize("error_cls", [
@@ -341,3 +355,33 @@ def test_library_errors_exit_2(monkeypatch, capsys, error_cls):
     assert main(["constants", "--N", "3", "--s", "0.5"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no good" in err
+
+
+def test_runs_load_no_optimize_or_interpolate():
+    """A run imports numpy and scipy.special only: scipy.interpolate (which
+    pulls in scipy.optimize, scipy.linalg and scipy.sparse) would about
+    double the start-up."""
+    child = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from fracgreen.cli import main
+        runs = []
+        for argv in (["verify", "--N", "3", "--s", "0.5"],
+                     ["solve", "--kernel", "resolvent_surrogate",
+                      "--radii", "0.1:1:2"],
+                     ["constants"], ["kernel", "--pairs", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            runs.append([argv[0], code, sorted(
+                m for m in sys.modules
+                if m.startswith(("scipy.optimize", "scipy.interpolate")))])
+        print(json.dumps(runs))
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert [name for name, _, _ in runs] == ["verify", "solve", "constants",
+                                             "kernel"]
+    for name, code, loaded in runs:
+        assert code == 0, name
+        assert loaded == [], name

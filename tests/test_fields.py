@@ -6,6 +6,7 @@ import pytest
 from fracgreen import (Bubble, Bump, DomainError, Gaussian, PowerLaw,
                        SampledRadial, TruncatedPowerLaw, make_field,
                        near_optimizer)
+from fracgreen.fields import _CubicSpline
 
 
 class TestCatalog:
@@ -99,6 +100,35 @@ class TestSampledRadial:
             SampledRadial([0.1, 0.2], [1.0, 2.0], 2.0)
         with pytest.raises(DomainError):
             SampledRadial([0.1, 0.2, 0.2, 0.4], [1, 2, 3, 4], 2.0)
+
+
+class TestCubicSpline:
+    """fields._CubicSpline against scipy's CubicSpline, the oracle, on the
+    knot range (the only range either caller evaluates)."""
+
+    @pytest.mark.parametrize("n, start, end", [
+        (2, 0.0, "not-a-knot"), (3, 0.0, "not-a-knot"),
+        (32, 0.0, "not-a-knot"), (40, 0.0, "not-a-knot"),
+        (4, "natural", "natural"), (5000, "natural", "natural")])
+    def test_matches_scipy(self, n, start, end):
+        from scipy.interpolate import CubicSpline
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+        bc = ((1, start) if start != "natural" else start, end)
+        r = np.concatenate([x, np.linspace(x[0], x[-1], 20 * n + 1)])
+        ours = _CubicSpline(x, y, start, end)(r)
+        ref = CubicSpline(x, y, bc_type=bc)(r)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+        ([0.0, 1.0, np.inf], [0.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+        ([0.0], [1.0])])
+    def test_rejects_bad_knots(self, x, y):
+        with pytest.raises(DomainError):
+            _CubicSpline(x, y, "natural", "natural")
 
 
 class TestCombinators:

@@ -6,10 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracgreen import (DomainError, ProblemParams, frac_laplacian_normalizer,
-                       gamma_of_theta, log_gamma, power_multiplier,
-                       riesz_normalization, sharp_hardy_constant,
-                       theta_of_gamma)
+from fracgreen import (ConvergenceError, DomainError, ProblemParams,
+                       frac_laplacian_normalizer, gamma_of_theta, log_gamma,
+                       params, power_multiplier, riesz_normalization,
+                       sharp_hardy_constant, theta_of_gamma)
+from fracgreen.params import _theta_expr
 
 mp.mp.dps = 40
 
@@ -157,6 +158,30 @@ class TestGammaOfTheta:
         lam = sharp_hardy_constant(N, s)
         g = gamma_of_theta(lam * (1 - 1e-9), N, s)
         assert abs(g - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("N, s", [(1, 0.25), (2, 0.4), (3, 0.3),
+                                      (4, 0.75), (5, 0.9)])
+    @pytest.mark.parametrize("frac", [1e-6, 0.5, 1 - 1e-9])
+    def test_nearest_float(self, N, s, frac):
+        # theta at the result and at one neighbouring float lie on opposite
+        # sides of theta: the result is one of the two floats bracketing
+        # the root
+        theta = frac * sharp_hardy_constant(N, s)
+        g = gamma_of_theta(theta, N, s)
+        t_g = _theta_expr(g, N, s)
+        if t_g == theta:
+            return
+        sides = [(t_g - theta) * (_theta_expr(math.nextafter(g, to), N, s)
+                                  - theta) for to in (-math.inf, math.inf)]
+        assert min(sides) <= 0.0
+
+    def test_convergence_error_names_the_point(self, monkeypatch):
+        # a map that never reaches theta leaves a residual bisection
+        # cannot close
+        monkeypatch.setattr(params, "_theta_expr", lambda g, N, s: 1.0 + g)
+        with pytest.raises(ConvergenceError,
+                           match=r"theta=0\.25, N=3, s=0\.5"):
+            gamma_of_theta(0.25, 3, 0.5)
 
     def test_domain(self):
         lam = sharp_hardy_constant(3, 0.5)
