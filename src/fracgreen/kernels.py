@@ -9,15 +9,16 @@ too (resolvent_radial). The profile H is W(t) t d^(-(N+2s)) below the branch
 switch t = T = d^(2s) and W(t) t^(-N/2s) above it, with the weight
 W(t) = sum_j W_j t^(j c), c = g/2s. So each weight term gives one
 incomplete gamma function below T and one generalized exponential integral
-E_q above it:
+E_q above it, and both carry the power d^(-lam_j) of surrogate_terms:
 
-    sum_j W_j [Gamma(p_j) gammainc(p_j, alpha T) alpha^(-p_j) d^(-(N+2s))
-               + T^(1-q_j) E_(q_j)(alpha T)],
-    p_j = 2 + j c,  q_j = N/(2s) - j c > 1.
+    sum_j W_j d^(-lam_j) [x^(-p_j) Gamma(p_j) gammainc(p_j, x) + E_(q_j)(x)],
+    x = alpha T,  p_j = 2 + j c,  q_j = N/(2s) - j c > 1.
 
-E_q comes from generalized_expint: a power series with its pole folded in
-below alpha T = 1 and a continued fraction above, accurate to a few 1e-15
-relative for every q > 1, integer or not.
+Below x = 1 each bracket is one power series in x plus the Gamma(1-q_j)
+pole of E_q, folded into its k = round(q_j) - 1 term so that integer and
+near-integer q_j need no special case; from x = 1 it is gammainc plus the
+continued fraction of generalized_expint, the definition of E_q, accurate
+to a few 1e-15 relative for every q > 1, integer or not.
 
 All functions broadcast over leading axes: points may be passed as arrays of
 shape (..., N). The evaluation diagonal x = y is a hard error wherever the
@@ -30,12 +31,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
-from scipy.special import exprel, gamma, gammainc, rgamma, zeta
+from scipy.special import gamma, gammainc, rgamma, zeta
 
 from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams
-from .quadrature import QuadratureSpec, adaptive_panel_integral, log_edges
+from .quadrature import (QuadratureSpec, _horner, adaptive_panel_integral,
+                         log_edges)
 
 
 def _norms(x, y):
@@ -194,9 +195,11 @@ def _expint_series(q: float):
     term combine into (-1)^m x^(m-1)/(m-1)! * expm1(f (ln x + B)) / f, where
     B = (lnGamma(1-f) - sum_(i<m) log1p(f/i)) / f is summed as a power series
     in f from lnGamma(1-f) = euler_gamma f + sum_(n>=2) zeta(n) f^n / n, so
-    that f = 0 (integer q, DLMF 8.19.8) is the same formula; the combined
-    term is evaluated as exprel(f (ln x + B)) (ln x + B). Returns m, f, B
-    and the other coefficients (-1)^k / (k! (1-q+k)), zero at k = m-1.
+    that f = 0 (integer q, DLMF 8.19.8) is the same formula: there the
+    combined term is its limit, (-1)^m x^(m-1)/(m-1)! (ln x + B)
+    (_expint_pole).
+    Returns m, f, B and the other coefficients (-1)^k / (k! (1-q+k)), zero
+    at k = m-1.
     """
     m = round(q)
     f = q - m
@@ -209,7 +212,15 @@ def _expint_series(q: float):
     with np.errstate(divide="ignore"):
         coef = (-1.0) ** k * rgamma(k + 1.0) / (1.0 - q + k)
     coef[k == m - 1] = 0.0
-    return m, f, float(polyval(f, b)), coef
+    return m, f, float(_horner(b, f, 0.5)), coef
+
+
+def _expint_pole(m: int, f: float, B: float, x, log_x):
+    """The folded pole term of _expint_series at x, given ln x."""
+    lx = log_x + B
+    # exprel(f lx) lx, which is lx at f = 0 (integer q)
+    fold = np.expm1(f * lx) / f if f else lx
+    return (-1.0) ** m * x ** (m - 1) * rgamma(m) * fold
 
 
 def generalized_expint(q: float, x):
@@ -223,9 +234,8 @@ def generalized_expint(q: float, x):
     small = x < 1.0
     xs = x[small]
     m, f, B, coef = _expint_series(float(q))
-    lx = np.log(xs) + B
-    out[small] = ((-1.0) ** m * xs ** (m - 1) * rgamma(m)
-                  * exprel(f * lx) * lx - polyval(xs, coef))
+    out[small] = (_expint_pole(m, f, B, xs, np.log(xs))
+                  - _horner(coef, xs, 1.0))
     # E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with
     # b_i = x + q + 2i, a_i = -i (q - 1 + i), summed from its fixed depth up
     xl = x[~small]
@@ -236,6 +246,48 @@ def generalized_expint(q: float, x):
         t += q + 2.0 * (i - 1)
     out[~small] = np.exp(-xl) / t
     return out
+
+
+@lru_cache(maxsize=64)
+def _resolvent_series(p: float, q: float):
+    """The x < 1 series of x^(-p) gamma(p, x) + E_q(x): E_q's pole-folded
+    series (_expint_series) with the lower incomplete gamma function's
+    coefficients (-1)^k / (k! (p+k)) (DLMF 8.7.1) added in. Returns m, f, B
+    of the pole and the combined coefficients."""
+    m, f, B, coef = _expint_series(q)
+    k = np.arange(float(_EXPINT_SERIES_TERMS))
+    return m, f, B, (-1.0) ** k * rgamma(k + 1.0) / (p + k) - coef
+
+
+def _below_one(x, pq):
+    """The factors F_j(x) of resolvent_radial below x = 1, one series each,
+    sharing ln x."""
+    log_x = np.log(x)
+    for p, q in pq:
+        m, f, B, coef = _resolvent_series(p, q)
+        yield _expint_pole(m, f, B, x, log_x) + _horner(coef, x, 1.0)
+
+
+def _from_one(x, pq):
+    """The factors F_j(x) of resolvent_radial from x = 1: gammainc and
+    generalized_expint's continued fraction."""
+    for p, q in pq:
+        yield gamma(p) * gammainc(p, x) * x ** (-p) + generalized_expint(q, x)
+
+
+def _factors(x, pq):
+    """The factors F_j of resolvent_radial on every node: _below_one where
+    x < 1 and _from_one elsewhere, each F_j a fresh array."""
+    small = x < 1.0
+    if small.all():
+        yield from _below_one(x, pq)
+        return
+    big = ~small
+    for below, above in zip(_below_one(x[small], pq), _from_one(x[big], pq)):
+        F = np.empty(x.shape)
+        F[small] = below
+        F[big] = above
+        yield F
 
 
 #: relative error bound of resolvent_radial, held against an mpmath
@@ -254,20 +306,27 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
         Gamma(p) gammainc(p, x) alpha^(-p) d^(-(N+2s))    (t < T, DLMF 8.2)
       + T^(1-q) E_q(x)                                    (t > T, DLMF 8.19)
 
-    with p = 2 + j c and q = N/(2s) - j c > 1.
+    with p = 2 + j c and q = N/(2s) - j c > 1. Both pieces carry the
+    surrogate_terms power d^(-lam_j), lam_j = N - 2s - j g, so term j is
+    W_j d^(-lam_j) F_j(x) with F_j(x) = x^(-p) Gamma(p) gammainc(p, x)
+    + E_q(x), a function of x alone. Below x = 1, F_j is one power series
+    in x plus E_q's folded pole (_resolvent_series), with x and ln x shared
+    by the three terms; from x = 1 it is gammainc and generalized_expint's
+    continued fraction, not called when no node reaches x = 1.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
-    d = np.asarray(d, dtype=float)
-    T = d ** (2.0 * s)
-    x = alpha * T
     c = g / (2.0 * s)
-    near = d ** (-(N + 2.0 * s))
+    d = np.asarray(d, dtype=float)
+    d = np.broadcast_to(d, np.broadcast_shapes(d.shape, np.shape(rx),
+                                               np.shape(ry)))
+    x = alpha * d ** (2.0 * s)
+    terms = surrogate_terms(rx, ry, params)
+    pq = [(2.0 + j * c, N / (2.0 * s) - j * c) for j in range(len(terms))]
     total = 0.0
-    for j, (w, _) in enumerate(surrogate_terms(rx, ry, params)):
-        p = 2.0 + j * c
-        q = N / (2.0 * s) - j * c
-        total = total + w * (gamma(p) * alpha ** (-p) * gammainc(p, x) * near
-                             + T ** (1.0 - q) * generalized_expint(q, x))
+    for (w, lam), F in zip(terms, _factors(x, pq)):
+        F *= d ** (-lam)
+        F *= w
+        total = total + F
     return total
 
 
@@ -276,8 +335,8 @@ def resolvent_profile_integral(alpha: float, x, y,
     """int_0^inf e^(-alpha t) * heat profile dt, in closed form
     (resolvent_radial). Decreasing in alpha, with the closed-form time
     integral as the alpha -> 0 limit."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     rx, ry, d = _norms(x, y)
     _require_off_origin(rx, ry)
     _require_off_diagonal(d)

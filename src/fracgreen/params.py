@@ -98,10 +98,12 @@ def theta_of_gamma(gamma: float, dim: int, order: float) -> float:
 def gamma_of_theta(theta: float, dim: int, order: float) -> float:
     """Invert the gamma -> theta map on (0, Lambda(N,s)).
 
-    Bisection of the strictly increasing map on [eps, (N-2s)/2 - eps],
+    Bisection of the strictly increasing map on [lo, (N-2s)/2 - eps],
     eps = 1e-12 (N-2s), until the bracket is two adjacent floats; of those
-    the one whose theta lies nearer wins. The result satisfies
-    |theta(gamma) - theta| <= 1e-12 * Lambda(N,s), or ConvergenceError.
+    the one whose theta lies nearer wins. The lower end lo is eps, or for a
+    theta below theta(eps) about half the gamma it asks for, since theta is
+    about proportional to gamma near 0. The result satisfies
+    |theta(gamma) - theta| <= 1e-12 * theta, or ConvergenceError.
     """
     _check_dim_order(dim, order)
     lam = sharp_hardy_constant(dim, order)
@@ -110,6 +112,10 @@ def gamma_of_theta(theta: float, dim: int, order: float) -> float:
     half = (dim - 2 * order) / 2.0
     eps = 1e-12 * (dim - 2 * order)
     lo, hi = eps, half - eps
+    # theta ~ C gamma near 0: below theta(eps), move the lower end to about
+    # half the gamma that theta asks for
+    while lo > 0.0 and _theta_expr(lo, dim, order) >= theta:
+        lo *= 0.5 * (theta / _theta_expr(lo, dim, order))
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -121,10 +127,10 @@ def gamma_of_theta(theta: float, dim: int, order: float) -> float:
     miss = lambda g: abs(_theta_expr(g, dim, order) - theta)
     gamma = min(lo, hi, key=miss)
     resid = miss(gamma)
-    if resid > 1e-12 * lam:
+    if resid > 1e-12 * theta:
         raise ConvergenceError(
             f"gamma_of_theta(theta={theta}, N={dim}, s={order}): residual "
-            f"{resid:.3e} exceeds {1e-12 * lam:.3e}")
+            f"{resid:.3e} exceeds {1e-12 * theta:.3e}")
     return gamma
 
 

@@ -85,8 +85,9 @@ class _ResolventKernel:
     distance_only = False
 
     def __init__(self, params: ProblemParams, alpha: float):
-        if alpha is None or alpha <= 0.0:
-            raise DomainError("resolvent kernel needs alpha > 0")
+        if alpha is None or not 0.0 < alpha < math.inf:
+            raise DomainError(f"resolvent kernel needs 0 < alpha < inf, "
+                              f"got alpha = {alpha}")
         self.p = params
         self.alpha = float(alpha)
 

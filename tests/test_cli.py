@@ -11,7 +11,8 @@ import warnings
 
 import pytest
 
-from fracgreen import cli, errors, gamma_of_theta, potentials
+from fracgreen import (cli, errors, gamma_of_theta, potentials,
+                       theta_of_gamma)
 from fracgreen.cli import main
 from fracgreen.config import ConfigError, RunConfig
 from fracgreen.kernels import RESOLVENT_REL_ERR
@@ -65,6 +66,20 @@ class TestConstants:
         match = [r for r in rows
                  if abs(float(r["theta"]) - 0.31831) < 1e-12]
         assert match and abs(float(match[0]["gamma"]) - g_lib) < 1e-10
+
+    def test_tiny_theta(self):
+        # theta ~ C gamma near 0, so theta = 1e-30 has a gamma near 6e-31:
+        # theta at the result and at one neighbouring float lie on opposite
+        # sides of 1e-30
+        code, out, err = run_cli("constants", "--theta", "1e-30")
+        assert code == 0, err
+        g = float(next(line.split("=")[1] for line in out.splitlines()
+                       if line.startswith("# gamma_of_theta")))
+        assert 0.0 < g < 1e-29
+        t_g = theta_of_gamma(g, 3, 0.5)
+        assert min((t_g - 1e-30) * (theta_of_gamma(math.nextafter(g, to), 3,
+                                                    0.5) - 1e-30)
+                   for to in (0.0, 1.0)) <= 0.0
 
     def test_missing_theta_prints_table_only(self):
         code, out, _ = run_cli("constants", "--N", "3", "--s", "0.5")
@@ -325,7 +340,10 @@ def test_main_entry_direct(tmp_path, capsys):
     (("verify",), "[output]\nseed = -5\n"),
     (("kernel", "--pairs", "0"), None),
     (("kernel", "--pairs", "-3"), None),
-    (("constants", "--theta", "1e-30"), None),
+    (("solve", "--kernel", "resolvent_surrogate", "--alpha", "nan"), None),
+    (("solve", "--kernel", "resolvent_surrogate", "--alpha", "inf"), None),
+    (("kernel", "--alpha", "nan"), None),
+    (("kernel", "--alpha=-inf"), None),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:

@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gamma, gammainc
 
 from fracgreen import (DegenerateInputError, DomainError, ProblemParams,
                        green_surrogate_expanded, green_surrogate_product,
                        green_time_integral, green_time_integral_quadrature,
                        heat_profile, resolvent_profile_integral, riesz_kernel,
                        time_integral_coefficients)
+from fracgreen import kernels
 from fracgreen.kernels import (RESOLVENT_REL_ERR, generalized_expint,
-                              resolvent_radial)
+                              resolvent_radial, surrogate_terms)
 
 
 def rand_pair(rng, dim, lo=1e-2):
@@ -248,8 +250,9 @@ class TestResolvent:
     def test_domain(self, params_3half):
         x = np.array([1.0, 0, 0])
         y = np.array([0.0, 1, 0])
-        with pytest.raises(DomainError):
-            resolvent_profile_integral(0.0, x, y, params_3half)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                resolvent_profile_integral(alpha, x, y, params_3half)
         with pytest.raises(DegenerateInputError):
             resolvent_profile_integral(1.0, x, x, params_3half)
 
@@ -302,6 +305,94 @@ class TestResolvent:
                     ref = oracle(alpha, d, rx, ry)
                     got = float(resolvent_radial(alpha, d, rx, ry, p))
                     assert abs(got - ref) <= RESOLVENT_REL_ERR * ref
+
+
+# (N, s) of the resolvent sweeps: generic points, s = 0.05 (q up to 20) and
+# N/2s = 3 + 1e-7 (a near-integer q)
+RESOLVENT_SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9),
+                   (2, 0.05), (3, 0.5), (3, 3.0 / (2.0 * (3.0 + 1e-7)))]
+
+
+def sweep_params(dim, order):
+    half = (dim - 2.0 * order) / 2.0
+    return [ProblemParams.from_gamma(dim, order, frac * half)
+            for frac in (0.2, 0.8, 0.999)]
+
+
+def resolvent_two_functions(alpha, d, rx, ry, params):
+    """resolvent_radial in its first form: per term one gammainc and one
+    generalized_expint call over every node."""
+    N, s, g = params.dim, params.order, params.exponent_gamma
+    T = d ** (2.0 * s)
+    x = alpha * T
+    c = g / (2.0 * s)
+    near = d ** (-(N + 2.0 * s))
+    total = 0.0
+    for j, (w, _) in enumerate(surrogate_terms(rx, ry, params)):
+        p = 2.0 + j * c
+        q = N / (2.0 * s) - j * c
+        total = total + w * (gamma(p) * alpha ** (-p) * gammainc(p, x) * near
+                             + T ** (1.0 - q) * generalized_expint(q, x))
+    return total
+
+
+class TestResolventSeries:
+    @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
+    def test_factors_vs_mpmath(self, dim, order):
+        # F_j(x) = x^(-p) gamma(p, x) + E_q(x) on both routes, at both ends
+        # of the series and just above its cut
+        mp = pytest.importorskip("mpmath")
+        below = np.array([1e-12, 0.3, 1.0 - 2.0 ** -52])
+        above = np.array([1.0, 1.0 + 2.0 ** -52, 1.5])
+        for p in sweep_params(dim, order):
+            c = p.exponent_gamma / (2.0 * order)
+            pq = [(2.0 + j * c, dim / (2.0 * order) - j * c)
+                  for j in range(3)]
+            for x, factors in ((below, kernels._below_one),
+                               (above, kernels._from_one)):
+                for (pj, qj), got in zip(pq, factors(x, pq)):
+                    with mp.workdps(30):
+                        ref = np.array([float(
+                            mp.gammainc(pj, 0, xi) * mp.mpf(xi) ** -pj
+                            + mp.expint(qj, xi)) for xi in map(mp.mpf, x)])
+                    assert np.max(np.abs(got - ref) / ref) \
+                        <= RESOLVENT_REL_ERR, (p, pj, qj, x)
+
+    @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
+    def test_matches_two_function_form(self, dim, order):
+        d = np.geomspace(1e-8, 1e2, 241)
+        ry = np.geomspace(0.05, 3.0, 241)
+        for p in sweep_params(dim, order):
+            for alpha in (1e-3, 1.0, 100.0):
+                ref = resolvent_two_functions(alpha, d, 0.8, ry, p)
+                got = resolvent_radial(alpha, d, 0.8, ry, p)
+                assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    def test_below_one_calls_neither_gammainc_nor_expint(self, monkeypatch):
+        calls = []
+        for name in ("gammainc", "generalized_expint"):
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        p = ProblemParams.from_gamma(2, 0.4, 0.48)
+        d = np.geomspace(1e-6, 1.0, 50)  # x = 0.9 d^0.8 < 1
+        resolvent_radial(0.9, d, 0.8, 1.1, p)
+        assert calls == []
+        resolvent_radial(0.9, np.append(d, 2.0), 0.8, 1.1, p)
+        assert set(calls) == {"gammainc", "generalized_expint"}
+
+    def test_shapes_broadcast_across_the_cut(self):
+        # nodes on both sides of x = 1, the weights broadcast against d
+        p = ProblemParams.from_gamma(3, 0.3, 0.6)
+        d = np.geomspace(0.1, 10.0, 12).reshape(3, 4)
+        ry = np.array([[0.4], [1.0], [2.5]])
+        got = resolvent_radial(1.0, d, 0.7, ry, p)
+        assert got.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            one = resolvent_radial(1.0, d[i, j], 0.7, ry[i, 0], p)
+            assert np.ndim(one) == 0
+            assert float(one) == pytest.approx(got[i, j], rel=1e-15)
 
 
 class TestRieszKernel:
