@@ -1,10 +1,9 @@
-"""Run configuration: flat key-value files with [table] blocks.
+"""Run configuration: TOML 1.0 files, read by the standard library's tomllib.
 
-Grammar (documented in the README):
-  - `[name]` opens a block; keys before any block land in the "" block
-  - `key = value` with value one of: integer, float, true/false,
-    "quoted string", or a bracketed list of numbers `[1, 2.5, 3]`
-  - `#` starts a comment; blank lines are ignored
+Each table is a block: [params], [quadrature], [field] or [output]; the keys
+before any table form the "" block and are [params] keys. An unknown block
+or key, a value of the wrong type, a TOML error (a duplicate key among them)
+and a file that is not UTF-8 are each a ConfigError.
 """
 
 from __future__ import annotations
@@ -20,54 +19,17 @@ class ConfigError(FracgreenError, ValueError):
     """Malformed configuration file or inconsistent settings."""
 
 
-def _parse_scalar(tok: str):
-    tok = tok.strip()
-    if tok.lower() in ("true", "false"):
-        return tok.lower() == "true"
-    if len(tok) >= 2 and tok[0] == '"' and tok[-1] == '"':
-        return tok[1:-1]
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {tok!r}")
-
-
-def parse_config_text(text: str) -> dict:
-    blocks: dict[str, dict] = {"": {}}
-    current = blocks[""]
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"line {lineno}: empty block name")
-            current = blocks.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if val.startswith("[") and val.endswith("]"):
-            inner = val[1:-1].strip()
-            items = [t for t in inner.split(",") if t.strip()]
-            current[key] = [_parse_scalar(t) for t in items]
-        else:
-            current[key] = _parse_scalar(val)
-    return blocks
-
-
 def load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The file's tables by name, and its keys before any table as ""."""
+    import tomllib  # only a run with --config needs the parser
+    try:
+        with open(path, "rb") as fh:
+            doc = tomllib.load(fh)
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as ex:
+        raise ConfigError(f"{path}: {ex}")
+    blocks = {"": {k: v for k, v in doc.items() if not isinstance(v, dict)}}
+    blocks.update((k, v) for k, v in doc.items() if isinstance(v, dict))
+    return blocks
 
 
 #: every run setting once: (config block, key, RunConfig attribute, type).
@@ -83,6 +45,18 @@ SETTINGS = (
     ("output", "seed", "seed", int),
 )
 
+#: the blocks a config file may hold, [field] with the chosen field's keys
+BLOCKS = ("params", "quadrature", "field", "output")
+
+
+def _check_keys(where: str, given, allowed) -> None:
+    """ConfigError naming where and each key of given that allowed lacks."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; "
+                          f"choose from {list(allowed)}")
+
+
 def _typed(block: str, key: str, value, typ: type):
     """A config value as typ: a float key also takes an integer; anything
     else (true/false, a list, a string for a number) is a ConfigError
@@ -97,10 +71,7 @@ def _quadrature_spec(block: dict) -> QuadratureSpec:
     """QuadratureSpec from a [quadrature] block: each key names a field and
     takes the type of that field's default."""
     spec = {f.name: type(f.default) for f in fields(QuadratureSpec)}
-    unknown = sorted(set(block) - set(spec))
-    if unknown:
-        raise ConfigError(f"[quadrature]: unknown key(s) {unknown}; "
-                          f"choose from {list(spec)}")
+    _check_keys("[quadrature]", block, spec)
     return QuadratureSpec(**{key: _typed("quadrature", key, val, spec[key])
                              for key, val in block.items()})
 
@@ -123,13 +94,17 @@ class RunConfig:
     def from_sources(cls, blocks: dict, flags) -> "RunConfig":
         """Settings from the config blocks, each overridden by its flag
         (the flags' attribute of the same name) when that is not None."""
+        given = {"params": {**blocks.get("", {}), **blocks.get("params", {})},
+                 "output": blocks.get("output", {})}
+        _check_keys("top level", blocks.keys() - {""}, BLOCKS)
+        for block, values in given.items():
+            _check_keys(f"[{block}]", values,
+                        [key for b, key, _, _ in SETTINGS if b == block])
         cfg = cls(blocks=blocks,
                   quad=_quadrature_spec(blocks.get("quadrature", {})))
-        params = {**blocks.get("", {}), **blocks.get("params", {})}
         for block, key, attr, typ in SETTINGS:
-            given = params if block == "params" else blocks.get(block, {})
-            if key in given:
-                setattr(cfg, attr, _typed(block, key, given[key], typ))
+            if key in given[block]:
+                setattr(cfg, attr, _typed(block, key, given[block][key], typ))
             if getattr(flags, attr) is not None:
                 setattr(cfg, attr, getattr(flags, attr))
         cfg.validate()

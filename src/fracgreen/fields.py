@@ -425,7 +425,7 @@ def make_field(kind: str, **kwargs) -> RadialField:
     """Construct a catalog field by name (used by the CLI/config layer)."""
     try:
         cls = _CATALOG[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise DomainError(
             f"unknown field kind {kind!r}; choose from {sorted(_CATALOG)}")
     sig = inspect.signature(cls)
@@ -434,6 +434,10 @@ def make_field(kind: str, **kwargs) -> RadialField:
     except TypeError as ex:
         raise DomainError(f"field {kind!r}: {ex}; its parameters are "
                           f"{list(sig.parameters)}")
+    for key, val in kwargs.items():
+        if isinstance(val, bool):
+            raise DomainError(f"field {kind!r}: {key} = {val} must be a "
+                              f"number, not a boolean")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as ex:

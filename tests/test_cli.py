@@ -1,9 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +17,8 @@ import pytest
 from fracgreen import (cli, errors, gamma_of_theta, potentials,
                        theta_of_gamma)
 from fracgreen.cli import main
-from fracgreen.config import ConfigError, RunConfig
+from fracgreen.config import (SETTINGS, ConfigError, RunConfig,
+                               load_config_file)
 from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
@@ -344,6 +348,13 @@ def test_main_entry_direct(tmp_path, capsys):
     (("solve", "--kernel", "resolvent_surrogate", "--alpha", "inf"), None),
     (("kernel", "--alpha", "nan"), None),
     (("kernel", "--alpha=-inf"), None),
+    (("verify",), "[params]\nthetta = 0.3\n"),
+    (("verify",), "[paramz]\nN = 3\n"),
+    (("verify",), '[output]\nfromat = "json"\n'),
+    (("verify",), "thetta = 0.3\n"),
+    (("verify",), "[params]\nN = 3\nN = 2\n"),
+    (("solve", "--radii", "0.3:1:2"), "[field]\nradius = true\n"),
+    (("solve", "--radii", "0.3:1:2"), "[field]\nkind = [1]\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:
@@ -354,6 +365,48 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[params]\nN = 3 # \xff\n")
+    code, _, err = run_cli("constants", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+NO_FLAGS = argparse.Namespace(**{attr: None for _, _, attr, _ in SETTINGS})
+
+
+@pytest.mark.parametrize("blocks, block, key", [
+    ({"params": {"thetta": 0.3}}, "[params]", "thetta"),
+    ({"": {"thetta": 0.3}}, "[params]", "thetta"),
+    ({"paramz": {"N": 3}}, "top level", "paramz"),
+    ({"output": {"fromat": "json"}}, "[output]", "fromat"),
+])
+def test_unknown_key_names_its_block(blocks, block, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(block)}: .*'{key}'"):
+        RunConfig.from_sources(blocks, NO_FLAGS)
+
+
+def test_hash_in_a_quoted_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text('[output]\npath = "out#1.json"\n')
+    code, _, err = run_cli("constants", "--config", "run.cfg")
+    assert code == 0, err
+    assert "sharp_constant" in (tmp_path / "out#1.json").read_text()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```toml\n# run.cfg\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.cfg"
+    path.write_text(example, encoding="utf-8")
+    cfg = RunConfig.from_sources(load_config_file(str(path)), NO_FLAGS)
+    assert (cfg.dim, cfg.order, cfg.gamma) == (3, 0.5, 0.8)
+    assert (cfg.quad.rel_tol, cfg.seed) == (1e-6, 7)
 
 
 def test_negative_seed_is_a_config_error():
