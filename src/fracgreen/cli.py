@@ -24,14 +24,14 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config_file
 from .errors import FracgreenError
 from .fields import Bump, Bubble, Gaussian, make_field, near_optimizer
-from .kernels import (RESOLVENT_REL_ERR, green_surrogate_expanded,
-                      green_surrogate_product, green_time_integral,
-                      green_time_integral_quadrature, heat_profile,
-                      resolvent_profile_integral, riesz_kernel)
+from .kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR,
+                      green_surrogate_expanded, green_surrogate_product,
+                      green_time_integral, green_time_integral_quadrature,
+                      heat_profile, resolvent_profile_integral, riesz_kernel)
 from .operator import fundamental_residual, hardy_ratio
 from .params import (ProblemParams, gamma_of_theta, sharp_hardy_constant,
                      theta_of_gamma)
-from .potentials import (KERNEL_KINDS, FlapProfile, green_potential_detailed,
+from .potentials import (FlapProfile, green_potential_detailed,
                          hardy_integrability_check, origin_slope_fit)
 from .quadrature import axis_point
 from .reports import VerificationReport

@@ -435,9 +435,10 @@ def make_field(kind: str, **kwargs) -> RadialField:
         raise DomainError(f"field {kind!r}: {ex}; its parameters are "
                           f"{list(sig.parameters)}")
     for key, val in kwargs.items():
-        if isinstance(val, bool):
+        if isinstance(val, bool) or (isinstance(val, float)
+                                     and not math.isfinite(val)):
             raise DomainError(f"field {kind!r}: {key} = {val} must be a "
-                              f"number, not a boolean")
+                              f"finite number")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as ex:

@@ -4,6 +4,13 @@ The heat-kernel comparison profile, its time integral (the Green-function
 surrogate in product and expanded forms), the exponentially weighted
 resolvent surrogate, and the exact free-space kernel at zero coupling.
 
+The three kernels of the Green potentials are defined once each, as the
+objects _RieszKernel, _SurrogateKernel and _ResolventKernel (KERNEL_KINDS
+names them, _make_kernel builds one): each gives its value at a pair
+(pair_value, from |x-y|, |x|, |y|), its integral over a sphere |y| = r
+(sphere_mean), and its point form K(x, y), which is riesz_kernel,
+green_surrogate_expanded and resolvent_profile_integral.
+
 The resolvent surrogate int_0^inf e^(-alpha t) H(t, x, y) dt is closed form
 too (resolvent_radial). The profile H is W(t) t d^(-(N+2s)) below the branch
 switch t = T = d^(2s) and W(t) t^(-N/2s) above it, with the weight
@@ -36,26 +43,23 @@ from scipy.special import gamma, gammainc, rgamma, zeta
 from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, _horner, adaptive_panel_integral,
-                         log_edges)
+                         bipolar_sphere_integral, blockwise, log_edges,
+                         sphere_mean_power)
 
 
-def _norms(x, y):
+def _norms(x, y, at_origin=False, on_diagonal=False):
+    """|x|, |y| and |x-y|; an error where x or y is the origin or x = y,
+    unless at_origin resp. on_diagonal admits it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rx = np.linalg.norm(x, axis=-1)
     ry = np.linalg.norm(y, axis=-1)
     d = np.linalg.norm(x - y, axis=-1)
-    return rx, ry, d
-
-
-def _require_off_origin(rx, ry):
-    if np.any(rx == 0.0) or np.any(ry == 0.0):
+    if not at_origin and (np.any(rx == 0.0) or np.any(ry == 0.0)):
         raise DomainError("kernel arguments must avoid the origin")
-
-
-def _require_off_diagonal(d):
-    if np.any(d == 0.0):
+    if not on_diagonal and np.any(d == 0.0):
         raise DegenerateInputError("x = y is excluded; kernels blow up there")
+    return rx, ry, d
 
 
 def heat_profile_radial(t, d, rx, ry, params: ProblemParams):
@@ -78,8 +82,7 @@ def heat_profile(t, x, y, params: ProblemParams):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise DomainError("time must be positive")
-    rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
+    rx, ry, d = _norms(x, y, on_diagonal=True)
     return heat_profile_radial(t, d, rx, ry, params)
 
 
@@ -88,8 +91,6 @@ def green_surrogate_product(x, y, params: ProblemParams):
     |x-y|^-(N-2s-2g) (|x-y|^-g + |x|^-g)(|x-y|^-g + |y|^-g)."""
     N, s, g = params.dim, params.order, params.exponent_gamma
     rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
-    _require_off_diagonal(d)
     return (d ** (-(N - 2.0 * s - 2.0 * g))
             * (d ** (-g) + rx ** (-g))
             * (d ** (-g) + ry ** (-g)))
@@ -106,19 +107,11 @@ def surrogate_terms(rx, ry, params: ProblemParams):
             (ax * ay, N - 2.0 * s - 2.0 * g))
 
 
-def surrogate_radial(d, rx, ry, params: ProblemParams):
-    """The expanded surrogate at d = |x-y|, rx = |x|, ry = |y|."""
-    return sum(w * d ** (-lam) for w, lam in surrogate_terms(rx, ry, params))
-
-
 def green_surrogate_expanded(x, y, params: ProblemParams):
     """Green-function surrogate, expanded form:
     |x-y|^-(N-2s) + (|x|^-g + |y|^-g)|x-y|^-(N-2s-g)
                   + |x|^-g |y|^-g |x-y|^-(N-2s-2g)."""
-    rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
-    _require_off_diagonal(d)
-    return surrogate_radial(d, rx, ry, params)
+    return _SurrogateKernel(params)(x, y)
 
 
 def time_integral_coefficients(params: ProblemParams):
@@ -144,8 +137,6 @@ def time_integral_coefficients(params: ProblemParams):
 def green_time_integral(x, y, params: ProblemParams):
     """int_0^inf of the heat profile in closed form."""
     rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
-    _require_off_diagonal(d)
     return sum(c * w * d ** (-lam) for c, (w, lam) in zip(
         time_integral_coefficients(params), surrogate_terms(rx, ry, params)))
 
@@ -154,8 +145,6 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
                                    quad: QuadratureSpec):
     """Adaptive time quadrature of the heat profile (cross-check path)."""
     rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
-    _require_off_diagonal(d)
     N, s, g = params.dim, params.order, params.exponent_gamma
     rx, ry, d = float(rx), float(ry), float(d)
     T = d ** (2.0 * s)
@@ -330,24 +319,99 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
     return total
 
 
+# ---------------------------------------------------------------------------
+# The kernels of the potentials
+# ---------------------------------------------------------------------------
+
+_SHELL_BLOCK = 128  # shells per batched (shells, angle nodes) evaluation
+
+
+class _Kernel:
+    """K(x, y) = pair_value(|x-y|, |x|, |y|); distance_only kernels depend
+    on |x-y| alone and are defined at the origin."""
+
+    distance_only = False
+
+    def __call__(self, x, y):
+        rx, ry, d = _norms(x, y, at_origin=self.distance_only)
+        return self.pair_value(d, rx, ry)
+
+
+class _RieszKernel(_Kernel):
+    """a(N,s) d^(2s-N): exact inverse kernel at zero coupling."""
+
+    distance_only = True
+
+    def __init__(self, params: ProblemParams):
+        self.p = params
+        self.lam = params.dim - 2.0 * params.order
+        self.const = params.riesz_constant
+
+    def pair_value(self, d, rho, r):
+        return self.const * d ** (-self.lam)
+
+    def sphere_mean(self, rho, r):
+        return self.const * sphere_mean_power(self.lam, rho, r, self.p.dim)
+
+
+class _SurrogateKernel(_Kernel):
+    """Expanded comparison form: the three power terms of surrogate_terms
+    in d with their radial weights."""
+
+    def __init__(self, params: ProblemParams):
+        self.p = params
+
+    def pair_value(self, d, rho, r):
+        return sum(w * d ** (-lam) for w, lam in surrogate_terms(rho, r, self.p))
+
+    def sphere_mean(self, rho, r):
+        return sum(w * sphere_mean_power(lam, rho, r, self.p.dim)
+                   for w, lam in surrogate_terms(rho, r, self.p))
+
+
+class _ResolventKernel(_Kernel):
+    """Exponentially weighted time integral of the heat comparison profile,
+    in closed form (resolvent_radial)."""
+
+    def __init__(self, params: ProblemParams, alpha: float):
+        if alpha is None or not 0.0 < alpha < math.inf:
+            raise DomainError(f"resolvent kernel needs 0 < alpha < inf, "
+                              f"got alpha = {alpha}")
+        self.p = params
+        self.alpha = float(alpha)
+
+    def pair_value(self, d, rho, r):
+        return resolvent_radial(self.alpha, d, rho, r, self.p)
+
+    def sphere_mean(self, rho, r):
+        return blockwise(lambda rb: bipolar_sphere_integral(
+            lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
+            self.p.dim, order=12), _SHELL_BLOCK,
+            np.atleast_1d(np.asarray(r, float)))
+
+
+KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
+
+
+def _make_kernel(kind: str, params: ProblemParams, alpha: float | None):
+    if kind == "riesz_exact":
+        return _RieszKernel(params)
+    if kind == "surrogate":
+        return _SurrogateKernel(params)
+    if kind == "resolvent_surrogate":
+        return _ResolventKernel(params, alpha)
+    raise DomainError(f"unknown kernel kind {kind!r}; choose from "
+                      f"{KERNEL_KINDS}")
+
+
 def resolvent_profile_integral(alpha: float, x, y,
                                params: ProblemParams) -> float:
     """int_0^inf e^(-alpha t) * heat profile dt, in closed form
     (resolvent_radial). Decreasing in alpha, with the closed-form time
     integral as the alpha -> 0 limit."""
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    rx, ry, d = _norms(x, y)
-    _require_off_origin(rx, ry)
-    _require_off_diagonal(d)
-    return float(resolvent_radial(alpha, d, rx, ry, params))
+    return float(_ResolventKernel(params, alpha)(x, y))
 
 
 def riesz_kernel(x, y, params: ProblemParams):
     """Exact zero-coupling kernel a(N,s) |x-y|^(2s-N) (translation invariant)."""
-    N, s = params.dim, params.order
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = np.linalg.norm(x - y, axis=-1)
-    _require_off_diagonal(d)
-    return params.riesz_constant * d ** (2.0 * s - N)
+    return _RieszKernel(params)(x, y)

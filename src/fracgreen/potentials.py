@@ -1,9 +1,10 @@
 """Green potentials and the structural checks built on them.
 
 A potential is psi(x) = int K(x, y) phi(y) dy for a compactly supported
-density phi and one of three kernels: the exact zero-coupling kernel
-a(N,s)|x-y|^(2s-N), the closed-form comparison surrogate, or the
-exponentially weighted resolvent surrogate.
+density phi and one of the three kernels of kernels.KERNEL_KINDS: the exact
+zero-coupling kernel a(N,s)|x-y|^(2s-N), the closed-form comparison
+surrogate, or the exponentially weighted resolvent surrogate. The kernels
+are defined in kernels.py; this module only integrates them.
 
 Everything reduces to 1D radial integrals against kernel sphere means
 (quadrature.polar_rule) when the density is centered at the origin or the
@@ -15,23 +16,20 @@ a two-angle rule, batched over the shells (_pair_shell_integrals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .fields import RadialField, _CubicSpline
-from .kernels import resolvent_radial, surrogate_radial, surrogate_terms
+from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, axis_point, bipolar_sphere_integral,
-                         blockwise, diagonal_panel_integral,
-                         frac_laplacian_at_detailed, log_edges, panel_nodes,
-                         polar_rule, shell_distance, sphere_area,
-                         sphere_mean_power)
+from .quadrature import (QuadratureSpec, axis_point, blockwise,
+                         diagonal_panel_integral, frac_laplacian_at_detailed,
+                         log_edges, panel_nodes, polar_rule, shell_distance,
+                         sphere_area, sphere_mean_power)
 from .reports import VerificationReport
 
-KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")
-_SHELL_BLOCK = 128  # shells per batched (shells, angle nodes) evaluation
 # shells per block of the two-angle rule, whose temporaries are
 # (shells, polar, azimuthal nodes): up to 350 x 80 per shell
 _PAIR_BLOCK = 8
@@ -41,75 +39,6 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 _DELTA_EDGES = np.concatenate([np.delete(np.linspace(0.0, math.pi, 13), 6),
                                math.pi - np.geomspace(1e-7, 0.49 * math.pi,
                                                       14)])
-
-
-class _RieszKernel:
-    """a(N,s) d^(2s-N): exact inverse kernel at zero coupling."""
-
-    distance_only = True
-
-    def __init__(self, params: ProblemParams):
-        self.p = params
-        self.lam = params.dim - 2.0 * params.order
-        self.const = params.riesz_constant
-
-    def pair_value(self, d, rho, r):
-        return self.const * np.asarray(d, float) ** (-self.lam)
-
-    def sphere_mean(self, rho, r):
-        return self.const * sphere_mean_power(self.lam, rho, r, self.p.dim)
-
-
-class _SurrogateKernel:
-    """Expanded comparison form: three power terms in d with radial weights."""
-
-    distance_only = False
-
-    def __init__(self, params: ProblemParams):
-        self.p = params
-
-    def pair_value(self, d, rho, r):
-        return surrogate_radial(np.asarray(d, float), rho,
-                                np.asarray(r, float), self.p)
-
-    def sphere_mean(self, rho, r):
-        r = np.asarray(r, float)
-        return sum(w * sphere_mean_power(lam, rho, r, self.p.dim)
-                   for w, lam in surrogate_terms(rho, r, self.p))
-
-
-class _ResolventKernel:
-    """Exponentially weighted time integral of the heat comparison profile,
-    in closed form (kernels.resolvent_radial)."""
-
-    distance_only = False
-
-    def __init__(self, params: ProblemParams, alpha: float):
-        if alpha is None or not 0.0 < alpha < math.inf:
-            raise DomainError(f"resolvent kernel needs 0 < alpha < inf, "
-                              f"got alpha = {alpha}")
-        self.p = params
-        self.alpha = float(alpha)
-
-    def pair_value(self, d, rho, r):
-        return resolvent_radial(self.alpha, d, rho, r, self.p)
-
-    def sphere_mean(self, rho, r):
-        return blockwise(lambda rb: bipolar_sphere_integral(
-            lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
-            self.p.dim, order=12), _SHELL_BLOCK,
-            np.atleast_1d(np.asarray(r, float)))
-
-
-def _make_kernel(kind: str, params: ProblemParams, alpha: float | None):
-    if kind == "riesz_exact":
-        return _RieszKernel(params)
-    if kind == "surrogate":
-        return _SurrogateKernel(params)
-    if kind == "resolvent_surrogate":
-        return _ResolventKernel(params, alpha)
-    raise DomainError(f"unknown kernel kind {kind!r}; choose from "
-                      f"{KERNEL_KINDS}")
 
 
 def _density_range(phi: RadialField):
@@ -130,16 +59,14 @@ def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
     if rho == 0.0:
         raise DomainError("potentials are evaluated away from the origin")
     kern = _make_kernel(kernel_kind, params, alpha)
-    N, s = params.dim, params.order
     lo, hi = _density_range(phi)
-    c = phi.center_norm
 
     if kern.distance_only:
         # only |x - y| matters: bipolar about the density center
-        rho_c = float(np.linalg.norm(x - phi.center(N)))
+        rho_c = float(np.linalg.norm(x - phi.center(params.dim)))
         return _potential_1d(kern, phi, rho_c, 0.0, phi.support_radius(),
                              params, quad)
-    if c == 0.0:
+    if phi.center_norm == 0.0:
         return _potential_1d(kern, phi, rho, lo, hi, params, quad)
     return _potential_pair(kern, phi, x, rho, lo, hi, params, quad)
 
@@ -167,7 +94,6 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
     Riesz kernel the miss reaches 6.4e-5 relative at (N, s) = (5, .9)
     (Bump(0.35, center_norm=1), x = (0.6, 0.5)) under an estimate of 2e-7.
     """
-    from dataclasses import replace
     quad = replace(quad, rel_tol=max(quad.rel_tol, 3e-6))
     N = params.dim
     cos_beta = float(np.clip(x[0] / rho, -1.0, 1.0))
@@ -335,77 +261,68 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
                               ) -> VerificationReport:
     """Check int psi^2 |x|^(-2s) dx is finite and refinement-stable.
 
-    Split at a ball containing the density support well inside; interior and
-    exterior pieces are integrated on nested log grids (trapezoid) and must
-    agree across one refinement within 5%. The near-origin and far-field
+    Split at R = 2 max(1, outer edge of the density's support): the
+    interior piece on [1e-3 R, R] and the exterior piece on [R, 100 R] are
+    trapezoids on log grids of 33 and 25 points, and each must agree within
+    5% with the trapezoid on every other point of its grid. psi is
+    evaluated once per distinct point of the two grids, 57 radii (R ends
+    the one and starts the other), in one direction for a centred density
+    and averaged over four otherwise. The near-origin and far-field
     remainders are completed by locally fitted power laws; the fitted
     far-field integrand slope is reported.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     omega = sphere_area(N)
-    lo_sup, hi_sup = _density_range(phi)
-    R = 2.0 * max(hi_sup, 1.0)
-    R_far = 100.0 * R
-    pot = PotentialField(kernel_kind, phi, params, quad, alpha)
-    n_dir = 1 if phi.center_norm == 0.0 else 4
-    dirs = _directions(N, n_dir)
-
-    def mean_sq(rho):
-        return float(np.mean([pot(rho * d) ** 2 for d in dirs]))
+    R = 2.0 * max(_density_range(phi)[1], 1.0)
+    dirs = _directions(N, 1 if phi.center_norm == 0.0 else 4)
+    radii = np.concatenate([np.geomspace(1e-3 * R, R, 33),
+                            np.geomspace(R, 100.0 * R, 25)[1:]])
+    # the integrand psi^2 |x|^(-2s), psi^2 averaged over the directions
+    vals = np.array([float(np.mean([
+        green_potential(phi, r * d, params, quad, kernel_kind, alpha) ** 2
+        for d in dirs])) * r ** (-2.0 * s) for r in radii])
 
     def log_trapz(radii, vals):
         # int j(rho) rho^(N-1) drho on a log grid
         y = vals * radii ** N  # extra rho from the log measure
         return float(np.trapezoid(y, np.log(radii)))
 
-    def piece(radii):
-        vals = np.array([mean_sq(r) * r ** (-2.0 * s) for r in radii])
-        return radii, vals
+    fine, coarse, ratios = {}, {}, {}
+    for name, part in (("interior", slice(None, 33)),
+                       ("exterior", slice(32, None))):
+        fine[name] = log_trapz(radii[part], vals[part])
+        coarse[name] = log_trapz(radii[part][::2], vals[part][::2])
+        ratios[name] = (coarse[name] / fine[name] if fine[name] != 0
+                        else math.inf)
 
-    results = {}
-    ratios = {}
-    for name, lo, hi, n in (("interior", 1e-3 * R, R, 17),
-                            ("exterior", R, R_far, 13)):
-        r_coarse = np.geomspace(lo, hi, n)
-        r_fine = np.geomspace(lo, hi, 2 * n - 1)
-        _, v_c = piece(r_coarse)
-        rf, v_f = piece(r_fine)
-        val_c = log_trapz(r_coarse, v_c)
-        val_f = log_trapz(rf, v_f)
-        results[name] = (val_c, val_f, rf, v_f)
-        ratios[name] = val_c / val_f if val_f != 0 else math.inf
-
-    if results["interior"][1] == 0.0 and results["exterior"][1] == 0.0:
+    if fine["interior"] == 0.0 and fine["exterior"] == 0.0:
         return VerificationReport(
             name="hardy-integrability", computed=0.0, reference=0.0,
             tolerance=0.05, residual=0.0, passed=True,
             details={"interior": 0.0, "exterior": 0.0})
 
     # near-origin completion from the locally fitted power
-    r_in, v_in = results["interior"][2][:2], results["interior"][3][:2]
-    sigma0 = math.log(v_in[1] / v_in[0]) / math.log(r_in[1] / r_in[0])
-    head = v_in[0] * r_in[0] ** N / (N + sigma0) if N + sigma0 > 0 else math.inf
+    sigma0 = math.log(vals[1] / vals[0]) / math.log(radii[1] / radii[0])
+    head = vals[0] * radii[0] ** N / (N + sigma0) if N + sigma0 > 0 else math.inf
     # far-field slope of the integrand psi^2 |x|^(-2s)
-    r_out, v_out = results["exterior"][2][-4:], results["exterior"][3][-4:]
-    fit = np.polyfit(np.log(r_out), np.log(v_out), 1)
+    fit = np.polyfit(np.log(radii[-4:]), np.log(vals[-4:]), 1)
     sigma_far = float(fit[0])
-    tail = (v_out[-1] * r_out[-1] ** N / (-sigma_far - N)
+    tail = (vals[-1] * radii[-1] ** N / (-sigma_far - N)
             if sigma_far + N < 0 else math.inf)
 
-    total = omega * (results["interior"][1] + results["exterior"][1]
-                     + head + tail)
+    total = omega * (fine["interior"] + fine["exterior"] + head + tail)
     worst_ratio = max(abs(ratios["interior"] - 1.0),
                       abs(ratios["exterior"] - 1.0))
     passed = bool(worst_ratio <= 0.05 and math.isfinite(total))
     return VerificationReport(
         name="hardy-integrability",
         computed=float(total),
-        reference=float(omega * (results["interior"][0]
-                                 + results["exterior"][0] + head + tail)),
+        reference=float(omega * (coarse["interior"] + coarse["exterior"]
+                                 + head + tail)),
         tolerance=0.05, residual=float(worst_ratio), passed=passed,
         details={
-            "interior": results["interior"][1] * omega,
-            "exterior": results["exterior"][1] * omega,
+            "interior": fine["interior"] * omega,
+            "exterior": fine["exterior"] * omega,
             "head": head * omega, "tail": tail * omega,
             "far_slope": sigma_far,
             "far_slope_bound": -2.0 * (N - s - g),
@@ -511,17 +428,10 @@ class FlapProfile:
                      "refinement_stability": stability})
 
 
-def _delta_point(x0, params: ProblemParams, mode: str,
-                 kernel_kind: str | None = None):
+def _delta_point(x0, params: ProblemParams, mode: str):
     """Check the arguments of the delta identity at x0; x0 as an array."""
     if mode not in ("strict", "comparability"):
         raise DomainError("mode must be 'strict' or 'comparability'")
-    if mode == "strict" and kernel_kind not in (None, "riesz_exact"):
-        raise DomainError("a strict pass exists only for the exact "
-                          "zero-coupling kernel; use comparability mode "
-                          "for the surrogate")
-    if mode == "comparability" and kernel_kind not in (None, "surrogate"):
-        raise DomainError("comparability mode uses the surrogate kernel")
     if mode == "comparability" and params.dim == 1:
         raise DomainError("comparability mode needs N >= 2: at N = 1 both "
                           "angular orders give one two-point rule, and the "
@@ -538,7 +448,6 @@ def _delta_point(x0, params: ProblemParams, mode: str,
 
 def delta_identity_check(f: RadialField, x0, params: ProblemParams,
                          quad: QuadratureSpec, mode: str = "strict",
-                         kernel_kind: str | None = None,
                          n_inside: int = 40) -> VerificationReport:
     """Weak delta identity: int K(x0, z) (P f)(z) dz should return f(x0).
 
@@ -552,7 +461,7 @@ def delta_identity_check(f: RadialField, x0, params: ProblemParams,
     Builds the flap profile of f for this one point; to check several
     points of one field, build a FlapProfile and call its delta_identity.
     """
-    x0 = _delta_point(x0, params, mode, kernel_kind)
+    x0 = _delta_point(x0, params, mode)
     flap = FlapProfile(f, params, quad, n_inside=n_inside)
     return flap.delta_identity(x0, mode)
 

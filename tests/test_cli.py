@@ -355,6 +355,9 @@ def test_main_entry_direct(tmp_path, capsys):
     (("verify",), "[params]\nN = 3\nN = 2\n"),
     (("solve", "--radii", "0.3:1:2"), "[field]\nradius = true\n"),
     (("solve", "--radii", "0.3:1:2"), "[field]\nkind = [1]\n"),
+    (("solve", "--radii", "0.3:1:2", "--field-radius", "nan"), None),
+    (("solve", "--radii", "0.3:1:2", "--field-center", "inf"), None),
+    (("solve", "--radii", "0.3:1:2"), "[field]\namplitude = nan\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:

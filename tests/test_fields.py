@@ -1,5 +1,7 @@
 """Catalog fields: construction, smoothness of blends, interpolation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ class TestCatalog:
             make_field("power_law")  # missing keyword
         with pytest.raises(DomainError, match="radius"):
             make_field("gaussian", radius=1.0)  # unknown keyword
+
+    @pytest.mark.parametrize("kind,key", [("bump", "radius"),
+                                          ("bump", "center_norm"),
+                                          ("gaussian", "amplitude")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_factory_refuses_non_finite_numbers(self, kind, key, value):
+        with pytest.raises(DomainError,
+                           match=f"field '{kind}': {key} = .* finite"):
+            make_field(kind, **{key: value})
 
     def test_bump_support(self):
         f = Bump(1.5)

@@ -13,8 +13,10 @@ from fracgreen import (DegenerateInputError, DomainError, ProblemParams,
                        heat_profile, resolvent_profile_integral, riesz_kernel,
                        time_integral_coefficients)
 from fracgreen import kernels
-from fracgreen.kernels import (RESOLVENT_REL_ERR, generalized_expint,
-                              resolvent_radial, surrogate_terms)
+from fracgreen.kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR, _make_kernel,
+                              generalized_expint, resolvent_radial,
+                              surrogate_terms)
+from fracgreen.quadrature import polar_rule, shell_distance
 
 
 def rand_pair(rng, dim, lo=1e-2):
@@ -420,3 +422,38 @@ class TestRieszKernel:
         expanded = float(green_surrogate_expanded(x, y, params_3half))
         assert product == pytest.approx(expanded, rel=1e-12)
         assert float(green_time_integral(x, y, params_3half)) > 0
+
+
+@pytest.mark.parametrize("dim,s", [(2, 0.4), (3, 0.5)])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+class TestKernelObjects:
+    """Each kernel object of the potentials against the public point
+    function behind it, and its sphere mean against its pair value."""
+
+    @staticmethod
+    def kernel(kind, dim, s):
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        return p, _make_kernel(kind, p, 0.8)
+
+    def test_point_form_is_the_public_function(self, kind, dim, s):
+        p, kern = self.kernel(kind, dim, s)
+        public = {"riesz_exact": lambda x, y: riesz_kernel(x, y, p),
+                  "surrogate": lambda x, y: green_surrogate_expanded(x, y, p),
+                  "resolvent_surrogate":
+                      lambda x, y: resolvent_profile_integral(0.8, x, y, p),
+                  }[kind]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x, y = rand_pair(rng, dim)
+            assert float(public(x, y)) == float(kern(x, y))
+
+    def test_sphere_mean_is_the_sphere_integral_of_pair_value(self, kind,
+                                                              dim, s):
+        p, kern = self.kernel(kind, dim, s)
+        theta, w = polar_rule(dim, 20, np.linspace(0.0, math.pi, 61)[None])
+        rho = 0.7
+        for r in (0.05, 0.3, 0.56, 0.84, 1.5, 4.0):  # |1 - r/rho| >= 0.2
+            ref = float(np.sum(w * kern.pair_value(
+                shell_distance(rho, r, theta), rho, r)))
+            got = float(np.squeeze(kern.sphere_mean(rho, r)))
+            assert got == pytest.approx(ref, rel=1e-9), r

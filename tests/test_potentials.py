@@ -12,9 +12,8 @@ from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
                        green_potential_detailed, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
 from fracgreen import potentials
-from fracgreen.potentials import (FlapProfile, _density_range,
-                                  _potential_pair, _ResolventKernel,
-                                  _RieszKernel)
+from fracgreen.kernels import _ResolventKernel, _RieszKernel
+from fracgreen.potentials import FlapProfile, _density_range, _potential_pair
 
 # the (N, s) sweep of the radial-form checks
 SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
@@ -269,6 +268,14 @@ class TestIntegrability:
                                         params_3big, quad)
         assert rep.computed == 0.0
 
+    def test_one_potential_per_distinct_radius(self, count_calls,
+                                               params_3big, quad):
+        # a centred density: one direction, 33 interior and 25 exterior
+        # radii sharing R, and the coarse grids are every other point
+        calls = count_calls(potentials, "green_potential_detailed")
+        hardy_integrability_check(Bump(1.0), params_3big, quad)
+        assert len(calls) == 57
+
 
 class TestDeltaIdentity:
     def test_strict_at_interior_points(self, params_3big, quad):
@@ -293,19 +300,15 @@ class TestDeltaIdentity:
         built = count_calls(FlapProfile, "__init__")
         with pytest.raises(DomainError):
             delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
-                                 quad, mode="strict", kernel_kind="surrogate")
-        with pytest.raises(DomainError):
-            delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
                                  quad, mode="verify")
         assert built == []  # raised before any profile was built
 
+    # explicit ids keep each case's name when a case is added or removed
     @pytest.mark.parametrize("dim,x0,kwargs", [
-        (3, (0.5, 0.0, 0.0), {"mode": "comparability",
-                              "kernel_kind": "riesz_exact"}),
         (1, (0.5,), {"mode": "comparability"}),
         (3, (0.0, 0.0, 0.0), {}),
         (3, (0.5, 0.5, 0.0), {"mode": "comparability"}),
-    ])
+    ], ids=["1-x01-kwargs1", "3-x02-kwargs2", "3-x03-kwargs3"])
     def test_argument_errors_before_any_profile(self, count_calls, quad,
                                                 dim, x0, kwargs):
         built = count_calls(FlapProfile, "__init__")
