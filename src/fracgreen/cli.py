@@ -432,11 +432,11 @@ def main(argv=None) -> int:
         try:
             lo, hi, n = args.radii.split(":")
             args.radii = (float(lo), float(hi), int(n))
-            if not (0 < float(lo) < float(hi) and int(n) >= 2):
+            if not (0 < float(lo) < float(hi) < math.inf and int(n) >= 2):
                 raise ValueError
         except ValueError:
-            print("error: --radii expects lo:hi:n with 0 < lo < hi, n >= 2",
-                  file=sys.stderr)
+            print("error: --radii expects lo:hi:n with 0 < lo < hi < inf, "
+                  "n >= 2", file=sys.stderr)
             return 2
     handlers = {"constants": cmd_constants, "kernel": cmd_kernel,
                 "verify": cmd_verify, "solve": cmd_solve}

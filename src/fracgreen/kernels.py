@@ -80,8 +80,8 @@ def heat_profile(t, x, y, params: ProblemParams):
     """Two-sided heat-kernel comparison profile (see heat_profile_radial);
     symmetric in (x, y) and finite on the diagonal."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("time must be positive")
+    if not np.all((t > 0.0) & np.isfinite(t)):
+        raise DomainError("time must be positive and finite")
     rx, ry, d = _norms(x, y, on_diagonal=True)
     return heat_profile_radial(t, d, rx, ry, params)
 

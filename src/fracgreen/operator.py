@@ -16,10 +16,11 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField, TruncatedPowerLaw
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, adaptive_panel_integral, blockwise,
+from .quadrature import (DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES,
+                         QuadratureSpec, adaptive_panel_integral, blockwise,
                          diagonal_panel_integral, frac_laplacian_at_detailed,
                          frac_laplacian_power_law, integrate_radial_singular,
-                         log_edge_count, log_edges, panel_nodes, sphere_area,
+                         log_edges, panel_nodes, sphere_area,
                          sphere_mean_power, truncation_correction_detailed)
 from .reports import VerificationReport
 
@@ -142,60 +143,34 @@ _ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation
 
 def _inner_below(f: RadialField, rho: np.ndarray,
                  params: ProblemParams) -> np.ndarray:
-    """int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega_lam(rho, r) dr for each rho,
-    Omega_lam the sphere mean of |x-y|^(-N-2s), on fixed panels: the edges
-    log_edges(min(1e-8 rho, 1e-8), rho/2, 4, breakpoints), then the run
-    rho - geomspace(1e-5 rho, rho/2, 28) into the diagonal, order 12; the
-    band (rho - 1e-5 rho, rho) is completed by its Taylor limit.
+    """int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega(rho, r) dr for each rho,
+    Omega the sphere mean of |x-y|^(-N-2s).
 
-    Rows sharing a panel count and a set of breakpoints are evaluated
-    together, _ENERGY_BLOCK at a time; each row is summed on its own.
+    Omega(rho, rho u) = rho^(-N-2s) Omega(1, u), so the integral is
+    rho^(-2s) int_0^1 (f(rho)-f(rho u))^2 u^(N-1) Omega(1, u) du, taken on
+    one rule in u: diagonal_panel_integral's edges and band at rho = 1
+    (order 12 on log_edges(1e-8, 1, 4) and the run, edges inside the band
+    dropped), its head formula fn(t) a / (p + 1) making (0, 1e-8), power
+    N - 1, and the band, power 1 - 2s, one node each. Blocks of
+    _ENERGY_BLOCK rows cost one f.profile call and one product each.
     """
-    breaks = np.asarray(f.breakpoints(), dtype=float)
-    lo = np.minimum(1e-8 * rho, 1e-8)
-    hi = rho - 0.5 * rho
-    count = [log_edge_count(a, b, 4) for a, b in zip(lo, hi)]
-    inside = (breaks > lo[:, None]) & (breaks < hi[:, None])
-    _, group = np.unique(np.column_stack([count, inside]), axis=0,
-                         return_inverse=True)
-    group = group.ravel()
-    out = np.empty_like(rho)
-    for g in range(group.max() + 1):
-        rows = np.flatnonzero(group == g)
-        out[rows] = blockwise(
-            lambda *block: _inner_block(f, *block, count[rows[0]],
-                                        breaks[inside[rows[0]]], params),
-            _ENERGY_BLOCK, rho[rows], lo[rows], hi[rows])
-    return out
-
-
-def _inner_block(f, rho, lo, hi, n, splits, params):
-    """_inner_below on rows that share the edge count n of their log panels
-    [lo, hi] and the splits."""
     N, s = params.dim, params.order
-    lam = N + 2.0 * s
-    a_c = 1e-5 * rho
-    geo = np.geomspace(lo, hi, n, axis=1)
-    run = rho[:, None] - np.geomspace(a_c, 0.5 * rho, 28, axis=1)[:, -2::-1]
+    lo, band = 1e-8, DIAGONAL_BAND
     edges = np.concatenate([
-        np.sort(np.concatenate(
-            [geo, np.broadcast_to(splits, (rho.size, splits.size))], axis=1),
-            axis=1),
-        run], axis=1)
-    r, w = panel_nodes(edges, 12)
-    f_all = f.profile(np.column_stack([r, rho, rho - a_c]))
-    f_rho, f_in = f_all[:, -2], f_all[:, -1]
-    diff = f_all[:, :-2] - f_rho[:, None]
-    vals = diff * diff * r ** (N - 1.0) * sphere_mean_power(
-        lam, rho[:, None], r, N)
-    # np.dot row by row, as the per-node rule summed: einsum rounds otherwise
-    val = np.array([np.dot(v, wr) for v, wr in zip(vals, w)])
-    # Taylor completion of the diagonal band
-    slope2 = ((f_rho - f_in) / a_c) ** 2
-    c_om = sphere_mean_power(lam, rho, rho - a_c, N) * a_c ** (1.0 + 2.0 * s)
-    band = slope2 * rho ** (N - 1.0) * c_om \
-        * a_c ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    return val + band
+        log_edges(lo, 1.0, 4),
+        1.0 - np.geomspace(band, DIAGONAL_RUN, DIAGONAL_RUN_EDGES)])
+    u, w = panel_nodes(np.unique(edges[edges <= 1.0 - band]), 12)
+    u = np.append(u, [lo, 1.0 - band])
+    w = np.append(w, [lo / N, band / (2.0 - 2.0 * s)])
+    weight = w * u ** (N - 1.0) * sphere_mean_power(N + 2.0 * s, 1.0, u, N)
+    u = np.append(u, 1.0)  # f(rho) itself
+
+    def block(rho_b):
+        f_all = f.profile(rho_b[:, None] * u)
+        diff = f_all[:, :-1] - f_all[:, -1:]
+        return (diff * diff) @ weight
+
+    return blockwise(block, _ENERGY_BLOCK, rho) * rho ** (-2.0 * s)
 
 
 def _dirichlet_energy(f: RadialField, params: ProblemParams,
@@ -206,8 +181,8 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     Radial reduction: the double integral collapses to
     c |S^(N-1)| int_0^inf rho^(N-1) int_0^rho (f(rho)-f(r))^2 r^(N-1)
     Omega_lam(rho, r) dr drho. The outer integral is adaptive
-    ("energy-outer"); the inner one is the fixed rule of _inner_below,
-    evaluated for all outer nodes of a round at once.
+    ("energy-outer"); the inner one is _inner_below's fixed rule in r/rho,
+    one rule for every outer node of a round.
 
     Two errors go unestimated. The inner rule has no error estimate. The
     outer integral stops at max(outer_radius, 2 x support) (tail_start for

@@ -245,21 +245,24 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
     return val + head + tail_val, err
 
 
-def log_edge_count(lo: float, hi: float, per_decade: int) -> int:
-    """Number of geometric edges log_edges puts on [lo, hi], splits aside."""
-    return max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
-
-
 def log_edges(lo: float, hi: float, per_decade: int = 4,
               splits=()) -> np.ndarray:
-    """Geometric panel edges on [lo, hi] with extra split points inserted."""
+    """Geometric panel edges on [lo, hi], at least per_decade to a decade
+    and never fewer than two, with the split points inside (lo, hi) added."""
     if not 0 < lo < hi:
         raise DomainError("log_edges needs 0 < lo < hi")
-    edges = np.geomspace(lo, hi, log_edge_count(lo, hi, per_decade))
+    count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+    edges = np.geomspace(lo, hi, count)
     extra = [p for p in splits if lo < p < hi]
     if extra:
         edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
     return edges
+
+
+# the band about t = rho, DIAGONAL_BAND rho to a side, and the geometric run
+# of DIAGONAL_RUN_EDGES edges beside it out to DIAGONAL_RUN rho: the edges of
+# diagonal_panel_integral and of the energy's inner rule
+DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES = 1e-9, 0.4, 20
 
 
 def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
@@ -270,9 +273,10 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
 
     With rho outside (lo, hi) this is adaptive_panel_integral on
     log_edges(lo, hi, 4, splits). Otherwise the band (rho - a, rho + a),
-    a = 1e-9 rho clipped to [lo, hi], is one panel on which fn is never
-    evaluated, so it adds 0 with defect 0; the edges gain the geometric runs
-    rho -+ geomspace(a, 0.4 rho, 20), and every edge inside the band goes.
+    a = DIAGONAL_BAND rho clipped to [lo, hi], is one panel on which fn is
+    never evaluated, so it adds 0 with defect 0; the edges gain the
+    geometric runs rho -+ geomspace(a, DIAGONAL_RUN rho, DIAGONAL_RUN_EDGES),
+    and every edge inside the band goes.
     Each side of the band is the engine's head formula
     fn(rho -+ a) a / (power + 1), charged its size times the relative defect
     of that power model at rho -+ 2a.
@@ -282,13 +286,14 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     edges = log_edges(lo, hi, 4, splits=splits)
     if not lo < rho < hi:
         return adaptive_panel_integral(fn, edges, quad, **kw)
-    a = 1e-9 * rho
+    a = DIAGONAL_BAND * rho
     b_lo, b_hi = max(lo, rho - a), min(hi, rho + a)
     runs = [edges, [b_lo, b_hi]]
     for side, span in ((-1.0, rho - lo), (1.0, hi - rho)):
-        span = min(0.4 * rho, span)
+        span = min(DIAGONAL_RUN * rho, span)
         if span > a:
-            runs.append(rho + side * np.geomspace(a, span, 20))
+            runs.append(rho + side * np.geomspace(a, span,
+                                                  DIAGONAL_RUN_EDGES))
     edges = np.concatenate(runs)
     edges = edges[(edges <= b_lo) | (edges >= b_hi)]
 

@@ -358,6 +358,9 @@ def test_main_entry_direct(tmp_path, capsys):
     (("solve", "--radii", "0.3:1:2", "--field-radius", "nan"), None),
     (("solve", "--radii", "0.3:1:2", "--field-center", "inf"), None),
     (("solve", "--radii", "0.3:1:2"), "[field]\namplitude = nan\n"),
+    (("kernel", "--time", "nan"), None),
+    (("kernel", "--time", "inf"), None),
+    (("solve", "--radii", "1:inf:3"), None),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:

@@ -80,8 +80,9 @@ class TestHeatProfile:
 
     def test_domain_errors(self, params_3half):
         x = np.array([1.0, 0, 0])
-        with pytest.raises(DomainError):
-            heat_profile(0.0, x, x, params_3half)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                heat_profile(t, x, x, params_3half)
         with pytest.raises(DomainError):
             heat_profile(1.0, np.zeros(3), x, params_3half)
 

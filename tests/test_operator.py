@@ -1,7 +1,9 @@
 """Operator application, quadratic forms, and the Hardy quotient."""
 
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad as spquad
@@ -113,18 +115,18 @@ class TestEnergyForm:
         assert e2.energy == pytest.approx(9.0 * e1.energy, rel=1e-9)
         assert e2.hardy_term == pytest.approx(9.0 * e1.hardy_term, rel=1e-9)
 
-    def test_gaussian_exact(self, params_3half, quad):
-        # closed forms: energy pi^(N/2) Gamma((N+2s)/2)/Gamma(N/2),
-        # Hardy weight pi^(N/2) Gamma((N-2s)/2)/Gamma(N/2)
-        fe = energy_form(Gaussian(1.0), params_3half, quad)
-        N, s = 3, 0.5
-        e_exact = math.pi ** (N / 2) * gamma_fn((N + 2 * s) / 2) \
-            / gamma_fn(N / 2)
-        h_exact = math.pi ** (N / 2) * gamma_fn((N - 2 * s) / 2) \
-            / gamma_fn(N / 2)
-        assert fe.energy == pytest.approx(e_exact, rel=1e-6)
-        assert fe.hardy_term == pytest.approx(
-            params_3half.hardy_strength * h_exact, rel=1e-8)
+    @pytest.mark.parametrize("N, s", [(1, 0.25), (2, 0.4), (3, 0.3),
+                                      (3, 0.5), (4, 0.75), (5, 0.9)])
+    def test_gaussian_exact(self, N, s, quad):
+        # closed forms: energy |S^(N-1)| Gamma((N+2s)/2) / 2,
+        # Hardy weight |S^(N-1)| Gamma((N-2s)/2) / 2
+        p = ProblemParams.from_gamma(N, s, 0.25 * (N - 2 * s))
+        fe = energy_form(Gaussian(1.0), p, quad)
+        e_exact = sphere_area(N) * gamma_fn((N + 2 * s) / 2) / 2
+        h_exact = sphere_area(N) * gamma_fn((N - 2 * s) / 2) / 2
+        assert fe.energy == pytest.approx(e_exact, rel=1e-7)
+        assert fe.hardy_term == pytest.approx(p.hardy_strength * h_exact,
+                                              rel=1e-8)
         assert fe.tilde_energy == fe.energy - fe.hardy_term
 
     def test_bubble_exact(self, params_3half, quad):
@@ -245,77 +247,77 @@ class TestHardyRatio:
             assert val == pytest.approx(ref, rel=1e-8), (dim, s)
 
 
-def inner_below_per_node(f, rho, params):
-    """The energy form's inner integral for one outer node, as it was
-    written before it was batched: the reference for operator._inner_below.
-    """
-    from fracgreen.quadrature import log_edges, panel_nodes, sphere_mean_power
-    N, s = params.dim, params.order
-    lam = N + 2.0 * s
-    breaks = tuple(f.breakpoints())
-    a_c = 1e-5 * rho
-    f_rho = float(f.profile(np.array([rho]))[0])
-    lo = min(1e-8 * rho, 1e-8)
-    a_hi = 0.5 * rho
-    edges = np.unique(np.concatenate([
-        log_edges(lo, rho - a_hi, 4,
-                  splits=tuple(b for b in breaks if b < rho - a_hi)),
-        rho - np.geomspace(a_c, a_hi, 28)[::-1],
-    ]))
-    r, w = panel_nodes(edges, 12)
-    diff = f.profile(r) - f_rho
-    vals = diff * diff * r ** (N - 1.0) * sphere_mean_power(lam, rho, r, N)
-    val = float(np.dot(vals, w))
-    f_in = float(f.profile(np.array([rho - a_c]))[0])
-    slope2 = ((f_rho - f_in) / a_c) ** 2
-    c_om = float(sphere_mean_power(lam, rho, np.array([rho - a_c]), N)[0]
-                 ) * a_c ** (1.0 + 2.0 * s)
-    band = slope2 * rho ** (N - 1.0) * c_om \
-        * a_c ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    return val + band
+@functools.lru_cache(maxsize=None)
+def _sphere_mean_mp(N, s, rho, r):
+    """Omega(rho, r), the sphere mean of |x-y|^(-N-2s), for r < rho at the
+    working precision (shared by the fields of one case)."""
+    lam = N + 2 * mp.mpf(s)
+    if N == 1:
+        return (rho - r) ** -lam + (rho + r) ** -lam
+    area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+    return area * rho ** -lam * mp.hyp2f1(lam / 2, (lam - N) / 2 + 1,
+                                          mp.mpf(N) / 2, (r / rho) ** 2)
+
+
+def inner_below_oracle(profile, rho, N, s):
+    """int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega(rho, r) dr to 40 digits, in
+    t = rho - r split at 1e-6 rho, 1e-3 rho and rho/2. The first piece runs
+    in log t down to 1e-30 rho, below which the integrand is the power
+    C t^(1-2s) fitted there."""
+    with mp.workdps(40):
+        rho = mp.mpf(rho)
+        f_rho = profile(rho)
+
+        def g(t):
+            r = rho - t
+            return ((f_rho - profile(r)) ** 2 * r ** (N - 1)
+                    * _sphere_mean_mp(N, s, rho, r))
+
+        t0 = mp.mpf("1e-30") * rho
+        near = mp.quad(lambda x: g(mp.exp(x)) * mp.exp(x),
+                       [mp.log(t0), mp.log(mp.mpf("1e-6") * rho)])
+        head = g(t0) * t0 / (2 - 2 * mp.mpf(s))
+        rest = mp.quad(g, [mp.mpf("1e-6") * rho, mp.mpf("1e-3") * rho,
+                           rho / 2, rho])
+        return float(near + head + rest)
 
 
 class TestInnerRule:
-    """operator._inner_below batches the per-node inner rule of the energy
-    form over all outer nodes of a round."""
+    """operator._inner_below: the energy form's inner integral on one rule
+    in u = r/rho, shared by every outer node."""
 
-    # 100 rows below rho = 1 share one panel count (several blocks); above it
-    # the count grows with log(rho), and Bump(1)'s breakpoint enters the
-    # log panels once rho > 2
-    RHO = np.concatenate([np.geomspace(1e-3, 0.9, 100),
-                          np.geomspace(1.1, 1e3, 40)])
-
-    @pytest.mark.parametrize("N, s", [(2, 0.4), (5, 0.9), (3, 0.5)])
-    @pytest.mark.parametrize("f", [Bump(1.0), Gaussian(1.0),
-                                   Bump(3.0, amplitude=2.0)])
-    def test_matches_per_node_rule(self, N, s, f):
-        from fracgreen.operator import _ENERGY_BLOCK, _inner_below
-        assert (self.RHO < 1.0).sum() > _ENERGY_BLOCK
+    @pytest.mark.parametrize("N, s", [(5, 0.9), (1, 0.25)])
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    @pytest.mark.parametrize("f, profile", [
+        (Bump(1.0), lambda r: mp.exp(1 - 1 / (1 - r * r))),
+        (Gaussian(1.0), lambda r: mp.exp(-r * r / 2)),
+    ], ids=["bump", "gaussian"])
+    def test_matches_mpmath(self, N, s, rho, f, profile):
+        from fracgreen.operator import _inner_below
         p = ProblemParams.from_gamma(N, s, 0.25 * (N - 2 * s))
-        got = _inner_below(f, self.RHO, p)
-        ref = np.array([inner_below_per_node(f, float(r), p)
-                        for r in self.RHO])
-        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+        got = _inner_below(f, np.array([rho]), p)[0]
+        assert got == pytest.approx(inner_below_oracle(profile, rho, N, s),
+                                    rel=1e-7)
 
     def test_one_sphere_mean_call_per_block(self, params_2d, quad,
                                             monkeypatch):
         from fracgreen import operator
-        calls, nodes = [0], [0]
+        means, inners = [0], [0]
         mean, inner = operator.sphere_mean_power, operator._inner_below
 
         def counted_mean(*args):
-            calls[0] += 1
+            means[0] += 1
             return mean(*args)
 
         def counted_inner(f, rho, params):
-            nodes[0] += rho.size
+            inners[0] += 1
             return inner(f, rho, params)
 
         monkeypatch.setattr(operator, "sphere_mean_power", counted_mean)
         monkeypatch.setattr(operator, "_inner_below", counted_inner)
         hardy_ratio(Gaussian(1.0), params_2d, quad)
-        assert nodes[0] > 0
-        assert 10 * calls[0] <= nodes[0]
+        assert inners[0] > 0
+        assert means[0] == inners[0]
 
 
 class TestFundamentalResidual:
