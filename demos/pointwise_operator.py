@@ -1,11 +1,11 @@
 """Pointwise fractional Laplacian: quadrature engine vs exact answers.
 
-The engine evaluates the principal-value integral by symmetrized shells
-plus an origin-centered far field. Its two cleanest oracles: the conformal
-bubble profile (closed-form image) and inverse-power profiles (closed-form
-multiplier). The operator with the Hardy term then annihilates the
-homogeneous profile, and detuning the coupling breaks that by exactly the
-detuning fraction.
+The engine evaluates the singular integral as one 1-D integral in
+log-radius with analytic head and ends. Its two cleanest oracles: the
+conformal bubble profile (closed-form image) and inverse-power profiles
+(closed-form multiplier). The operator with the Hardy term then
+annihilates the homogeneous profile, and detuning the coupling breaks that
+by exactly the detuning fraction.
 """
 
 import math

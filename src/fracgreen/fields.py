@@ -22,6 +22,15 @@ import numpy as np
 from .errors import DomainError
 
 
+def _finite(kind: str, **params) -> list[float]:
+    """The parameters as floats; DomainError on a bool or non-finite one."""
+    for key, val in params.items():
+        if isinstance(val, bool) or not math.isfinite(val):
+            raise DomainError(f"field {kind!r}: {key} = {val} must be a "
+                              f"finite number")
+    return [float(val) for val in params.values()]
+
+
 def _smoothstep(t):
     """Quintic smoothstep: C^2 with flat value/slope/curvature at both ends."""
     t = np.clip(t, 0.0, 1.0)
@@ -81,11 +90,11 @@ class Bump(RadialField):
 
     def __init__(self, radius: float = 1.0, center_norm: float = 0.0,
                  amplitude: float = 1.0):
+        self.radius, self.center_norm, self.amplitude = _finite(
+            "bump", radius=radius, center_norm=center_norm,
+            amplitude=amplitude)
         if radius <= 0:
             raise DomainError("bump radius must be positive")
-        self.radius = float(radius)
-        self.center_norm = float(center_norm)
-        self.amplitude = float(amplitude)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -108,11 +117,11 @@ class Gaussian(RadialField):
 
     def __init__(self, sigma: float = 1.0, center_norm: float = 0.0,
                  amplitude: float = 1.0):
+        self.sigma, self.center_norm, self.amplitude = _finite(
+            "gaussian", sigma=sigma, center_norm=center_norm,
+            amplitude=amplitude)
         if sigma <= 0:
             raise DomainError("gaussian sigma must be positive")
-        self.sigma = float(sigma)
-        self.center_norm = float(center_norm)
-        self.amplitude = float(amplitude)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -128,11 +137,11 @@ class Bubble(RadialField):
 
     def __init__(self, decay_exponent: float, center_norm: float = 0.0,
                  amplitude: float = 1.0):
+        self.decay_exponent, self.center_norm, self.amplitude = _finite(
+            "bubble", decay_exponent=decay_exponent, center_norm=center_norm,
+            amplitude=amplitude)
         if decay_exponent <= 0:
             raise DomainError("bubble decay exponent must be positive")
-        self.decay_exponent = float(decay_exponent)
-        self.center_norm = float(center_norm)
-        self.amplitude = float(amplitude)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -155,12 +164,12 @@ class PowerLaw(RadialField):
 
     def __init__(self, exponent: float, center_norm: float = 0.0,
                  amplitude: float = 1.0):
+        self.exponent, self.center_norm, self.amplitude = _finite(
+            "power_law", exponent=exponent, center_norm=center_norm,
+            amplitude=amplitude)
         if exponent <= 0:
             raise DomainError("power-law exponent must be positive")
-        self.exponent = float(exponent)
-        self.center_norm = float(center_norm)
-        self.amplitude = float(amplitude)
-        self.origin_exponent = float(exponent)
+        self.origin_exponent = self.exponent
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -184,15 +193,14 @@ class TruncatedPowerLaw(RadialField):
 
     def __init__(self, exponent: float, inner_cut: float, outer_cut: float,
                  center_norm: float = 0.0, amplitude: float = 1.0):
+        (self.exponent, self.inner_cut, self.outer_cut, self.center_norm,
+         self.amplitude) = _finite(
+            "truncated_power_law", exponent=exponent, inner_cut=inner_cut,
+            outer_cut=outer_cut, center_norm=center_norm, amplitude=amplitude)
         if exponent <= 0:
             raise DomainError("power-law exponent must be positive")
         if not (0 < inner_cut and 4.0 * inner_cut < outer_cut):
             raise DomainError("need 0 < inner_cut and 4*inner_cut < outer_cut")
-        self.exponent = float(exponent)
-        self.inner_cut = float(inner_cut)
-        self.outer_cut = float(outer_cut)
-        self.center_norm = float(center_norm)
-        self.amplitude = float(amplitude)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -306,12 +314,13 @@ class SampledRadial(RadialField):
             raise DomainError("need at least 4 radial samples")
         if np.any(np.diff(radii) <= 0):
             raise DomainError("sample radii must be strictly increasing")
+        self.decay_exponent, self.center_norm = _finite(
+            "radial_samples", decay_exponent=decay_exponent,
+            center_norm=center_norm)
         if decay_exponent <= 0:
             raise DomainError("decay exponent must be positive")
         self.radii = radii
         self.values = values
-        self.decay_exponent = float(decay_exponent)
-        self.center_norm = float(center_norm)
         self._spline = _CubicSpline(radii, values, "natural", "natural")
         self._tail_coef = values[-1] * radii[-1] ** decay_exponent
 
@@ -434,11 +443,6 @@ def make_field(kind: str, **kwargs) -> RadialField:
     except TypeError as ex:
         raise DomainError(f"field {kind!r}: {ex}; its parameters are "
                           f"{list(sig.parameters)}")
-    for key, val in kwargs.items():
-        if isinstance(val, bool) or (isinstance(val, float)
-                                     and not math.isfinite(val)):
-            raise DomainError(f"field {kind!r}: {key} = {val} must be a "
-                              f"finite number")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as ex:

@@ -171,7 +171,8 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
 
 _EXPINT_SERIES_TERMS = 20  # x^k / k! terms of the x < 1 series
 _EXPINT_POLE_TERMS = 56  # f^n terms of the pole coefficient, |f| <= 1/2
-_EXPINT_CF_DEPTH = 100  # continued-fraction depth, converged at x = 1
+#: (smallest x of a call, depth): each within an ulp of depth 400, q <= 40
+_EXPINT_CF_DEPTHS = ((10.0, 20), (5.0, 30), (3.0, 42), (2.0, 60), (1.0, 100))
 
 
 @lru_cache(maxsize=64)
@@ -216,8 +217,8 @@ def generalized_expint(q: float, x):
     """E_q(x) = int_1^inf e^(-x u) u^(-q) du (DLMF 8.19.3) for q > 1/2 and
     x > 0, elementwise, the route chosen from x alone: the pole-folded power
     series (_expint_series) below x = 1, and from x = 1 the continued
-    fraction of Numerical Recipes 6.3, cut at a fixed depth and evaluated
-    bottom-up (no products of convergents to round)."""
+    fraction of Numerical Recipes 6.3, cut at a depth binned by the call's
+    smallest such x, bottom-up (no products of convergents to round)."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 1.0
@@ -226,10 +227,12 @@ def generalized_expint(q: float, x):
     out[small] = (_expint_pole(m, f, B, xs, np.log(xs))
                   - _horner(coef, xs, 1.0))
     # E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with
-    # b_i = x + q + 2i, a_i = -i (q - 1 + i), summed from its fixed depth up
+    # b_i = x + q + 2i, a_i = -i (q - 1 + i), summed from its depth up
     xl = x[~small]
-    t = xl + (q + 2.0 * _EXPINT_CF_DEPTH)
-    for i in range(_EXPINT_CF_DEPTH, 0, -1):
+    depth = next(d for lo, d in _EXPINT_CF_DEPTHS
+                 if xl.min(initial=np.inf) >= lo)
+    t = xl + (q + 2.0 * depth)
+    for i in range(depth, 0, -1):
         t = -i * (q - 1.0 + i) / t
         t += xl
         t += q + 2.0 * (i - 1)

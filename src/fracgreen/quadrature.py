@@ -22,11 +22,24 @@ cancellation as (max - min)(max + min) / max^2, times the explicit
 (1 - z)^(c-a-b). Integer c - a - b (within 1e-3) has no such formula and
 keeps scipy's hyp2f1 at z clipped to 1 - 1e-12.
 
-The principal value of the fractional Laplacian is removed by symmetrized
-pairing (2u(x) - u(x+z) - u(x-z)) on a ball where u is smooth; the remaining
-far region is integrated in origin-centered coordinates so that power-law
-mass near the origin is carried explicitly by the 1D radial integrand, and
-truncation beyond the outer radius is completed by analytic power tails.
+For a radial u the angular integral of the fractional Laplacian factors
+out exactly, Omega(rho, r) = sphere_mean_power(N + 2s, rho, r, N) being the
+closed-form sphere mean (Dyda, Fract. Calc. Appl. Anal. 15 (2012)):
+
+    (-Delta)^s u(rho) = c_{N,s} int_0^inf (u(rho) - u(r)) r^(N-1) Omega dr.
+
+Pairing r = rho e^(+-t), the ground-state substitution of Frank, Lieb and
+Seiringer (J. Amer. Math. Soc. 21 (2008)), makes it one integral in
+t = ln(r/rho) with no principal value left:
+
+    c_{N,s} rho^(-2s) int_0^inf K(t) [G(t) + G(-t)] dt,
+    K(t) = Omega(1, e^-t) e^(-(N+2s)t/2)    (even in t),
+    G(t) = (u(rho) - u(rho e^t)) e^((N-2s)t/2).
+
+G(t) + G(-t) is even and O(t^2), so near t = 0 the integrand is
+C t^(1-2s) (1 + O(t^min(2, 1+2s))): the head of adaptive_panel_integral.
+Both far ends are exponentials in t against Omega(1, e^-t), whose Gauss
+series in e^(-2t) integrates termwise.
 """
 
 from __future__ import annotations
@@ -51,16 +64,18 @@ _DEFAULT_ORDER = 12
 class QuadratureSpec:
     """Knobs shared by every singular integral in the package.
 
-    inner_radius is a fraction of the local smoothness scale below which the
-    symmetrized integrand is completed by its Taylor limit; outer_radius is
-    the absolute far-field truncation radius beyond which analytic power
-    tails take over. rel_tol is the target of every radial integral:
-    adaptive_panel_integral bisects only the panels whose own defects (a
-    panel's Gauss-Legendre sum against the sum over its two halves) do not
-    yet fit in a quarter of rel_tol times the scale, for at most _MAX_ROUNDS
-    rounds, and reports the summed per-panel defects as its error estimate.
-    The sphere rules have fixed Gauss-Legendre orders: 16 on the flap-inner
-    and flap-outer shells, 12, 10, and 10 and 14 in the potentials.
+    inner_radius is the fraction of the local scale below which the pointwise
+    fractional Laplacian is completed by its head power: of the scale in
+    t = ln(r/rho) off the center (frac_laplacian_at_detailed), of
+    min(1, r_hi) / 10 in r at it; outer_radius is the absolute far-field
+    truncation radius beyond which analytic power tails take over. rel_tol
+    is the target of every radial integral: adaptive_panel_integral bisects
+    only the panels whose own defects (a panel's Gauss-Legendre sum against
+    the sum over its two halves) do not yet fit in a quarter of rel_tol
+    times the scale, for at most _MAX_ROUNDS rounds, and reports the summed
+    per-panel defects as its error estimate.
+    The sphere rules of the potentials have fixed Gauss-Legendre orders:
+    12, 10, and 10 and 14.
     """
 
     inner_radius: float = 1e-3
@@ -434,47 +449,17 @@ def shell_distance(rho, r, theta):
 
 
 def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
-                            d_min: float | None = None, order: int = 16):
-    """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r,
-    restricted to d > d_min when d_min is given.
+                            order: int = 16):
+    """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r.
 
-    polar_rule on 12 uniform panels in theta; on shells straddling the cut
-    the theta-range starts at theta* = 2 arcsin(sqrt(vers*/2)), where
-    d(theta*) = d_min. Intended for shells [|rho-r|, rho+r] clear of kernel
-    breakpoints (callers split elsewhere), where the panels converge
-    spectrally. `kernel` is called once with the distances as a
-    (len(r), nodes) array, row i belonging to r[i].
+    polar_rule on 12 uniform panels in theta. Intended for shells
+    [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere),
+    where the panels converge spectrally. `kernel` is called once with the
+    distances as a (len(r), nodes) array, row i belonging to r[i].
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))[:, None]
-    theta_star = 0.0
-    if d_min is not None:
-        vers_star = np.clip((d_min ** 2 - (rho - r) ** 2) / (2.0 * rho * r),
-                            0.0, 2.0)
-        theta_star = 2.0 * np.arcsin(np.sqrt(0.5 * vers_star))
-    edges = theta_star + (math.pi - theta_star) * np.linspace(0.0, 1.0, 13)
-    theta, w = polar_rule(dim, order, edges)
-    d = shell_distance(rho, r, theta)
-    vals = kernel(d)
-    if d_min is not None and dim == 1:
-        vals = np.where(d > d_min, vals, 0.0)
-    return np.sum(vals * w, axis=1)
-
-
-def sphere_power_cut(lam: float, rho: float, r, dim: int, d_min: float):
-    """Partial sphere integral of d^(-lam) restricted to d > d_min.
-
-    Equals sphere_mean_power wherever the whole shell satisfies d > d_min;
-    straddling shells go through the polar rule from the cut.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    full = (np.abs(rho - r) >= d_min) & (dim > 1)
-    if np.any(full):
-        out[full] = sphere_mean_power(lam, rho, r[full], dim)
-    if not np.all(full):
-        out[~full] = bipolar_sphere_integral(lambda d: d ** (-lam), rho,
-                                             r[~full], dim, d_min)
-    return out
+    theta, w = polar_rule(dim, order, np.linspace(0.0, math.pi, 13))
+    return np.sum(kernel(shell_distance(rho, r, theta)) * w, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +524,6 @@ def frac_laplacian_power_law(alpha: float, x, params: ProblemParams) -> float:
     return lam * rho ** (-alpha - 2.0 * params.order)
 
 
-def _smooth_ball_radius(field: RadialField, rho: float) -> float:
-    gaps = [abs(rho - b) for b in field.breakpoints()]
-    if field.singular_at_origin:
-        gaps.append(rho)
-    gap = min(gaps) if gaps else math.inf
-    r_split = 0.5 * min(rho, gap)
-    return max(r_split, 0.025 * rho)
-
-
 def _flap_at_center(field: RadialField, params: ProblemParams,
                     quad: QuadratureSpec):
     """(-Delta)^s u at the field's own center (smooth profiles only)."""
@@ -576,24 +552,44 @@ def _flap_at_center(field: RadialField, params: ProblemParams,
     return c_ns * omega * val, c_ns * omega * err
 
 
+def _far_mean_integrals(lam: float, dim: int, betas, t0: float):
+    """int_t0^inf Omega(1, e^-t) e^(-beta (t - t0)) dt for each beta, Omega
+    the sphere mean of d^(-lam) (sphere_mean_power), termwise over its Gauss
+    series in z = e^(-2t): exact to rounding for t0 >= 2."""
+    a, b, c = 0.5 * lam, 0.5 * (lam - dim) + 1.0, 0.5 * dim
+    j = np.arange(float(int(40.0 / t0) + 1))
+    coef = np.concatenate(
+        [[1.0], np.cumprod((a + j) * (b + j) / ((c + j) * (j + 1.0)))])
+    k = 2.0 * np.arange(coef.size)
+    return sphere_area(dim) * (coef * np.exp(-k * t0) / (
+        np.asarray(betas, dtype=float)[:, None] + k)).sum(axis=1)
+
+
 def frac_laplacian_at_detailed(field: RadialField, x,
                                params: ProblemParams,
                                quad: QuadratureSpec):
     """(-Delta)^s u(x) with an error estimate.
 
-    Symmetrized shells on the largest ball around x where u is smooth,
-    closed-form far-field mass of u(x), and the remaining convolution of u
-    against the kernel in origin-centered coordinates with analytic tails.
+    At rho = |x - center| > 0, the 1-D integral in t = ln(r/rho) of the
+    module docstring as one adaptive_panel_integral on [a, T], head power
+    1 - 2s. The band a is inner_radius times the local scale in t,
+    max(min(1, t_b), 1/40) / (N + 2s), capped by t_b, the distance in t to
+    the nearest breakpoint (edges at |ln(b/rho)|): the kernel and weights
+    vary on the scale 1/(N + 2s), and the floor bounds the rounding. Beyond
+    T, u is its tail model (0 past a support) at rho e^t and a power
+    r^(-origin_exponent) fitted at rho e^-T: each piece A Omega(1, e^-t)
+    e^(-beta t) integrates exactly, charged its model's defect (at T; at
+    T - 1 for the origin). Each paired difference rounds at about
+    eps (|u| + |rho u'|), charged against the kernel's mass beyond a and
+    its weight in the head.
     """
     N, s = params.dim, params.order
-    c_ns = params.normalizer
-    omega = sphere_area(N)
     x = np.asarray(x, dtype=float)
-    center = field.center(N)
-    rho = float(np.linalg.norm(x - center))
-    if field.origin_exponent >= N:
+    rho = float(np.linalg.norm(x - field.center(N)))
+    alpha0 = field.origin_exponent
+    if alpha0 >= N:
         raise DivergenceError(
-            f"profile blowup r^-{field.origin_exponent} is not locally "
+            f"profile blowup r^-{alpha0} is not locally "
             f"integrable in dimension {N}")
     if field.singular_at_origin and rho == 0.0:
         raise SingularityError(
@@ -601,61 +597,57 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     if rho == 0.0:
         return _flap_at_center(field, params, quad)
 
-    u_x = float(field.profile(np.array([rho]))[0])
-    r_split = _smooth_ball_radius(field, rho)
-
-    # inner symmetrized shells: -c int_0^R r^(-1-2s) S_diff(r) dr with
-    # S_diff(r) = int_S [u(x + r w) - u(x)] dsigma(w)
-    def inner_integrand(r):
-        diff = bipolar_sphere_integral(lambda d: field.profile(d) - u_x,
-                                       rho, r, N)
-        return diff * r ** (-1.0 - 2.0 * s)
-
-    # below r_c the shell means grow like r^2 (Taylor limit)
-    r_c = quad.inner_radius * r_split
-    splits = [abs(rho - b) for b in field.breakpoints()
-              if 0 < abs(rho - b) < r_split]
-    inner_val, inner_err = adaptive_panel_integral(
-        inner_integrand, log_edges(r_c, r_split, 4, splits=splits), quad,
-        label="flap-inner", head_power=1.0 - 2.0 * s)
-    inner = -c_ns * inner_val
-
-    # far-field mass of u(x): closed form
-    far_ux = c_ns * u_x * omega * r_split ** (-2.0 * s) / (2.0 * s)
-
-    # convolution of u against the kernel outside the ball, polar at center
     lam = N + 2.0 * s
+    half = 0.5 * (N - 2.0 * s)
+    cuts = [abs(math.log(b / rho)) for b in field.breakpoints() if b > 0]
+    nearest = min((c for c in cuts if c > 0), default=math.inf)
+    a = min(quad.inner_radius * max(min(1.0, nearest), 0.025) / lam, nearest)
     sup = field.support_radius()
-    tail = field.tail_power()
-    r_hi = sup if sup is not None else max(quad.outer_radius,
-                                           8.0 * rho,
+    r_hi = sup if sup is not None else max(quad.outer_radius, 8.0 * rho,
                                            4.0 * field.tail_start())
-    alpha0 = field.origin_exponent
-    r_lo = rho * (1e-3 * quad.rel_tol) ** (1.0 / (N - alpha0)) \
-        if alpha0 > 0 else 1e-10 * rho
-    r_lo = min(r_lo, 1e-6 * rho)
+    # the origin models hold below rho e^-T: a constant from 1e-10 rho, a
+    # power where its piece e^(-(N - alpha0) T) is 1e-3 rel_tol, and both
+    # below every breakpoint, with their defect probes; e^(+-100) keeps
+    # every profile argument in range
+    T = min(max(math.log(r_hi / rho), math.log(1e10),
+                math.log(1e3 / quad.rel_tol) / (N - alpha0),
+                *(1.0 + math.log(2.0 * rho / b) for b in field.breakpoints()
+                  if 0 < b < rho)), 100.0)
+    u_x, u_lo, u_hi, u_far, u_0, u_1 = field.profile(
+        rho * np.exp(np.array([0.0, -a, a, T, -T, 1.0 - T])))
 
-    def outer_integrand(r):
-        cut = sphere_power_cut(lam, rho, r, N, r_split)
-        return field.profile(r) * r ** (N - 1.0) * cut
+    def integrand(t):
+        g = (u_x - field.profile(rho * np.exp(t))) * np.exp(half * t) \
+            + (u_x - field.profile(rho * np.exp(-t))) * np.exp(-half * t)
+        return sphere_mean_power(lam, 1.0, np.exp(-t), N) \
+            * np.exp(-0.5 * lam * t) * g
 
-    edges = log_edges(r_lo, r_hi, per_decade=4,
-                      splits=tuple(field.breakpoints())
-                      + (rho - r_split, rho, rho + r_split))
-    # below r_lo u(r) r^(N-1) is a power against the (there) constant
-    # kernel mean; beyond r_hi the field tail meets the kernel's r^(-lam)
-    far = ()
-    if sup is None and tail is not None:
-        far = ((tail[0] * omega, tail[1] + 2.0 * s),)
-    scale = abs(u_x) * omega * rho ** (-2.0 * s)
-    outer_val, outer_err = adaptive_panel_integral(
-        outer_integrand, edges, quad, scale_hint=scale, label="flap-outer",
-        head_power=N - 1.0 - alpha0, tail=far)
-    conv = c_ns * outer_val
+    # geometric panels, no wider than one unit of t up to t = 3
+    edges = log_edges(a, T, 4, splits=[*cuts, 1.0, 2.0, 3.0])
+    omega = sphere_area(N)
+    val, err = adaptive_panel_integral(
+        integrand, edges, quad, scale_hint=abs(u_x) * omega,
+        label="flap-radial", head_power=1.0 - 2.0 * s)
 
-    value = inner + far_ux - conv
-    error = c_ns * (inner_err + outer_err)
-    return value, error
+    # beyond T: u(rho) on both sides, the tail at rho e^t, the origin
+    # power at rho e^-t, as (amplitude at T, rate, defect at T)
+    tail = field.tail_power() if sup is None else None
+    coef, p = tail or (0.0, 0.0)
+    far = coef * (rho * math.exp(T)) ** -p
+    e_s, e_n = math.exp(-2.0 * s * T), math.exp(-N * T)
+    pieces = np.array([
+        (u_x * e_s, 2.0 * s, 0.0), (u_x * e_n, N, 0.0),
+        (-far * e_s, p + 2.0 * s, abs(u_far - far) * e_s),
+        (-u_0 * e_n, N - alpha0, abs(u_1 * math.exp(alpha0) - u_0) * e_n)])
+    means = _far_mean_integrals(lam, N, pieces[:, 1], T)
+    val += float(pieces[:, 0] @ means)
+    err += float(pieces[:, 2] @ means)
+    k_a = float(sphere_mean_power(lam, 1.0, np.array([math.exp(-a)]), N)[0])
+    err += 4.0 * np.finfo(float).eps \
+        * (abs(u_x) + abs(u_hi - u_lo) / (2.0 * a)) \
+        * (k_a * a * (1.0 / (2.0 * s) + 1.0 / (2.0 - 2.0 * s)) + omega / s)
+    scale = params.normalizer * rho ** (-2.0 * s)
+    return scale * val, scale * err
 
 
 def frac_laplacian_at(field: RadialField, x, params: ProblemParams,

@@ -36,6 +36,22 @@ class TestCatalog:
                            match=f"field '{kind}': {key} = .* finite"):
             make_field(kind, **{key: value})
 
+    @pytest.mark.parametrize("make, key", [
+        (lambda v: Bump(v), "radius"),
+        (lambda v: Bump(1.0, center_norm=v), "center_norm"),
+        (lambda v: Gaussian(v), "sigma"),
+        (lambda v: Bubble(v), "decay_exponent"),
+        (lambda v: PowerLaw(1.0, amplitude=v), "amplitude"),
+        (lambda v: TruncatedPowerLaw(1.0, v, 1e2), "inner_cut"),
+        (lambda v: SampledRadial([1, 2, 3, 4], [4, 3, 2, 1], v),
+         "decay_exponent")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
+    def test_constructors_refuse_non_finite_numbers(self, make, key, value):
+        # the library API refuses what make_field refuses, naming the
+        # field and the parameter
+        with pytest.raises(DomainError, match=f"field '.*': {key} = "):
+            make(value)
+
     def test_bump_support(self):
         f = Bump(1.5)
         r = np.array([0.0, 1.0, 1.4, 1.5, 2.0])

@@ -272,6 +272,18 @@ class TestResolvent:
         got = generalized_expint(q, x)
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
+    @pytest.mark.parametrize("q", [0.6, 1.0, 2.5, 5.0, 12.5, 40.0])
+    def test_expint_depth_bins(self, q):
+        # the continued fraction's depth, chosen from the smallest x of the
+        # call, agrees to an ulp or two with the full depth that a node at
+        # x = 1 forces on every node of a call
+        x = np.geomspace(2.0, 80.0, 61)
+        full = generalized_expint(q, np.concatenate([[1.0], x]))[1:]
+        for lo in (2.0, 3.0, 5.0, 10.0):
+            keep = x >= lo
+            got = generalized_expint(q, x[keep])
+            assert np.max(np.abs(got - full[keep]) / full[keep]) <= 5e-16
+
     @pytest.mark.parametrize("dim, order, gamma_frac", [
         (2, 0.4, 0.8), (4, 0.75, 0.8), (3, 3.0 / (2.0 * (3.0 + 1e-7)), 0.8),
         (2, 0.4, 0.999)])

@@ -19,7 +19,7 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
 from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
                                   bipolar_sphere_integral,
                                   diagonal_panel_integral, log_edges,
-                                  panel_nodes, sphere_power_cut)
+                                  panel_nodes)
 
 
 def bubble_flap_exact(rho, N, s):
@@ -27,6 +27,45 @@ def bubble_flap_exact(rho, N, s):
     kappa = 2.0 ** (2 * s) * gamma_fn((N + 2 * s) / 2) / gamma_fn(
         (N - 2 * s) / 2)
     return kappa * (1.0 + rho * rho) ** (-(N + 2 * s) / 2.0)
+
+
+def bump_flap_oracle(mp, rho, N, s):
+    """(-Delta)^s Bump(1) at |x| = rho from the 1-D integral in t = ln(r/rho)
+    of the quadrature module docstring, in 40-digit mpmath: the sphere mean
+    by the connection formula in w = 1 - e^(-2t), the paired difference
+    with 2 |log10 t| more digits, and t = v^(1/(2-2s)) on the head.
+    Call it under mp.workdps(40)."""
+    rho, s = mp.mpf(rho), mp.mpf(s)
+    a, b, c = (N + 2 * s) / 2, s + 1, mp.mpf(N) / 2
+    m = c - a - b
+    p1 = mp.gamma(c) * mp.gamma(m) * mp.rgamma(c - a) * mp.rgamma(c - b)
+    p2 = mp.gamma(c) * mp.gamma(-m) * mp.rgamma(a) * mp.rgamma(b)
+
+    def kernel(t):  # Omega(1, e^-t) e^(-(N+2s)t/2) / |S^(N-1)|
+        w = -mp.expm1(-2 * t)
+        if w > 0.5:
+            f = mp.hyp2f1(a, b, c, 1 - w)
+        else:
+            f = (p1 * mp.hyp2f1(a, b, 1 - m, w)
+                 + p2 * w ** m * mp.hyp2f1(c - a, c - b, 1 + m, w))
+        return f * mp.exp(-a * t)
+
+    def bump(r):
+        return mp.exp(1 - 1 / (1 - r * r)) if r < 1 else mp.mpf(0)
+
+    def integrand(t):
+        with mp.workdps(45 + int(max(0, -2 * mp.log10(t)))):
+            h = (N - 2 * s) / 2
+            g = ((bump(rho) - bump(rho * mp.exp(t))) * mp.exp(h * t)
+                 + (bump(rho) - bump(rho * mp.exp(-t))) * mp.exp(-h * t))
+        return kernel(t) * g
+
+    t_b, q = mp.log(1 / rho), 1 / (2 - 2 * s)
+    val = (mp.quad(lambda v: integrand(v ** q) * q * v ** (q - 1),
+                   [0, (t_b / 2) ** (1 / q)])
+           + mp.quad(integrand, [t_b / 2, t_b, 2 * t_b, mp.inf]))
+    c_ns = 4 ** s * mp.gamma(c + s) / (mp.pi ** c * abs(mp.gamma(-s)))
+    return float(c_ns * 2 * mp.pi ** c / mp.gamma(c) * rho ** (-2 * s) * val)
 
 
 class TestQuadratureSpec:
@@ -140,38 +179,25 @@ class TestPanelIntegral:
 
 class TestSphereMeans:
     def test_power_mean_vs_angle_quadrature(self):
-        # dual route against brute-force bipolar-angle panels: the
-        # hypergeometric closed form on whole shells, and the bipolar rule
-        # on shells straddling a cut d > d_min
-        cases = [(dim, lam, rho, r, None) for dim in (2, 3, 4)
+        # the hypergeometric closed form against brute-force bipolar-angle
+        # panels on whole shells
+        cases = [(dim, lam, rho, r) for dim in (2, 3, 4)
                  for lam in (0.7, dim - 2 + 0.3, dim + 1.0)
                  for rho, r in ((1.0, 0.4), (1.0, 0.93), (0.3, 1.9))]
-        # (N, s) = (2, 0.4): the flap kernel lam = N + 2s, where the
-        # hypergeometric function is not elementary
-        cases += [(2, 2.8, 1.0, r, d_min) for r, d_min in
-                  ((0.9, 0.3), (1.05, 0.5), (0.6, 0.45), (1.4, 1.0),
-                   (0.999, 0.2))]
-        cases += [(3, 3.8, 1.0, 0.8, 0.5), (4, 5.5, 0.7, 0.5, 0.25)]
-        for dim, lam, rho, r, d_min in cases:
+        # the flap kernels lam = N + 2s at (2, .4), (3, .4) and (4, .75),
+        # where the hypergeometric function is not elementary
+        cases += [(2, 2.8, 1.0, r) for r in (0.9, 1.05, 0.6, 1.4, 0.999)]
+        cases += [(3, 3.8, 1.0, 0.8), (4, 5.5, 0.7, 0.5)]
+        for dim, lam, rho, r in cases:
             a, b = abs(rho - r), rho + r
-            psi_lo = 0.0
-            if d_min is not None:
-                assert a < d_min < b  # the shell straddles the cut
-                psi_lo = math.asin(math.sqrt((d_min ** 2 - a ** 2)
-                                             / (b ** 2 - a ** 2)))
             psi, w = panel_nodes(
-                psi_lo + np.concatenate(
-                    [[0.0], np.geomspace(1e-8, math.pi / 2 - psi_lo, 40)]),
+                np.concatenate([[0.0], np.geomspace(1e-8, math.pi / 2, 40)]),
                 20)
             d = np.sqrt((a * np.cos(psi)) ** 2 + (b * np.sin(psi)) ** 2)
             ref = (2.0 ** (dim - 1) * sphere_area(dim - 1)
                    * np.dot(d ** (-lam)
                             * (np.sin(psi) * np.cos(psi)) ** (dim - 2), w))
-            if d_min is None:
-                val = sphere_mean_power(lam, rho, np.array([r]), dim)[0]
-            else:
-                val = sphere_power_cut(lam, rho, np.array([r]), dim,
-                                       d_min)[0]
+            val = sphere_mean_power(lam, rho, np.array([r]), dim)[0]
             assert float(val) == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -315,6 +341,50 @@ class TestFracLaplacian:
         assert val == pytest.approx(exact, rel=quad.rel_tol)
         assert abs(val - exact) <= err
 
+    @pytest.mark.parametrize("rho", (0.05, 0.3, 0.7, 1.5, 3.0))
+    @pytest.mark.parametrize("dim, s", ((1, 0.25), (2, 0.4), (3, 0.3),
+                                        (4, 0.75), (5, 0.9)))
+    def test_gaussian_sweep(self, dim, s, rho, quad):
+        # (-Delta)^s e^(-r^2/2) = 2^s Gamma(N/2+s) / Gamma(N/2)
+        # 1F1(N/2+s; N/2; -rho^2/2), to rel_tol and within the reported
+        # error estimate
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            exact = float(2 ** mp.mpf(s) * mp.gamma(mp.mpf(dim) / 2 + s)
+                          / mp.gamma(mp.mpf(dim) / 2)
+                          * mp.hyp1f1(mp.mpf(dim) / 2 + s, mp.mpf(dim) / 2,
+                                      -mp.mpf(rho) ** 2 / 2))
+        params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+        val, err = frac_laplacian_at_detailed(
+            Gaussian(1.0), axis_point(rho, dim), params, quad)
+        assert abs(val - exact) <= min(err, quad.rel_tol * abs(exact))
+
+    @pytest.mark.parametrize("rho", (0.3, 0.7, 0.95))
+    @pytest.mark.parametrize("dim, s", ((2, 0.4), (4, 0.75), (5, 0.9)))
+    def test_bump_vs_mpmath(self, dim, s, rho, quad):
+        # the bump's flat edge at r = 1 is what a too wide band misses:
+        # at (5, .9), rho = .95 a band of 1e-4 in t is off by 6e-7
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = bump_flap_oracle(mp, rho, dim, s)
+        params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+        val, err = frac_laplacian_at_detailed(
+            Bump(1.0), axis_point(rho, dim), params, quad)
+        assert abs(val - exact) <= min(err, quad.rel_tol * abs(exact))
+
+    def test_one_radial_integral_off_center(self, params_2d, quad,
+                                            count_calls):
+        # rho > 0 is one adaptive_panel_integral in t and no shell rule
+        from fracgreen import quadrature
+        panels = count_calls(quadrature, "adaptive_panel_integral")
+        shells = count_calls(quadrature, "bipolar_sphere_integral")
+        for field in (Bump(1.0), Bubble(1.2), PowerLaw(0.5)):
+            panels.clear()
+            frac_laplacian_at_detailed(field, axis_point(0.7, 2), params_2d,
+                                       quad)
+            assert len(panels) == 1
+        assert shells == []
+
     def test_linearity(self, params_3half, quad):
         u = Bump(1.0)
         v = Gaussian(0.7)
@@ -324,6 +394,21 @@ class TestFracLaplacian:
         rhs = (2.5 * frac_laplacian_at(u, x, params_3half, quad)
                - 1.25 * frac_laplacian_at(v, x, params_3half, quad))
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize("rho", (0.999, 1.0))
+    @pytest.mark.parametrize("dim, s", ((3, 0.5), (4, 0.75)))
+    def test_singular_sum_at_a_breakpoint(self, dim, s, rho, quad):
+        # r^-1/2 + 2 Bump(1) at and next to the bump's edge, against the
+        # closed-form power multiplier plus twice the bump's value
+        params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+        x = axis_point(rho, dim)
+        val, err = frac_laplacian_at_detailed(
+            PowerLaw(0.5).plus(Bump(1.0).scaled(2.0)), x, params, quad)
+        bump, bump_err = frac_laplacian_at_detailed(Bump(1.0), x, params,
+                                                    quad)
+        ref = frac_laplacian_power_law(0.5, x, params) + 2.0 * bump
+        assert abs(val - ref) <= min(err + 2.0 * bump_err,
+                                     quad.rel_tol * abs(ref))
 
     def test_rotation_invariance(self, params_3half, quad):
         u = Gaussian(1.0)
