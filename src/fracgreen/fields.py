@@ -213,12 +213,6 @@ class TruncatedPowerLaw(RadialField):
         chi_out = 1.0 - _smoothstep(np.log(2.0 * safe / r2) / math.log(2.0))
         return self.amplitude * np.exp(logv) * chi_out
 
-    def pure(self, r):
-        """The untruncated power profile (reference for truncation budgets)."""
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return self.amplitude * r ** (-self.exponent)
-
     def breakpoints(self):
         return (self.inner_cut, 2.0 * self.inner_cut,
                 0.5 * self.outer_cut, self.outer_cut)
@@ -226,24 +220,17 @@ class TruncatedPowerLaw(RadialField):
     def support_radius(self):
         return self.outer_cut
 
-    def clean_window(self) -> tuple[float, float]:
-        """Radial window on which the profile equals the pure power exactly."""
-        return (2.0 * self.inner_cut, 0.5 * self.outer_cut)
-
 
 class _CubicSpline:
-    """C^2 cubic interpolant of the knots x and values y.
+    """Natural C^2 cubic interpolant of the knots x and values y (zero
+    second derivative at both ends).
 
-    `start` and `end` are the end conditions: a number (the first
-    derivative there), "natural" (zero second derivative) or "not-a-knot"
-    (a continuous third derivative at the second knot from that end; the
-    chord slope when there are only two knots). Not-a-knot at both ends
-    needs at least four knots. The knot slopes solve a tridiagonal system
-    in O(n); each piece is a cubic in powers of (r - x_i), evaluated by
-    Horner, and the end pieces continue beyond the knots.
+    The knot slopes solve a tridiagonal system in O(n); each piece is a
+    cubic in powers of (r - x_i), evaluated by Horner, and the end pieces
+    continue beyond the knots.
     """
 
-    def __init__(self, x, y, start, end):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if (x.ndim != 1 or x.size < 2 or y.shape != x.shape
@@ -254,14 +241,15 @@ class _CubicSpline:
         m = np.diff(y) / h
         n = x.size
         # row i multiplies the slopes (s[i-1], s[i], s[i+1]) by
-        # (lower[i], diag[i], upper[i]); interior rows are C^2 continuity
+        # (lower[i], diag[i], upper[i]); interior rows are C^2 continuity,
+        # the end rows the natural condition
         lower, diag, upper, rhs = (np.zeros(n) for _ in range(4))
         lower[1:-1] = h[1:]
         diag[1:-1] = 2.0 * (h[:-1] + h[1:])
         upper[1:-1] = h[:-1]
         rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-        diag[0], upper[0], rhs[0] = self._end_row(start, h, m)
-        diag[-1], lower[-1], rhs[-1] = self._end_row(end, h[::-1], m[::-1])
+        diag[0], upper[0], rhs[0] = 2.0 * h[0], h[0], 3.0 * h[0] * m[0]
+        diag[-1], lower[-1], rhs[-1] = 2.0 * h[-1], h[-1], 3.0 * h[-1] * m[-1]
         # Thomas elimination (no pivoting: each pivot stays positive)
         lower, diag, upper, s = (a.tolist() for a in (lower, diag, upper, rhs))
         for i in range(1, n):
@@ -275,20 +263,6 @@ class _CubicSpline:
         t = (s[:-1] + s[1:] - 2.0 * m) / h
         self.x = x
         self.coef = np.array([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]])
-
-    @staticmethod
-    def _end_row(cond, h, m):
-        """(diag, off-diagonal, rhs) of the end condition's row, with the
-        widths h and chord slopes m ordered from that end inward."""
-        if cond == "natural":
-            return 2.0 * h[0], h[0], 3.0 * h[0] * m[0]
-        if cond == "not-a-knot":
-            if h.size == 1:
-                return 1.0, 0.0, m[0]
-            d = h[0] + h[1]
-            return h[1], d, ((h[0] + 2.0 * d) * h[1] * m[0]
-                             + h[0] ** 2 * m[1]) / d
-        return 1.0, 0.0, float(cond)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -321,7 +295,7 @@ class SampledRadial(RadialField):
             raise DomainError("decay exponent must be positive")
         self.radii = radii
         self.values = values
-        self._spline = _CubicSpline(radii, values, "natural", "natural")
+        self._spline = _CubicSpline(radii, values)
         self._tail_coef = values[-1] * radii[-1] ** decay_exponent
 
     def profile(self, r):

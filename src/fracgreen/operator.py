@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .fields import PowerLaw, RadialField, TruncatedPowerLaw
+from .fields import PowerLaw, RadialField
 from .params import ProblemParams
 from .quadrature import (DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES,
                          QuadratureSpec, adaptive_panel_integral, blockwise,
                          diagonal_panel_integral, frac_laplacian_at_detailed,
                          frac_laplacian_power_law, integrate_radial_singular,
                          log_edges, panel_nodes, sphere_area,
-                         sphere_mean_power, truncation_correction_detailed)
+                         sphere_mean_power)
 from .reports import VerificationReport
 
 
@@ -262,28 +262,28 @@ def fundamental_residual(x_grid, params: ProblemParams, quad: QuadratureSpec,
                          theta_scale: float = 1.0) -> VerificationReport:
     """Quadrature check that |x|^(-(N-2s-gamma)) is annihilated pointwise.
 
-    Evaluates the operator over the grid on the profile truncated smoothly
-    at 1e-3 and 1e3, subtracts the analytic truncation effect, and reports
-    the worst residual relative to theta |x|^(-(N-gamma)). `theta_scale`
-    != 1 deliberately detunes the Hardy coupling (sensitivity control:
-    theta/2 shifts the residual to ~1/2).
+    Evaluates (-Delta)^s of the pure power by quadrature, never by its
+    closed-form multiplier (frac_laplacian_at_detailed integrates the power
+    down to its center and out to infinity with exact power models), and
+    reports the worst residual relative to theta |x|^(-(N-gamma)).
+    `theta_scale` != 1 deliberately detunes the Hardy coupling (sensitivity
+    control: theta/2 shifts the residual to ~1/2).
     """
     N, s = params.dim, params.order
     theta = params.hardy_strength
     alpha = params.homogeneous_exponent()
-    field = TruncatedPowerLaw(alpha, 1e-3, 1e3)
+    field = PowerLaw(alpha)
     worst = 0.0
     rows = []
     for x in x_grid:
         x = np.asarray(x, dtype=float)
         rho = float(np.linalg.norm(x))
         flap, err = frac_laplacian_at_detailed(field, x, params, quad)
-        corr, corr_err = truncation_correction_detailed(field, x, params, quad)
         hardy = theta_scale * theta * float(field(x)) * rho ** (-2.0 * s)
         scale = theta * rho ** (-(N - params.exponent_gamma))
-        residual = abs(flap - hardy - corr) / scale
+        residual = abs(flap - hardy) / scale
         rows.append({"radius": rho, "residual": residual,
-                     "error_estimate": (err + corr_err) / scale})
+                     "error_estimate": err / scale})
         worst = max(worst, residual)
     return VerificationReport(
         name="fundamental-residual",

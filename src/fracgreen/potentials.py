@@ -11,6 +11,11 @@ Everything reduces to 1D radial integrals against kernel sphere means
 kernel depends on |x-y| alone; the remaining case (off-center density,
 coupling-dependent kernel, arbitrary x) integrates each shell |y| = r with
 a two-angle rule, batched over the shells (_pair_shell_integrals).
+
+The delta identity int K (P f) = f integrates the kernel against a
+FlapProfile: Chebyshev interpolants of the engine's pointwise
+(-Delta)^s f (quadrature.frac_laplacian_at_detailed), the only fractional
+Laplacian this module uses.
 """
 
 from __future__ import annotations
@@ -19,15 +24,16 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .errors import DomainError
-from .fields import RadialField, _CubicSpline
+from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
 from .quadrature import (QuadratureSpec, axis_point, blockwise,
                          diagonal_panel_integral, frac_laplacian_at_detailed,
-                         log_edges, panel_nodes, polar_rule, shell_distance,
-                         sphere_area, sphere_mean_power)
+                         integrate_radial_singular, panel_nodes, polar_rule,
+                         shell_distance, sphere_area, sphere_mean_power)
 from .reports import VerificationReport
 
 # shells per block of the two-angle rule, whose temporaries are
@@ -39,6 +45,8 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 _DELTA_EDGES = np.concatenate([np.delete(np.linspace(0.0, math.pi, 13), 6),
                                math.pi - np.geomspace(1e-7, 0.49 * math.pi,
                                                       14)])
+# engine values behind a flap profile's interpolant outside the support
+_FLAP_OUTSIDE = 17
 
 
 def _density_range(phi: RadialField):
@@ -338,11 +346,14 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
 class FlapProfile:
     """Radial profile of (-Delta)^s f about the center of a compact field f.
 
-    Cubic spline of n_inside pointwise quadrature values inside the
-    support, with zero slope at the center (the profile is even in r) and
-    not-a-knot at the top; the exact convolution formula (no principal
-    value needed) outside, where f itself vanishes. Decays like
-    -c (int f) r^(-N-2s).
+    Two Chebyshev interpolants of frac_laplacian_at_detailed values, r the
+    distance from the center and sup the support radius. Inside the
+    support the profile is interpolated in w = (r/sup)^2 at n_inside
+    Chebyshev points of [0, 1], so it is even in r. Outside, where f
+    vanishes, (-Delta)^s f = -c int f(y) |x - y|^(-N-2s) dy is
+    v^((N+2s)/2) times a function of v = (sup/r)^2 that is smooth on
+    [0, 1] and tends to -c (int f) as r -> infinity; that function is
+    interpolated at _FLAP_OUTSIDE Chebyshev points. mass = int f.
 
     The profile depends only on the field, the parameters and the
     quadrature, not on the point where the delta identity is checked, so
@@ -353,7 +364,7 @@ class FlapProfile:
     def __init__(self, f: RadialField, params: ProblemParams,
                  quad: QuadratureSpec, n_inside: int = 40):
         if n_inside < 2:
-            raise DomainError(f"n_inside = {n_inside}: the flap spline "
+            raise DomainError(f"n_inside = {n_inside}: the flap interpolant "
                               f"needs at least 2 points inside the support")
         sup = f.support_radius()
         if sup is None:
@@ -363,37 +374,28 @@ class FlapProfile:
         self.quad = quad
         self.sup = sup
         N = params.dim
+        self._half_lam = 0.5 * N + params.order
         center = f.center(N)
-        # Chebyshev-type clustering: the profile varies fastest near the
-        # support edge (and the kernel checks probe near the center)
-        k = np.arange(n_inside)
-        grid = 0.5 * (1.0 - np.cos(math.pi * k / (n_inside - 1))) \
-            * sup * 0.999
-        vals = [frac_laplacian_at_detailed(
-            f, center + axis_point(r, N), params, quad)[0] for r in grid]
-        self._spline = _CubicSpline(grid, vals, 0.0, "not-a-knot")
-        # nodes of the direct convolution formula used outside the support
-        edges = log_edges(1e-8 * sup, sup, 6)
-        self._q_nodes, self._q_w = panel_nodes(edges, 12)
-        self._q_f = f.profile(self._q_nodes) * self._q_nodes ** (N - 1.0)
-        self.mass = float(np.dot(self._q_f, self._q_w)) * sphere_area(N)
 
-    def outside(self, r):
-        """-c int f(y) |r e1 - y|^(-N-2s) dy, exact for r > support."""
-        lam = self.p.dim + 2.0 * self.p.order
-        out = blockwise(lambda rb: (self._q_f * sphere_mean_power(
-            lam, rb[:, None], self._q_nodes, self.p.dim)) @ self._q_w,
-            _SHELL_BLOCK, np.atleast_1d(np.asarray(r, float)))
-        return -self.p.normalizer * out
+        def flap(r):
+            return np.array([frac_laplacian_at_detailed(
+                f, center + axis_point(float(ri), N), params, quad)[0]
+                for ri in r])
+
+        self._inside = Chebyshev.interpolate(
+            lambda w: flap(sup * np.sqrt(w)), n_inside - 1, domain=[0.0, 1.0])
+        self._outside = Chebyshev.interpolate(
+            lambda v: flap(sup / np.sqrt(v)) * v ** -self._half_lam,
+            _FLAP_OUTSIDE - 1, domain=[0.0, 1.0])
+        self.mass = integrate_radial_singular(f, 0.0, N, quad)
 
     def __call__(self, r):
         r = np.atleast_1d(np.asarray(r, float))
         out = np.empty_like(r)
-        inside = r < self.sup * 0.999
-        if np.any(inside):
-            out[inside] = self._spline(r[inside])
-        if np.any(~inside):
-            out[~inside] = self.outside(r[~inside])
+        inside = r < self.sup
+        out[inside] = self._inside((r[inside] / self.sup) ** 2)
+        v = (self.sup / r[~inside]) ** 2
+        out[~inside] = self._outside(v) * v ** self._half_lam
         return out
 
     def delta_identity(self, x0, mode: str = "strict") -> VerificationReport:
@@ -482,7 +484,7 @@ def _delta_strict_value(flap: FlapProfile, x0) -> float:
     # tail: flap ~ -c M r^(-N-2s) against the kernel mean ~ omega r^(-lam)
     val, _ = diagonal_panel_integral(
         integrand, 1e-9 * sup, r_hi, rho_c, quad, min(0.0, 2.0 * s - 1.0),
-        (sup, 0.999 * sup), scale_hint=abs(flap.mass), label="delta-strict",
+        (sup,), scale_hint=abs(flap.mass), label="delta-strict",
         tail=((-params.normalizer * flap.mass * sphere_area(N), N),))
     return a_const * val
 
@@ -520,5 +522,5 @@ def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
 
     val, _ = diagonal_panel_integral(
         integrand, 1e-9 * sup, r_hi, abs(q), quad, min(0.0, 2.0 * s - 1.0),
-        (abs(c), sup, 0.999 * sup), order=8, label="delta-surrogate")
+        (abs(c), sup), order=8, label="delta-surrogate")
     return float(val)

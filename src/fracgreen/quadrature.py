@@ -53,7 +53,7 @@ from scipy.special import gamma, gammaln, hyp2f1, rgamma
 
 from .errors import (DivergenceError, DomainError, SingularityError,
                      ToleranceError)
-from .fields import RadialField, TruncatedPowerLaw
+from .fields import RadialField
 from .params import ProblemParams, power_multiplier
 
 _MAX_ROUNDS = 7
@@ -68,12 +68,13 @@ class QuadratureSpec:
     fractional Laplacian is completed by its head power: of the scale in
     t = ln(r/rho) off the center (frac_laplacian_at_detailed), of
     min(1, r_hi) / 10 in r at it; outer_radius is the absolute far-field
-    truncation radius beyond which analytic power tails take over. rel_tol
-    is the target of every radial integral: adaptive_panel_integral bisects
-    only the panels whose own defects (a panel's Gauss-Legendre sum against
-    the sum over its two halves) do not yet fit in a quarter of rel_tol
-    times the scale, for at most _MAX_ROUNDS rounds, and reports the summed
-    per-panel defects as its error estimate.
+    truncation radius beyond which analytic power tails take over, and
+    0 < inner_radius < outer_radius < inf. rel_tol is the target of every
+    radial integral: adaptive_panel_integral bisects only the panels whose
+    own defects (a panel's Gauss-Legendre sum against the sum over its two
+    halves) do not yet fit in a quarter of rel_tol times the scale, for at
+    most _MAX_ROUNDS rounds, and reports the summed per-panel defects as
+    its error estimate.
     The sphere rules of the potentials have fixed Gauss-Legendre orders:
     12, 10, and 10 and 14.
     """
@@ -83,8 +84,11 @@ class QuadratureSpec:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not self.inner_radius < self.outer_radius:
-            raise DomainError("need inner_radius < outer_radius")
+        if not 0.0 < self.inner_radius < self.outer_radius < math.inf:
+            raise DomainError(
+                f"inner_radius = {self.inner_radius}, outer_radius = "
+                f"{self.outer_radius}: need 0 < inner_radius < outer_radius "
+                f"< inf")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2]")
 
@@ -264,9 +268,11 @@ def log_edges(lo: float, hi: float, per_decade: int = 4,
               splits=()) -> np.ndarray:
     """Geometric panel edges on [lo, hi], at least per_decade to a decade
     and never fewer than two, with the split points inside (lo, hi) added."""
-    if not 0 < lo < hi:
-        raise DomainError("log_edges needs 0 < lo < hi")
-    count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("log_edges needs 0 < lo < hi < inf")
+    # hi / lo itself may overflow
+    decades = math.log10(hi) - math.log10(lo)
+    count = max(2, int(math.ceil(per_decade * decades)) + 1)
     edges = np.geomspace(lo, hi, count)
     extra = [p for p in splits if lo < p < hi]
     if extra:
@@ -654,53 +660,3 @@ def frac_laplacian_at(field: RadialField, x, params: ProblemParams,
                       quad: QuadratureSpec) -> float:
     """(-Delta)^s u(x) by singular quadrature (see detailed variant)."""
     return frac_laplacian_at_detailed(field, x, params, quad)[0]
-
-
-def truncation_correction_detailed(field: TruncatedPowerLaw, x,
-                                   params: ProblemParams,
-                                   quad: QuadratureSpec):
-    """Exact effect of the inner/outer truncation on (-Delta)^s at x.
-
-    For x in the field's clean window,
-        (-Delta)^s u(x) = multiplier * |x|^(-alpha-2s) + correction,
-    correction = c int (pure - u)(y) |x - y|^(-N-2s) dy  (> 0),
-    computed here by 1D radial quadrature against kernel sphere means.
-    """
-    if not isinstance(field, TruncatedPowerLaw):
-        raise DomainError("truncation correction needs a TruncatedPowerLaw")
-    N, s = params.dim, params.order
-    lam = N + 2.0 * s
-    x = np.asarray(x, dtype=float)
-    rho = float(np.linalg.norm(x - field.center(N)))
-    lo_w, hi_w = field.clean_window()
-    if not lo_w < rho < hi_w:
-        raise DomainError(
-            f"|x|={rho} outside the clean window ({lo_w}, {hi_w})")
-
-    def err_profile(r):
-        return field.pure(r) - field.profile(r)
-
-    alpha = field.exponent
-
-    def integrand(r):
-        return (err_profile(r) * r ** (N - 1.0)
-                * sphere_mean_power(lam, rho, r, N))
-
-    # inner truncated zone (0, 2 r1], the pure power dominating near 0
-    r1 = field.inner_cut
-    r_lo = r1 * (1e-3 * quad.rel_tol) ** (1.0 / (N - alpha))
-    inner_val, inner_err = adaptive_panel_integral(
-        integrand, log_edges(r_lo, 2.0 * r1, 4, splits=(r1,)), quad,
-        label="trunc-inner", head_power=N - 1.0 - alpha)
-
-    # outer truncated zone [r2/2, inf), the pure power against r^(-lam)
-    r2 = field.outer_cut
-    r_ext = max(8.0 * r2, 64.0 * rho)
-    outer_val, outer_err = adaptive_panel_integral(
-        integrand, log_edges(0.5 * r2, r_ext, 4, splits=(r2,)), quad,
-        label="trunc-outer",
-        tail=((field.amplitude * sphere_area(N), alpha + 2.0 * s),))
-
-    c_ns = params.normalizer
-    return c_ns * (inner_val + outer_val), c_ns * (inner_err + outer_err)
-

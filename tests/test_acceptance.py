@@ -22,7 +22,7 @@ from fracgreen import (Bubble, Bump, Gaussian, ProblemParams, QuadratureSpec,
                        green_time_integral_quadrature, hardy_integrability_check,
                        hardy_ratio, near_optimizer, near_optimizer_sweep,
                        origin_slope_fit, sharp_hardy_constant, sphere_area,
-                       theta_of_gamma, truncation_correction_detailed)
+                       theta_of_gamma)
 
 QUAD = QuadratureSpec()
 
@@ -157,10 +157,10 @@ def test_criterion_7_engine_soundness():
     worst = 0.0
     for rho in (0.7, 1.0, 1.4):
         x = axis_point(rho, 3)
+        # the cuts' own effect (1.2-2.8e-4 relative) counts as a miss
         num, err = frac_laplacian_at_detailed(f, x, p, QUAD)
-        corr, corr_err = truncation_correction_detailed(f, x, p, QUAD)
         closed = frac_laplacian_power_law(alpha, x, p)
-        excess = abs(num - closed - corr) - (err + corr_err)
+        excess = abs(num - closed) - err
         worst = max(worst, excess / abs(closed))
     multiplier_ok = worst <= 1e-3
 

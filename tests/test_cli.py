@@ -232,17 +232,26 @@ class TestVerify:
         _, _, err = run_cli("verify", "--N", "1", "--s", "0.45")
         assert "Warning" not in err
 
+    def test_small_gamma_near_the_order_limit(self):
+        # the time quadrature's panels span more than 1.8e308 in ratio
+        code, out, err = run_cli("verify", "--N", "1", "--s", "0.49",
+                                 "--gamma", "1e-3")
+        assert code in (0, 1), err
+        assert "Traceback" not in err and "Warning" not in err
+        assert "[PASS] time-integral-closed-vs-quadrature" in out
+
     @pytest.mark.parametrize("flags", [("--delta",), ()])
     def test_one_flap_profile_per_run(self, count_calls, flags):
         # both points of the delta identity share one flap profile: one
-        # build of 32 pointwise values, not one per point
+        # build of 32 pointwise values inside the support and 17 outside,
+        # not one per point
         built = count_calls(potentials.FlapProfile, "__init__")
         pointwise = count_calls(potentials, "frac_laplacian_at_detailed")
         code, out, err = run_cli("verify", "--N", "3", "--s", "0.5", *flags)
         assert code == 0, err
         assert "delta-identity-zero-coupling" in out
         assert len(built) == 1
-        assert len(pointwise) == 32
+        assert len(pointwise) == 32 + 17
 
     def test_delta_only_flag(self):
         # (2, .05): the Green kernel's sphere mean grows like |t - rho|^-0.9
@@ -361,6 +370,10 @@ def test_main_entry_direct(tmp_path, capsys):
     (("kernel", "--time", "nan"), None),
     (("kernel", "--time", "inf"), None),
     (("solve", "--radii", "1:inf:3"), None),
+    (("verify",), "[quadrature]\ninner_radius = -1.0\n"),
+    (("verify",), "[quadrature]\ninner_radius = 0.0\n"),
+    (("verify",), "[quadrature]\nouter_radius = inf\n"),
+    (("verify",), "[quadrature]\nouter_radius = nan\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:

@@ -358,6 +358,29 @@ class TestDeltaIdentity:
             delta_identity_check(f, axis_point(1.3, 1), p1, quad,
                                  mode="comparability")
 
+    @pytest.mark.parametrize("dim,s", SWEEP)
+    def test_profile_matches_the_engine_off_its_nodes(self, dim, s, quad):
+        # verify's profile of 32 inside values against the pointwise engine
+        # at radii that are no interpolation node: inside, in the peak of
+        # |(-Delta)^s f| (the profile crosses zero near the support edge);
+        # outside, pointwise, where it decays like r^(-N-2s)
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        f = Bump(1.0)
+        flap = FlapProfile(f, p, quad, n_inside=32)
+
+        def engine(radii):
+            return np.array([potentials.frac_laplacian_at_detailed(
+                f, axis_point(r, dim), p, quad)[0] for r in radii])
+
+        inside = np.array([0.1, 0.6, 0.95, 0.99])
+        ref = engine(inside)
+        miss = np.abs(flap(inside) - ref)
+        assert np.all(miss <= 1e-3 * np.max(np.abs(ref))), miss
+        outside = np.array([1.001, 1.5, 40.0])
+        ref = engine(outside)
+        miss = np.abs(flap(outside) - ref)
+        assert np.all(miss <= 1e-5 * np.abs(ref)), miss / np.abs(ref)
+
     # small s: the kernel mean grows like |t - rho|^(2s-1) at the diagonal
     @pytest.mark.parametrize("dim,s", SWEEP + [(1, 0.1), (2, 0.05),
                                                (3, 0.15)])
