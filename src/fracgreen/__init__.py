@@ -25,7 +25,8 @@ from .params import (ProblemParams, frac_laplacian_normalizer, gamma_of_theta,
                      sharp_hardy_constant, theta_of_gamma)
 from .potentials import (PotentialField, delta_identity_check,
                          green_potential, green_potential_detailed,
-                         hardy_integrability_check, origin_slope_fit)
+                         green_potentials_at, hardy_integrability_check,
+                         origin_slope_fit)
 from .quadrature import (QuadratureSpec, axis_point, frac_laplacian_at,
                          frac_laplacian_at_detailed, frac_laplacian_power_law,
                          integrate_radial_singular, sphere_area,
@@ -50,7 +51,8 @@ __all__ = [
     "sphere_area", "sphere_mean_power", "axis_point",
     "apply_P", "energy_form", "hardy_ratio", "hardy_weight_integral",
     "fundamental_residual", "near_optimizer_sweep",
-    "green_potential", "green_potential_detailed", "origin_slope_fit",
+    "green_potential", "green_potential_detailed", "green_potentials_at",
+    "origin_slope_fit",
     "hardy_integrability_check", "delta_identity_check",
     "FracgreenError", "DomainError", "DegenerateInputError",
     "SingularityError", "DivergenceError", "ToleranceError",

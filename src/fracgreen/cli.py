@@ -31,7 +31,7 @@ from .kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR,
 from .operator import fundamental_residual, hardy_ratio
 from .params import (ProblemParams, gamma_of_theta, sharp_hardy_constant,
                      theta_of_gamma)
-from .potentials import (FlapProfile, green_potential_detailed,
+from .potentials import (FlapProfile, green_potentials_at,
                          hardy_integrability_check, origin_slope_fit)
 from .quadrature import axis_point
 from .reports import VerificationReport
@@ -336,13 +336,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     radii = np.geomspace(float(lo), float(hi), int(n))
     kind = args.kernel
     alpha = float(args.alpha) if kind == "resolvent_surrogate" else None
-    vals, errs = [], []
-    for rho in radii:
-        v, e = green_potential_detailed(phi, axis_point(float(rho),
-                                                        params.dim),
-                                        params, cfg.quad, kind, alpha)
-        vals.append(v)
-        errs.append(e)
+    vals, errs = green_potentials_at(
+        phi, [axis_point(float(rho), params.dim) for rho in radii], params,
+        cfg.quad, kind, alpha)
+    vals, errs = vals.tolist(), errs.tolist()
     rows = []
     for i, rho in enumerate(radii):
         if 0 < i and vals[i] > 0 and vals[i - 1] > 0:

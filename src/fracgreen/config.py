@@ -48,6 +48,12 @@ SETTINGS = (
 #: the blocks a config file may hold, [field] with the chosen field's keys
 BLOCKS = ("params", "quadrature", "field", "output")
 
+#: bound on outer_radius^(N+1): the largest power of the outer radius R the
+#: engine forms is about R^(N+1) (an integrand's r^(N-1) times a panel's
+#: half-width, or the square r^2 of a sphere mean's argument), and below
+#: this bound every such power stays finite with room to spare
+OUTER_POWER_LIMIT = 1e300
+
 
 def _check_keys(where: str, given, allowed) -> None:
     """ConfigError naming where and each key of given that allowed lacks."""
@@ -65,6 +71,11 @@ def _typed(block: str, key: str, value, typ: type):
         raise ConfigError(f"[{block}] {key} = {value!r}: expected "
                           f"{typ.__name__}")
     return typ(value)
+
+
+def outer_radius_limit(dim: int) -> float:
+    """The largest outer_radius a run in dimension dim accepts."""
+    return OUTER_POWER_LIMIT ** (1.0 / (dim + 1))
 
 
 def _quadrature_spec(block: dict) -> QuadratureSpec:
@@ -137,6 +148,12 @@ class RunConfig:
                               f"integer")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format={self.fmt!r} must be csv or json")
+        limit = outer_radius_limit(self.dim)
+        if self.quad.outer_radius > limit:
+            raise ConfigError(
+                f"[quadrature] outer_radius = {self.quad.outer_radius} with "
+                f"N = {self.dim}: need outer_radius^(N+1) <= "
+                f"{OUTER_POWER_LIMIT:g}, outer_radius <= {limit!r}")
 
     def params(self, default_gamma: float | None = None) -> ProblemParams:
         """Problem parameters; theta wins over gamma when both given."""

@@ -331,9 +331,14 @@ _SHELL_BLOCK = 128  # shells per batched (shells, angle nodes) evaluation
 
 class _Kernel:
     """K(x, y) = pair_value(|x-y|, |x|, |y|); distance_only kernels depend
-    on |x-y| alone and are defined at the origin."""
+    on |x-y| alone and are defined at the origin. homogeneous kernels obey
+    K(t x, t y) = t^-(N-2s) K(x, y), so their sphere means obey
+    sphere_mean(rho, rho u) = rho^-(N-2s) sphere_mean(1, u). At a fixed
+    rho > 0, sphere_mean(rho, r) grows like r^-origin_growth as r -> 0."""
 
     distance_only = False
+    homogeneous = False
+    origin_growth = 0.0
 
     def __call__(self, x, y):
         rx, ry, d = _norms(x, y, at_origin=self.distance_only)
@@ -344,6 +349,7 @@ class _RieszKernel(_Kernel):
     """a(N,s) d^(2s-N): exact inverse kernel at zero coupling."""
 
     distance_only = True
+    homogeneous = True
 
     def __init__(self, params: ProblemParams):
         self.p = params
@@ -359,10 +365,15 @@ class _RieszKernel(_Kernel):
 
 class _SurrogateKernel(_Kernel):
     """Expanded comparison form: the three power terms of surrogate_terms
-    in d with their radial weights."""
+    in d with their radial weights. Each term w_j(rho, r) d^(-lam_j) is
+    homogeneous of degree -(N-2s): the weight's degree -j g makes up the
+    power's deficit j g."""
+
+    homogeneous = True
 
     def __init__(self, params: ProblemParams):
         self.p = params
+        self.origin_growth = params.exponent_gamma  # the weight |y|^-g
 
     def pair_value(self, d, rho, r):
         return sum(w * d ** (-lam) for w, lam in surrogate_terms(rho, r, self.p))
@@ -374,7 +385,8 @@ class _SurrogateKernel(_Kernel):
 
 class _ResolventKernel(_Kernel):
     """Exponentially weighted time integral of the heat comparison profile,
-    in closed form (resolvent_radial)."""
+    in closed form (resolvent_radial). Not homogeneous: alpha fixes a
+    length."""
 
     def __init__(self, params: ProblemParams, alpha: float):
         if alpha is None or not 0.0 < alpha < math.inf:
@@ -382,6 +394,7 @@ class _ResolventKernel(_Kernel):
                               f"got alpha = {alpha}")
         self.p = params
         self.alpha = float(alpha)
+        self.origin_growth = params.exponent_gamma  # the weight |y|^-g
 
     def pair_value(self, d, rho, r):
         return resolvent_radial(self.alpha, d, rho, r, self.p)

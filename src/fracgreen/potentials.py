@@ -7,10 +7,19 @@ surrogate, or the exponentially weighted resolvent surrogate. The kernels
 are defined in kernels.py; this module only integrates them.
 
 Everything reduces to 1D radial integrals against kernel sphere means
-(quadrature.polar_rule) when the density is centered at the origin or the
-kernel depends on |x-y| alone; the remaining case (off-center density,
+when the density is centered at the origin or the kernel depends on |x-y|
+alone. That integral runs in u = |y| / |x| (about the density's centre),
+where the diagonal |y| = |x| is u = 1 for every point. The Riesz and
+surrogate kernels are homogeneous of degree -(N-2s), so
+
+    psi(rho) = rho^(2s) int_0^inf phi(rho u) u^(N-1) S(u) du,
+    S(u) = kern.sphere_mean(1, u),
+
+and green_potentials_at integrates all the points of one call on one
+adaptive rule in u, with S computed once per node (green_potential_detailed
+is its one-point form). The remaining case (off-center density,
 coupling-dependent kernel, arbitrary x) integrates each shell |y| = r with
-a two-angle rule, batched over the shells (_pair_shell_integrals).
+a two-angle rule, batched over blocks of shells (_pair_shell_integrals).
 
 The delta identity int K (P f) = f integrates the kernel against a
 FlapProfile: Chebyshev interpolants of the engine's pointwise
@@ -30,15 +39,23 @@ from .errors import DomainError
 from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, axis_point, blockwise,
-                         diagonal_panel_integral, frac_laplacian_at_detailed,
-                         integrate_radial_singular, panel_nodes, polar_rule,
-                         shell_distance, sphere_area, sphere_mean_power)
+from .quadrature import (QuadratureSpec, adaptive_panel_integral,
+                         axis_point, blockwise, diagonal_panel_integral,
+                         diagonal_panel_rows, frac_laplacian_at_detailed,
+                         integrate_radial_singular, log_edges, panel_nodes,
+                         polar_rule, shell_distance, sphere_area,
+                         sphere_mean_power)
 from .reports import VerificationReport
 
-# shells per block of the two-angle rule, whose temporaries are
-# (shells, polar, azimuthal nodes): up to 350 x 80 per shell
-_PAIR_BLOCK = 8
+# points per block of the centred route, whose temporaries are
+# (points, u-nodes)
+_POINT_BLOCK = 4
+# kept polar nodes x second-angle nodes per block of whole shells of the
+# two-angle rule, whose temporaries have that many entries (up to 350 x 80
+# per shell)
+_PAIR_NODES = 1 << 15
+# the Gauss-Legendre order of the polar panels of the two-angle rule
+_PAIR_ORDER = 10
 # polar edges shared by every shell; each shell adds a geometric run through
 # its own kernel boundary layer (_row_edges), ending at pi resp. pi/2
 _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
@@ -61,36 +78,128 @@ def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
                              quad: QuadratureSpec,
                              kernel_kind: str = "surrogate",
                              alpha: float | None = None):
-    """psi(x) = int K(x,y) phi(y) dy with an error estimate."""
-    x = np.asarray(x, dtype=float)
-    rho = float(np.linalg.norm(x))
-    if rho == 0.0:
+    """psi(x) = int K(x,y) phi(y) dy with an error estimate.
+
+    A centred density, or any density under a distance-only kernel, is one
+    radial integral about the density's centre, at distance rho from x.
+    With |y| = rho u it is
+
+        psi(rho) = rho^N int_0^inf phi(rho u) u^(N-1) M(rho, rho u) du,
+
+    M = kern.sphere_mean, on a rule in u whose diagonal |y| = |x| sits at
+    u = 1 whatever rho is. The Riesz and surrogate kernels are homogeneous
+    of degree -(N-2s) (kernels._Kernel): M(rho, rho u) = rho^-(N-2s) S(u)
+    with S(u) = M(1, u), so psi(rho) = rho^(2s) int phi(rho u) u^(N-1) S(u)
+    du, and many points share one rule and one S per node
+    (green_potentials_at). Any other density and kernel go through the
+    two-angle pair rule.
+    """
+    val, err = green_potentials_at(phi, np.asarray(x, dtype=float)[None],
+                                   params, quad, kernel_kind, alpha)
+    return float(val[0]), float(err[0])
+
+
+def green_potentials_at(phi: RadialField, points, params: ProblemParams,
+                        quad: QuadratureSpec, kernel_kind: str = "surrogate",
+                        alpha: float | None = None):
+    """green_potential_detailed at each row x of `points`: the values and
+    the error estimates as two arrays.
+
+    The radial route integrates all the points of a homogeneous kernel on
+    one adaptive rule in u (quadrature.diagonal_panel_rows): S(u) is
+    computed once per node, each point costs one phi.profile evaluation per
+    node, and each keeps its own value, error estimate and ToleranceError.
+    The resolvent kernel is not homogeneous, because alpha fixes a length,
+    so each of its points has a u-rule of its own; so has each point of the
+    pair rule.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rho = np.linalg.norm(points, axis=1)
+    if np.any(rho == 0.0):
         raise DomainError("potentials are evaluated away from the origin")
     kern = _make_kernel(kernel_kind, params, alpha)
     lo, hi = _density_range(phi)
 
     if kern.distance_only:
-        # only |x - y| matters: bipolar about the density center
-        rho_c = float(np.linalg.norm(x - phi.center(params.dim)))
-        return _potential_1d(kern, phi, rho_c, 0.0, phi.support_radius(),
-                             params, quad)
+        # only |x - y| matters: radial about the density center
+        rho_c = np.linalg.norm(points - phi.center(params.dim), axis=1)
+        return _radial_potentials(kern, phi, rho_c, params, quad)
     if phi.center_norm == 0.0:
-        return _potential_1d(kern, phi, rho, lo, hi, params, quad)
-    return _potential_pair(kern, phi, x, rho, lo, hi, params, quad)
+        return _radial_potentials(kern, phi, rho, params, quad)
+    val, err = np.array([_potential_pair(kern, phi, x, r, lo, hi, params,
+                                         quad)
+                         for x, r in zip(points, rho)]).T
+    return val, err
 
 
-def _potential_1d(kern, phi, rho, lo, hi, params, quad):
+def _radial_potentials(kern, phi, rho, params, quad):
+    """The radial route of green_potential_detailed at the distances rho
+    from the density's centre: one u-rule for all the points of a
+    homogeneous kernel, one per point otherwise."""
+    val, err = np.zeros(rho.size), np.zeros(rho.size)
+    for i in np.flatnonzero(rho == 0.0):
+        val[i], err[i] = _potential_at_centre(kern, phi, params, quad)
+    off = np.flatnonzero(rho > 0.0)
+    for idx in [off] if kern.homogeneous else np.split(off, off.size):
+        if idx.size:
+            val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
+    return val, err
+
+
+def _u_rule(kern, phi, rho, params, quad):
+    """psi at the distances rho > 0 on one adaptive rule in u = r / rho:
+    rho^(2s) int phi(rho u) u^(N-1) S(u) du with S(u) = kern.sphere_mean(1,
+    u) for a homogeneous kernel, rho^N int phi(rho u) u^(N-1)
+    kern.sphere_mean(rho, rho u) du for a single rho otherwise. A single rho
+    runs through diagonal_panel_integral, several through
+    diagonal_panel_rows."""
     N, s = params.dim, params.order
+    sup = phi.support_radius()
+    if kern.homogeneous:
+        scale = rho ** (2.0 * s)
+
+        def mean(u):
+            return kern.sphere_mean(1.0, u)
+    else:
+        (r0,) = rho
+        scale = rho ** N
+
+        def mean(u):
+            return kern.sphere_mean(r0, r0 * u)
+
+    def integrand(u):
+        weight = mean(u) * u ** (N - 1.0)
+        return blockwise(lambda rb: phi.profile(rb[:, None] * u) * weight,
+                         _POINT_BLOCK, rho)
+
+    # the kernel mean grows like |u - 1|^(2s-1) at the diagonal; the density
+    # reaches its centre, where the integrand is the power
+    # N - 1 - origin_growth
+    args = (1e-10 * sup / rho.max(), sup / rho.min(), 1.0, quad,
+            min(0.0, 2.0 * s - 1.0),
+            (np.asarray(phi.breakpoints())[:, None] / rho).ravel())
+    kw = {"label": "potential-1d", "head_power": N - 1.0 - kern.origin_growth}
+    if rho.size == 1:
+        val, err = diagonal_panel_integral(lambda u: integrand(u)[0], *args,
+                                           **kw)
+    else:
+        val, err = diagonal_panel_rows(integrand, *args, **kw)
+    return scale * val, scale * err
+
+
+def _potential_at_centre(kern, phi, params, quad):
+    """A distance-only potential at its density's centre: there the kernel
+    mean is a constant times r^-(N-2s), so the integrand is a power 2s - 1
+    at r = 0."""
+    N, s = params.dim, params.order
+    hi = phi.support_radius()
 
     def integrand(r):
-        return phi.profile(r) * r ** (N - 1.0) * kern.sphere_mean(rho, r)
+        return phi.profile(r) * r ** (N - 1.0) * kern.sphere_mean(0.0, r)
 
-    # the kernel mean grows like |r - rho|^(2s-1) at the diagonal; a head
-    # below max(lo, 1e-10 hi) only when the density reaches the origin
-    return diagonal_panel_integral(
-        integrand, max(lo, 1e-10 * hi), hi, rho, quad, min(0.0, 2.0 * s - 1.0),
-        phi.breakpoints(), label="potential-1d",
-        head_power=N - 1.0 if lo == 0.0 else None)
+    return adaptive_panel_integral(
+        integrand, log_edges(1e-10 * hi, hi, 4, phi.breakpoints()), quad,
+        label="potential-1d", head_power=2.0 * s - 1.0)
 
 
 def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
@@ -110,8 +219,7 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
     beta = math.acos(cos_beta)
 
     def integrand(r_nodes):
-        out = blockwise(lambda rb: _pair_shell_integrals(
-            kern, phi, rho, beta, rb, N), _PAIR_BLOCK, r_nodes)
+        out = _pair_shell_integrals(kern, phi, rho, beta, r_nodes, N)
         return out * r_nodes ** (N - 1.0)
 
     return diagonal_panel_integral(
@@ -142,8 +250,8 @@ def _second_angle(dim):
 
 
 def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
-    """int_{S^(N-1)} K(|x - r w|) phi(|r w - y_c|) dsigma(w) for a block of
-    shells r, |x| = rho, the density center y_c at angle beta from x.
+    """int_{S^(N-1)} K(|x - r w|) phi(|r w - y_c|) dsigma(w) for the shells
+    r, |x| = rho, the density center y_c at angle beta from x.
 
     theta is the angle from x, on polar panels refined geometrically into
     each shell's kernel boundary layer. The kernel depends on theta alone,
@@ -153,22 +261,41 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     evaluated: on the shell r, phi vanishes wherever the angle between w
     and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that
     angle is at least |theta - beta|. The skipped panels would add exact
-    zeros.
+    zeros. The shells are evaluated in blocks of whole shells holding about
+    _PAIR_NODES kept polar nodes times second-angle nodes; a shell's value
+    does not depend on its block.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
+    # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
+    cos_chi, w2 = _second_angle(1 if abs(math.cos(beta)) == 1.0 else dim)
+    if dim == 1:
+        edges = np.zeros((r.size, 0))  # polar_rule ignores them
+        keep = np.ones((r.size, 1), dtype=bool)  # one panel of two nodes
+        per_panel = 2
+    else:
+        layer = np.clip(np.abs(rho - r) / rho, 1e-8, 0.3)
+        edges = _row_edges(0.01 * layer, math.pi, 24, _PAIR_EDGES)
+        cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
+                                -1.0, 1.0))[:, None]
+        keep = (edges[:, 1:] >= beta - cap) & (edges[:, :-1] <= beta + cap)
+        per_panel = _PAIR_ORDER
+    size = keep.sum(axis=1) * per_panel * w2.size
+    block = (np.cumsum(size) - size) // _PAIR_NODES
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    return np.concatenate([
+        _pair_block(kern, phi, rho, beta, rb, eb, kb, cos_chi, w2, dim)
+        for rb, eb, kb in zip(np.split(r, cuts), np.split(edges, cuts),
+                              np.split(keep, cuts))])
+
+
+def _pair_block(kern, phi, rho, beta, r, edges, keep, cos_chi, w2, dim):
+    """_pair_shell_integrals on one block of shells, given their polar
+    edges, kept panels and second-angle rule."""
+    c = abs(phi.center_norm)
     n = r.size
     r = r[:, None]
-    if dim == 1:
-        theta, wt = polar_rule(dim, 10, None)
-        keep = np.ones((n, 1), dtype=bool)  # one panel of two nodes
-    else:
-        layer = np.clip(np.abs(rho - r[:, 0]) / rho, 1e-8, 0.3)
-        edges = _row_edges(0.01 * layer, math.pi, 24, _PAIR_EDGES)
-        theta, wt = polar_rule(dim, 10, edges)
-        cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
-                                -1.0, 1.0))
-        keep = (edges[:, 1:] >= beta - cap) & (edges[:, :-1] <= beta + cap)
+    theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
     # one row of polar nodes per kept (shell, panel) pair
     shape = (n, theta.shape[1])
     th = np.broadcast_to(theta, shape).reshape(keep.shape + (-1,))[keep]
@@ -179,8 +306,6 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     # |r w - y_c|^2 = a - b cos(chi)
     a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * math.cos(beta)
     b = 2.0 * c * rk * np.sin(th) * math.sin(beta)
-    # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
-    cos_chi, w2 = _second_angle(1 if abs(math.cos(beta)) == 1.0 else dim)
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
     mean = (phi.profile(t).reshape(-1, w2.size) @ w2).reshape(th.shape)
     return np.bincount(rows, weights=(kv * mean * w_th).sum(axis=1),
@@ -233,6 +358,11 @@ def _directions(dim: int, n: int):
     return dirs[:max(1, n)]
 
 
+def _points(radii, dirs):
+    """The points r d, radius by radius, each radius in every direction."""
+    return (radii[:, None, None] * dirs[None]).reshape(-1, dirs.shape[1])
+
+
 def origin_slope_fit(phi: RadialField, params: ProblemParams,
                      quad: QuadratureSpec, kernel_kind: str = "surrogate",
                      alpha: float | None = None,
@@ -240,7 +370,8 @@ def origin_slope_fit(phi: RadialField, params: ProblemParams,
     """Least-squares slope of log psi against log |x| near the origin, on
     n_radii radii geometric in [1e-3, 1e-2].
 
-    psi is averaged over a few directions at each radius. For the surrogate
+    psi is averaged over a few directions at each radius, all the points in
+    one green_potentials_at call. For the surrogate
     kernel the leading term forces the slope toward -gamma (contaminated by
     O(|x|^gamma) from the next kernel term on any finite window).
     """
@@ -248,13 +379,10 @@ def origin_slope_fit(phi: RadialField, params: ProblemParams,
         raise DomainError("slope fit needs at least 3 radii")
     radii = np.geomspace(1e-3, 1e-2, n_radii)
     n_dir = 1 if phi.center_norm == 0.0 else n_directions
-    dirs = _directions(params.dim, n_dir)
-    means = []
-    for rho in radii:
-        vals = [green_potential(phi, rho * d, params, quad, kernel_kind,
-                                alpha) for d in dirs]
-        means.append(float(np.mean(vals)))
-    ylog = np.log(np.asarray(means))
+    dirs = np.array(_directions(params.dim, n_dir))
+    psi, _ = green_potentials_at(phi, _points(radii, dirs), params, quad,
+                                 kernel_kind, alpha)
+    ylog = np.log(psi.reshape(n_radii, -1).mean(axis=1))
     xlog = np.log(radii)
     A = np.vstack([xlog, np.ones_like(xlog)]).T
     (slope, intercept), res, *_ = np.linalg.lstsq(A, ylog, rcond=None)
@@ -275,20 +403,21 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
     5% with the trapezoid on every other point of its grid. psi is
     evaluated once per distinct point of the two grids, 57 radii (R ends
     the one and starts the other), in one direction for a centred density
-    and averaged over four otherwise. The near-origin and far-field
-    remainders are completed by locally fitted power laws; the fitted
-    far-field integrand slope is reported.
+    and averaged over four otherwise, all in one green_potentials_at call.
+    The near-origin and far-field remainders are completed by locally
+    fitted power laws; the fitted far-field integrand slope is reported.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     omega = sphere_area(N)
     R = 2.0 * max(_density_range(phi)[1], 1.0)
-    dirs = _directions(N, 1 if phi.center_norm == 0.0 else 4)
+    dirs = np.array(_directions(N, 1 if phi.center_norm == 0.0 else 4))
     radii = np.concatenate([np.geomspace(1e-3 * R, R, 33),
                             np.geomspace(R, 100.0 * R, 25)[1:]])
     # the integrand psi^2 |x|^(-2s), psi^2 averaged over the directions
-    vals = np.array([float(np.mean([
-        green_potential(phi, r * d, params, quad, kernel_kind, alpha) ** 2
-        for d in dirs])) * r ** (-2.0 * s) for r in radii])
+    psi, _ = green_potentials_at(phi, _points(radii, dirs), params, quad,
+                                 kernel_kind, alpha)
+    vals = (psi.reshape(radii.size, -1) ** 2).mean(axis=1) \
+        * radii ** (-2.0 * s)
 
     def log_trapz(radii, vals):
         # int j(rho) rho^(N-1) drho on a log grid

@@ -136,11 +136,16 @@ def panel_nodes(edges: np.ndarray, order: int):
 
 def blockwise(fn, size, *arrays):
     """fn over consecutive blocks of `size` entries of the arrays (sliced
-    alike), results concatenated: bounds the temporaries of a batched
-    evaluation. An entry's value does not depend on its block."""
+    alike), each block's result written into one output array: bounds the
+    temporaries of a batched evaluation. An entry's value does not depend
+    on its block."""
     n = len(arrays[0])
-    return np.concatenate([fn(*(a[i:i + size] for a in arrays))
-                           for i in range(0, n, size)])
+    first = fn(*(a[:size] for a in arrays))
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+    out[:len(first)] = first
+    for i in range(size, n, size):
+        out[i:i + size] = fn(*(a[i:i + size] for a in arrays))
+    return out
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -156,73 +161,90 @@ def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray, order: int):
     """Gauss-Legendre sums of fn over the panels [lo, hi] in one fn call,
-    with the nodes and values, one row per panel."""
+    one row per integral: the sums (rows, panels), the nodes
+    (panels, order) and the values (rows, panels, order)."""
     x, w = _gl(order)
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return (vals @ w) * half, nodes, vals
+    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(
+        (-1,) + nodes.shape)
+    # one (rows * panels, order) product, for one row the same product as
+    # on that row alone
+    sums = (vals.reshape(-1, order) @ w).reshape(vals.shape[:2]) * half
+    return sums, nodes, vals
 
 
-def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
-                            scale_hint: float = 0.0, label: str = "", *,
-                            head_power: float | None = None, tail=()):
-    """Integrate a vectorized integrand over the panel edges [lo, hi], plus
+def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
+                        scale_hint=0.0, label: str = "", *,
+                        head_power: float | None = None, tail=()):
+    """Integrate many integrands on one rule: a row of values per integral,
+    each over the panel edges [lo, hi] (at least two distinct edges), plus
     an analytic power head on (0, lo) and power tails on (hi, inf).
+
+    fn maps the nodes, a 1-D array, to a (rows, nodes) array: every row
+    shares the nodes and so whatever fn computes once per node. Each row
+    keeps its own value, error estimate and tolerance check; a panel is
+    bisected when any row's budget needs it, so a row is never integrated
+    more coarsely than it would be alone.
 
     Local bisection: each panel's order-`order` Gauss-Legendre sum is its
     coarse value, the sum over its two halves its fine value, and
     |fine - coarse| its defect. Each round evaluates the halves of every
-    open panel in one fn call, sorts the defects, and bisects the largest
-    until the remainder fits in a quarter of rel_tol times the scale; the
-    other panels are closed with their fine value and defect, and the
-    halves of a bisected panel become its children's coarse values.
-    head_power=p: the integrand is C r^p below lo, with C fitted by one call
+    open panel in one fn call. Each row sorts its defects and marks the
+    largest until its remainder fits in a quarter of rel_tol times its
+    scale; the marked panels are bisected, the others closed with their
+    fine values and defects, and the halves of a bisected panel become its
+    children's coarse values.
+    head_power=p: each integrand is C r^p below lo, with C fitted by one call
     fn(lo) made before the panels, so the head is fn(lo) lo / (p + 1).
-    tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi;
-    each adds coef hi^(-k) / k.
+    tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi
+    (coef a number, or one per row); each adds coef hi^(-k) / k.
 
-    The scale is the largest of |value|, scale_hint and, with a head,
-    |fn(lo)| lo. The panel error is the sum of the per-panel defects, never
-    a signed difference that could cancel. Each power piece is charged its
-    own size times the relative defect of its model, measured against the
-    integrand: the tail's at the node nearest hi; the head's (exact at lo,
-    where it is fitted) at the top node t lo of the first panel, divided by
-    t - 1, which bounds the head's defect when the integrand is
-    C r^p (1 + O(r^k)) with k >= 1.
+    A row's scale is the largest of |value|, scale_hint (a number, or one
+    per row) and, with a head, |fn(lo)| lo. Its panel error is the sum of
+    its per-panel defects, never a signed difference that could cancel.
+    Each power piece is charged its own size times the relative defect of
+    its model, measured against the integrand: the tail's at the node
+    nearest hi; the head's (exact at lo, where it is fitted) at the top node
+    t lo of the first panel, divided by t - 1, which bounds the head's
+    defect when the integrand is C r^p (1 + O(r^k)) with k >= 1.
 
-    Returns (value, error_estimate), both including head and tail; raises
-    ToleranceError if the round budget runs out while the panel error is
-    still above 5 rel_tol times the scale.
+    Returns (values, error_estimates), arrays with one entry per row, both
+    including head and tail; raises ToleranceError naming a row whose panel
+    error is still above 5 rel_tol times its scale when the round budget
+    runs out.
     """
     order = order or _DEFAULT_ORDER
     edges = np.unique(np.asarray(edges, dtype=float))
+    name = label or "anonymous"
     if edges.size < 2:
-        return 0.0, 0.0
+        raise DomainError(f"panel integral {name}: needs two distinct edges")
     lo, hi = float(edges[0]), float(edges[-1])
-    head = 0.0
-    floor = scale_hint
     if (head_power is not None and head_power <= -1.0) \
             or any(k <= 0.0 for _, k in tail):
         raise DivergenceError(
-            f"panel integral {label or 'anonymous'}: head power {head_power} "
+            f"panel integral {name}: head power {head_power} "
             f"or tail decays {[k for _, k in tail]} not integrable")
+    floor = np.asarray(scale_hint, dtype=float)
+    head = 0.0
     if head_power is not None:
-        f_lo = float(np.asarray(fn(np.array([lo])), dtype=float)[0])
+        f_lo = np.asarray(fn(np.array([lo])), dtype=float)[:, 0]
         head = f_lo * lo / (head_power + 1.0)
-        floor = max(floor, abs(f_lo) * lo)
+        floor = np.maximum(floor, np.abs(f_lo) * lo)
     # the first round also evaluates every panel's coarse sum
     p_lo, p_hi = edges[:-1], edges[1:]
     n = p_lo.size
     mid = _bisect(p_lo, p_hi)
     sums, nodes, vals = _panel_sums(fn, np.concatenate([p_lo, p_lo, mid]),
                                     np.concatenate([p_hi, mid, p_hi]), order)
-    coarse, halves = sums[:n], sums[n:]
+    coarse, halves = sums[:, :n], sums[:, n:]
     # the top coarse node of the first panel probes the head model, the
     # node nearest hi the tail model
-    x_head, f_head = nodes[0, -1], vals[0, -1]
-    x_top, f_top = nodes[-1, -1], vals[-1, -1]
-    val, err = 0.0, 0.0
+    x_head, f_head = nodes[0, -1], vals[:, 0, -1]
+    x_top, f_top = nodes[-1, -1], vals[:, -1, -1]
+    val = np.zeros(len(sums))
+    err = np.zeros(len(sums))
+    floor = np.maximum(np.broadcast_to(floor, val.shape), 1e-300)
     for rnd in range(_MAX_ROUNDS):
         if rnd:
             mid = _bisect(p_lo, p_hi)
@@ -230,38 +252,68 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
                 fn, np.concatenate([p_lo, mid]), np.concatenate([mid, p_hi]),
                 order)
             if p_hi[-1] == hi:
-                x_top, f_top = nodes[-1, -1], vals[-1, -1]
-        left, right = halves[:n], halves[n:]
+                x_top, f_top = nodes[-1, -1], vals[:, -1, -1]
+        left, right = halves[:, :n], halves[:, n:]
         fine = left + right
         defect = np.abs(fine - coarse)
-        budget = 0.25 * quad.rel_tol * max(abs(val + fine.sum()), floor,
-                                           1e-300) - err
-        split = np.zeros(n, dtype=bool)
+        budget = 0.25 * quad.rel_tol * np.maximum(
+            np.abs(val + fine.sum(axis=1)), floor) - err
+        split = np.zeros(defect.shape, dtype=bool)
         if rnd < _MAX_ROUNDS - 1:
-            rank = np.argsort(defect)
-            fits = np.searchsorted(np.cumsum(defect[rank]), budget, "right")
-            split[rank[fits:]] = True
-        val += float(fine[~split].sum())
-        err += float(defect[~split].sum())
+            # each row marks the panels past the run of its smallest
+            # defects that fits its budget
+            rank = np.argsort(defect, axis=1)
+            total = np.cumsum(np.take_along_axis(defect, rank, axis=1),
+                              axis=1)
+            np.put_along_axis(split, rank, ~(total <= budget[:, None]), axis=1)
+        split = split.any(axis=0)
+        val += fine[:, ~split].sum(axis=1)
+        err += defect[:, ~split].sum(axis=1)
         if not split.any():
             break
         p_lo = np.column_stack([p_lo[split], mid[split]]).ravel()
         p_hi = np.column_stack([mid[split], p_hi[split]]).ravel()
-        coarse = np.column_stack([left[split], right[split]]).ravel()
+        coarse = np.stack([left[:, split], right[:, split]],
+                          axis=2).reshape(len(val), -1)
         n = p_lo.size
-    if err > 5.0 * quad.rel_tol * max(abs(val), floor, 1e-300):
+    bad = err > 5.0 * quad.rel_tol * np.maximum(np.abs(val), floor)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        row = f" row {i} of {val.size}:" if val.size > 1 else ""
         raise ToleranceError(
-            f"panel integral {label or 'anonymous'}: defect {err:.3e} "
-            f"at value {val:.6e} after {_MAX_ROUNDS} rounds")
+            f"panel integral {name}:{row} defect {err[i]:.3e} "
+            f"at value {val[i]:.6e} after {_MAX_ROUNDS} rounds")
     tail_val = sum(coef * hi ** (-k) / k for coef, k in tail)
     if tail:
-        model = sum(coef * x_top ** (-k - 1.0) for coef, k in tail)
-        if model != 0.0:
-            err += abs(tail_val * (f_top - model) / model)
-    if head != 0.0:
-        model = f_lo * (x_head / lo) ** head_power
-        err += abs(head * (f_head - model) / model) / (x_head / lo - 1.0)
+        model = np.broadcast_to(
+            sum(coef * x_top ** (-k - 1.0) for coef, k in tail), val.shape)
+        live = model != 0.0
+        piece = np.broadcast_to(tail_val, val.shape)
+        err[live] += np.abs(piece[live] * (f_top[live] - model[live])
+                            / model[live])
+    live = np.broadcast_to(head, val.shape) != 0.0
+    if live.any():
+        model = f_lo[live] * (x_head / lo) ** head_power
+        err[live] += np.abs(head[live] * (f_head[live] - model) / model) / (
+            x_head / lo - 1.0)
     return val + head + tail_val, err
+
+
+def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
+                            scale_hint: float = 0.0, label: str = "", *,
+                            head_power: float | None = None, tail=()):
+    """adaptive_panel_rows for one vectorized integrand fn (nodes to values
+    of the same shape), with its head and tails: the one-row entry point.
+
+    Returns (value, error_estimate) as floats, (0, 0) when the edges hold
+    fewer than two distinct values.
+    """
+    if np.unique(np.asarray(edges, dtype=float)).size < 2:
+        return 0.0, 0.0
+    val, err = adaptive_panel_rows(
+        lambda t: np.asarray(fn(t), dtype=float)[None], edges, quad, order,
+        scale_hint, label, head_power=head_power, tail=tail)
+    return float(val[0]), float(err[0])
 
 
 def log_edges(lo: float, hi: float, per_decade: int = 4,
@@ -304,9 +356,31 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
 
     Returns (value, error_estimate).
     """
+    val, err = _diagonal(adaptive_panel_integral, fn, lo, hi, rho, quad,
+                         power, splits, kw, in_band=False)
+    return float(val), float(err)
+
+
+def diagonal_panel_rows(fn, lo, hi, rho, quad: QuadratureSpec,
+                        power: float, splits=(), **kw):
+    """diagonal_panel_integral for many integrands on one rule: fn maps the
+    nodes to a fresh (rows, nodes) array (adaptive_panel_rows), and each
+    row gets its own band heads, probes and charges. fn must be finite off
+    t = rho: it is also called on the nodes of the band panel, never at
+    rho itself, and those values are set to 0 in place, so that no second
+    (rows, nodes) array is made. Returns (values, error_estimates), one
+    entry per row."""
+    return _diagonal(adaptive_panel_rows, fn, lo, hi, rho, quad, power,
+                     splits, kw, in_band=True)
+
+
+def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw,
+              in_band):
+    """diagonal_panel_integral with the panels integrated by `integrate`,
+    fn called on the band panel's nodes too when in_band."""
     edges = log_edges(lo, hi, 4, splits=splits)
     if not lo < rho < hi:
-        return adaptive_panel_integral(fn, edges, quad, **kw)
+        return integrate(fn, edges, quad, **kw)
     a = DIAGONAL_BAND * rho
     b_lo, b_hi = max(lo, rho - a), min(hi, rho + a)
     runs = [edges, [b_lo, b_hi]]
@@ -319,20 +393,25 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     edges = edges[(edges <= b_lo) | (edges >= b_hi)]
 
     def outside_band(t):
-        out = np.zeros_like(t)
         keep = (t <= b_lo) | (t >= b_hi)
-        out[keep] = fn(t[keep])
+        if in_band:
+            out = fn(t)
+            out[..., ~keep] = 0.0
+        else:
+            out = np.zeros_like(t)
+            out[keep] = fn(t[keep])
         return out
 
-    val, err = adaptive_panel_integral(outside_band, edges, quad, **kw)
+    val, err = integrate(outside_band, edges, quad, **kw)
     width = np.array([rho - b_lo, b_hi - rho])
     probe = rho + np.array([-1.0, 1.0, -2.0, 2.0]) * np.tile(width, 2)
-    f1, f2 = np.asarray(fn(probe), dtype=float).reshape(2, 2)
+    f = np.asarray(fn(probe), dtype=float)
+    f1, f2 = f[..., :2], f[..., 2:]
     band = f1 * width / (power + 1.0)
     # |band| |f2 - f1 2^power| / |f1 2^power|, without dividing by f1
     charge = np.abs(f2 - f1 * 2.0 ** power) * width / (
         (power + 1.0) * 2.0 ** power)
-    return val + float(band.sum()), err + float(charge.sum())
+    return val + band.sum(axis=-1), err + charge.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fracgreen import (cli, errors, gamma_of_theta, potentials,
                        theta_of_gamma)
 from fracgreen.cli import main
 from fracgreen.config import (SETTINGS, ConfigError, RunConfig,
-                               load_config_file)
+                               load_config_file, outer_radius_limit)
 from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
@@ -374,6 +374,7 @@ def test_main_entry_direct(tmp_path, capsys):
     (("verify",), "[quadrature]\ninner_radius = 0.0\n"),
     (("verify",), "[quadrature]\nouter_radius = inf\n"),
     (("verify",), "[quadrature]\nouter_radius = nan\n"),
+    (("verify",), "[quadrature]\nouter_radius = 1e300\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:
@@ -384,6 +385,21 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_largest_outer_radius_runs_clean(tmp_path):
+    # outer_radius^(N+1) at its bound keeps every power the engine forms
+    # finite: verify passes with nothing on stderr (a RuntimeWarning would
+    # show there), and the next float up is refused
+    limit = outer_radius_limit(5)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[quadrature]\nouter_radius = {limit!r}\n")
+    code, out, err = run_cli("verify", "--N", "5", "--config", str(path))
+    assert (code, err) == (0, ""), err
+    path.write_text(f"[quadrature]\nouter_radius = "
+                    f"{math.nextafter(limit, math.inf)!r}\n")
+    code, _, err = run_cli("verify", "--N", "5", "--config", str(path))
+    assert code == 2 and "outer_radius" in err and "N = 5" in err
 
 
 def test_non_utf8_config_exits_2(tmp_path):

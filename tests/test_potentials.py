@@ -9,7 +9,8 @@ from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
                        PotentialField,
                        ProblemParams, axis_point,
                        delta_identity_check, green_potential,
-                       green_potential_detailed, hardy_integrability_check,
+                       green_potential_detailed, green_potentials_at,
+                       hardy_integrability_check, integrate_radial_singular,
                        origin_slope_fit, riesz_kernel)
 from fracgreen import potentials
 from fracgreen.kernels import _ResolventKernel, _RieszKernel
@@ -164,6 +165,128 @@ class TestGreenPotential:
         assert val == pytest.approx(near, rel=1e-6)
 
 
+def riesz_bump_oracle_mp(mp, dim, s, rho):
+    """The centred Riesz potential of Bump(1) at |x| = rho in 40-digit
+    mpmath: int phi(r) r^(N-1) a(N,s) M(rho, r) dr with the 2F1 sphere mean
+    M of d^-(N-2s) (two points at N = 1), split at r = rho."""
+    p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+    with mp.workdps(40):
+        n, rho = mp.mpf(dim), mp.mpf(rho)
+        lam = n - 2 * mp.mpf(s)
+        area = 2 * mp.pi ** (n / 2) / mp.gamma(n / 2)
+
+        def mean(r):
+            if dim == 1:
+                return abs(rho - r) ** -lam + (rho + r) ** -lam
+            mx, mn = max(rho, r), min(rho, r)
+            return area * mx ** -lam * mp.hyp2f1(lam / 2, (lam - n) / 2 + 1,
+                                                 n / 2, (mn / mx) ** 2)
+
+        def integrand(r):
+            return mp.exp(1 - 1 / (1 - r * r)) * r ** (n - 1) * mean(r)
+
+        total = mp.quad(integrand, [0, rho, 1] if rho < 1 else [0, 1])
+        return p, p.riesz_constant * float(total)
+
+
+def hardy_radii():
+    """The 57 radii of hardy_integrability_check for a density in the unit
+    ball."""
+    return np.concatenate([np.geomspace(2e-3, 2.0, 33),
+                           np.geomspace(2.0, 200.0, 25)[1:]])
+
+
+class TestManyPoints:
+    # green_potentials_at integrates every point of a homogeneous kernel on
+    # one rule in u = |y| / |x|
+
+    @pytest.mark.parametrize("dim,s", [(1, 0.25), (2, 0.4), (5, 0.9)])
+    def test_riesz_centred_bump_vs_mpmath(self, dim, s, quad):
+        # each radius alone and the three as one call; 0.999 is the point
+        # beside the density's edge
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        radii = (0.3, 0.999, 1.5)
+        vals, errs = green_potentials_at(
+            Bump(1.0), [axis_point(r, dim) for r in radii], p, quad,
+            "riesz_exact")
+        for rho, val, err in zip(radii, vals, errs):
+            exact = riesz_bump_oracle_mp(mp, dim, s, rho)[1]
+            alone, alone_err = green_potential_detailed(
+                Bump(1.0), axis_point(rho, dim), p, quad, "riesz_exact")
+            for v, e in ((val, err), (alone, alone_err)):
+                assert abs(v - exact) <= quad.rel_tol * abs(exact) + e, (
+                    rho, v, exact, e)
+
+    @pytest.mark.parametrize("dim,s", [(1, 0.25), (3, 0.3), (5, 0.9)])
+    def test_riesz_at_the_density_centre(self, dim, s, quad):
+        # there the kernel mean is a(N,s) |S^(N-1)| r^-(N-2s), so psi is
+        # the radial integral of phi against |y - c|^-(N-2s)
+        p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+        phi = Bump(0.35, center_norm=1.0)
+        val, err = green_potential_detailed(phi, axis_point(1.0, dim), p,
+                                            quad, "riesz_exact")
+        ref = p.riesz_constant * integrate_radial_singular(
+            phi, dim - 2.0 * s, dim, quad)
+        assert abs(val - ref) <= quad.rel_tol * abs(ref) + err, (val, ref)
+
+    @pytest.mark.parametrize("dim,s", SWEEP)
+    def test_each_point_as_if_alone(self, dim, s, quad):
+        # each of 57 surrogate points of one call agrees with that point
+        # evaluated alone, within both error estimates
+        p = ProblemParams.from_gamma(dim, s, 0.8 * (dim - 2 * s) / 2)
+        points = [axis_point(r, dim) for r in hardy_radii()]
+        vals, errs = green_potentials_at(Bump(1.0), points, p, quad)
+        for x, val, err in zip(points, vals, errs):
+            alone, alone_err = green_potential_detailed(Bump(1.0), x, p, quad)
+            assert abs(val - alone) <= err + alone_err, (x[0], val, alone)
+
+    @pytest.mark.parametrize("s", [0.1, 0.25])
+    def test_surrogate_head_at_n1(self, s, quad):
+        # outside the support the centred surrogate potential is smooth; at
+        # r -> 0 its integrand grows like r^-g (the weight |y|^-g), which
+        # the head power must carry for the error estimate to cover the
+        # miss against 30-digit mpmath (N = 1: the sphere is two points)
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams.from_gamma(1, s, 0.8 * (1 - 2 * s) / 2)
+        g, lam = p.exponent_gamma, 1 - 2 * s
+        for rho in (1.3, 9.3, 200.0):
+            with mp.workdps(30):
+                def integrand(r, rho=mp.mpf(rho)):
+                    ax, ay = rho ** -g, r ** -g
+                    return mp.exp(1 - 1 / (1 - r * r)) * sum(
+                        d ** -lam + (ax + ay) * d ** (g - lam)
+                        + ax * ay * d ** (2 * g - lam)
+                        for d in (rho - r, rho + r))
+
+                exact = float(mp.quad(integrand, [0, 0.5, 0.9, 1]))
+            val, err = green_potential_detailed(Bump(1.0),
+                                                axis_point(rho, 1), p, quad)
+            assert abs(val - exact) <= err, (rho, val, exact, err)
+
+    def test_sphere_means_do_not_grow_with_the_points(self, count_calls,
+                                                      params_3big, quad):
+        # 57 points on one rule: one sphere mean per surrogate term for the
+        # head, each refinement round and the band probes
+        from fracgreen import kernels, quadrature
+        calls = count_calls(kernels, "sphere_mean_power")
+        hardy_integrability_check(Bump(1.0), params_3big, quad)
+        assert 0 < len(calls) <= 3 * (quadrature._MAX_ROUNDS + 2)
+
+    def test_resolvent_points_one_at_a_time(self, count_calls, params_2d,
+                                            quad):
+        # alpha fixes a length, so each resolvent point has its own rule
+        single = count_calls(potentials, "diagonal_panel_integral")
+        rows = count_calls(potentials, "diagonal_panel_rows")
+        points = [axis_point(r, 2) for r in (0.3, 0.7, 1.4)]
+        vals, _ = green_potentials_at(Bump(1.0), points, params_2d, quad,
+                                      "resolvent_surrogate", alpha=1.0)
+        assert len(single) == 3 and rows == []
+        for x, val in zip(points, vals):
+            assert val == green_potential(Bump(1.0), x, params_2d, quad,
+                                          "resolvent_surrogate", alpha=1.0)
+
+
 class TestPairRule:
     # The pair rule is the only route for a coupling-dependent kernel with
     # an off-centre density. On the Riesz kernel the exact bipolar
@@ -271,10 +394,13 @@ class TestIntegrability:
     def test_one_potential_per_distinct_radius(self, count_calls,
                                                params_3big, quad):
         # a centred density: one direction, 33 interior and 25 exterior
-        # radii sharing R, and the coarse grids are every other point
-        calls = count_calls(potentials, "green_potential_detailed")
+        # radii sharing R, and the coarse grids are every other point; all
+        # 57 points go to one many-point call
+        calls = count_calls(potentials, "green_potentials_at")
         hardy_integrability_check(Bump(1.0), params_3big, quad)
-        assert len(calls) == 57
+        assert len(calls) == 1
+        radii = np.linalg.norm(calls[0][1], axis=1)
+        assert radii.size == np.unique(radii).size == 57
 
 
 class TestDeltaIdentity:

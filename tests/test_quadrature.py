@@ -9,13 +9,14 @@ from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
-                       PowerLaw, ProblemParams, QuadratureSpec,
+                       PowerLaw, ProblemParams, QuadratureSpec, SampledRadial,
                        SingularityError, ToleranceError, TruncatedPowerLaw,
                        axis_point, frac_laplacian_at,
                        frac_laplacian_at_detailed, frac_laplacian_power_law,
                        integrate_radial_singular,
                        sphere_area, sphere_mean_power)
 from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
+                                  adaptive_panel_rows,
                                   bipolar_sphere_integral,
                                   diagonal_panel_integral, log_edges,
                                   panel_nodes)
@@ -28,12 +29,13 @@ def bubble_flap_exact(rho, N, s):
     return kappa * (1.0 + rho * rho) ** (-(N + 2 * s) / 2.0)
 
 
-def bump_flap_oracle(mp, rho, N, s):
-    """(-Delta)^s Bump(1) at |x| = rho from the 1-D integral in t = ln(r/rho)
-    of the quadrature module docstring, in 40-digit mpmath: the sphere mean
-    by the connection formula in w = 1 - e^(-2t), the paired difference
-    with 2 |log10 t| more digits, and t = v^(1/(2-2s)) on the head.
-    Call it under mp.workdps(40)."""
+def flap_oracle(mp, profile, rho, N, s, cuts):
+    """(-Delta)^s u at |x| = rho for the radial profile u (mpf to mpf) from
+    the 1-D integral in t = ln(r/rho) of the quadrature module docstring,
+    in 40-digit mpmath, split at the cuts (the positive t where u is not
+    analytic, sorted): the sphere mean by the connection formula in
+    w = 1 - e^(-2t), the paired difference with 2 |log10 t| more digits,
+    and t = v^(1/(2-2s)) on the head. Call it under mp.workdps(40)."""
     rho, s = mp.mpf(rho), mp.mpf(s)
     a, b, c = (N + 2 * s) / 2, s + 1, mp.mpf(N) / 2
     m = c - a - b
@@ -49,22 +51,27 @@ def bump_flap_oracle(mp, rho, N, s):
                  + p2 * w ** m * mp.hyp2f1(c - a, c - b, 1 + m, w))
         return f * mp.exp(-a * t)
 
-    def bump(r):
-        return mp.exp(1 - 1 / (1 - r * r)) if r < 1 else mp.mpf(0)
-
     def integrand(t):
         with mp.workdps(45 + int(max(0, -2 * mp.log10(t)))):
             h = (N - 2 * s) / 2
-            g = ((bump(rho) - bump(rho * mp.exp(t))) * mp.exp(h * t)
-                 + (bump(rho) - bump(rho * mp.exp(-t))) * mp.exp(-h * t))
+            g = ((profile(rho) - profile(rho * mp.exp(t))) * mp.exp(h * t)
+                 + (profile(rho) - profile(rho * mp.exp(-t))) * mp.exp(-h * t))
         return kernel(t) * g
 
-    t_b, q = mp.log(1 / rho), 1 / (2 - 2 * s)
+    t_b, q = cuts[0], 1 / (2 - 2 * s)
     val = (mp.quad(lambda v: integrand(v ** q) * q * v ** (q - 1),
                    [0, (t_b / 2) ** (1 / q)])
-           + mp.quad(integrand, [t_b / 2, t_b, 2 * t_b, mp.inf]))
+           + mp.quad(integrand, [t_b / 2, *cuts, 2 * cuts[-1], mp.inf]))
     c_ns = 4 ** s * mp.gamma(c + s) / (mp.pi ** c * abs(mp.gamma(-s)))
     return float(c_ns * 2 * mp.pi ** c / mp.gamma(c) * rho ** (-2 * s) * val)
+
+
+def bump_flap_oracle(mp, rho, N, s):
+    """(-Delta)^s Bump(1) at |x| = rho (flap_oracle, cut at the edge)."""
+    def bump(r):
+        return mp.exp(1 - 1 / (1 - r * r)) if r < 1 else mp.mpf(0)
+
+    return flap_oracle(mp, bump, rho, N, s, [mp.log(1 / mp.mpf(rho))])
 
 
 class TestQuadratureSpec:
@@ -150,6 +157,38 @@ class TestPanelIntegral:
             mid = _bisect(np.array([1e200, 1.0]), np.array([1e250, 3.0]))
         assert mid[0] == pytest.approx(1e225, rel=1e-15)
         assert mid[1] == math.sqrt(3.0)
+
+    def test_rows_keep_their_own_values_and_errors(self, quad):
+        # three integrands ~ r^0.3 at 0, of sizes 1, 1e-9 and 1e6, on one
+        # rule with a tail term per decay (zero in the other rows): each
+        # row meets its closed form within its own error, and the first
+        # agrees with its one-row integral
+        def fn(r):
+            return r ** 0.3 * np.stack([(1.0 + r * r) ** -1.85,
+                                        1e-9 * (1.0 + r * r) ** -1.1,
+                                        1e6 * np.exp(-r)])
+
+        exact = [beta_fn(0.65, 1.2) / 2.0, 1e-9 * beta_fn(0.65, 0.45) / 2.0,
+                 1e6 * gamma_fn(1.3)]
+        tail = ((np.array([1.0, 0.0, 0.0]), 2.4),
+                (np.array([0.0, 1e-9, 0.0]), 0.9))
+        edges = log_edges(1e-5, 1e5, 4)
+        val, err = adaptive_panel_rows(fn, edges, quad, head_power=0.3,
+                                       tail=tail)
+        assert val.shape == err.shape == (3,)
+        for i in range(3):
+            assert val[i] == pytest.approx(exact[i], rel=quad.rel_tol), i
+            assert abs(val[i] - exact[i]) <= err[i] + 1e-15 * exact[i], i
+        alone = adaptive_panel_integral(lambda r: fn(r)[0], edges, quad,
+                                        head_power=0.3, tail=((1.0, 2.4),))
+        assert abs(alone[0] - val[0]) <= alone[1] + err[0]
+
+    def test_rows_raise_naming_the_unresolved_row(self, quad):
+        # the second row jumps inside a panel; the first converges
+        with pytest.raises(ToleranceError, match="jump-rows: row 1 of 2"):
+            adaptive_panel_rows(
+                lambda r: np.stack([r, np.where(r < 0.3, 0.0, 1.0)]),
+                np.array([0.0, 1.0]), quad, label="jump-rows")
 
     def test_diagonal_band_beside_a_base_grid_edge(self, quad):
         # 1.3 - 1.2 = 0.10000000000000009 sits 9e-17 from the base-grid
@@ -385,6 +424,40 @@ class TestFracLaplacian:
         val, err = frac_laplacian_at_detailed(
             Bump(1.0), axis_point(rho, dim), params, quad)
         assert abs(val - exact) <= min(err, quad.rel_tol * abs(exact))
+
+    @pytest.mark.parametrize("rho", (0.3, 1.7))
+    def test_sampled_radial_vs_mpmath(self, rho, quad):
+        # the natural spline's third derivative jumps at every knot; the
+        # oracle integrates the same piecewise cubic (its float coefficients
+        # taken exact), split at every knot. No point is a knot: there the
+        # paired difference gains a |t|^3 term, so the head model is off by
+        # O(a^(3-2s)) (rho = 1: 6e-6 relative, inside the reported error,
+        # over rel_tol), and the pieces, ~1e-16 apart at the knot, spoil
+        # the oracle's t -> 0 end
+        mp = pytest.importorskip("mpmath")
+        f = SampledRadial([0.1, 0.5, 1.0, 2.0, 3.0], [1.0, 0.8, 0.5, 0.2, 0.1],
+                          6.0)
+        x, coef = f._spline.x, f._spline.coef
+
+        def profile(r):
+            if r < x[0]:
+                return mp.mpf(f.values[0])
+            if r > x[-1]:
+                return mp.mpf(f._tail_coef) * r ** -6
+            i = min(int(np.searchsorted(x, float(r), side="right")) - 1,
+                    x.size - 2)
+            t = r - mp.mpf(x[i])
+            c0, c1, c2, c3 = (mp.mpf(v) for v in coef[:, i])
+            return ((c0 * t + c1) * t + c2) * t + c3
+
+        with mp.workdps(40):
+            cuts = sorted({abs(mp.log(mp.mpf(b) / rho)) for b in x} - {0})
+            exact = flap_oracle(mp, profile, rho, 5, 0.9, cuts)
+        params = ProblemParams.from_gamma(5, 0.9, 0.25 * (5 - 1.8))
+        val, err = frac_laplacian_at_detailed(f, axis_point(rho, 5), params,
+                                              quad)
+        assert abs(val - exact) <= min(err, quad.rel_tol * abs(exact)), (
+            val, exact, err)
 
     def test_one_radial_integral_off_center(self, params_2d, quad,
                                             count_calls):
