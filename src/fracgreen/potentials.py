@@ -15,9 +15,9 @@ surrogate kernels are homogeneous of degree -(N-2s), so
     psi(rho) = rho^(2s) int_0^inf phi(rho u) u^(N-1) S(u) du,
     S(u) = kern.sphere_mean(1, u),
 
-and green_potentials_at integrates all the points of one call on one
-adaptive rule in u, with S computed once per node (green_potential_detailed
-is its one-point form). The remaining case (off-center density,
+and green_potentials_at integrates the points of one call on shared
+adaptive rules in u, up to 64 points each, with S computed once per node
+(green_potential_detailed is its one-point form). The remaining case (off-center density,
 coupling-dependent kernel, arbitrary x) integrates each shell |y| = r with
 a two-angle rule, batched over blocks of shells (_pair_shell_integrals).
 
@@ -50,6 +50,9 @@ from .reports import VerificationReport
 # points per block of the centred route, whose temporaries are
 # (points, u-nodes)
 _POINT_BLOCK = 4
+# points per shared u-rule: its (points, u-nodes) values grow like the
+# points times their breakpoints, which are all edges of the rule
+_RULE_POINTS = 64
 # kept polar nodes x second-angle nodes per block of whole shells of the
 # two-angle rule, whose temporaries have that many entries (up to 350 x 80
 # per shell)
@@ -105,10 +108,11 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
     """green_potential_detailed at each row x of `points`: the values and
     the error estimates as two arrays.
 
-    The radial route integrates all the points of a homogeneous kernel on
-    one adaptive rule in u (quadrature.diagonal_panel_rows): S(u) is
-    computed once per node, each point costs one phi.profile evaluation per
-    node, and each keeps its own value, error estimate and ToleranceError.
+    The radial route integrates the points of a homogeneous kernel, in
+    order of their distance and _RULE_POINTS at a time, on one adaptive
+    rule in u each (quadrature.diagonal_panel_rows): S(u) is computed once
+    per node, each point costs one phi.profile evaluation per node, and
+    each keeps its own value, error estimate and ToleranceError.
     The resolvent kernel is not homogeneous, because alpha fixes a length,
     so each of its points has a u-rule of its own; so has each point of the
     pair rule.
@@ -134,15 +138,17 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
 
 def _radial_potentials(kern, phi, rho, params, quad):
     """The radial route of green_potential_detailed at the distances rho
-    from the density's centre: one u-rule for all the points of a
-    homogeneous kernel, one per point otherwise."""
+    from the density's centre: for a homogeneous kernel one u-rule per
+    _RULE_POINTS points in order of rho, one per point otherwise."""
     val, err = np.zeros(rho.size), np.zeros(rho.size)
     for i in np.flatnonzero(rho == 0.0):
         val[i], err[i] = _potential_at_centre(kern, phi, params, quad)
     off = np.flatnonzero(rho > 0.0)
-    for idx in [off] if kern.homogeneous else np.split(off, off.size):
-        if idx.size:
-            val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
+    off = off[np.argsort(rho[off], kind="stable")]
+    size = _RULE_POINTS if kern.homogeneous else 1
+    for i in range(0, off.size, size):
+        idx = off[i:i + size]
+        val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
     return val, err
 
 

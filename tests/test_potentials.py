@@ -273,6 +273,22 @@ class TestManyPoints:
         hardy_integrability_check(Bump(1.0), params_3big, quad)
         assert 0 < len(calls) <= 3 * (quadrature._MAX_ROUNDS + 2)
 
+    def test_rules_of_bounded_size_in_any_order(self, count_calls,
+                                                params_3half, quad):
+        # the points are sorted by |x| and split into rules of at most
+        # _RULE_POINTS (64), which bounds the (points, nodes) values; the
+        # order the points come in changes no value
+        rules = count_calls(potentials, "diagonal_panel_rows")
+        points = [axis_point(r, 3) for r in np.geomspace(1e-3, 3.0, 150)]
+        vals, errs = green_potentials_at(Bump(1.0), points, params_3half,
+                                         quad)
+        assert len(rules) == 3
+        perm = np.random.default_rng(0).permutation(len(points))
+        shuffled = green_potentials_at(Bump(1.0), [points[i] for i in perm],
+                                       params_3half, quad)
+        assert np.array_equal(shuffled[0], vals[perm])
+        assert np.array_equal(shuffled[1], errs[perm])
+
     def test_resolvent_points_one_at_a_time(self, count_calls, params_2d,
                                             quad):
         # alpha fixes a length, so each resolvent point has its own rule
