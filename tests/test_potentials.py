@@ -165,14 +165,14 @@ class TestGreenPotential:
         assert val == pytest.approx(near, rel=1e-6)
 
 
-def riesz_bump_oracle_mp(mp, dim, s, rho):
+def riesz_bump_oracle_mp(mp, p, rho):
     """The centred Riesz potential of Bump(1) at |x| = rho in 40-digit
     mpmath: int phi(r) r^(N-1) a(N,s) M(rho, r) dr with the 2F1 sphere mean
     M of d^-(N-2s) (two points at N = 1), split at r = rho."""
-    p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+    dim = p.dim
     with mp.workdps(40):
         n, rho = mp.mpf(dim), mp.mpf(rho)
-        lam = n - 2 * mp.mpf(s)
+        lam = n - 2 * mp.mpf(p.order)
         area = 2 * mp.pi ** (n / 2) / mp.gamma(n / 2)
 
         def mean(r):
@@ -186,7 +186,7 @@ def riesz_bump_oracle_mp(mp, dim, s, rho):
             return mp.exp(1 - 1 / (1 - r * r)) * r ** (n - 1) * mean(r)
 
         total = mp.quad(integrand, [0, rho, 1] if rho < 1 else [0, 1])
-        return p, p.riesz_constant * float(total)
+        return p.riesz_constant * float(total)
 
 
 def hardy_radii():
@@ -197,8 +197,8 @@ def hardy_radii():
 
 
 class TestManyPoints:
-    # green_potentials_at integrates every point of a homogeneous kernel on
-    # one rule in u = |y| / |x|
+    # green_potentials_at integrates the points of a homogeneous kernel on
+    # shared rules in u = |y| / |x|
 
     @pytest.mark.parametrize("dim,s", [(1, 0.25), (2, 0.4), (5, 0.9)])
     def test_riesz_centred_bump_vs_mpmath(self, dim, s, quad):
@@ -211,7 +211,7 @@ class TestManyPoints:
             Bump(1.0), [axis_point(r, dim) for r in radii], p, quad,
             "riesz_exact")
         for rho, val, err in zip(radii, vals, errs):
-            exact = riesz_bump_oracle_mp(mp, dim, s, rho)[1]
+            exact = riesz_bump_oracle_mp(mp, p, rho)
             alone, alone_err = green_potential_detailed(
                 Bump(1.0), axis_point(rho, dim), p, quad, "riesz_exact")
             for v, e in ((val, err), (alone, alone_err)):
