@@ -22,7 +22,14 @@ class DivergenceError(FracgreenError, ValueError):
 
 
 class ToleranceError(FracgreenError, RuntimeError):
-    """Refinement budget exhausted before reaching the requested tolerance."""
+    """Refinement budget exhausted before reaching the requested tolerance.
+
+    `row`: the unresolved integral of a many-row rule, None if not known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConvergenceError(FracgreenError, RuntimeError):

@@ -17,9 +17,10 @@ surrogate kernels are homogeneous of degree -(N-2s), so
 
 and green_potentials_at integrates the points of one call on shared
 adaptive rules in u, up to 64 points each, with S computed once per node
-(green_potential_detailed is its one-point form). The remaining case (off-center density,
-coupling-dependent kernel, arbitrary x) integrates each shell |y| = r with
-a two-angle rule, batched over blocks of shells (_pair_shell_integrals).
+(green_potential_detailed is its one-point form). The remaining case
+(off-center density, coupling-dependent kernel, arbitrary x) integrates
+each shell |y| = r with a two-angle rule, batched over blocks of shells
+(_pair_shell_integrals).
 
 The delta identity int K (P f) = f integrates the kernel against a
 FlapProfile: Chebyshev interpolants of the engine's pointwise
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceError
 from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
@@ -112,7 +113,8 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
     order of their distance and _RULE_POINTS at a time, on one adaptive
     rule in u each (quadrature.diagonal_panel_rows): S(u) is computed once
     per node, each point costs one phi.profile evaluation per node, and
-    each keeps its own value, error estimate and ToleranceError.
+    each keeps its own value and error estimate. A ToleranceError names
+    the unresolved point by its row in `points`.
     The resolvent kernel is not homogeneous, because alpha fixes a length,
     so each of its points has a u-rule of its own; so has each point of the
     pair rule.
@@ -130,10 +132,21 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
         return _radial_potentials(kern, phi, rho_c, params, quad)
     if phi.center_norm == 0.0:
         return _radial_potentials(kern, phi, rho, params, quad)
-    val, err = np.array([_potential_pair(kern, phi, x, r, lo, hi, params,
-                                         quad)
-                         for x, r in zip(points, rho)]).T
+    val, err = np.zeros(rho.size), np.zeros(rho.size)
+    for i, (x, r) in enumerate(zip(points, rho)):
+        try:
+            val[i], err[i] = _potential_pair(kern, phi, x, r, lo, hi, params,
+                                             quad)
+        except ToleranceError as ex:
+            raise _at_point(ex, i, rho.size) from ex
     return val, err
+
+
+def _at_point(ex, i, n):
+    """The ToleranceError ex of a potential, naming the caller's point i of
+    n."""
+    return ToleranceError(f"green potential at point {i} of {n}: {ex}",
+                          row=i)
 
 
 def _radial_potentials(kern, phi, rho, params, quad):
@@ -142,13 +155,20 @@ def _radial_potentials(kern, phi, rho, params, quad):
     _RULE_POINTS points in order of rho, one per point otherwise."""
     val, err = np.zeros(rho.size), np.zeros(rho.size)
     for i in np.flatnonzero(rho == 0.0):
-        val[i], err[i] = _potential_at_centre(kern, phi, params, quad)
+        try:
+            val[i], err[i] = _potential_at_centre(kern, phi, params, quad)
+        except ToleranceError as ex:
+            raise _at_point(ex, i, rho.size) from ex
     off = np.flatnonzero(rho > 0.0)
     off = off[np.argsort(rho[off], kind="stable")]
     size = _RULE_POINTS if kern.homogeneous else 1
     for i in range(0, off.size, size):
         idx = off[i:i + size]
-        val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
+        try:
+            val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
+        except ToleranceError as ex:
+            # the rule's rows are the points idx
+            raise _at_point(ex, idx[ex.row], rho.size) from ex
     return val, err
 
 

@@ -136,16 +136,11 @@ def panel_nodes(edges: np.ndarray, order: int):
 
 def blockwise(fn, size, *arrays):
     """fn over consecutive blocks of `size` entries of the arrays (sliced
-    alike), each block's result written into one output array: bounds the
-    temporaries of a batched evaluation. An entry's value does not depend
-    on its block."""
+    alike), results concatenated: bounds the temporaries of a batched
+    evaluation. An entry's value does not depend on its block."""
     n = len(arrays[0])
-    first = fn(*(a[:size] for a in arrays))
-    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
-    out[:len(first)] = first
-    for i in range(size, n, size):
-        out[i:i + size] = fn(*(a[i:i + size] for a in arrays))
-    return out
+    return np.concatenate([fn(*(a[i:i + size] for a in arrays))
+                           for i in range(0, n, size)])
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -210,9 +205,9 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
     defect when the integrand is C r^p (1 + O(r^k)) with k >= 1.
 
     Returns (values, error_estimates), arrays with one entry per row, both
-    including head and tail; raises ToleranceError naming a row whose panel
-    error is still above 5 rel_tol times its scale when the round budget
-    runs out.
+    including head and tail; raises ToleranceError naming (and carrying as
+    its `row`) a row whose panel error is still above 5 rel_tol times its
+    scale when the round budget runs out.
     """
     order = order or _DEFAULT_ORDER
     edges = np.unique(np.asarray(edges, dtype=float))
@@ -282,7 +277,7 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
         row = f" row {i} of {val.size}:" if val.size > 1 else ""
         raise ToleranceError(
             f"panel integral {name}:{row} defect {err[i]:.3e} "
-            f"at value {val[i]:.6e} after {_MAX_ROUNDS} rounds")
+            f"at value {val[i]:.6e} after {_MAX_ROUNDS} rounds", row=i)
     tail_val = sum(coef * hi ** (-k) / k for coef, k in tail)
     if tail:
         model = np.broadcast_to(
@@ -347,9 +342,11 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     With rho outside (lo, hi) this is adaptive_panel_integral on
     log_edges(lo, hi, 4, splits). Otherwise the band (rho - a, rho + a),
     a = DIAGONAL_BAND rho clipped to [lo, hi], is one panel on which fn is
-    never evaluated, so it adds 0 with defect 0; the edges gain the
-    geometric runs rho -+ geomspace(a, DIAGONAL_RUN rho, DIAGONAL_RUN_EDGES),
-    and every edge inside the band goes.
+    never evaluated: its nodes are evaluated at the band's lower edge and
+    those values, in the fresh array fn returns, are set to 0, so it adds 0
+    with defect 0. The edges gain the geometric runs
+    rho -+ geomspace(a, DIAGONAL_RUN rho, DIAGONAL_RUN_EDGES), and every
+    edge inside the band goes.
     Each side of the band is the engine's head formula
     fn(rho -+ a) a / (power + 1), charged its size times the relative defect
     of that power model at rho -+ 2a.
@@ -357,27 +354,22 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     Returns (value, error_estimate).
     """
     val, err = _diagonal(adaptive_panel_integral, fn, lo, hi, rho, quad,
-                         power, splits, kw, in_band=False)
+                         power, splits, kw)
     return float(val), float(err)
 
 
 def diagonal_panel_rows(fn, lo, hi, rho, quad: QuadratureSpec,
                         power: float, splits=(), **kw):
     """diagonal_panel_integral for many integrands on one rule: fn maps the
-    nodes to a fresh (rows, nodes) array (adaptive_panel_rows), and each
-    row gets its own band heads, probes and charges. fn must be finite off
-    t = rho: it is also called on the nodes of the band panel, never at
-    rho itself, and those values are set to 0 in place, so that no second
-    (rows, nodes) array is made. Returns (values, error_estimates), one
-    entry per row."""
+    nodes to a (rows, nodes) array (adaptive_panel_rows), and each row gets
+    its own band heads, probes and charges. Returns (values,
+    error_estimates), one entry per row."""
     return _diagonal(adaptive_panel_rows, fn, lo, hi, rho, quad, power,
-                     splits, kw, in_band=True)
+                     splits, kw)
 
 
-def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw,
-              in_band):
-    """diagonal_panel_integral with the panels integrated by `integrate`,
-    fn called on the band panel's nodes too when in_band."""
+def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
+    """diagonal_panel_integral with the panels integrated by `integrate`."""
     edges = log_edges(lo, hi, 4, splits=splits)
     if not lo < rho < hi:
         return integrate(fn, edges, quad, **kw)
@@ -393,13 +385,10 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw,
     edges = edges[(edges <= b_lo) | (edges >= b_hi)]
 
     def outside_band(t):
-        keep = (t <= b_lo) | (t >= b_hi)
-        if in_band:
-            out = fn(t)
-            out[..., ~keep] = 0.0
-        else:
-            out = np.zeros_like(t)
-            out[keep] = fn(t[keep])
+        # one (rows, nodes) array: the band's nodes move to its edge
+        band = (t > b_lo) & (t < b_hi)
+        out = np.asarray(fn(np.where(band, b_lo, t)), dtype=float)
+        out[..., band] = 0.0
         return out
 
     val, err = integrate(outside_band, edges, quad, **kw)

@@ -7,7 +7,7 @@ import pytest
 
 from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
                        PotentialField,
-                       ProblemParams, axis_point,
+                       ProblemParams, ToleranceError, axis_point,
                        delta_identity_check, green_potential,
                        green_potential_detailed, green_potentials_at,
                        hardy_integrability_check, integrate_radial_singular,
@@ -288,6 +288,47 @@ class TestManyPoints:
                                        params_3half, quad)
         assert np.array_equal(shuffled[0], vals[perm])
         assert np.array_equal(shuffled[1], errs[perm])
+
+    def test_unresolved_point_named_by_its_index(self, monkeypatch,
+                                                 params_3half, quad):
+        # the largest |x| is the last row of the sorted rule but the first
+        # point of the call; a jump in its integrand no round resolves
+        real = potentials.diagonal_panel_rows
+
+        def last_row_jumps(fn, *args, **kw):
+            def jumpy(u):
+                out = fn(u)
+                out[-1] += np.where(u < 0.31, 0.0, 1.0)
+                return out
+            return real(jumpy, *args, **kw)
+
+        monkeypatch.setattr(potentials, "diagonal_panel_rows", last_row_jumps)
+        points = [axis_point(r, 3) for r in (1.5, 0.3, 0.7)]
+        with pytest.raises(ToleranceError,
+                           match=r"at point 0 of 3: .* row 2 of 3:") as info:
+            green_potentials_at(Bump(1.0), points, params_3half, quad)
+        assert info.value.row == 0
+
+    def test_unresolved_pair_point_named_by_its_index(self, monkeypatch,
+                                                      params_3half, quad):
+        # off-centre density, surrogate kernel: one pair rule per point,
+        # and only the second point's integrand jumps
+        real = potentials.diagonal_panel_integral
+        calls = []
+
+        def second_call_jumps(fn, *args, **kw):
+            calls.append(None)
+            if len(calls) != 2:
+                return real(fn, *args, **kw)
+            return real(lambda r: fn(r) + np.where(r < 0.71, 0.0, 1.0),
+                        *args, **kw)
+
+        monkeypatch.setattr(potentials, "diagonal_panel_integral",
+                            second_call_jumps)
+        points = [axis_point(r, 3) for r in (0.6, 0.8, 1.0)]
+        with pytest.raises(ToleranceError, match="at point 1 of 3: "):
+            green_potentials_at(Bump(0.35, center_norm=1.0), points,
+                                params_3half, quad)
 
     def test_resolvent_points_one_at_a_time(self, count_calls, params_2d,
                                             quad):
