@@ -18,10 +18,9 @@ from .fields import PowerLaw, RadialField
 from .params import ProblemParams
 from .quadrature import (DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES,
                          QuadratureSpec, adaptive_panel_integral, blockwise,
-                         diagonal_panel_integral, frac_laplacian_at_detailed,
-                         frac_laplacian_power_law, integrate_radial_singular,
-                         log_edges, panel_nodes, sphere_area,
-                         sphere_mean_power)
+                         frac_laplacian_at_detailed, frac_laplacian_power_law,
+                         integrate_radial_singular, log_edges, panel_nodes,
+                         radial_moment, sphere_area, sphere_mean_power)
 from .reports import VerificationReport
 
 
@@ -106,36 +105,11 @@ class FormEval:
 
 def hardy_weight_integral(f: RadialField, params: ProblemParams,
                           quad: QuadratureSpec) -> float:
-    """int f(x)^2 |x|^(-2s) dx, weight about the true origin.
-
-    Origin-centered fields reduce to the weighted radial integral; an
-    off-center field is handled by the bipolar sphere mean of |y|^(-2s).
-    """
-    N, s = params.dim, params.order
-    sq = _Squared(f)
-    if f.center_norm == 0.0:
-        return integrate_radial_singular(sq, 2.0 * s, N, quad)
-    c = abs(f.center_norm)
-    sup = sq.support_radius()
-    hi = sup if sup is not None else max(quad.outer_radius, 4 * sq.tail_start())
-
-    def integrand(t):
-        return (sq.profile(t) * t ** (N - 1.0)
-                * sphere_mean_power(2.0 * s, c, t, N))
-
-    far = ()
-    if sup is None:
-        coef, p = sq.tail_power()
-        if p + 2.0 * s <= N:
-            raise DomainError("Hardy weight term diverges for this tail")
-        far = ((sphere_area(N) * coef, p + 2.0 * s - N),)
-    # the weight's sphere mean grows like |t - c|^(N-1-2s) where the
-    # support holds the origin
-    val, _ = diagonal_panel_integral(
-        integrand, 1e-10 * max(c, 1.0), hi, c, quad,
-        min(0.0, N - 1.0 - 2.0 * s), sq.breakpoints(), label="hardy-weight",
-        tail=far)
-    return val
+    """int f(x)^2 |x|^(-2s) dx, weight about the true origin: the radial
+    moment of f^2 with its pole at the origin, |c| from the field's center
+    c (quadrature.radial_moment)."""
+    return radial_moment(_Squared(f), 2.0 * params.order, params.dim, quad,
+                         pole=abs(f.center_norm))[0]
 
 
 _ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation

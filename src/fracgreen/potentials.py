@@ -17,15 +17,16 @@ surrogate kernels are homogeneous of degree -(N-2s), so
 
 and green_potentials_at integrates the points of one call on shared
 adaptive rules in u, up to 64 points each, with S computed once per node
-(green_potential_detailed is its one-point form). The remaining case
-(off-center density, coupling-dependent kernel, arbitrary x) integrates
-each shell |y| = r with a two-angle rule, batched over blocks of shells
-(_pair_shell_integrals).
+(green_potential_detailed is its one-point form). A Riesz potential at
+its density's centre is quadrature.radial_moment of order N - 2s. The
+remaining case (off-center density, coupling-dependent kernel, arbitrary
+x) integrates each shell |y| = r with a two-angle rule, batched over
+blocks of shells (_pair_shell_integrals).
 
 The delta identity int K (P f) = f integrates the kernel against a
-FlapProfile: Chebyshev interpolants of the engine's pointwise
-(-Delta)^s f (quadrature.frac_laplacian_at_detailed), the only fractional
-Laplacian this module uses.
+FlapProfile, the radial field of Chebyshev interpolants of the engine's
+pointwise (-Delta)^s f (quadrature.frac_laplacian_at_detailed), the only
+fractional Laplacian this module uses; at zero coupling, its radial_moment.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .errors import DomainError, ToleranceError
 from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, adaptive_panel_integral,
-                         axis_point, blockwise, diagonal_panel_integral,
-                         diagonal_panel_rows, frac_laplacian_at_detailed,
-                         integrate_radial_singular, log_edges, panel_nodes,
-                         polar_rule, shell_distance, sphere_area,
-                         sphere_mean_power)
+from .quadrature import (QuadratureSpec, axis_point, blockwise,
+                         diagonal_panel_integral, diagonal_panel_rows,
+                         frac_laplacian_at_detailed,
+                         integrate_radial_singular, panel_nodes, polar_rule,
+                         radial_moment, shell_distance, sphere_area)
 from .reports import VerificationReport
 
 # points per block of the centred route, whose temporaries are
@@ -155,10 +155,15 @@ def _radial_potentials(kern, phi, rho, params, quad):
     _RULE_POINTS points in order of rho, one per point otherwise."""
     val, err = np.zeros(rho.size), np.zeros(rho.size)
     for i in np.flatnonzero(rho == 0.0):
+        # the Riesz kernel's mean at the centre is a(N,s) |S^(N-1)| r^-(N-2s)
         try:
-            val[i], err[i] = _potential_at_centre(kern, phi, params, quad)
+            moment, moment_err = radial_moment(
+                phi, params.dim - 2.0 * params.order, params.dim, quad,
+                label="potential-1d")
         except ToleranceError as ex:
             raise _at_point(ex, i, rho.size) from ex
+        a = params.riesz_constant
+        val[i], err[i] = a * moment, a * moment_err
     off = np.flatnonzero(rho > 0.0)
     off = off[np.argsort(rho[off], kind="stable")]
     size = _RULE_POINTS if kern.homogeneous else 1
@@ -211,21 +216,6 @@ def _u_rule(kern, phi, rho, params, quad):
     else:
         val, err = diagonal_panel_rows(integrand, *args, **kw)
     return scale * val, scale * err
-
-
-def _potential_at_centre(kern, phi, params, quad):
-    """A distance-only potential at its density's centre: there the kernel
-    mean is a constant times r^-(N-2s), so the integrand is a power 2s - 1
-    at r = 0."""
-    N, s = params.dim, params.order
-    hi = phi.support_radius()
-
-    def integrand(r):
-        return phi.profile(r) * r ** (N - 1.0) * kern.sphere_mean(0.0, r)
-
-    return adaptive_panel_integral(
-        integrand, log_edges(1e-10 * hi, hi, 4, phi.breakpoints()), quad,
-        label="potential-1d", head_power=2.0 * s - 1.0)
 
 
 def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
@@ -498,17 +488,19 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
 # The delta identity
 # ---------------------------------------------------------------------------
 
-class FlapProfile:
-    """Radial profile of (-Delta)^s f about the center of a compact field f.
+class FlapProfile(RadialField):
+    """(-Delta)^s f of a compact field f, as a radial field about f's
+    center: profile(r) at the distance r from it.
 
-    Two Chebyshev interpolants of frac_laplacian_at_detailed values, r the
-    distance from the center and sup the support radius. Inside the
-    support the profile is interpolated in w = (r/sup)^2 at n_inside
-    Chebyshev points of [0, 1], so it is even in r. Outside, where f
-    vanishes, (-Delta)^s f = -c int f(y) |x - y|^(-N-2s) dy is
-    v^((N+2s)/2) times a function of v = (sup/r)^2 that is smooth on
+    Two Chebyshev interpolants of frac_laplacian_at_detailed values, sup
+    the support radius of f. Inside the support the profile is interpolated
+    in w = (r/sup)^2 at n_inside Chebyshev points of [0, 1], so it is even
+    in r. Outside, where f vanishes, (-Delta)^s f = -c int f(y) |x - y|^(-N-2s)
+    dy is v^((N+2s)/2) times a function of v = (sup/r)^2 that is smooth on
     [0, 1] and tends to -c (int f) as r -> infinity; that function is
-    interpolated at _FLAP_OUTSIDE Chebyshev points. mass = int f.
+    interpolated at _FLAP_OUTSIDE Chebyshev points. mass = int f. The field
+    is unbounded, with the exact power tail -c mass r^(-N-2s) from 12.5 sup
+    and a breakpoint at sup.
 
     The profile depends only on the field, the parameters and the
     quadrature, not on the point where the delta identity is checked, so
@@ -528,6 +520,7 @@ class FlapProfile:
         self.p = params
         self.quad = quad
         self.sup = sup
+        self.center_norm = f.center_norm
         N = params.dim
         self._half_lam = 0.5 * N + params.order
         center = f.center(N)
@@ -544,7 +537,7 @@ class FlapProfile:
             _FLAP_OUTSIDE - 1, domain=[0.0, 1.0])
         self.mass = integrate_radial_singular(f, 0.0, N, quad)
 
-    def __call__(self, r):
+    def profile(self, r):
         r = np.atleast_1d(np.asarray(r, float))
         out = np.empty_like(r)
         inside = r < self.sup
@@ -552,6 +545,16 @@ class FlapProfile:
         v = (self.sup / r[~inside]) ** 2
         out[~inside] = self._outside(v) * v ** self._half_lam
         return out
+
+    def breakpoints(self):
+        return (self.sup,)
+
+    def tail_power(self):
+        p = self.p
+        return (-p.normalizer * self.mass, p.dim + 2.0 * p.order)
+
+    def tail_start(self):
+        return 12.5 * self.sup
 
     def delta_identity(self, x0, mode: str = "strict") -> VerificationReport:
         """The weak delta identity of self.f at x0 (delta_identity_check),
@@ -561,14 +564,22 @@ class FlapProfile:
         peak = float(np.max(self.f.profile(np.linspace(0.0, self.sup, 512))))
 
         if mode == "strict":
-            computed = _delta_strict_value(self, x0)
+            # int Phi(x0 - z) (-Delta)^s f(z) dz, Phi = a(N,s) |.|^-(N-2s):
+            # the radial moment with its pole at x0
+            N, a_const = self.p.dim, self.p.riesz_constant
+            val, err = radial_moment(
+                self, N - 2.0 * self.p.order, N, self.quad,
+                pole=float(np.linalg.norm(x0 - self.f.center(N))),
+                scale_hint=abs(self.mass), label="delta-strict")
+            computed = a_const * val
             scale = abs(f_x0) if abs(f_x0) > 0.1 * peak else peak
             residual = abs(computed - f_x0) / scale
             return VerificationReport(
                 name="delta-identity-zero-coupling",
                 computed=computed, reference=f_x0, tolerance=1e-3,
                 residual=residual, passed=bool(residual <= 1e-3),
-                details={"mode": mode, "relative_scale": scale})
+                details={"mode": mode, "relative_scale": scale,
+                         "error_estimate": a_const * err})
 
         # comparability: collinear geometry, surrogate kernel, full operator
         v1 = _delta_surrogate_value(self, x0, order=10)
@@ -623,27 +634,6 @@ def delta_identity_check(f: RadialField, x0, params: ProblemParams,
     return flap.delta_identity(x0, mode)
 
 
-def _delta_strict_value(flap: FlapProfile, x0) -> float:
-    """int Phi(x0 - z) (-Delta)^s f(z) dz via the bipolar reduction."""
-    params, quad = flap.p, flap.quad
-    N, s = params.dim, params.order
-    rho_c = float(np.linalg.norm(np.asarray(x0, float) - flap.f.center(N)))
-    a_const = params.riesz_constant
-    lam = N - 2.0 * s
-    sup = flap.sup
-    r_hi = max(quad.outer_radius, 50.0 * sup, 8.0 * max(rho_c, 1e-3))
-
-    def integrand(t):
-        return flap(t) * t ** (N - 1.0) * sphere_mean_power(lam, rho_c, t, N)
-
-    # tail: flap ~ -c M r^(-N-2s) against the kernel mean ~ omega r^(-lam)
-    val, _ = diagonal_panel_integral(
-        integrand, 1e-9 * sup, r_hi, rho_c, quad, min(0.0, 2.0 * s - 1.0),
-        (sup,), scale_hint=abs(flap.mass), label="delta-strict",
-        tail=((-params.normalizer * flap.mass * sphere_area(N), N),))
-    return a_const * val
-
-
 def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
     """int K_surrogate(x0, z) (P f)(z) dz on collinear geometry."""
     f, params, quad = flap.f, flap.p, flap.quad
@@ -671,7 +661,7 @@ def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
         return (kv * p_f * w).sum(axis=1)
 
     def integrand(t_nodes):
-        out = blockwise(shells, _SHELL_BLOCK, t_nodes, flap(t_nodes),
+        out = blockwise(shells, _SHELL_BLOCK, t_nodes, flap.profile(t_nodes),
                         f.profile(t_nodes))
         return out * t_nodes ** (N - 1.0)
 

@@ -349,7 +349,8 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     edge inside the band goes.
     Each side of the band is the engine's head formula
     fn(rho -+ a) a / (power + 1), charged its size times the relative defect
-    of that power model at rho -+ 2a.
+    of that power model at rho -+ 2a, times max(1, 1 / ((power + 1) ln 2)),
+    which bounds the miss of a positive weaker power |t - rho|^(power + d).
 
     Returns (value, error_estimate).
     """
@@ -399,7 +400,8 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
     band = f1 * width / (power + 1.0)
     # |band| |f2 - f1 2^power| / |f1 2^power|, without dividing by f1
     charge = np.abs(f2 - f1 * 2.0 ** power) * width / (
-        (power + 1.0) * 2.0 ** power)
+        (power + 1.0) * 2.0 ** power) * max(
+            1.0, 1.0 / ((power + 1.0) * math.log(2.0)))
     return val + band.sum(axis=-1), err + charge.sum(axis=-1)
 
 
@@ -540,44 +542,66 @@ def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
 # Weighted radial integrals
 # ---------------------------------------------------------------------------
 
-def integrate_radial_singular(field: RadialField, weight_exponent: float,
-                              dim: int, quad: QuadratureSpec) -> float:
-    """int_{R^N} f(|z - c|) |z - c|^(-beta) dz by exact radial reduction.
+def radial_moment(field: RadialField, beta: float, dim: int,
+                  quad: QuadratureSpec, pole: float = 0.0, *,
+                  scale_hint: float = 0.0, label: str = "radial-singular"):
+    """int_{R^N} f(|y - c|) |y - c - pole e1|^(-beta) dy, c the field's
+    center, and its error: the profile against the weight's sphere mean
+    (module docstring). Needs beta < N and a compact support or a tail
+    decay p with p + beta > N; the range ends at the support or at
+    max(outer_radius, 4 tail_start, 4, 8 pole), with the tail beyond.
 
-    The weight is taken about the field's own center. Requires beta < N,
-    integrability at the center (origin exponent + beta < N) and at
-    infinity (compact support, or tail decay p with p + beta > N).
+    pole = 0: the mean is |S^(N-1)| r^(-beta), and the head the power
+    N - 1 - beta - origin_exponent > -1. pole > 0: diagonal_panel_integral
+    from 1e-10 max(pole, 1), its band at r = pole, where the mean grows like
+    |r - pole|^(N-1-beta). scale_hint is in units of the value.
     """
-    beta = weight_exponent
     if beta >= dim:
         raise DivergenceError(f"weight exponent {beta} >= dim {dim}")
+    sup, model = field.support_radius(), field.tail_power()
+    tail = ()
+    if sup is None:
+        if model is None:
+            raise DivergenceError("unbounded field without a tail model")
+        coef, p = model
+        if p + beta <= dim:
+            raise DivergenceError(
+                f"tail decay {p} + weight {beta} <= dim {dim}: divergent")
+        tail = ((coef, p + beta - dim),)
+    hi = sup if sup is not None else max(
+        quad.outer_radius, 4.0 * field.tail_start(), 4.0, 8.0 * pole)
+    omega = sphere_area(dim)
+    if pole > 0.0:
+        def integrand(t):
+            return (field.profile(t) * t ** (dim - 1.0)
+                    * sphere_mean_power(beta, pole, t, dim))
+
+        return diagonal_panel_integral(
+            integrand, 1e-10 * max(pole, 1.0), hi, pole, quad,
+            min(0.0, dim - 1.0 - beta), field.breakpoints(),
+            scale_hint=scale_hint, label=label,
+            tail=tuple((omega * c, k) for c, k in tail))
     if field.origin_exponent + beta >= dim:
         raise DivergenceError(
             f"profile blowup {field.origin_exponent} + weight {beta} "
             f"not integrable in dim {dim}")
-    sup = field.support_radius()
-    tail = field.tail_power()
-    if sup is None:
-        if tail is None:
-            raise DivergenceError("unbounded field without a tail model")
-        coef, p = tail
-        if p + beta <= dim:
-            raise DivergenceError(
-                f"tail decay {p} + weight {beta} <= dim {dim}: divergent")
-    scale = max(field.tail_start(), 1.0)
-    r_hi = sup if sup is not None else max(quad.outer_radius, 4.0 * scale)
-    r_lo = min(1e-10, 1e-10 * r_hi)
-    edges = log_edges(r_lo, r_hi, per_decade=4, splits=field.breakpoints())
 
     def integrand(r):
         return field.profile(r) * r ** (dim - 1.0 - beta)
 
-    # near 0 the integrand is a power dim-1-beta-origin_exponent > -1
-    total, _ = adaptive_panel_integral(
-        integrand, edges, quad, label="radial-singular",
-        head_power=dim - 1.0 - beta - field.origin_exponent,
-        tail=() if sup is not None else ((coef, p + beta - dim),))
-    return sphere_area(dim) * total
+    val, err = adaptive_panel_integral(
+        integrand, log_edges(min(1e-10, 1e-10 * hi), hi, 4,
+                             field.breakpoints()),
+        quad, scale_hint=scale_hint / omega, label=label,
+        head_power=dim - 1.0 - beta - field.origin_exponent, tail=tail)
+    return omega * val, omega * err
+
+
+def integrate_radial_singular(field: RadialField, weight_exponent: float,
+                              dim: int, quad: QuadratureSpec) -> float:
+    """int_{R^N} f(|z - c|) |z - c|^(-beta) dz: the value of radial_moment
+    with the weight about the field's own center."""
+    return radial_moment(field, weight_exponent, dim, quad)[0]
 
 
 # ---------------------------------------------------------------------------

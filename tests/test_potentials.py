@@ -10,7 +10,7 @@ from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
                        ProblemParams, ToleranceError, axis_point,
                        delta_identity_check, green_potential,
                        green_potential_detailed, green_potentials_at,
-                       hardy_integrability_check, integrate_radial_singular,
+                       hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
 from fracgreen import potentials
 from fracgreen.kernels import _ResolventKernel, _RieszKernel
@@ -189,6 +189,25 @@ def riesz_bump_oracle_mp(mp, p, rho):
         return p.riesz_constant * float(total)
 
 
+def surrogate_bump_oracle_n1(mp, p, rho):
+    """The centred surrogate potential of Bump(1) at |x| = rho, N = 1, in
+    30-digit mpmath: the three terms of kernels.surrogate_terms at the two
+    points y = +-r, split at r = rho."""
+    g, lam = p.exponent_gamma, 1 - 2 * p.order
+    with mp.workdps(30):
+        rho = mp.mpf(rho)
+
+        def integrand(r):
+            ax, ay = rho ** -g, r ** -g
+            return mp.exp(1 - 1 / (1 - r * r)) * sum(
+                d ** -lam + (ax + ay) * d ** (g - lam)
+                + ax * ay * d ** (2 * g - lam)
+                for d in (abs(rho - r), rho + r))
+
+        cuts = [0, 0.5, 0.9, 1] + ([rho] if rho < 1 else [])
+        return float(mp.quad(integrand, sorted(cuts)))
+
+
 def hardy_radii():
     """The 57 radii of hardy_integrability_check for a density in the unit
     ball."""
@@ -221,13 +240,19 @@ class TestManyPoints:
     @pytest.mark.parametrize("dim,s", [(1, 0.25), (3, 0.3), (5, 0.9)])
     def test_riesz_at_the_density_centre(self, dim, s, quad):
         # there the kernel mean is a(N,s) |S^(N-1)| r^-(N-2s), so psi is
-        # the radial integral of phi against |y - c|^-(N-2s)
+        # a(N,s) |S^(N-1)| int_0^R phi(r) r^(2s-1) dr, here in 30-digit
+        # mpmath
+        mp = pytest.importorskip("mpmath")
         p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
         phi = Bump(0.35, center_norm=1.0)
         val, err = green_potential_detailed(phi, axis_point(1.0, dim), p,
                                             quad, "riesz_exact")
-        ref = p.riesz_constant * integrate_radial_singular(
-            phi, dim - 2.0 * s, dim, quad)
+        with mp.workdps(30):
+            n, big_r = mp.mpf(dim), mp.mpf(0.35)
+            area = 2 * mp.pi ** (n / 2) / mp.gamma(n / 2)
+            radial = mp.quad(lambda r: mp.exp(1 - 1 / (1 - (r / big_r) ** 2))
+                             * r ** (2 * mp.mpf(s) - 1), [0, big_r])
+            ref = p.riesz_constant * float(area * radial)
         assert abs(val - ref) <= quad.rel_tol * abs(ref) + err, (val, ref)
 
     @pytest.mark.parametrize("dim,s", SWEEP)
@@ -249,17 +274,20 @@ class TestManyPoints:
         # miss against 30-digit mpmath (N = 1: the sphere is two points)
         mp = pytest.importorskip("mpmath")
         p = ProblemParams.from_gamma(1, s, 0.8 * (1 - 2 * s) / 2)
-        g, lam = p.exponent_gamma, 1 - 2 * s
         for rho in (1.3, 9.3, 200.0):
-            with mp.workdps(30):
-                def integrand(r, rho=mp.mpf(rho)):
-                    ax, ay = rho ** -g, r ** -g
-                    return mp.exp(1 - 1 / (1 - r * r)) * sum(
-                        d ** -lam + (ax + ay) * d ** (g - lam)
-                        + ax * ay * d ** (2 * g - lam)
-                        for d in (rho - r, rho + r))
+            exact = surrogate_bump_oracle_n1(mp, p, rho)
+            val, err = green_potential_detailed(Bump(1.0),
+                                                axis_point(rho, 1), p, quad)
+            assert abs(val - exact) <= err, (rho, val, exact, err)
 
-                exact = float(mp.quad(integrand, [0, 0.5, 0.9, 1]))
+    def test_surrogate_band_at_n1(self, quad):
+        # inside the support the rule's band at |y| = |x| models the kernel
+        # mean by its strongest power |u - 1|^(2s-1), beside two weaker
+        # ones |u - 1|^(2s-1+j g); its charge must cover what they add
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams.from_gamma(1, 0.1, 0.8 * (1 - 0.2) / 2)
+        for rho in (0.002, 0.0173, 0.15, 0.84):
+            exact = surrogate_bump_oracle_n1(mp, p, rho)
             val, err = green_potential_detailed(Bump(1.0),
                                                 axis_point(rho, 1), p, quad)
             assert abs(val - exact) <= err, (rho, val, exact, err)
@@ -557,11 +585,11 @@ class TestDeltaIdentity:
 
         inside = np.array([0.1, 0.6, 0.95, 0.99])
         ref = engine(inside)
-        miss = np.abs(flap(inside) - ref)
+        miss = np.abs(flap.profile(inside) - ref)
         assert np.all(miss <= 1e-3 * np.max(np.abs(ref))), miss
         outside = np.array([1.001, 1.5, 40.0])
         ref = engine(outside)
-        miss = np.abs(flap(outside) - ref)
+        miss = np.abs(flap.profile(outside) - ref)
         assert np.all(miss <= 1e-5 * np.abs(ref)), miss / np.abs(ref)
 
     # small s: the kernel mean grows like |t - rho|^(2s-1) at the diagonal
@@ -576,6 +604,9 @@ class TestDeltaIdentity:
             rep = flap.delta_identity(axis_point(rho, dim))
             assert rep.passed, (dim, s, rho, rep.residual)
             assert rep.residual <= 1e-3
+            # the integral's own error estimate, a sliver of the tolerance
+            err = rep.details["error_estimate"]
+            assert 0.0 < err <= 1e-5 * rep.details["relative_scale"], err
 
 
 class TestRoundTrip:

@@ -19,7 +19,7 @@ from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
                                   adaptive_panel_rows,
                                   bipolar_sphere_integral,
                                   diagonal_panel_integral, log_edges,
-                                  panel_nodes)
+                                  panel_nodes, radial_moment)
 
 
 def bubble_flap_exact(rho, N, s):
@@ -358,6 +358,33 @@ class TestRadialSingularIntegral:
         f = Gaussian(1.0)
         val = integrate_radial_singular(f, 1.0, 3, quad)
         assert val == pytest.approx(sphere_area(3), rel=1e-8)
+
+    @pytest.mark.parametrize("dim,decay,beta,pole", [
+        (1, 1.5, 0.4, 0.7), (3, 2.0, 1.4, 0.7), (3, 2.0, 1.4, 2.5)])
+    def test_pole_off_the_centre_of_an_unbounded_field(self, quad, dim,
+                                                       decay, beta, pole):
+        # int (1 + |y|^2)^(-p/2) |y - pole e1|^(-beta) dy: the band at
+        # r = pole and the power tail of one rule, against 30-digit mpmath
+        # of the line integral (N = 1) and of the radial integral with the
+        # elementary N = 3 sphere mean
+        mp = pytest.importorskip("mpmath")
+        val, err = radial_moment(Bubble(decay), beta, dim, quad, pole=pole)
+        with mp.workdps(30):
+            p, b, a = mp.mpf(decay), mp.mpf(beta), mp.mpf(pole)
+
+            def bubble(r):
+                return (1 + r * r) ** (-p / 2)
+
+            if dim == 1:
+                ref = mp.quad(lambda y: bubble(y) * abs(y - a) ** -b,
+                              [-mp.inf, 0, a, mp.inf])
+            else:
+                ref = mp.quad(lambda r: bubble(r) * r * 2 * mp.pi * (
+                    (a + r) ** (2 - b) - abs(a - r) ** (2 - b))
+                    / ((2 - b) * a), [0, a, mp.inf])
+            ref = float(ref)
+        assert abs(val - ref) <= quad.rel_tol * abs(ref) + err, (val, ref,
+                                                                 err)
 
 
 class TestFracLaplacian:
