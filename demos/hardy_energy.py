@@ -6,9 +6,7 @@ and is driven toward it by the near-optimizer family.
 """
 
 import math
-
-from scipy.special import beta as B
-from scipy.special import gamma as G
+from math import gamma as G
 
 from fracgreen import (Bubble, Bump, Gaussian, ProblemParams, QuadratureSpec,
                        energy_form, hardy_ratio, near_optimizer,
@@ -18,6 +16,12 @@ params = ProblemParams.from_theta(3, 0.5, 1 / math.pi)
 quad = QuadratureSpec()
 N, s = params.dim, params.order
 lam = params.sharp_constant
+
+
+def B(a, b):
+    """The beta function, as a ratio of gammas."""
+    return G(a) * G(b) / G(a + b)
+
 
 print("Gaussian e^(-r^2/2): energy and weight have closed forms")
 fe = energy_form(Gaussian(1.0), params, quad)

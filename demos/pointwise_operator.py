@@ -9,8 +9,7 @@ by exactly the detuning fraction.
 """
 
 import math
-
-from scipy.special import gamma as G
+from math import gamma as G
 
 from fracgreen import (Bubble, ProblemParams, PowerLaw, QuadratureSpec,
                        axis_point, frac_laplacian_at_detailed,

@@ -19,13 +19,18 @@ incomplete gamma function below T and one generalized exponential integral
 E_q above it, and both carry the power d^(-lam_j) of surrogate_terms:
 
     sum_j W_j d^(-lam_j) [x^(-p_j) Gamma(p_j) gammainc(p_j, x) + E_(q_j)(x)],
-    x = alpha T,  p_j = 2 + j c,  q_j = N/(2s) - j c > 1.
+    x = alpha T,  p_j = 2 + j c,  q_j = N/(2s) - j c > 1,
+
+gammainc(p, x) = gamma(p, x) / Gamma(p) being the regularised lower
+incomplete gamma function.
 
 Below x = 1 each bracket is one power series in x plus the Gamma(1-q_j)
 pole of E_q, folded into its k = round(q_j) - 1 term so that integer and
-near-integer q_j need no special case; from x = 1 it is gammainc plus the
-continued fraction of generalized_expint, the definition of E_q, accurate
-to a few 1e-15 relative for every q > 1, integer or not.
+near-integer q_j need no special case. From x = 1 it is _lower_gamma,
+x^(-p) gamma(p, x) by the Kummer series below x = p + 1 and by the upper
+function's continued fraction above, plus the continued fraction
+of generalized_expint, the definition of E_q; both hold a few 1e-15
+relative, for every q > 1, integer or not.
 
 All functions broadcast over leading axes: points may be passed as arrays of
 shape (..., N). The evaluation diagonal x = y is a hard error wherever the
@@ -38,13 +43,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, gammainc, rgamma, zeta
 
 from .errors import DegenerateInputError, DomainError
-from .params import ProblemParams
-from .quadrature import (QuadratureSpec, _horner, adaptive_panel_integral,
-                         bipolar_sphere_integral, blockwise, log_edges,
-                         sphere_mean_power)
+from .params import ProblemParams, rgamma, zeta
+from .quadrature import (_SERIES_TOL, QuadratureSpec, _power_series,
+                         adaptive_panel_integral, bipolar_sphere_integral,
+                         blockwise, log_edges, sphere_mean_power)
 
 
 def _norms(x, y, at_origin=False, on_diagonal=False):
@@ -66,12 +70,14 @@ def heat_profile_radial(t, d, rx, ry, params: ProblemParams):
     """The heat comparison profile of t > 0, d = |x-y|, rx = |x|, ry = |y|:
 
     (1 + t^(g/2s) rx^-g)(1 + t^(g/2s) ry^-g) * min(t^(-N/2s), t d^(-N-2s)),
-    finite at d = 0, where the min keeps the t^(-N/2s) branch.
+    finite at d = 0, where the min keeps the t^(-N/2s) branch. Either branch
+    may overflow to inf (t^(-N/2s) at small t once N/2s passes about 25);
+    the min discards it.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     tpow = t ** (g / (2.0 * s))
     weight = (1.0 + tpow * rx ** (-g)) * (1.0 + tpow * ry ** (-g))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return weight * np.minimum(t ** (-N / (2.0 * s)),
                                    t * d ** (-(N + 2.0 * s)))
 
@@ -196,13 +202,21 @@ def _expint_series(q: float):
     n = np.arange(2.0, _EXPINT_POLE_TERMS + 1.0)
     inv_i = 1.0 / np.arange(1.0, m)
     harmonic = (inv_i[None, :] ** n[:, None]).sum(axis=1)  # H^(n)_(m-1)
+    zetas = np.array([zeta(int(i)) for i in n])
     b = np.concatenate([[np.euler_gamma - inv_i.sum()],
-                        (zeta(n) + (-1.0) ** n * harmonic) / n])
+                        (zetas + (-1.0) ** n * harmonic) / n])
     k = np.arange(float(_EXPINT_SERIES_TERMS))
     with np.errstate(divide="ignore"):
-        coef = (-1.0) ** k * rgamma(k + 1.0) / (1.0 - q + k)
+        coef = (-1.0) ** k * _inverse_factorials() / (1.0 - q + k)
     coef[k == m - 1] = 0.0
-    return m, f, float(_horner(b, f, 0.5)), coef
+    return m, f, float(_power_series(b, f, 0.5)), coef
+
+
+def _inverse_factorials():
+    """1/k! for k < _EXPINT_SERIES_TERMS, each k! an exact double product
+    (k! is exact up to 22!) and so each 1/k! correctly rounded."""
+    k = np.arange(1.0, _EXPINT_SERIES_TERMS)
+    return 1.0 / np.concatenate([[1.0], np.cumprod(k)])
 
 
 def _expint_pole(m: int, f: float, B: float, x, log_x):
@@ -217,26 +231,76 @@ def generalized_expint(q: float, x):
     """E_q(x) = int_1^inf e^(-x u) u^(-q) du (DLMF 8.19.3) for q > 1/2 and
     x > 0, elementwise, the route chosen from x alone: the pole-folded power
     series (_expint_series) below x = 1, and from x = 1 the continued
-    fraction of Numerical Recipes 6.3, cut at a depth binned by the call's
-    smallest such x, bottom-up (no products of convergents to round)."""
+    fraction _expint_cf."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 1.0
     xs = x[small]
     m, f, B, coef = _expint_series(float(q))
     out[small] = (_expint_pole(m, f, B, xs, np.log(xs))
-                  - _horner(coef, xs, 1.0))
-    # E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with
-    # b_i = x + q + 2i, a_i = -i (q - 1 + i), summed from its depth up
-    xl = x[~small]
+                  - _power_series(coef, xs, 1.0))
+    out[~small] = _expint_cf(q, x[~small])
+    return out
+
+
+def _expint_cf(q: float, x: np.ndarray) -> np.ndarray:
+    """E_q(x) for x >= 1 by the continued fraction of Numerical Recipes 6.3,
+
+        E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
+        b_i = x + q + 2i,  a_i = -i (q - 1 + i),
+
+    summed bottom-up from a depth binned by the call's smallest x (no
+    products of convergents to round). For q < 0 (the upper incomplete
+    gamma function x^-p Gamma(p, x) = E_(1-p)(x) at x >= p + 1,
+    _lower_gamma) the depth is at least 4 sqrt(-q) + 1, which the
+    fraction needs at x = p + 1: within 2e-15 of depth 1500 for p <= 171."""
     depth = next(d for lo, d in _EXPINT_CF_DEPTHS
-                 if xl.min(initial=np.inf) >= lo)
-    t = xl + (q + 2.0 * depth)
+                 if x.min(initial=np.inf) >= lo)
+    if q < 0.0:
+        depth = max(depth, int(4.0 * math.sqrt(-q)) + 1)
+    t = x + (q + 2.0 * depth)
     for i in range(depth, 0, -1):
         t = -i * (q - 1.0 + i) / t
-        t += xl
+        t += x
         t += q + 2.0 * (i - 1)
-    out[~small] = np.exp(-xl) / t
+    return np.exp(-x) / t
+
+
+@lru_cache(maxsize=64)
+def _kummer_coefficients(p: float) -> np.ndarray:
+    """(p+1)^k / (p)_(k+1), k = 0, 1, ..., of the Kummer series
+    x^-p gamma(p, x) = e^-x sum_k u^k (p+1)^k / (p)_(k+1) (DLMF 8.7.1),
+    u = x / (p + 1): all positive and at most 1/p, so no power overflows,
+    until they fall below _SERIES_TOL of their sum (u = 1)."""
+    coef = [1.0 / p]
+    total = coef[0]
+    k = 1
+    while coef[-1] > _SERIES_TOL * total:
+        coef.append(coef[-1] * (p + 1.0) / (p + k))
+        total += coef[-1]
+        k += 1
+    return np.array(coef)
+
+
+def _lower_gamma(p: float, x: np.ndarray) -> np.ndarray:
+    """x^-p gamma(p, x), gamma the lower incomplete gamma function, for
+    p > 0 and x > 0, elementwise: the Kummer series (_kummer_coefficients)
+    for x < p + 1, otherwise Gamma(p) x^-p - x^-p Gamma(p, x), the upper
+    function by _expint_cf; there 1 - Q >= 1/2 loses no digits to the
+    difference (Numerical Recipes 6.2). Within 1e-15 relative for p <= 50,
+    and within 1e-12 beyond, where Gamma(p) x^-p is formed from lgamma."""
+    out = np.empty_like(x)
+    series = x < p + 1.0
+    xs = x[series]
+    # cut where u = 1 needs, so that a value does not depend on its batch
+    out[series] = np.exp(-xs) * _power_series(
+        _kummer_coefficients(p), xs / (p + 1.0), 1.0)
+    xl = x[~series]
+    # Gamma(p) x^-p; past p = 50, where x^-p or Gamma(p) may leave the
+    # floats though their product does not, in log space
+    head = (math.gamma(p) * xl ** -p if p <= 50.0
+            else np.exp(math.lgamma(p) - p * np.log(xl)))
+    out[~series] = head - _expint_cf(1.0 - p, xl)
     return out
 
 
@@ -248,7 +312,7 @@ def _resolvent_series(p: float, q: float):
     of the pole and the combined coefficients."""
     m, f, B, coef = _expint_series(q)
     k = np.arange(float(_EXPINT_SERIES_TERMS))
-    return m, f, B, (-1.0) ** k * rgamma(k + 1.0) / (p + k) - coef
+    return m, f, B, (-1.0) ** k * _inverse_factorials() / (p + k) - coef
 
 
 def _below_one(x, pq):
@@ -257,14 +321,14 @@ def _below_one(x, pq):
     log_x = np.log(x)
     for p, q in pq:
         m, f, B, coef = _resolvent_series(p, q)
-        yield _expint_pole(m, f, B, x, log_x) + _horner(coef, x, 1.0)
+        yield _expint_pole(m, f, B, x, log_x) + _power_series(coef, x, 1.0)
 
 
 def _from_one(x, pq):
-    """The factors F_j(x) of resolvent_radial from x = 1: gammainc and
+    """The factors F_j(x) of resolvent_radial from x = 1: _lower_gamma and
     generalized_expint's continued fraction."""
     for p, q in pq:
-        yield gamma(p) * gammainc(p, x) * x ** (-p) + generalized_expint(q, x)
+        yield _lower_gamma(p, x) + generalized_expint(q, x)
 
 
 def _factors(x, pq):
@@ -303,8 +367,9 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
     W_j d^(-lam_j) F_j(x) with F_j(x) = x^(-p) Gamma(p) gammainc(p, x)
     + E_q(x), a function of x alone. Below x = 1, F_j is one power series
     in x plus E_q's folded pole (_resolvent_series), with x and ln x shared
-    by the three terms; from x = 1 it is gammainc and generalized_expint's
-    continued fraction, not called when no node reaches x = 1.
+    by the three terms; from x = 1 it is _lower_gamma and
+    generalized_expint's continued fraction, not called when no node
+    reaches x = 1.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     c = g / (2.0 * s)

@@ -15,12 +15,14 @@ d^2 = (rho - r)^2 + 2 rho r vers(theta), without cancellation near x = y.
 For pure powers K(d) = d^(-lam) the same integral has the hypergeometric
 closed form |S^(N-1)| max^(-lam) 2F1(lam/2, (lam-N)/2+1; N/2; (min/max)^2),
 used as the fast path everywhere a power kernel appears. It is elementary
-when b = c (lam = 2N - 2). Otherwise, for z = (min/max)^2 >= 1/2, where the
-diagonal-clustered panels put most nodes, it goes through the z -> 1
-connection formula (DLMF 15.8.4): two Gauss series in 1 - z, formed without
-cancellation as (max - min)(max + min) / max^2, times the explicit
-(1 - z)^(c-a-b). Integer c - a - b (within 1e-3) has no such formula and
-keeps scipy's hyp2f1 at z clipped to 1 - 1e-12.
+when b = c (lam = 2N - 2), and otherwise power series only: the Gauss
+series in z = (min/max)^2 below z = 1/2, and from z = 1/2, where the
+diagonal-clustered panels put most nodes, series in w = 1 - z, formed
+without cancellation as (max - min)(max + min) / max^2: the z -> 1
+connection formula (DLMF 15.8.4), two Gauss series, the second times the
+explicit w^(c-a-b), or for c - a - b at or near an integer its logarithmic form
+(DLMF 15.8.10, extended to non-integer c - a - b). One blocked evaluator,
+_power_series, sums them all.
 
 For a radial u the angular integral of the fractional Laplacian factors
 out exactly, Omega(rho, r) = sphere_mean_power(N + 2s, rho, r, N) being the
@@ -49,12 +51,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, gammaln, hyp2f1, rgamma
 
 from .errors import (DivergenceError, DomainError, SingularityError,
                      ToleranceError)
 from .fields import RadialField
-from .params import ProblemParams, power_multiplier
+from .params import (ProblemParams, _log1p_over, power_multiplier, psi_mean,
+                     rgamma)
 
 _MAX_ROUNDS = 7
 _DEFAULT_ORDER = 12
@@ -104,7 +106,7 @@ def sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^(dim-1); |S^0| = 2."""
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    return 2.0 * math.pi ** (dim / 2.0) / math.exp(gammaln(dim / 2.0))
+    return 2.0 * math.pi ** (dim / 2.0) / math.exp(math.lgamma(dim / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +413,24 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
 
 _SERIES_TOL = 1e-17  # truncation of the Gauss series in w = 1 - z
 _SERIES_MAX_TERMS = 400
-_INTEGER_M_GAP = 1e-3  # |m - round(m)| below this keeps scipy's hyp2f1
+# |m - round(m)| below this takes the logarithmic route (_log_terms), where
+# the connection formula's Gamma(m) and Gamma(-m) terms would cancel to about
+# eps / |m - round(m)|
+_LOG_ROUTE_GAP = 0.05
+# _power_series: Horner's rule up to this many terms, the blocked form
+# beyond, on this many entries at a time
+_HORNER_TERMS, _POWER_CHUNK = 24, 4096
 
 
-def _gauss_coefficients(a: float, b: float, c: float) -> np.ndarray:
-    """Taylor coefficients of 2F1(a, b; c; w), enough for any w <= 1/2."""
+@lru_cache(maxsize=64)
+def _gauss_coefficients(a: float, b: float, c: float,
+                        d: float = 1.0) -> np.ndarray:
+    """Taylor coefficients (a)_k (b)_k / ((c)_k (d)_k) of 2F1(a, b; c; w)
+    (d = 1, the k! of the Gauss series), enough for any w <= 1/2."""
     coef = [1.0]
     total = 1.0
     for k in range(_SERIES_MAX_TERMS):
-        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        ratio = (a + k) * (b + k) / ((c + k) * (d + k))
         coef.append(coef[-1] * ratio)
         term = abs(coef[-1]) * 0.5 ** (k + 1)
         total += term
@@ -440,22 +451,137 @@ def _connection_terms(a: float, b: float, c: float):
     P2 = G(c) G(-m) / (G(a) G(b)); returns (P1, coefficients of the first
     series, P2, coefficients of the second)."""
     m = c - a - b
-    p1 = gamma(c) * gamma(m) * rgamma(c - a) * rgamma(c - b)
-    p2 = gamma(c) * gamma(-m) * rgamma(a) * rgamma(b)
+    p1 = math.gamma(c) * math.gamma(m) * rgamma(c - a) * rgamma(c - b)
+    p2 = math.gamma(c) * math.gamma(-m) * rgamma(a) * rgamma(b)
     return (p1, _gauss_coefficients(a, b, 1.0 - m),
             p2, _gauss_coefficients(c - a, c - b, 1.0 + m))
 
 
-def _horner(coef: np.ndarray, w: np.ndarray, w_max: float) -> np.ndarray:
-    """sum_k coef[k] w^k, truncated where the terms at w_max fall below
-    _SERIES_TOL of their sum."""
+@lru_cache(maxsize=64)
+def _log_terms(a: float, b: float, c: float):
+    """DLMF 15.8.10, the z -> 1 connection for integer m = c - a - b >= 0,
+    extended to m = n + e with n = round(m) and small e:
+
+        2F1(a, b; c; z) = S(w) - w^n (fold(e, ln w) P(w) + Q(w)),
+        fold(e, L) = expm1(e L) / e  (L at e = 0),
+
+    S the n terms k < n of 15.8.4's first series times P1, and P, Q power
+    series in w = 1 - z:
+
+        P_j = K phi_j(e),  Q_j = K (phi_j(e) - phi_j(0)) / e,
+        phi_j(t) = G(a+n+j+t) G(b+n+j+t) / (G(n+j+1+t) G(j+1-e+t)),
+        K = pi e / sin(pi e) (-1)^n G(c) / (G(a) G(b) G(a+m) G(b+m)).
+
+    These are 15.8.4's terms k >= n with its Gamma(m) / (1-m)_k and
+    Gamma(-m) poles divided out: the ratio phi_j(e) / phi_j(0) is
+    exp(e D_j), D_0 = psi_mean(a+n, e) + psi_mean(b+n, e)
+    - psi_mean(n+1, e) - psi_mean(1-e, e) and each step to D_(j+1) a sum of
+    log1p(e y) / e, so Q_j keeps every digit as e -> 0, where it is
+    15.8.10's K phi_j (psi(a+n+j) + psi(b+n+j) - psi(n+j+1) - psi(j+1)).
+    Negative m goes through Euler's transformation first (sphere_mean_power).
+    Returns (n, e, S coefficients, P coefficients, Q coefficients).
+    """
+    m = c - a - b
+    n = round(m)
+    e = m - n
+    # S: P1 (a)_k (b)_k / ((1-m)_k k!) for k < n
+    fin = np.empty(n)
+    if n:
+        fin[0] = math.gamma(c) * math.gamma(m) * rgamma(c - a) * rgamma(c - b)
+        for k in range(n - 1):
+            fin[k + 1] = fin[k] * (a + k) * (b + k) / ((1.0 - m + k) * (k + 1))
+    scale = (math.gamma(c) * rgamma(a) * rgamma(b) * rgamma(a + m)
+             * rgamma(b + m) * (-1.0) ** n)
+    if e:
+        scale *= math.pi * e / math.sin(math.pi * e)
+    phi0 = (scale * math.gamma(a + n) * math.gamma(b + n)
+            * rgamma(n + 1.0) * rgamma(1.0 - e)
+            * _gauss_coefficients(a + n, b + n, n + 1.0, 1.0 - e))
+    j = np.arange(phi0.size - 1.0)
+    step = (_log1p_over(e, 1.0 / (a + n + j))
+            + _log1p_over(e, 1.0 / (b + n + j))
+            - _log1p_over(e, 1.0 / (n + j + 1.0))
+            + _log1p_over(e, -1.0 / (j + 1.0)))
+    d0 = (psi_mean(a + n, e) + psi_mean(b + n, e) - psi_mean(n + 1.0, e)
+          - psi_mean(1.0 - e, e))
+    d = d0 + np.concatenate([[0.0], np.cumsum(step)])
+    if e:
+        return (n, e, fin, phi0 * np.exp(e * d),
+                phi0 * np.expm1(e * d) / e)
+    return n, e, fin, phi0, phi0 * d
+
+
+def _power_series(coef: np.ndarray, w, w_max: float):
+    """sum_k coef[k] w^k elementwise, truncated where the terms at w_max
+    fall below _SERIES_TOL of their sum.
+
+    A series of more than _HORNER_TERMS terms is blocked: the powers
+    w^0..w^7 once, one product with the coefficients as a (blocks, 8)
+    array, and Horner's rule in w^8 over the blocks, _POWER_CHUNK entries
+    at a time so the powers stay in cache. A shorter one is Horner's rule,
+    which there costs less than the powers.
+    """
     size = np.abs(coef) * w_max ** np.arange(coef.size)
-    n = int(np.flatnonzero(size > _SERIES_TOL * size.sum())[-1]) + 1
-    acc = np.full_like(w, coef[n - 1])
-    for ck in coef[n - 2::-1]:
-        acc *= w
-        acc += ck
-    return acc
+    live = np.flatnonzero(size > _SERIES_TOL * size.sum())
+    n = int(live[-1]) + 1 if live.size else 1
+    w = np.asarray(w, dtype=float)
+    if n <= _HORNER_TERMS:
+        acc = np.full_like(w, coef[n - 1])
+        for ck in coef[:n - 1][::-1]:
+            acc *= w
+            acc += ck
+        return acc
+    blocks = -(-n // 8)
+    table = np.zeros(8 * blocks)
+    table[:n] = coef[:n]
+    table = table.reshape(blocks, 8)
+    # a one-column product takes BLAS's matrix-vector path, which rounds
+    # differently: a lone last entry gets a zero beside it, so that an
+    # entry's value does not depend on its batch
+    flat = w.ravel()
+    if flat.size % _POWER_CHUNK == 1:
+        flat = np.append(flat, 0.0)
+    out = np.empty_like(flat)
+    powers = np.empty((8, min(flat.size, _POWER_CHUNK)))
+    for start in range(0, flat.size, _POWER_CHUNK):
+        x = flat[start:start + _POWER_CHUNK]
+        pw = powers[:, :x.size]
+        pw[0] = 1.0
+        pw[1] = x
+        for i in range(2, 8):
+            np.multiply(pw[i - 1], x, out=pw[i])
+        part = table @ pw
+        w8 = pw[7] * x
+        acc = out[start:start + x.size]
+        np.multiply(part[-1], w8, out=acc)
+        acc += part[-2]
+        for i in range(blocks - 3, -1, -1):
+            acc *= w8
+            acc += part[i]
+    return out[:w.size].reshape(w.shape)
+
+
+def _near_diagonal(a: float, b: float, c: float, w: np.ndarray):
+    """2F1(a, b; c; 1 - w) for 0 < w <= 1/2, m = c - a - b: DLMF 15.8.4
+    (_connection_terms) when |m - round(m)| >= _LOG_ROUTE_GAP, otherwise
+    _log_terms, after Euler's transformation
+    2F1(a, b; c; z) = w^m 2F1(c-a, c-b; c; z) when m < 0."""
+    m = c - a - b
+    if abs(m - round(m)) >= _LOG_ROUTE_GAP:
+        p1, coef1, p2, coef2 = _connection_terms(a, b, c)
+        return (p1 * _power_series(coef1, w, 0.5)
+                + p2 * w ** m * _power_series(coef2, w, 0.5))
+    euler = m < 0
+    if euler:
+        a, b = c - a, c - b
+    n, e, fin, p_coef, q_coef = _log_terms(a, b, c)
+    log_w = np.log(w)
+    fold = np.expm1(e * log_w) / e if e else log_w
+    f = -w ** n * (fold * _power_series(p_coef, w, 0.5)
+                   + _power_series(q_coef, w, 0.5))
+    if n:
+        f += _power_series(fin, w, 0.5)
+    return w ** m * f if euler else f
 
 
 def sphere_mean_power(lam: float, rho, r, dim: int):
@@ -467,15 +593,18 @@ def sphere_mean_power(lam: float, rho, r, dim: int):
     = N - 1 - lam. As r -> rho the mean stays finite for lam < N - 1,
     diverges like log|rho - r| at lam = N - 1 and like the power
     |rho - r|^(N-1-lam) for lam > N - 1 (never evaluated at r = rho
-    exactly). Three routes, chosen from the inputs alone:
+    exactly). The route is chosen from the inputs alone:
 
     - b = c (lam = 2N - 2): the elementary |S^(N-1)| |rho^2 - r^2|^(-lam/2);
-    - m within 1e-3 of an integer: scipy's hyp2f1 at z clipped to
-      1 - 1e-12, which keeps the logarithmic case from overflowing;
-    - otherwise scipy's hyp2f1 for z < 1/2, and for z >= 1/2 the
-      connection formula DLMF 15.8.4 (two Gauss series in w = 1 - z and
-      the explicit w^m), with w = (max - min)(max + min) / max^2 formed
-      without cancellation.
+    - z < 1/2: the Gauss series in z;
+    - z >= 1/2: series in w = 1 - z, formed without cancellation as
+      (max - min)(max + min) / max^2 (_near_diagonal): the connection
+      formula DLMF 15.8.4 with the explicit w^m, or, for m within
+      _LOG_ROUTE_GAP of an integer, DLMF 15.8.10 with its ln w, extended
+      to non-integer m (_log_terms).
+
+    Every series is a _power_series cut where z or w = 1/2 needs it, so a
+    value does not depend on the other values of its call.
     """
     r = np.asarray(r, dtype=float)
     if dim == 1:
@@ -485,25 +614,15 @@ def sphere_mean_power(lam: float, rho, r, dim: int):
         return sphere_area(dim) * (np.abs(rho - r) * (rho + r)) ** (-a)
     mx = np.maximum(rho, r)
     mn = np.minimum(rho, r)
-    m = c - a - b
-    if abs(m - round(m)) < _INTEGER_M_GAP:
-        # scipy's hyp2f1 overflows in the logarithmic case (lam = N-1)
-        # within ~1e-14 of z = 1; the clip moves such nodes by a negligible
-        # sliver
-        t2 = np.clip((mn / mx) ** 2, 0.0, 1.0 - 1e-12)
-        return sphere_area(dim) * mx ** (-lam) * hyp2f1(a, b, c, t2)
     w = ((mx - mn) * (mx + mn) / mx ** 2).ravel()
-    near = w <= 0.5
     f = np.empty_like(w)
-    far = ~near
-    if np.any(far):
-        f[far] = hyp2f1(a, b, c, (mn.ravel()[far] / mx.ravel()[far]) ** 2)
-    if np.any(near):
-        p1, coef1, p2, coef2 = _connection_terms(a, b, c)
-        wn = w[near]
-        w_max = float(wn.max())
-        f[near] = (p1 * _horner(coef1, wn, w_max)
-                   + p2 * wn ** m * _horner(coef2, wn, w_max))
+    far = w > 0.5
+    if far.any():
+        z = (mn.ravel()[far] / mx.ravel()[far]) ** 2
+        f[far] = _power_series(_gauss_coefficients(a, b, c), z, 0.5)
+    near = ~far
+    if near.any():
+        f[near] = _near_diagonal(a, b, c, w[near])
     return sphere_area(dim) * mx ** (-lam) * f.reshape(mx.shape)
 
 

@@ -184,6 +184,20 @@ class TestTimeIntegral:
                 np.array([0.7]), np.array([-1.3]), p, quad)
         assert val == pytest.approx(83.66066076418183, rel=1e-12)
 
+    def test_quadrature_at_small_s_raises_no_overflow_warning(self, quad):
+        # at (5, .05) N/2s = 50, so the profile's branch t^(-N/2s)
+        # overflows at the smallest panel nodes, where the min discards it:
+        # the quadrature matches the closed form with no RuntimeWarning
+        p = ProblemParams.from_gamma(5, 0.05, 0.8 * (5 - 0.1) / 2)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x, y = rand_pair(rng, 5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                num = green_time_integral_quadrature(x, y, p, quad)
+            closed = float(green_time_integral(x, y, p))
+            assert abs(closed - num) <= 1e-6 * closed
+
     def test_tail_finite_needs_gap(self):
         # the far-side coefficients blow up as 2 gamma -> N - 2s
         p_near = ProblemParams.from_gamma(3, 0.5, 0.999)
@@ -383,9 +397,34 @@ class TestResolventSeries:
                 got = resolvent_radial(alpha, d, 0.8, ry, p)
                 assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
+    def test_regularised_lower_gamma_vs_mpmath(self):
+        # P(p, x) = x^p / Gamma(p) * _lower_gamma(p, x) within 1e-14
+        # relative for p in [2, 21] (p reaches about 21 at (5, .1)) and x in
+        # [1, 1e3], on both routes and across their cut at x = p + 1; and
+        # x^-p gamma(p, x) itself within 1e-14 up to p = 50 and 1e-12 past
+        # it, where the continued fraction needs more than its x-binned depth
+        mp = pytest.importorskip("mpmath")
+        for p in np.concatenate([np.linspace(2.0, 21.0, 20),
+                                 [2.6, 3.2, 7.77, 20.93, 33.3, 49.9, 60.5,
+                                  150.3]]):
+            x = np.concatenate([np.geomspace(1.0, 1e3, 40),
+                                p + 1.0 + np.array([-1e-12, 0.0, 1e-12])])
+            got = kernels._lower_gamma(p, x)
+            with mp.workdps(30):
+                pm, xm = mp.mpf(p), [mp.mpf(xi) for xi in x]
+                ref = [mp.gammainc(pm, 0, xi) * xi ** -pm for xi in xm]
+                if p <= 21.0:
+                    got = got * x ** p / math.gamma(p)
+                    ref = [r * xi ** pm / mp.gamma(pm)
+                           for r, xi in zip(ref, xm)]
+                ref = np.array([float(r) for r in ref])
+            assert np.max(np.abs(got / ref - 1.0)) \
+                <= (1e-14 if p <= 50.0 else 1e-12), p
+
     def test_below_one_calls_neither_gammainc_nor_expint(self, monkeypatch):
         calls = []
-        for name in ("gammainc", "generalized_expint"):
+        # _lower_gamma is the lower incomplete gamma function x^-p gamma(p, x)
+        for name in ("_lower_gamma", "generalized_expint"):
             def counted(*args, _fn=getattr(kernels, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
@@ -395,7 +434,7 @@ class TestResolventSeries:
         resolvent_radial(0.9, d, 0.8, 1.1, p)
         assert calls == []
         resolvent_radial(0.9, np.append(d, 2.0), 0.8, 1.1, p)
-        assert set(calls) == {"gammainc", "generalized_expint"}
+        assert set(calls) == {"_lower_gamma", "generalized_expint"}
 
     def test_shapes_broadcast_across_the_cut(self):
         # nodes on both sides of x = 1, the weights broadcast against d

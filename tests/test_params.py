@@ -10,7 +10,7 @@ from fracgreen import (ConvergenceError, DomainError, ProblemParams,
                        frac_laplacian_normalizer, gamma_of_theta, log_gamma,
                        params, power_multiplier, riesz_normalization,
                        sharp_hardy_constant, theta_of_gamma)
-from fracgreen.params import _theta_expr
+from fracgreen.params import _theta_expr, psi_mean, rgamma, zeta
 
 mp.mp.dps = 40
 
@@ -61,6 +61,67 @@ class TestLogGamma:
         val, _ = log_gamma(x)
         ref = float(mp.log(abs(mp.gamma(x))))
         assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestScalarSpecialFunctions:
+    """The standard-library replacements of scipy.special against 40-digit
+    mpmath, each within its stated bound."""
+
+    XS = [-15.01, -7.9, -2.3, -1.5, -0.999, -0.5, -1e-3, 1e-3, 0.5, 1.5,
+          2.5, 7.25, 33.3, 170.5]
+
+    @pytest.mark.parametrize("x", XS)
+    def test_log_gamma_and_sign_within_a_few_ulp(self, x):
+        # negative non-integers included: the sign by the reflection rule
+        val, sign = log_gamma(x)
+        ref = mp.gamma(mp.mpf(x))
+        assert sign == float(mp.sign(ref))
+        ref_log = float(mp.log(abs(ref)))
+        assert abs(val - ref_log) <= 4 * EPS * max(1.0, abs(ref_log))
+
+    @pytest.mark.parametrize("x", XS + [180.2])
+    def test_rgamma_within_a_few_ulp(self, x):
+        ref = float(mp.rgamma(mp.mpf(x)))
+        assert abs(rgamma(x) - ref) <= 8 * EPS * abs(ref)
+
+    def test_rgamma_is_zero_at_the_poles(self):
+        for x in (0.0, -1.0, -2.0, -7.0, -40.0):
+            assert rgamma(x) == 0.0
+
+    def test_zeta_at_the_integers_within_two_ulp(self):
+        for n in range(2, 57):
+            ref = mp.zeta(n)
+            assert abs(zeta(n) - float(ref)) <= 2 * EPS * float(ref), n
+
+    def test_zeta_domain(self):
+        for n in (1, 0, 2.5):
+            with pytest.raises(DomainError):
+                zeta(n)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 0.5, 1.0, 1.4616, 2.7, 9.99,
+                                   12.0, 55.5])
+    def test_psi_mean_within_a_few_ulp(self, x):
+        # the mean of the digamma function over [x, x + e], psi(x) at e = 0,
+        # down to e = 1e-12 where a difference of lgammas would keep 4 digits
+        for e in (0.0, 1e-12, -1e-9, 1e-6, -1e-3, 0.05, -0.3, 0.5):
+            if x + e <= 0.0:
+                continue
+            if e:
+                xm, em = mp.mpf(x), mp.mpf(e)
+                ref = (mp.loggamma(xm + em) - mp.loggamma(xm)) / em
+            else:
+                ref = mp.digamma(mp.mpf(x))
+            assert abs(psi_mean(x, e) - float(ref)) \
+                <= 8 * EPS * max(1.0, abs(float(ref))), (x, e)
+
+    def test_psi_mean_domain(self):
+        with pytest.raises(DomainError):
+            psi_mean(0.0)
+        with pytest.raises(DomainError):
+            psi_mean(0.5, -0.5)
 
 
 class TestNormalizer:

@@ -15,7 +15,8 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        frac_laplacian_at_detailed, frac_laplacian_power_law,
                        integrate_radial_singular,
                        sphere_area, sphere_mean_power)
-from fracgreen.quadrature import (_bisect, adaptive_panel_integral,
+from fracgreen.quadrature import (_bisect, _power_series,
+                                  adaptive_panel_integral,
                                   adaptive_panel_rows,
                                   bipolar_sphere_integral,
                                   diagonal_panel_integral, log_edges,
@@ -266,8 +267,9 @@ class TestSphereMeans:
     def test_power_mean_vs_mpmath(self):
         # every evaluation route against a 40-digit oracle at the double
         # radius given, on both sides of the diagonal down to |1 - r| =
-        # 1e-11: m = N - 1 - lam near and away from integers (connection
-        # formula for z >= 1/2, hyp2f1 below), and b = c (lam = 2N - 2)
+        # 1e-11: m = N - 1 - lam near and away from integers (DLMF 15.8.4
+        # or 15.8.10 for z >= 1/2, the Gauss series below), and b = c
+        # (lam = 2N - 2)
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
 
@@ -292,9 +294,56 @@ class TestSphereMeans:
             rel = np.abs(vals / refs - 1.0)
             assert rel.max() <= 1e-12, (dim, lam, r[rel.argmax()])
 
+    @pytest.mark.parametrize("terms", [6, 45])
+    def test_power_series_entry_does_not_depend_on_its_batch(self, terms):
+        # Horner's rule (6 terms) and the blocked form (45): an entry gets
+        # the same bits alone, in any batch, and in the whole array, which
+        # spans two chunks
+        rng = np.random.default_rng(7)
+        coef = rng.uniform(-1.0, 1.0, terms)
+        w = rng.uniform(0.0, 1.0, 4097)
+        whole = _power_series(coef, w, 1.0)
+        assert whole == pytest.approx(
+            np.polynomial.polynomial.polyval(w, coef), rel=1e-13)
+        for size in (1, 2, 37, 4096):
+            parts = np.concatenate([_power_series(coef, w[i:i + size], 1.0)
+                                    for i in range(0, w.size, size)])
+            assert np.array_equal(parts, whole), size
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_power_mean_at_and_near_integer_m_vs_mpmath(self, dim):
+        # m = N - 1 - lam integer (DLMF 15.8.10) and n +- {1e-3, 1e-6,
+        # 1e-9} (its extension to non-integer m), with m = n +- 0.2 (the
+        # connection formula) beside them, on every route: the Gauss series
+        # in z for z < 1/2, and for z >= 1/2 the series in w = 1 - z down to
+        # w = 1e-16 on both sides of the diagonal. Within 5e-15 of 40-digit
+        # mpmath at the double radius given
+        mp = pytest.importorskip("mpmath")
+        gaps = np.geomspace(0.7, 1e-16, 18)
+        r = np.concatenate([1.0 - gaps, 1.0 + gaps[1.0 + gaps > 1.0],
+                            [0.01, 0.4, 2.5]])
+        with mp.workdps(40):
+            for n in (-2, -1, 0, 1, 2):
+                for e in (0.0, 1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 0.2,
+                          -0.2):
+                    lam = dim - 1.0 - (n + e)
+                    if lam <= 0.0:
+                        continue
+                    vals = sphere_mean_power(lam, 1.0, r, dim)
+                    lm = mp.mpf(lam)
+                    refs = []
+                    for ri in map(mp.mpf, r):
+                        mx, mn = max(1, ri), min(1, ri)
+                        refs.append(float(
+                            sphere_area(dim) * mx ** -lm * mp.hyp2f1(
+                                lm / 2, (lm - dim) / 2 + 1,
+                                mp.mpf(dim) / 2, (mn / mx) ** 2)))
+                    rel = np.abs(vals / np.array(refs) - 1.0)
+                    assert rel.max() <= 5e-15, (n, e, r[rel.argmax()])
+
     @pytest.mark.parametrize("dim,lam,exact", [
         (3, 4.0, True),    # b = c: elementary
-        (4, 1.0, True),    # integer m: scipy's hyp2f1
+        (4, 1.0, True),    # integer m: DLMF 15.8.10 for z >= 1/2
         (3, 2.0, True),    # integer m = 0, the logarithmic case
         (1, 1.5, True),
         (5, 6.8, False),   # connection formula for z >= 1/2
@@ -309,9 +358,8 @@ class TestSphereMeans:
         if exact:
             assert np.array_equal(batched, loop)
         else:
-            # a call cuts its Gauss series where its largest w needs, so a
-            # batch can keep a few more terms (each below 1e-17 of the sum)
-            # than one of its rows alone
+            # held to a few ulp; today the batch and its rows also agree
+            # exactly, every series being cut where w = 1/2 needs it
             np.testing.assert_allclose(batched, loop,
                                        rtol=4 * np.finfo(float).eps, atol=0)
 
