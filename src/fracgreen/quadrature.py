@@ -419,7 +419,7 @@ _SERIES_MAX_TERMS = 400
 _LOG_ROUTE_GAP = 0.05
 # _power_series: Horner's rule up to this many terms, the blocked form
 # beyond, on this many entries at a time
-_HORNER_TERMS, _POWER_CHUNK = 24, 4096
+_HORNER_TERMS, _POWER_CHUNK = 32, 4096
 
 
 @lru_cache(maxsize=64)
