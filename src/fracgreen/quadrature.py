@@ -18,11 +18,11 @@ used as the fast path everywhere a power kernel appears. It is elementary
 when b = c (lam = 2N - 2), and otherwise power series only: the Gauss
 series in z = (min/max)^2 below z = 1/2, and from z = 1/2, where the
 diagonal-clustered panels put most nodes, series in w = 1 - z, formed
-without cancellation as (max - min)(max + min) / max^2: the z -> 1
-connection formula (DLMF 15.8.4), two Gauss series, the second times the
-explicit w^(c-a-b), or for c - a - b at or near an integer its logarithmic form
-(DLMF 15.8.10, extended to non-integer c - a - b). One blocked evaluator,
-_power_series, sums them all.
+without cancellation as (max - min)(max + min) / max^2: the logarithmic
+z -> 1 connection formula (DLMF 15.8.10), extended from integer to any
+c - a - b, so that no Gamma(c - a - b) and Gamma(a + b - c) terms cancel
+as c - a - b nears an integer. One blocked evaluator, _power_series, sums
+them all.
 
 For a radial u the angular integral of the fractional Laplacian factors
 out exactly, Omega(rho, r) = sphere_mean_power(N + 2s, rho, r, N) being the
@@ -413,12 +413,10 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
 
 _SERIES_TOL = 1e-17  # truncation of the Gauss series in w = 1 - z
 _SERIES_MAX_TERMS = 400
-# |m - round(m)| below this takes the logarithmic route (_log_terms), where
-# the connection formula's Gamma(m) and Gamma(-m) terms would cancel to about
-# eps / |m - round(m)|
-_LOG_ROUTE_GAP = 0.05
 # _power_series: Horner's rule up to this many terms, the blocked form
-# beyond, on this many entries at a time
+# beyond, on this many entries at a time. Each form alone runs slower end to
+# end: Horner's rule on the sphere means' series (41 to 60 terms at (2, .4)),
+# the blocked form on the resolvent's (18 to 29)
 _HORNER_TERMS, _POWER_CHUNK = 32, 4096
 
 
@@ -442,31 +440,16 @@ def _gauss_coefficients(a: float, b: float, c: float,
 
 
 @lru_cache(maxsize=64)
-def _connection_terms(a: float, b: float, c: float):
-    """DLMF 15.8.4 for m = c - a - b not an integer:
-
-        2F1(a, b; c; z) = P1 F(a, b; 1 - m; w) + P2 w^m F(c-a, c-b; 1 + m; w)
-
-    with w = 1 - z, P1 = G(c) G(m) / (G(c-a) G(c-b)) and
-    P2 = G(c) G(-m) / (G(a) G(b)); returns (P1, coefficients of the first
-    series, P2, coefficients of the second)."""
-    m = c - a - b
-    p1 = math.gamma(c) * math.gamma(m) * rgamma(c - a) * rgamma(c - b)
-    p2 = math.gamma(c) * math.gamma(-m) * rgamma(a) * rgamma(b)
-    return (p1, _gauss_coefficients(a, b, 1.0 - m),
-            p2, _gauss_coefficients(c - a, c - b, 1.0 + m))
-
-
-@lru_cache(maxsize=64)
 def _log_terms(a: float, b: float, c: float):
     """DLMF 15.8.10, the z -> 1 connection for integer m = c - a - b >= 0,
-    extended to m = n + e with n = round(m) and small e:
+    extended to any m = n + e >= 0, n = round(m) and |e| <= 1/2:
 
         2F1(a, b; c; z) = S(w) - w^n (fold(e, ln w) P(w) + Q(w)),
         fold(e, L) = expm1(e L) / e  (L at e = 0),
 
-    S the n terms k < n of 15.8.4's first series times P1, and P, Q power
-    series in w = 1 - z:
+    S the n terms k < n of DLMF 15.8.4's first series,
+    P1 (a)_k (b)_k / ((1-m)_k k!) w^k with P1 = G(c) G(m) / (G(c-a) G(c-b)),
+    and P, Q power series in w = 1 - z:
 
         P_j = K phi_j(e),  Q_j = K (phi_j(e) - phi_j(0)) / e,
         phi_j(t) = G(a+n+j+t) G(b+n+j+t) / (G(n+j+1+t) G(j+1-e+t)),
@@ -478,7 +461,7 @@ def _log_terms(a: float, b: float, c: float):
     - psi_mean(n+1, e) - psi_mean(1-e, e) and each step to D_(j+1) a sum of
     log1p(e y) / e, so Q_j keeps every digit as e -> 0, where it is
     15.8.10's K phi_j (psi(a+n+j) + psi(b+n+j) - psi(n+j+1) - psi(j+1)).
-    Negative m goes through Euler's transformation first (sphere_mean_power).
+    Negative m goes through Euler's transformation first (_near_diagonal).
     Returns (n, e, S coefficients, P coefficients, Q coefficients).
     """
     m = c - a - b
@@ -518,8 +501,12 @@ def _power_series(coef: np.ndarray, w, w_max: float):
     A series of more than _HORNER_TERMS terms is blocked: the powers
     w^0..w^7 once, one product with the coefficients as a (blocks, 8)
     array, and Horner's rule in w^8 over the blocks, _POWER_CHUNK entries
-    at a time so the powers stay in cache. A shorter one is Horner's rule,
-    which there costs less than the powers.
+    at a time so the powers stay in cache. numpy hands a product of one
+    column to BLAS's matrix-vector routine, which rounds differently from
+    the matrix-matrix one, so a lone last entry gets a zero beside it. A
+    shorter series is Horner's rule. The truncation does not look at w, so
+    an entry's value does not depend on its batch beyond the product's
+    rounding, which BLAS does not promise to keep the same for every shape.
     """
     size = np.abs(coef) * w_max ** np.arange(coef.size)
     live = np.flatnonzero(size > _SERIES_TOL * size.sum())
@@ -531,13 +518,9 @@ def _power_series(coef: np.ndarray, w, w_max: float):
             acc *= w
             acc += ck
         return acc
-    blocks = -(-n // 8)
-    table = np.zeros(8 * blocks)
+    table = np.zeros(-(-n // 8) * 8)
     table[:n] = coef[:n]
-    table = table.reshape(blocks, 8)
-    # a one-column product takes BLAS's matrix-vector path, which rounds
-    # differently: a lone last entry gets a zero beside it, so that an
-    # entry's value does not depend on its batch
+    table = table.reshape(-1, 8)
     flat = w.ravel()
     if flat.size % _POWER_CHUNK == 1:
         flat = np.append(flat, 0.0)
@@ -553,24 +536,18 @@ def _power_series(coef: np.ndarray, w, w_max: float):
         part = table @ pw
         w8 = pw[7] * x
         acc = out[start:start + x.size]
-        np.multiply(part[-1], w8, out=acc)
-        acc += part[-2]
-        for i in range(blocks - 3, -1, -1):
+        acc[:] = part[-1]
+        for row in part[-2::-1]:
             acc *= w8
-            acc += part[i]
+            acc += row
     return out[:w.size].reshape(w.shape)
 
 
 def _near_diagonal(a: float, b: float, c: float, w: np.ndarray):
-    """2F1(a, b; c; 1 - w) for 0 < w <= 1/2, m = c - a - b: DLMF 15.8.4
-    (_connection_terms) when |m - round(m)| >= _LOG_ROUTE_GAP, otherwise
-    _log_terms, after Euler's transformation
-    2F1(a, b; c; z) = w^m 2F1(c-a, c-b; c; z) when m < 0."""
+    """2F1(a, b; c; 1 - w) for 0 < w <= 1/2, m = c - a - b: _log_terms,
+    after Euler's transformation 2F1(a, b; c; z) = w^m 2F1(c-a, c-b; c; z)
+    when m < 0."""
     m = c - a - b
-    if abs(m - round(m)) >= _LOG_ROUTE_GAP:
-        p1, coef1, p2, coef2 = _connection_terms(a, b, c)
-        return (p1 * _power_series(coef1, w, 0.5)
-                + p2 * w ** m * _power_series(coef2, w, 0.5))
     euler = m < 0
     if euler:
         a, b = c - a, c - b
@@ -598,13 +575,12 @@ def sphere_mean_power(lam: float, rho, r, dim: int):
     - b = c (lam = 2N - 2): the elementary |S^(N-1)| |rho^2 - r^2|^(-lam/2);
     - z < 1/2: the Gauss series in z;
     - z >= 1/2: series in w = 1 - z, formed without cancellation as
-      (max - min)(max + min) / max^2 (_near_diagonal): the connection
-      formula DLMF 15.8.4 with the explicit w^m, or, for m within
-      _LOG_ROUTE_GAP of an integer, DLMF 15.8.10 with its ln w, extended
-      to non-integer m (_log_terms).
+      (max - min)(max + min) / max^2 (_near_diagonal): DLMF 15.8.10 with
+      its ln w, extended to non-integer m (_log_terms).
 
     Every series is a _power_series cut where z or w = 1/2 needs it, so a
-    value does not depend on the other values of its call.
+    value does not depend on the other values of its call beyond the
+    rounding of _power_series's product.
     """
     r = np.asarray(r, dtype=float)
     if dim == 1:
