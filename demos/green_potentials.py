@@ -10,7 +10,7 @@ finiteness of the weighted square integral, and positivity.
 import math
 
 from fracgreen import (Bump, ProblemParams, QuadratureSpec, axis_point,
-                       delta_identity_check, green_potential_detailed,
+                       delta_identity_check, green_potentials_at,
                        hardy_integrability_check, origin_slope_fit)
 
 quad = QuadratureSpec()
@@ -40,8 +40,10 @@ print(f"  ratio = {rep.details['ratio']:.4f}, refinement stability "
 print(f"\nnear-origin blow-up of the surrogate potential "
       f"(gamma = {g:.3f}):")
 phi = Bump(0.35, center_norm=1.0)
-for rho in (1e-3, 3e-3, 1e-2):
-    v, e = green_potential_detailed(phi, axis_point(rho, 3), params, quad)
+radii = (1e-3, 3e-3, 1e-2)
+vals, errs = green_potentials_at(phi, [axis_point(r, 3) for r in radii],
+                                 params, quad)
+for rho, v, e in zip(radii, vals, errs):
     print(f"  psi({rho:6.0e}) = {v:12.6f}   (error estimate {e:.1e})")
 slope, intercept, _ = origin_slope_fit(phi, params, quad, n_radii=6,
                                        n_directions=2)

@@ -12,7 +12,7 @@ import math
 from math import gamma as G
 
 from fracgreen import (Bubble, ProblemParams, PowerLaw, QuadratureSpec,
-                       axis_point, frac_laplacian_at_detailed,
+                       apply_P, axis_point, frac_laplacian_at_detailed,
                        frac_laplacian_power_law, fundamental_residual)
 
 params = ProblemParams.from_theta(3, 0.5, 1 / math.pi)
@@ -30,19 +30,20 @@ for rho in (0.0, 0.5, 1.0, 2.0):
           f"rel {(val-exact)/exact:+.1e}  (err est {err:.1e})")
 
 alpha = params.homogeneous_exponent()
-theta = params.hardy_strength
 print(f"\npure inverse power |x|^(-alpha), alpha = N-2s-gamma = {alpha:.6f}:")
 print("the engine against the closed-form multiplier, and the operator")
-print("P = (-Delta)^s - theta |x|^(-2s) annihilating the profile:")
+print("P = (-Delta)^s - theta |x|^(-2s) annihilating the profile (apply_P,")
+print("through the multiplier on a pure power):")
 u = PowerLaw(alpha)
 for rho in (0.5, 1.0, 2.0):
     x = axis_point(rho, N)
     num, err = frac_laplacian_at_detailed(u, x, params, quad)
     ref = frac_laplacian_power_law(alpha, x, params)
-    hardy = theta * float(u(x)) * rho ** (-2 * s)
+    ev = apply_P(u, x, params, quad)
     print(f"  |x|={rho:4.1f}: engine {num:.10f}  multiplier {ref:.10f}  "
           f"rel {(num-ref)/ref:+.1e}  (err est {err:.1e})")
-    print(f"            Hardy term {hardy:.10f}  P value {num-hardy:+.1e}")
+    print(f"            Hardy term {ev.hardy_value:.10f}  "
+          f"P value {ev.p_value:+.1e}")
 
 rep = fundamental_residual([axis_point(r, N) for r in (0.5, 1.0, 2.0)],
                            params, quad)

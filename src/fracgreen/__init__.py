@@ -21,13 +21,11 @@ from .operator import (FormEval, OperatorEval, apply_P, energy_form,
                        fundamental_residual, hardy_ratio,
                        hardy_weight_integral, near_optimizer_sweep)
 from .params import (ProblemParams, frac_laplacian_normalizer, gamma_of_theta,
-                     log_gamma, power_multiplier, riesz_normalization,
-                     sharp_hardy_constant, theta_of_gamma)
-from .potentials import (PotentialField, delta_identity_check,
-                         green_potential, green_potential_detailed,
-                         green_potentials_at, hardy_integrability_check,
-                         origin_slope_fit)
-from .quadrature import (QuadratureSpec, axis_point, frac_laplacian_at,
+                     power_multiplier, riesz_normalization, sharp_hardy_constant,
+                     theta_of_gamma)
+from .potentials import (delta_identity_check, green_potentials_at,
+                         hardy_integrability_check, origin_slope_fit)
+from .quadrature import (QuadratureSpec, axis_point,
                          frac_laplacian_at_detailed, frac_laplacian_power_law,
                          integrate_radial_singular, sphere_area,
                          sphere_mean_power)
@@ -39,20 +37,18 @@ __all__ = [
     "TruncatedPowerLaw", "make_field", "near_optimizer",
     "ProblemParams", "QuadratureSpec", "VerificationReport",
     "FormEval", "OperatorEval",
-    "PotentialField",
     "frac_laplacian_normalizer", "sharp_hardy_constant", "theta_of_gamma",
-    "gamma_of_theta", "riesz_normalization", "power_multiplier", "log_gamma",
+    "gamma_of_theta", "riesz_normalization", "power_multiplier",
     "heat_profile", "green_surrogate_product", "green_surrogate_expanded",
     "green_time_integral", "green_time_integral_quadrature",
     "time_integral_coefficients", "resolvent_profile_integral",
     "riesz_kernel",
-    "frac_laplacian_at", "frac_laplacian_at_detailed",
-    "frac_laplacian_power_law", "integrate_radial_singular",
+    "frac_laplacian_at_detailed", "frac_laplacian_power_law",
+    "integrate_radial_singular",
     "sphere_area", "sphere_mean_power", "axis_point",
     "apply_P", "energy_form", "hardy_ratio", "hardy_weight_integral",
     "fundamental_residual", "near_optimizer_sweep",
-    "green_potential", "green_potential_detailed", "green_potentials_at",
-    "origin_slope_fit",
+    "green_potentials_at", "origin_slope_fit",
     "hardy_integrability_check", "delta_identity_check",
     "FracgreenError", "DomainError", "DegenerateInputError",
     "SingularityError", "DivergenceError", "ToleranceError",

@@ -5,8 +5,8 @@ Gamma ratios are evaluated in log space so large N never overflows.
 
 The scalar special functions behind them, and behind the series of the
 quadrature and kernel modules, come from the standard library and textbook
-formulas: math.lgamma and math.gamma with the sign of Gamma from the
-reflection rule (log_gamma, rgamma), the Riemann zeta function at the
+formulas: the reciprocal gamma function from math.lgamma and math.gamma,
+exactly 0 at the poles (rgamma), the Riemann zeta function at the
 integers by Euler-Maclaurin summation (zeta), and the mean of the digamma
 function over an interval by Stirling's series (psi_mean).
 """
@@ -25,19 +25,6 @@ from .errors import ConvergenceError, DomainError
 #: remainder and of Stirling's series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
-
-
-def log_gamma(x: float) -> tuple[float, float]:
-    """Return (log|Gamma(x)|, sign of Gamma(x)).
-
-    Valid for any real x that is not a pole (non-positive integer). The sign
-    follows the reflection rule Gamma(x) Gamma(1-x) = pi / sin(pi x): for
-    x < 0 it is that of sin(pi x), -1 where floor(x) is odd.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"Gamma pole at x={x}")
-    sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
-    return math.lgamma(x), sign
 
 
 def rgamma(x: float) -> float:

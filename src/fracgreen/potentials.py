@@ -16,12 +16,13 @@ surrogate kernels are homogeneous of degree -(N-2s), so
     S(u) = kern.sphere_mean(1, u),
 
 and green_potentials_at integrates the points of one call on shared
-adaptive rules in u, up to 64 points each, with S computed once per node
-(green_potential_detailed is its one-point form). A Riesz potential at
-its density's centre is quadrature.radial_moment of order N - 2s. The
-remaining case (off-center density, coupling-dependent kernel, arbitrary
-x) integrates each shell |y| = r with a two-angle rule, batched over
-blocks of shells (_pair_shell_integrals).
+adaptive rules in u, up to 64 points each, with S computed once per node.
+It is the one entry point, for one point or many, and returns each value
+with its error estimate. A Riesz potential at its density's centre is
+quadrature.radial_moment of order N - 2s. The remaining case (off-center
+density, coupling-dependent kernel, arbitrary x) integrates each shell
+|y| = r with a two-angle rule, batched over blocks of shells
+(_pair_shell_integrals).
 
 The delta identity int K (P f) = f integrates the kernel against a
 FlapProfile, the radial field of Chebyshev interpolants of the engine's
@@ -78,11 +79,11 @@ def _density_range(phi: RadialField):
     return max(c - sup, 0.0), c + sup
 
 
-def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
-                             quad: QuadratureSpec,
-                             kernel_kind: str = "surrogate",
-                             alpha: float | None = None):
-    """psi(x) = int K(x,y) phi(y) dy with an error estimate.
+def green_potentials_at(phi: RadialField, points, params: ProblemParams,
+                        quad: QuadratureSpec, kernel_kind: str = "surrogate",
+                        alpha: float | None = None):
+    """psi(x) = int K(x,y) phi(y) dy at each row x of `points`: the values
+    and the error estimates as two arrays.
 
     A centred density, or any density under a distance-only kernel, is one
     radial integral about the density's centre, at distance rho from x.
@@ -94,20 +95,8 @@ def green_potential_detailed(phi: RadialField, x, params: ProblemParams,
     u = 1 whatever rho is. The Riesz and surrogate kernels are homogeneous
     of degree -(N-2s) (kernels._Kernel): M(rho, rho u) = rho^-(N-2s) S(u)
     with S(u) = M(1, u), so psi(rho) = rho^(2s) int phi(rho u) u^(N-1) S(u)
-    du, and many points share one rule and one S per node
-    (green_potentials_at). Any other density and kernel go through the
-    two-angle pair rule.
-    """
-    val, err = green_potentials_at(phi, np.asarray(x, dtype=float)[None],
-                                   params, quad, kernel_kind, alpha)
-    return float(val[0]), float(err[0])
-
-
-def green_potentials_at(phi: RadialField, points, params: ProblemParams,
-                        quad: QuadratureSpec, kernel_kind: str = "surrogate",
-                        alpha: float | None = None):
-    """green_potential_detailed at each row x of `points`: the values and
-    the error estimates as two arrays.
+    du, and many points share one rule and one S per node. Any other
+    density and kernel go through the two-angle pair rule.
 
     The radial route integrates the points of a homogeneous kernel, in
     order of their distance and _RULE_POINTS at a time, on one adaptive
@@ -150,7 +139,7 @@ def _at_point(ex, i, n):
 
 
 def _radial_potentials(kern, phi, rho, params, quad):
-    """The radial route of green_potential_detailed at the distances rho
+    """The radial route of green_potentials_at at the distances rho
     from the density's centre: for a homogeneous kernel one u-rule per
     _RULE_POINTS points in order of rho, one per point otherwise."""
     val, err = np.zeros(rho.size), np.zeros(rho.size)
@@ -328,13 +317,9 @@ def _pair_block(kern, phi, rho, beta, r, edges, keep, cos_chi, w2, dim):
                        minlength=n)
 
 
-def green_potential(phi: RadialField, x, params: ProblemParams,
-                    quad: QuadratureSpec, kernel_kind: str = "surrogate",
-                    alpha: float | None = None) -> float:
-    return green_potential_detailed(phi, x, params, quad,
-                                    kernel_kind, alpha)[0]
-
-
+# Not exported and called by nothing in the package: the benchmark's tracer
+# (bench/trace_layers.py) patches evaluate and reads eval_cache. It goes
+# once the in-library recorder of ROADMAP item 1 replaces that patch.
 @dataclass
 class PotentialField:
     """A potential with memoized point evaluations."""
@@ -349,9 +334,10 @@ class PotentialField:
     def evaluate(self, x) -> tuple[float, float]:
         key = tuple(np.round(np.asarray(x, dtype=float), 14))
         if key not in self.eval_cache:
-            self.eval_cache[key] = green_potential_detailed(
-                self.density, x, self.params, self.quad,
-                self.kernel_kind, self.alpha)
+            val, err = green_potentials_at(self.density, x, self.params,
+                                           self.quad, self.kernel_kind,
+                                           self.alpha)
+            self.eval_cache[key] = float(val[0]), float(err[0])
         return self.eval_cache[key]
 
     def __call__(self, x) -> float:

@@ -60,36 +60,37 @@ from .params import (ProblemParams, _log1p_over, power_multiplier, psi_mean,
 
 _MAX_ROUNDS = 7
 _DEFAULT_ORDER = 12
+# the fraction of the local scale below which the pointwise fractional
+# Laplacian is completed by its head power: of the scale in t = ln(r/rho)
+# off the center (frac_laplacian_at_detailed), of min(1, r_hi) / 10 in r at
+# it (_flap_at_center)
+_INNER_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Knobs shared by every singular integral in the package.
 
-    inner_radius is the fraction of the local scale below which the pointwise
-    fractional Laplacian is completed by its head power: of the scale in
-    t = ln(r/rho) off the center (frac_laplacian_at_detailed), of
-    min(1, r_hi) / 10 in r at it; outer_radius is the absolute far-field
-    truncation radius beyond which analytic power tails take over, and
-    0 < inner_radius < outer_radius < inf. rel_tol is the target of every
-    radial integral: adaptive_panel_integral bisects only the panels whose
-    own defects (a panel's Gauss-Legendre sum against the sum over its two
-    halves) do not yet fit in a quarter of rel_tol times the scale, for at
-    most _MAX_ROUNDS rounds, and reports the summed per-panel defects as
-    its error estimate.
+    outer_radius is the absolute far-field truncation radius beyond which
+    analytic power tails take over, 0 < outer_radius < inf. rel_tol is the
+    target of every radial integral: adaptive_panel_integral bisects only
+    the panels whose own defects (a panel's Gauss-Legendre sum against the
+    sum over its two halves) do not yet fit in a quarter of rel_tol times
+    the scale, for at most _MAX_ROUNDS rounds, and reports the summed
+    per-panel defects as its error estimate. The head band of the pointwise
+    fractional Laplacian is the fixed fraction _INNER_RADIUS of its local
+    scale.
     The sphere rules of the potentials have fixed Gauss-Legendre orders:
     12, 10, and 10 and 14.
     """
 
-    inner_radius: float = 1e-3
     outer_radius: float = 1e3
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 < self.inner_radius < self.outer_radius < math.inf:
+        if not 0.0 < self.outer_radius < math.inf:
             raise DomainError(
-                f"inner_radius = {self.inner_radius}, outer_radius = "
-                f"{self.outer_radius}: need 0 < inner_radius < outer_radius "
+                f"outer_radius = {self.outer_radius}: need 0 < outer_radius "
                 f"< inf")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2]")
@@ -649,7 +650,9 @@ def radial_moment(field: RadialField, beta: float, dim: int,
     pole = 0: the mean is |S^(N-1)| r^(-beta), and the head the power
     N - 1 - beta - origin_exponent > -1. pole > 0: diagonal_panel_integral
     from 1e-10 max(pole, 1), its band at r = pole, where the mean grows like
-    |r - pole|^(N-1-beta). scale_hint is in units of the value.
+    |r - pole|^(N-1-beta), and below the rule the head power
+    N - 1 - origin_exponent > -1 at the field's center, where the mean is
+    finite. scale_hint is in units of the value.
     """
     if beta >= dim:
         raise DivergenceError(f"weight exponent {beta} >= dim {dim}")
@@ -675,6 +678,7 @@ def radial_moment(field: RadialField, beta: float, dim: int,
             integrand, 1e-10 * max(pole, 1.0), hi, pole, quad,
             min(0.0, dim - 1.0 - beta), field.breakpoints(),
             scale_hint=scale_hint, label=label,
+            head_power=dim - 1.0 - field.origin_exponent,
             tail=tuple((omega * c, k) for c, k in tail))
     if field.origin_exponent + beta >= dim:
         raise DivergenceError(
@@ -728,7 +732,7 @@ def _flap_at_center(field: RadialField, params: ProblemParams,
     tail = field.tail_power()
     r_hi = sup if sup is not None else max(quad.outer_radius,
                                            4.0 * field.tail_start())
-    r_c = quad.inner_radius * min(1.0, r_hi) * 1e-1
+    r_c = _INNER_RADIUS * min(1.0, r_hi) * 1e-1
 
     def integrand(r):
         return (u0 - field.profile(r)) * r ** (-1.0 - 2.0 * s)
@@ -765,7 +769,7 @@ def frac_laplacian_at_detailed(field: RadialField, x,
 
     At rho = |x - center| > 0, the 1-D integral in t = ln(r/rho) of the
     module docstring as one adaptive_panel_integral on [a, T], head power
-    1 - 2s. The band a is inner_radius times the local scale in t,
+    1 - 2s. The band a is _INNER_RADIUS times the local scale in t,
     max(min(1, t_b), 1/40) / (N + 2s), capped by t_b, the distance in t to
     the nearest breakpoint (edges at |ln(b/rho)|): the kernel and weights
     vary on the scale 1/(N + 2s), and the floor bounds the rounding. Beyond
@@ -794,7 +798,7 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     half = 0.5 * (N - 2.0 * s)
     cuts = [abs(math.log(b / rho)) for b in field.breakpoints() if b > 0]
     nearest = min((c for c in cuts if c > 0), default=math.inf)
-    a = min(quad.inner_radius * max(min(1.0, nearest), 0.025) / lam, nearest)
+    a = min(_INNER_RADIUS * max(min(1.0, nearest), 0.025) / lam, nearest)
     sup = field.support_radius()
     r_hi = sup if sup is not None else max(quad.outer_radius, 8.0 * rho,
                                            4.0 * field.tail_start())
@@ -841,9 +845,3 @@ def frac_laplacian_at_detailed(field: RadialField, x,
         * (k_a * a * (1.0 / (2.0 * s) + 1.0 / (2.0 - 2.0 * s)) + omega / s)
     scale = params.normalizer * rho ** (-2.0 * s)
     return scale * val, scale * err
-
-
-def frac_laplacian_at(field: RadialField, x, params: ProblemParams,
-                      quad: QuadratureSpec) -> float:
-    """(-Delta)^s u(x) by singular quadrature (see detailed variant)."""
-    return frac_laplacian_at_detailed(field, x, params, quad)[0]

@@ -253,6 +253,34 @@ class TestVerify:
         assert len(built) == 1
         assert len(pointwise) == 32 + 17
 
+    # (N, s, gamma / ((N - 2s) / 2)) across the three axes of the admissible
+    # domain: small s (the heat profile's overflow edge at (5, .05) and
+    # (5, .07)), the gamma axis, large N and s near 1
+    DOMAIN_SLICE = [(1, 0.01, 0.8), (3, 0.05, 0.8), (5, 0.07, 0.8),
+                    (5, 0.1, 0.8), (2, 0.5, 0.3), (3, 0.25, 0.01),
+                    (5, 0.5, 0.3), (10, 0.3, 0.8), (2, 0.99, 0.8),
+                    (8, 0.75, 0.99)]
+
+    @pytest.mark.parametrize("dim,s,frac", DOMAIN_SLICE)
+    def test_domain_map_slice(self, dim, s, frac):
+        # in process, a RuntimeWarning an error: a verdict and nothing on
+        # stderr at every point, and every failing row named. The rows that
+        # still fail off the CI map are the two that rest on fitted slopes
+        # and trapezoid bands.
+        gamma = frac * (dim - 2 * s) / 2
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--N", str(dim), "--s", str(s),
+                         "--gamma", repr(gamma), "--format", "json"])
+        assert code in (0, 1)
+        assert err.getvalue() == ""
+        failing = {row["name"] for row in json.loads(out.getvalue())["rows"]
+                   if not row["passed"]}
+        assert (code == 1) == bool(failing)
+        assert failing <= {"origin-slope", "hardy-integrability"}, failing
+
     def test_delta_only_flag(self):
         # (2, .05): the Green kernel's sphere mean grows like |t - rho|^-0.9
         # at the diagonal of the radial integral
@@ -370,11 +398,14 @@ def test_main_entry_direct(tmp_path, capsys):
     (("kernel", "--time", "nan"), None),
     (("kernel", "--time", "inf"), None),
     (("solve", "--radii", "1:inf:3"), None),
+    # inner_radius is a module constant now, refused as an unknown key
     (("verify",), "[quadrature]\ninner_radius = -1.0\n"),
     (("verify",), "[quadrature]\ninner_radius = 0.0\n"),
     (("verify",), "[quadrature]\nouter_radius = inf\n"),
     (("verify",), "[quadrature]\nouter_radius = nan\n"),
     (("verify",), "[quadrature]\nouter_radius = 1e300\n"),
+    (("verify",), "[quadrature]\nouter_radius = -1.0\n"),
+    (("verify",), "[quadrature]\nouter_radius = 0.0\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     if config is not None:
@@ -419,6 +450,9 @@ NO_FLAGS = argparse.Namespace(**{attr: None for _, _, attr, _ in SETTINGS})
     ({"": {"thetta": 0.3}}, "[params]", "thetta"),
     ({"paramz": {"N": 3}}, "top level", "paramz"),
     ({"output": {"fromat": "json"}}, "[output]", "fromat"),
+    # the head band of (-Delta)^s is a module constant: even the old
+    # default is refused
+    ({"quadrature": {"inner_radius": 1e-3}}, "[quadrature]", "inner_radius"),
 ])
 def test_unknown_key_names_its_block(blocks, block, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(block)}: .*'{key}'"):

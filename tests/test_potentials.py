@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
-                       PotentialField,
                        ProblemParams, ToleranceError, axis_point,
-                       delta_identity_check, green_potential,
-                       green_potential_detailed, green_potentials_at,
-                       hardy_integrability_check,
+                       delta_identity_check, frac_laplacian_at_detailed,
+                       green_potentials_at, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
 from fracgreen import potentials
 from fracgreen.kernels import _ResolventKernel, _RieszKernel
-from fracgreen.potentials import FlapProfile, _density_range, _potential_pair
+from fracgreen.potentials import (FlapProfile, PotentialField,
+                                  _density_range, _potential_pair)
 
 # the (N, s) sweep of the radial-form checks
 SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
@@ -57,27 +56,30 @@ def riesz_centred_bump_oracle(dim, s, rho):
 class TestGreenPotential:
     def test_zero_density(self, params_3half, quad):
         phi = Bump(1.0, amplitude=0.0)
-        v = green_potential(phi, axis_point(0.7, 3), params_3half, quad)
+        (v,), _ = green_potentials_at(phi, axis_point(0.7, 3), params_3half,
+                                      quad)
         assert v == 0.0
 
     def test_origin_rejected(self, params_3half, quad):
         with pytest.raises(DomainError):
-            green_potential(Bump(1.0), np.zeros(3), params_3half, quad)
+            green_potentials_at(Bump(1.0), np.zeros(3), params_3half, quad)
 
     def test_linearity(self, params_3half, quad):
         x = axis_point(0.6, 3)
         p1 = Bump(1.0)
         p2 = Gaussian(0.5)
-        lhs = green_potential(p1.scaled(2.0).plus(p2.scaled(3.0)), x,
-                              params_3half, quad)
-        rhs = (2.0 * green_potential(p1, x, params_3half, quad)
-               + 3.0 * green_potential(p2, x, params_3half, quad))
+        (lhs,), _ = green_potentials_at(p1.scaled(2.0).plus(p2.scaled(3.0)),
+                                        x, params_3half, quad)
+        (v1,), _ = green_potentials_at(p1, x, params_3half, quad)
+        (v2,), _ = green_potentials_at(p2, x, params_3half, quad)
+        rhs = 2.0 * v1 + 3.0 * v2
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
     def test_positivity_down_to_small_radii(self, params_3half, quad):
         phi = Bump(0.35, center_norm=1.0)
         for rho in (1e-3, 1e-2, 0.5, 1.0, 3.0):
-            v = green_potential(phi, axis_point(rho, 3), params_3half, quad)
+            (v,), _ = green_potentials_at(phi, axis_point(rho, 3),
+                                          params_3half, quad)
             assert math.isfinite(v) and v > 0.0
 
     def test_riesz_matches_direct_convolution_1d(self, quad):
@@ -86,7 +88,8 @@ class TestGreenPotential:
         p1 = ProblemParams.from_gamma(1, 0.25, 0.2)
         phi = Bump(0.5)
         x = axis_point(0.9, 1)
-        val = green_potential(phi, x, p1, quad, kernel_kind="riesz_exact")
+        (val,), _ = green_potentials_at(phi, x, p1, quad,
+                                        kernel_kind="riesz_exact")
         ref, _ = spquad(
             lambda y: float(riesz_kernel(x, np.array([y]), p1))
             * phi.profile(np.array([abs(y)]))[0],
@@ -101,20 +104,19 @@ class TestGreenPotential:
         y = axis_point(1.5, 3)
         phi_y = Bump(eps, center_norm=1.5)
         phi_x = Bump(eps, center_norm=0.8)
-        mass_y = green_potential(phi_y, x, params_3half, quad)
-        mass_x = green_potential(phi_x, y, params_3half, quad)
+        (mass_y,), _ = green_potentials_at(phi_y, x, params_3half, quad)
+        (mass_x,), _ = green_potentials_at(phi_x, y, params_3half, quad)
         assert mass_x == pytest.approx(mass_y, rel=5e-3)
 
     def test_alpha_ordering(self, params_3half, quad):
         phi = Bump(1.0)
         x = axis_point(1.5, 3)
-        v_big, _ = green_potential_detailed(phi, x, params_3half, quad,
-                                            "resolvent_surrogate", alpha=2.0)
-        v_small, _ = green_potential_detailed(phi, x, params_3half, quad,
-                                              "resolvent_surrogate",
-                                              alpha=0.5)
-        v_green, _ = green_potential_detailed(phi, x, params_3half, quad,
-                                              "surrogate")
+        (v_big,), _ = green_potentials_at(phi, x, params_3half, quad,
+                                          "resolvent_surrogate", alpha=2.0)
+        (v_small,), _ = green_potentials_at(phi, x, params_3half, quad,
+                                            "resolvent_surrogate", alpha=0.5)
+        (v_green,), _ = green_potentials_at(phi, x, params_3half, quad,
+                                            "surrogate")
         assert 0.0 < v_big < v_small < v_green
 
     def test_cache(self, params_3half, quad):
@@ -127,8 +129,8 @@ class TestGreenPotential:
 
     def test_unknown_kernel(self, params_3half, quad):
         with pytest.raises(DomainError):
-            green_potential(Bump(1.0), axis_point(1.0, 3), params_3half,
-                            quad, kernel_kind="mystery")
+            green_potentials_at(Bump(1.0), axis_point(1.0, 3), params_3half,
+                                quad, kernel_kind="mystery")
 
     def test_resolvent_sphere_mean_blocks_match_single_shells(self,
                                                               params_2d):
@@ -147,8 +149,8 @@ class TestGreenPotential:
         # the radial integral crosses t = |x|, where the kernel mean grows
         # like |t - |x||^(2s-1) (log at s = 1/2)
         p, ref = riesz_centred_bump_oracle(dim, s, 0.5)
-        val, err = green_potential_detailed(Bump(1.0), axis_point(0.5, dim),
-                                            p, quad, "riesz_exact")
+        (val,), (err,) = green_potentials_at(Bump(1.0), axis_point(0.5, dim),
+                                             p, quad, "riesz_exact")
         assert abs(val - ref) <= min(1e-8 * abs(ref), err), (val, ref, err)
 
     @pytest.mark.parametrize("dim,s", [(2, 0.4), (3, 0.25)])
@@ -157,10 +159,10 @@ class TestGreenPotential:
         # potential there is finite and continuous
         p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
         phi = Bump(1.0, center_norm=1.2)
-        val, err = green_potential_detailed(phi, axis_point(1.3, dim), p,
-                                            quad, "riesz_exact")
-        near = green_potential(phi, axis_point(1.3 * (1 + 1e-12), dim), p,
-                               quad, "riesz_exact")
+        (val,), (err,) = green_potentials_at(phi, axis_point(1.3, dim), p,
+                                             quad, "riesz_exact")
+        (near,), _ = green_potentials_at(
+            phi, axis_point(1.3 * (1 + 1e-12), dim), p, quad, "riesz_exact")
         assert math.isfinite(val) and math.isfinite(err)
         assert val == pytest.approx(near, rel=1e-6)
 
@@ -231,7 +233,7 @@ class TestManyPoints:
             "riesz_exact")
         for rho, val, err in zip(radii, vals, errs):
             exact = riesz_bump_oracle_mp(mp, p, rho)
-            alone, alone_err = green_potential_detailed(
+            (alone,), (alone_err,) = green_potentials_at(
                 Bump(1.0), axis_point(rho, dim), p, quad, "riesz_exact")
             for v, e in ((val, err), (alone, alone_err)):
                 assert abs(v - exact) <= quad.rel_tol * abs(exact) + e, (
@@ -245,8 +247,8 @@ class TestManyPoints:
         mp = pytest.importorskip("mpmath")
         p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
         phi = Bump(0.35, center_norm=1.0)
-        val, err = green_potential_detailed(phi, axis_point(1.0, dim), p,
-                                            quad, "riesz_exact")
+        (val,), (err,) = green_potentials_at(phi, axis_point(1.0, dim), p,
+                                             quad, "riesz_exact")
         with mp.workdps(30):
             n, big_r = mp.mpf(dim), mp.mpf(0.35)
             area = 2 * mp.pi ** (n / 2) / mp.gamma(n / 2)
@@ -263,7 +265,8 @@ class TestManyPoints:
         points = [axis_point(r, dim) for r in hardy_radii()]
         vals, errs = green_potentials_at(Bump(1.0), points, p, quad)
         for x, val, err in zip(points, vals, errs):
-            alone, alone_err = green_potential_detailed(Bump(1.0), x, p, quad)
+            (alone,), (alone_err,) = green_potentials_at(Bump(1.0), x, p,
+                                                         quad)
             assert abs(val - alone) <= err + alone_err, (x[0], val, alone)
 
     @pytest.mark.parametrize("s", [0.1, 0.25])
@@ -276,8 +279,8 @@ class TestManyPoints:
         p = ProblemParams.from_gamma(1, s, 0.8 * (1 - 2 * s) / 2)
         for rho in (1.3, 9.3, 200.0):
             exact = surrogate_bump_oracle_n1(mp, p, rho)
-            val, err = green_potential_detailed(Bump(1.0),
-                                                axis_point(rho, 1), p, quad)
+            (val,), (err,) = green_potentials_at(Bump(1.0),
+                                                 axis_point(rho, 1), p, quad)
             assert abs(val - exact) <= err, (rho, val, exact, err)
 
     def test_surrogate_band_at_n1(self, quad):
@@ -288,8 +291,8 @@ class TestManyPoints:
         p = ProblemParams.from_gamma(1, 0.1, 0.8 * (1 - 0.2) / 2)
         for rho in (0.002, 0.0173, 0.15, 0.84):
             exact = surrogate_bump_oracle_n1(mp, p, rho)
-            val, err = green_potential_detailed(Bump(1.0),
-                                                axis_point(rho, 1), p, quad)
+            (val,), (err,) = green_potentials_at(Bump(1.0),
+                                                 axis_point(rho, 1), p, quad)
             assert abs(val - exact) <= err, (rho, val, exact, err)
 
     def test_sphere_means_do_not_grow_with_the_points(self, count_calls,
@@ -368,8 +371,10 @@ class TestManyPoints:
                                       "resolvent_surrogate", alpha=1.0)
         assert len(single) == 3 and rows == []
         for x, val in zip(points, vals):
-            assert val == green_potential(Bump(1.0), x, params_2d, quad,
-                                          "resolvent_surrogate", alpha=1.0)
+            (alone,), _ = green_potentials_at(Bump(1.0), x, params_2d, quad,
+                                              "resolvent_surrogate",
+                                              alpha=1.0)
+            assert val == alone
 
 
 class TestPairRule:
@@ -385,7 +390,8 @@ class TestPairRule:
         # off the density axis: outside the support, then inside it
         for xy in ((0.6, 0.5), (1.1, 0.1)):
             x = np.r_[xy, np.zeros(dim - 2)] if dim > 1 else np.array(xy[:1])
-            ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+            (ref,), _ = green_potentials_at(phi, x, p, quad,
+                                            kernel_kind="riesz_exact")
             val = riesz_pair_potential(phi, x, p, quad)
             assert val == pytest.approx(ref, rel=1e-4), (dim, s, xy)
 
@@ -396,7 +402,8 @@ class TestPairRule:
         p = ProblemParams.from_gamma(1, s, 0.4 * (1 - 2 * s))
         phi = Bump(0.35, center_norm=1.0)
         x = np.array([1.1])
-        ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+        (ref,), _ = green_potentials_at(phi, x, p, quad,
+                                        kernel_kind="riesz_exact")
         assert riesz_pair_potential(phi, x, p, quad) == pytest.approx(
             ref, rel=1e-7)
 
@@ -405,7 +412,8 @@ class TestPairRule:
         p = ProblemParams.from_gamma(3, 0.3, 0.96)
         phi = Bump(1.0, center_norm=-0.5)
         x = np.array([1.0, 1.2, 0.0])
-        ref = green_potential(phi, x, p, quad, kernel_kind="riesz_exact")
+        (ref,), _ = green_potentials_at(phi, x, p, quad,
+                                        kernel_kind="riesz_exact")
         assert riesz_pair_potential(phi, x, p, quad) == pytest.approx(
             ref, rel=1e-4)
 
@@ -616,7 +624,7 @@ class TestRoundTrip:
         # sampled radially, splined, and pushed through the same quadrature
         # engine as any other field.
         import numpy as np
-        from fracgreen import SampledRadial, frac_laplacian_at
+        from fracgreen import SampledRadial
         from fracgreen.quadrature import sphere_area
 
         phi = Bump(1.0)
@@ -624,11 +632,13 @@ class TestRoundTrip:
         radii = np.concatenate([[1e-4],
                                 np.linspace(0.02, 3.0, 90),
                                 np.geomspace(3.3, 30.0, 25)])
-        vals = [green_potential(phi, axis_point(float(r), 3), p, quad,
-                                kernel_kind="riesz_exact") for r in radii]
+        vals = [green_potentials_at(phi, axis_point(float(r), 3), p, quad,
+                                    kernel_kind="riesz_exact")[0][0]
+                for r in radii]
         # far field: psi ~ a(N,s) * mass * r^(2s-N)
         psi = SampledRadial(radii, vals, decay_exponent=3 - 2 * 0.5)
         for rho in (0.3, 0.6):
-            rec = frac_laplacian_at(psi, axis_point(rho, 3), p, quad)
+            rec, _ = frac_laplacian_at_detailed(psi, axis_point(rho, 3), p,
+                                                quad)
             ref = float(phi(axis_point(rho, 3)))
             assert abs(rec - ref) <= 1e-3 * ref

@@ -11,9 +11,8 @@ from scipy.special import gamma as gamma_fn
 from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        PowerLaw, ProblemParams, QuadratureSpec, SampledRadial,
                        SingularityError, ToleranceError, TruncatedPowerLaw,
-                       axis_point, frac_laplacian_at,
-                       frac_laplacian_at_detailed, frac_laplacian_power_law,
-                       integrate_radial_singular,
+                       axis_point, frac_laplacian_at_detailed,
+                       frac_laplacian_power_law, integrate_radial_singular,
                        sphere_area, sphere_mean_power)
 from fracgreen.quadrature import (_bisect, _power_series,
                                   adaptive_panel_integral,
@@ -77,13 +76,11 @@ def bump_flap_oracle(mp, rho, N, s):
 
 class TestQuadratureSpec:
     def test_validation(self):
-        # 0 < inner_radius < outer_radius < inf, each failure named
-        for kwargs in ({"inner_radius": 10.0, "outer_radius": 1.0},
-                       {"inner_radius": -1.0}, {"inner_radius": 0.0},
-                       {"inner_radius": math.nan},
+        # 0 < outer_radius < inf, each failure named
+        for kwargs in ({"outer_radius": -1.0}, {"outer_radius": 0.0},
                        {"outer_radius": math.inf},
                        {"outer_radius": math.nan}):
-            with pytest.raises(DomainError, match="inner_radius"):
+            with pytest.raises(DomainError, match="outer_radius"):
                 QuadratureSpec(**kwargs)
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.5)
@@ -438,25 +435,41 @@ class TestRadialSingularIntegral:
         assert abs(val - ref) <= quad.rel_tol * abs(ref) + err, (val, ref,
                                                                  err)
 
+    def test_pole_off_the_centre_of_a_field_singular_at_it(self, quad):
+        # int |y - e1|^(-2.8) |y|^(-1) dy over R^3 = 25 pi, by the Riesz
+        # composition formula: below the rule, at the field's own centre,
+        # the integrand is the power r^(N - 1 - 2.8) of the head
+        N, a, b = 3, 2.8, 1.0
+        ref = math.pi ** (N / 2) * (
+            gamma_fn((N - a) / 2) * gamma_fn((N - b) / 2)
+            * gamma_fn((a + b - N) / 2)
+            / (gamma_fn(a / 2) * gamma_fn(b / 2) * gamma_fn(N - (a + b) / 2)))
+        assert ref == pytest.approx(25.0 * math.pi, rel=1e-14)
+        val, err = radial_moment(PowerLaw(a, center_norm=1.0), b, N, quad,
+                                 pole=1.0)
+        assert abs(val - ref) <= quad.rel_tol * abs(ref) + err, (val, ref,
+                                                                 err)
+
 
 class TestFracLaplacian:
     def test_zero_field(self, params_3half, quad):
         z = Bump(1.0, amplitude=0.0)
-        assert frac_laplacian_at(z, axis_point(0.5, 3),
-                                 params_3half, quad) == 0.0
+        assert frac_laplacian_at_detailed(z, axis_point(0.5, 3),
+                                          params_3half, quad)[0] == 0.0
 
     def test_bubble_exact_at_center_and_off(self, params_3half, quad):
         bub = Bubble(2.0)
         for rho in (0.0, 0.5, 1.0, 2.0):
-            val = frac_laplacian_at(bub, axis_point(rho, 3),
-                                    params_3half, quad)
+            val = frac_laplacian_at_detailed(bub, axis_point(rho, 3),
+                                             params_3half, quad)[0]
             assert val == pytest.approx(bubble_flap_exact(rho, 3, 0.5),
                                         rel=1e-8)
 
     def test_bubble_2d(self, params_2d, quad):
         bub = Bubble(2 - 2 * 0.4)
         for rho in (0.0, 0.7):
-            val = frac_laplacian_at(bub, axis_point(rho, 2), params_2d, quad)
+            val = frac_laplacian_at_detailed(bub, axis_point(rho, 2),
+                                             params_2d, quad)[0]
             assert val == pytest.approx(bubble_flap_exact(rho, 2, 0.4),
                                         rel=1e-7)
 
@@ -556,9 +569,10 @@ class TestFracLaplacian:
         v = Gaussian(0.7)
         combo = u.scaled(2.5).plus(v.scaled(-1.25))
         x = axis_point(0.6, 3)
-        lhs = frac_laplacian_at(combo, x, params_3half, quad)
-        rhs = (2.5 * frac_laplacian_at(u, x, params_3half, quad)
-               - 1.25 * frac_laplacian_at(v, x, params_3half, quad))
+        lhs = frac_laplacian_at_detailed(combo, x, params_3half, quad)[0]
+        rhs = (2.5 * frac_laplacian_at_detailed(u, x, params_3half, quad)[0]
+               - 1.25 * frac_laplacian_at_detailed(v, x, params_3half,
+                                                   quad)[0])
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     @pytest.mark.parametrize("rho", (0.999, 1.0))
@@ -584,8 +598,8 @@ class TestFracLaplacian:
                           np.array([0, 1.0, 0]),
                           np.array([0.6, 0.8, 0.0]),
                           np.array([1.0, 1.0, 1.0]) / math.sqrt(3)):
-            vals.append(frac_laplacian_at(u, rho * direction,
-                                          params_3half, quad))
+            vals.append(frac_laplacian_at_detailed(u, rho * direction,
+                                                   params_3half, quad)[0])
         assert np.max(np.abs(np.diff(vals))) <= 1e-8 * abs(vals[0])
 
     def test_pure_power_engine_vs_multiplier(self, params_3half, quad):
@@ -594,7 +608,7 @@ class TestFracLaplacian:
         u = PowerLaw(alpha)
         for rho in (0.5, 1.0, 1.7):
             x = axis_point(rho, 3)
-            num = frac_laplacian_at(u, x, params_3half, quad)
+            num = frac_laplacian_at_detailed(u, x, params_3half, quad)[0]
             ref = frac_laplacian_power_law(alpha, x, params_3half)
             assert num == pytest.approx(ref, rel=1e-7)
 
@@ -645,7 +659,8 @@ class TestFracLaplacian:
         est = float(np.mean(samples))
         sem = float(np.std(samples) / math.sqrt(n))
         exact = bubble_flap_exact(0.0, N, s)
-        engine = frac_laplacian_at(bub, np.zeros(3), params_3half, quad)
+        engine = frac_laplacian_at_detailed(bub, np.zeros(3), params_3half,
+                                            quad)[0]
         assert abs(engine - est) <= 3.0 * sem
         assert abs(exact - est) <= 3.0 * sem
 
@@ -678,14 +693,4 @@ class TestFracLaplacian:
     def test_origin_singularity_error(self, params_3half, quad):
         u = PowerLaw(1.5)
         with pytest.raises(SingularityError):
-            frac_laplacian_at(u, np.zeros(3), params_3half, quad)
-
-    def test_inner_radius_knob(self, params_3half):
-        # the documented default inner radius is 1e-3 of the local scale;
-        # widening it by 10x keeps the answer within tolerance
-        bub = Bubble(2.0)
-        x = axis_point(1.1, 3)
-        a = frac_laplacian_at(bub, x, params_3half, QuadratureSpec())
-        b = frac_laplacian_at(bub, x, params_3half,
-                              QuadratureSpec(inner_radius=1e-2))
-        assert a == pytest.approx(b, rel=1e-7)
+            frac_laplacian_at_detailed(u, np.zeros(3), params_3half, quad)
