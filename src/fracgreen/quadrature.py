@@ -77,11 +77,10 @@ class QuadratureSpec:
     the panels whose own defects (a panel's Gauss-Legendre sum against the
     sum over its two halves) do not yet fit in a quarter of rel_tol times
     the scale, for at most _MAX_ROUNDS rounds, and reports the summed
-    per-panel defects as its error estimate. The head band of the pointwise
-    fractional Laplacian is the fixed fraction _INNER_RADIUS of its local
-    scale.
-    The sphere rules of the potentials have fixed Gauss-Legendre orders:
-    12, 10, and 10 and 14.
+    per-panel defects as its error estimate.
+    Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
+    rules (12, 10, and 10 and 14) and the head band _INNER_RADIUS of the
+    pointwise fractional Laplacian.
     """
 
     outer_radius: float = 1e3

@@ -398,7 +398,7 @@ def test_main_entry_direct(tmp_path, capsys):
     (("kernel", "--time", "nan"), None),
     (("kernel", "--time", "inf"), None),
     (("solve", "--radii", "1:inf:3"), None),
-    # inner_radius is a module constant now, refused as an unknown key
+    # inner_radius is no key (the head band is a module constant): unknown
     (("verify",), "[quadrature]\ninner_radius = -1.0\n"),
     (("verify",), "[quadrature]\ninner_radius = 0.0\n"),
     (("verify",), "[quadrature]\nouter_radius = inf\n"),
@@ -450,8 +450,7 @@ NO_FLAGS = argparse.Namespace(**{attr: None for _, _, attr, _ in SETTINGS})
     ({"": {"thetta": 0.3}}, "[params]", "thetta"),
     ({"paramz": {"N": 3}}, "top level", "paramz"),
     ({"output": {"fromat": "json"}}, "[output]", "fromat"),
-    # the head band of (-Delta)^s is a module constant: even the old
-    # default is refused
+    # the head band of (-Delta)^s is a module constant, whatever the value
     ({"quadrature": {"inner_radius": 1e-3}}, "[quadrature]", "inner_radius"),
 ])
 def test_unknown_key_names_its_block(blocks, block, key):
