@@ -311,7 +311,9 @@ class SampledRadial(RadialField):
         return out
 
     def breakpoints(self):
-        return (float(self.radii[0]), float(self.radii[-1]))
+        # every knot: the spline's third derivative jumps at each, and its
+        # slope at the last, where the power tail takes over
+        return tuple(float(r) for r in self.radii)
 
     def tail_power(self):
         return (float(self._tail_coef), self.decay_exponent)

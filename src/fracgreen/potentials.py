@@ -42,19 +42,18 @@ from .errors import DomainError, ToleranceError
 from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
-from .quadrature import (QuadratureSpec, axis_point, blockwise,
-                         diagonal_panel_integral, diagonal_panel_rows,
-                         frac_laplacian_at_detailed,
+from .quadrature import (_RULE_POINTS, QuadratureSpec, _at_point,
+                         axis_point, blockwise, diagonal_panel_integral,
+                         diagonal_panel_rows, frac_laplacian_at_detailed,
                          integrate_radial_singular, panel_nodes, polar_rule,
                          radial_moment, shell_distance, sphere_area)
 from .reports import VerificationReport
 
+# how a ToleranceError names a potential's unresolved point
+_POTENTIAL = "green potential"
 # points per block of the centred route, whose temporaries are
 # (points, u-nodes)
 _POINT_BLOCK = 4
-# points per shared u-rule: its (points, u-nodes) values grow like the
-# points times their breakpoints, which are all edges of the rule
-_RULE_POINTS = 64
 # kept polar nodes x second-angle nodes per block of whole shells of the
 # two-angle rule, whose temporaries have that many entries (up to 350 x 80
 # per shell)
@@ -127,15 +126,8 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
             val[i], err[i] = _potential_pair(kern, phi, x, r, lo, hi, params,
                                              quad)
         except ToleranceError as ex:
-            raise _at_point(ex, i, rho.size) from ex
+            raise _at_point(ex, _POTENTIAL, i, rho.size) from ex
     return val, err
-
-
-def _at_point(ex, i, n):
-    """The ToleranceError ex of a potential, naming the caller's point i of
-    n."""
-    return ToleranceError(f"green potential at point {i} of {n}: {ex}",
-                          row=i)
 
 
 def _radial_potentials(kern, phi, rho, params, quad):
@@ -150,7 +142,7 @@ def _radial_potentials(kern, phi, rho, params, quad):
                 phi, params.dim - 2.0 * params.order, params.dim, quad,
                 label="potential-1d")
         except ToleranceError as ex:
-            raise _at_point(ex, i, rho.size) from ex
+            raise _at_point(ex, _POTENTIAL, i, rho.size) from ex
         a = params.riesz_constant
         val[i], err[i] = a * moment, a * moment_err
     off = np.flatnonzero(rho > 0.0)
@@ -162,7 +154,7 @@ def _radial_potentials(kern, phi, rho, params, quad):
             val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
         except ToleranceError as ex:
             # the rule's rows are the points idx
-            raise _at_point(ex, idx[ex.row], rho.size) from ex
+            raise _at_point(ex, _POTENTIAL, idx[ex.row], rho.size) from ex
     return val, err
 
 
@@ -484,8 +476,10 @@ class FlapProfile(RadialField):
     in r. Outside, where f vanishes, (-Delta)^s f = -c int f(y) |x - y|^(-N-2s)
     dy is v^((N+2s)/2) times a function of v = (sup/r)^2 that is smooth on
     [0, 1] and tends to -c (int f) as r -> infinity; that function is
-    interpolated at _FLAP_OUTSIDE Chebyshev points. mass = int f. The field
-    is unbounded, with the exact power tail -c mass r^(-N-2s) from 12.5 sup
+    interpolated at _FLAP_OUTSIDE Chebyshev points. Each interpolant's
+    values come from one many-point engine call, and engine_error is the
+    largest engine error estimate among them. mass = int f. The field is
+    unbounded, with the exact power tail -c mass r^(-N-2s) from 12.5 sup
     and a breakpoint at sup.
 
     The profile depends only on the field, the parameters and the
@@ -511,10 +505,14 @@ class FlapProfile(RadialField):
         self._half_lam = 0.5 * N + params.order
         center = f.center(N)
 
+        self.engine_error = 0.0
+
         def flap(r):
-            return np.array([frac_laplacian_at_detailed(
-                f, center + axis_point(float(ri), N), params, quad)[0]
-                for ri in r])
+            # one engine call per interpolant, all its nodes at once
+            val, err = frac_laplacian_at_detailed(
+                f, center + np.outer(r, axis_point(1.0, N)), params, quad)
+            self.engine_error = max(self.engine_error, float(err.max()))
+            return val
 
         self._inside = Chebyshev.interpolate(
             lambda w: flap(sup * np.sqrt(w)), n_inside - 1, domain=[0.0, 1.0])
@@ -565,7 +563,8 @@ class FlapProfile(RadialField):
                 computed=computed, reference=f_x0, tolerance=1e-3,
                 residual=residual, passed=bool(residual <= 1e-3),
                 details={"mode": mode, "relative_scale": scale,
-                         "error_estimate": a_const * err})
+                         "error_estimate": a_const * err,
+                         "flap_engine_error": self.engine_error})
 
         # comparability: collinear geometry, surrogate kernel, full operator
         v1 = _delta_surrogate_value(self, x0, order=10)

@@ -12,9 +12,10 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
-from fracgreen import (cli, errors, gamma_of_theta, potentials,
+from fracgreen import (cli, errors, gamma_of_theta, potentials, quadrature,
                        theta_of_gamma)
 from fracgreen.cli import main
 from fracgreen.config import (SETTINGS, ConfigError, RunConfig,
@@ -241,17 +242,50 @@ class TestVerify:
         assert "[PASS] time-integral-closed-vs-quadrature" in out
 
     @pytest.mark.parametrize("flags", [("--delta",), ()])
-    def test_one_flap_profile_per_run(self, count_calls, flags):
+    def test_one_flap_profile_per_run(self, monkeypatch, count_calls, flags):
         # both points of the delta identity share one flap profile: one
-        # build of 32 pointwise values inside the support and 17 outside,
-        # not one per point
+        # build, one engine call for its 32 values inside the support and
+        # one for its 17 outside, not one per point. Each call's values
+        # come from one flap-radial rule per band class of its points,
+        # floor(log2 a), so at most two rules per class in all
         built = count_calls(potentials.FlapProfile, "__init__")
-        pointwise = count_calls(potentials, "frac_laplacian_at_detailed")
+        real_engine = potentials.frac_laplacian_at_detailed
+        real_rows = quadrature.adaptive_panel_rows
+        engine_calls = []  # (points, rows of each flap-radial rule)
+        current = [None]
+
+        def engine(f, points, params, quad):
+            current[0] = []
+            engine_calls.append((f, points, params, quad, current[0]))
+            try:
+                return real_engine(f, points, params, quad)
+            finally:
+                current[0] = None
+
+        def rows(*args, **kw):
+            val, err = real_rows(*args, **kw)
+            if current[0] is not None and kw.get("label") == "flap-radial":
+                current[0].append(val.size)
+            return val, err
+
+        monkeypatch.setattr(potentials, "frac_laplacian_at_detailed", engine)
+        monkeypatch.setattr(quadrature, "adaptive_panel_rows", rows)
         code, out, err = run_cli("verify", "--N", "3", "--s", "0.5", *flags)
         assert code == 0, err
         assert "delta-identity-zero-coupling" in out
         assert len(built) == 1
-        assert len(pointwise) == 32 + 17
+        assert [len(call[1]) for call in engine_calls] == [32, 17]
+        all_classes = set()
+        for f, points, params, quad, rules in engine_calls:
+            rho = np.linalg.norm(points - f.center(params.dim), axis=1)
+            classes = {math.floor(math.log2(
+                quadrature._flap_band(f, float(r), params, quad)[0]))
+                for r in rho}
+            all_classes |= classes
+            assert sum(rules) == len(points)
+            assert len(rules) == len(classes)
+        assert sum(len(call[4]) for call in engine_calls) \
+            <= 2 * len(all_classes)
 
     # (N, s, gamma / ((N - 2s) / 2)) across the three axes of the admissible
     # domain: small s (the heat profile's overflow edge at (5, .05) and

@@ -1,5 +1,6 @@
 """Singular quadrature engine against closed-form and stochastic oracles."""
 
+import functools
 import math
 import warnings
 
@@ -72,6 +73,58 @@ def bump_flap_oracle(mp, rho, N, s):
         return mp.exp(1 - 1 / (1 - r * r)) if r < 1 else mp.mpf(0)
 
     return flap_oracle(mp, bump, rho, N, s, [mp.log(1 / mp.mpf(rho))])
+
+
+@functools.lru_cache(maxsize=None)
+def bump_flap_exact(rho, N, s):
+    """bump_flap_oracle in 40 digits, once per session (one-point and
+    many-point tests share it)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return bump_flap_oracle(mp, rho, N, s)
+
+
+@functools.lru_cache(maxsize=None)
+def gaussian_flap_exact(rho, N, s):
+    """(-Delta)^s e^(-r^2/2) = 2^s Gamma(N/2+s) / Gamma(N/2)
+    1F1(N/2+s; N/2; -rho^2/2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return float(2 ** mp.mpf(s) * mp.gamma(mp.mpf(N) / 2 + s)
+                     / mp.gamma(mp.mpf(N) / 2)
+                     * mp.hyp1f1(mp.mpf(N) / 2 + s, mp.mpf(N) / 2,
+                                 -mp.mpf(rho) ** 2 / 2))
+
+
+def sampled_field():
+    """The natural spline of the sampled-field oracle tests."""
+    return SampledRadial([0.1, 0.5, 1.0, 2.0, 3.0], [1.0, 0.8, 0.5, 0.2, 0.1],
+                         6.0)
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_flap_exact(rho):
+    """(-Delta)^s of sampled_field at |x| = rho, (N, s) = (5, .9):
+    flap_oracle on the same piecewise cubic (its float coefficients taken
+    exact), split at every knot."""
+    mp = pytest.importorskip("mpmath")
+    f = sampled_field()
+    x, coef = f._spline.x, f._spline.coef
+
+    def profile(r):
+        if r < x[0]:
+            return mp.mpf(f.values[0])
+        if r > x[-1]:
+            return mp.mpf(f._tail_coef) * r ** -6
+        i = min(int(np.searchsorted(x, float(r), side="right")) - 1,
+                x.size - 2)
+        t = r - mp.mpf(x[i])
+        c0, c1, c2, c3 = (mp.mpf(v) for v in coef[:, i])
+        return ((c0 * t + c1) * t + c2) * t + c3
+
+    with mp.workdps(40):
+        cuts = sorted({abs(mp.log(mp.mpf(b) / rho)) for b in x} - {0})
+        return flap_oracle(mp, profile, rho, 5, 0.9, cuts)
 
 
 class TestQuadratureSpec:
@@ -493,12 +546,7 @@ class TestFracLaplacian:
         # (-Delta)^s e^(-r^2/2) = 2^s Gamma(N/2+s) / Gamma(N/2)
         # 1F1(N/2+s; N/2; -rho^2/2), to rel_tol and within the reported
         # error estimate
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            exact = float(2 ** mp.mpf(s) * mp.gamma(mp.mpf(dim) / 2 + s)
-                          / mp.gamma(mp.mpf(dim) / 2)
-                          * mp.hyp1f1(mp.mpf(dim) / 2 + s, mp.mpf(dim) / 2,
-                                      -mp.mpf(rho) ** 2 / 2))
+        exact = gaussian_flap_exact(rho, dim, s)
         params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
         val, err = frac_laplacian_at_detailed(
             Gaussian(1.0), axis_point(rho, dim), params, quad)
@@ -509,9 +557,7 @@ class TestFracLaplacian:
     def test_bump_vs_mpmath(self, dim, s, rho, quad):
         # the bump's flat edge at r = 1 is what a too wide band misses:
         # at (5, .9), rho = .95 a band of 1e-4 in t is off by 6e-7
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            exact = bump_flap_oracle(mp, rho, dim, s)
+        exact = bump_flap_exact(rho, dim, s)
         params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
         val, err = frac_laplacian_at_detailed(
             Bump(1.0), axis_point(rho, dim), params, quad)
@@ -526,25 +572,8 @@ class TestFracLaplacian:
         # O(a^(3-2s)) (rho = 1: 6e-6 relative, inside the reported error,
         # over rel_tol), and the pieces, ~1e-16 apart at the knot, spoil
         # the oracle's t -> 0 end
-        mp = pytest.importorskip("mpmath")
-        f = SampledRadial([0.1, 0.5, 1.0, 2.0, 3.0], [1.0, 0.8, 0.5, 0.2, 0.1],
-                          6.0)
-        x, coef = f._spline.x, f._spline.coef
-
-        def profile(r):
-            if r < x[0]:
-                return mp.mpf(f.values[0])
-            if r > x[-1]:
-                return mp.mpf(f._tail_coef) * r ** -6
-            i = min(int(np.searchsorted(x, float(r), side="right")) - 1,
-                    x.size - 2)
-            t = r - mp.mpf(x[i])
-            c0, c1, c2, c3 = (mp.mpf(v) for v in coef[:, i])
-            return ((c0 * t + c1) * t + c2) * t + c3
-
-        with mp.workdps(40):
-            cuts = sorted({abs(mp.log(mp.mpf(b) / rho)) for b in x} - {0})
-            exact = flap_oracle(mp, profile, rho, 5, 0.9, cuts)
+        f = sampled_field()
+        exact = sampled_flap_exact(rho)
         params = ProblemParams.from_gamma(5, 0.9, 0.25 * (5 - 1.8))
         val, err = frac_laplacian_at_detailed(f, axis_point(rho, 5), params,
                                               quad)
@@ -553,15 +582,16 @@ class TestFracLaplacian:
 
     def test_one_radial_integral_off_center(self, params_2d, quad,
                                             count_calls):
-        # rho > 0 is one adaptive_panel_integral in t and no shell rule
+        # rho > 0 is one adaptive rule in t, of one row, and no shell rule
         from fracgreen import quadrature
-        panels = count_calls(quadrature, "adaptive_panel_integral")
+        panels = count_calls(quadrature, "adaptive_panel_rows")
         shells = count_calls(quadrature, "bipolar_sphere_integral")
         for field in (Bump(1.0), Bubble(1.2), PowerLaw(0.5)):
             panels.clear()
             frac_laplacian_at_detailed(field, axis_point(0.7, 2), params_2d,
                                        quad)
             assert len(panels) == 1
+            assert panels[0][0](np.array([0.5, 1.5])).shape == (1, 2)
         assert shells == []
 
     def test_linearity(self, params_3half, quad):
@@ -694,3 +724,88 @@ class TestFracLaplacian:
         u = PowerLaw(1.5)
         with pytest.raises(SingularityError):
             frac_laplacian_at_detailed(u, np.zeros(3), params_3half, quad)
+
+
+MANY_SWEEP = ((1, 0.25), (2, 0.4), (3, 0.5), (4, 0.75), (5, 0.9))
+
+
+class TestFracLaplacianManyPoints:
+    """frac_laplacian_at_detailed at many points: one call, the points
+    grouped by band class onto shared rules in t."""
+
+    @staticmethod
+    def catalog(dim, s):
+        return {"bump": Bump(1.0), "gaussian": Gaussian(1.0),
+                "bubble": Bubble(dim - 2 * s),
+                "truncated": TruncatedPowerLaw(0.5 * (dim - 2 * s), 1e-3,
+                                               1e3),
+                "sampled": sampled_field()}
+
+    @pytest.mark.parametrize("dim, s", MANY_SWEEP)
+    def test_rows_match_one_point_calls(self, dim, s, quad):
+        # every row agrees with the same point's one-point call within the
+        # sum of the two error estimates: the center and the 32 + 17 radii
+        # of verify's flap profile of Bump(1), in directions off the axis
+        params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+        rng = np.random.default_rng(dim)
+        cheb = 0.5 * (np.polynomial.chebyshev.chebpts1(32) + 1.0)
+        outside = 0.5 * (np.polynomial.chebyshev.chebpts1(17) + 1.0)
+        radii = np.concatenate([[0.0], np.sqrt(cheb), 1.0 / np.sqrt(outside)])
+        dirs = rng.normal(size=(radii.size, dim))
+        points = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        for name, f in self.catalog(dim, s).items():
+            val, err = frac_laplacian_at_detailed(f, points, params, quad)
+            assert val.shape == err.shape == (radii.size,)
+            for i, x in enumerate(points):
+                one, one_err = frac_laplacian_at_detailed(f, x, params, quad)
+                assert isinstance(one, float) and isinstance(one_err, float)
+                assert abs(val[i] - one) <= err[i] + one_err, (
+                    name, radii[i], val[i], one, err[i], one_err)
+
+    def test_oracle_points_in_one_call(self, quad):
+        # the mpmath oracle points of the one-point tests, one call per
+        # field and (N, s), each to rel_tol and within its own estimate
+        cases = [(Bump(1.0), dim, s, (0.3, 0.7, 0.95), bump_flap_exact)
+                 for dim, s in ((2, 0.4), (4, 0.75), (5, 0.9))]
+        cases += [(Gaussian(1.0), dim, s, (0.05, 0.3, 0.7, 1.5, 3.0),
+                   gaussian_flap_exact) for dim, s in MANY_SWEEP]
+        cases += [(Bubble(dim - 2 * s), dim, s, (0.0, 0.7, 2.0),
+                   bubble_flap_exact) for dim, s in MANY_SWEEP]
+        cases.append((sampled_field(), 5, 0.9, (0.3, 1.7),
+                      lambda rho, dim, s: sampled_flap_exact(rho)))
+        for f, dim, s, radii, exact_at in cases:
+            params = ProblemParams.from_gamma(dim, s, 0.25 * (dim - 2 * s))
+            points = np.array([axis_point(r, dim) for r in radii])
+            val, err = frac_laplacian_at_detailed(f, points, params, quad)
+            for rho, v, e in zip(radii, val, err):
+                exact = exact_at(rho, dim, s)
+                assert abs(v - exact) <= min(e, quad.rel_tol * abs(exact)), (
+                    type(f).__name__, dim, s, rho, v, exact, e)
+
+    def test_unresolved_point_named_by_its_index(self, monkeypatch,
+                                                 params_3half, quad):
+        # the Gaussian has no breakpoint, so its three points off the
+        # center share one rule; a jump no round resolves in the rule's last
+        # row is the call's last point, after the center
+        from fracgreen import quadrature
+        real = quadrature.adaptive_panel_rows
+
+        def last_row_jumps(fn, *args, **kw):
+            def jumpy(t):
+                out = fn(t)
+                out[-1] += np.where(t < 0.31, 0.0, 1.0)
+                return out
+            return real(jumpy, *args, **kw)
+
+        monkeypatch.setattr(quadrature, "adaptive_panel_rows",
+                            last_row_jumps)
+        points = [axis_point(r, 3) for r in (0.0, 1.5, 0.3, 0.7)]
+        with pytest.raises(ToleranceError,
+                           match=r"at point 3 of 4: .* row 2 of 3:") as info:
+            frac_laplacian_at_detailed(Gaussian(1.0), points, params_3half,
+                                       quad)
+        assert info.value.row == 3
+        with pytest.raises(ToleranceError, match=r"at point 0 of 1: ") as one:
+            frac_laplacian_at_detailed(Gaussian(1.0), axis_point(0.7, 3),
+                                       params_3half, quad)
+        assert one.value.row == 0
