@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import FracgreenError
 from .params import ProblemParams, sharp_hardy_constant, theta_of_gamma
-from .quadrature import QuadratureSpec
+from .quadrature import MAX_DIM, QuadratureSpec
 
 
 class ConfigError(FracgreenError, ValueError):
@@ -48,12 +48,6 @@ SETTINGS = (
 #: the blocks a config file may hold, [field] with the chosen field's keys
 BLOCKS = ("params", "quadrature", "field", "output")
 
-#: bound on outer_radius^(N+1): the largest power of the outer radius R the
-#: engine forms is about R^(N+1) (an integrand's r^(N-1) times a panel's
-#: half-width, or the square r^2 of a sphere mean's argument), and below
-#: this bound every such power stays finite with room to spare
-OUTER_POWER_LIMIT = 1e300
-
 
 def _check_keys(where: str, given, allowed) -> None:
     """ConfigError naming where and each key of given that allowed lacks."""
@@ -71,11 +65,6 @@ def _typed(block: str, key: str, value, typ: type):
         raise ConfigError(f"[{block}] {key} = {value!r}: expected "
                           f"{typ.__name__}")
     return typ(value)
-
-
-def outer_radius_limit(dim: int) -> float:
-    """The largest outer_radius a run in dimension dim accepts."""
-    return OUTER_POWER_LIMIT ** (1.0 / (dim + 1))
 
 
 def _quadrature_spec(block: dict) -> QuadratureSpec:
@@ -122,8 +111,9 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if self.dim < 1:
-            raise ConfigError(f"N={self.dim} must be a positive integer")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ConfigError(f"N={self.dim} must be an integer in "
+                              f"[1, {MAX_DIM}]")
         if not 0.0 < self.order < 1.0:
             raise ConfigError(f"s={self.order} must lie in (0,1)")
         if self.dim <= 2 * self.order:
@@ -148,12 +138,6 @@ class RunConfig:
                               f"integer")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format={self.fmt!r} must be csv or json")
-        limit = outer_radius_limit(self.dim)
-        if self.quad.outer_radius > limit:
-            raise ConfigError(
-                f"[quadrature] outer_radius = {self.quad.outer_radius} with "
-                f"N = {self.dim}: need outer_radius^(N+1) <= "
-                f"{OUTER_POWER_LIMIT:g}, outer_radius <= {limit!r}")
 
     def params(self, default_gamma: float | None = None) -> ProblemParams:
         """Problem parameters; theta wins over gamma when both given."""

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField
 from .params import ProblemParams
-from .quadrature import (DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES,
-                         QuadratureSpec, adaptive_panel_integral, blockwise,
+from .quadrature import (_OUTER_RADIUS, DIAGONAL_BAND, DIAGONAL_RUN,
+                         DIAGONAL_RUN_EDGES, QuadratureSpec,
+                         adaptive_panel_integral, blockwise,
                          frac_laplacian_at_detailed, frac_laplacian_power_law,
                          integrate_radial_singular, log_edges, panel_nodes,
                          radial_moment, sphere_area, sphere_mean_power)
@@ -159,10 +160,11 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     one rule for every outer node of a round.
 
     Two errors go unestimated. The inner rule has no error estimate. The
-    outer integral stops at max(outer_radius, 2 x support) (tail_start for
-    an unbounded field, where the cut then moves out fourfold until the
-    value settles) and adds the far tail |f|_2^2 rho^(-1-2s) beyond it, a
-    model that is still about 9% off at twice a compact support.
+    outer integral stops at max(_OUTER_RADIUS, 2 x support) (tail_start
+    for an unbounded field, where the cut then moves out fourfold until the
+    value settles), not at _far_edge's cut, since the integrand lives past
+    the support; it adds the far tail |f|_2^2 rho^(-1-2s) beyond, a model
+    that is still about 9% off at twice a compact support.
     """
     if f.center_norm != 0.0:
         raise DomainError("energy quadrature expects an origin-centered field")
@@ -180,7 +182,7 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     lo = min(1e-6 * scale0,
              0.5 * min(breaks)) if breaks else 1e-6 * scale0
     prev = None
-    hi = max(quad.outer_radius, 2.0 * scale0)
+    hi = max(_OUTER_RADIUS, 2.0 * scale0)
     for _ in range(6):
         edges = log_edges(lo, hi, 3, splits=breaks)
         # far tail: _inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
@@ -210,9 +212,11 @@ def energy_form(f: RadialField, params: ProblemParams,
 
 def hardy_ratio(f: RadialField, params: ProblemParams,
                 quad: QuadratureSpec) -> float:
-    """Rayleigh quotient energy / int f^2 |x|^(-2s); >= Lambda(N,s)."""
+    """Rayleigh quotient energy / int f^2 |x|^(-2s); >= Lambda(N,s). Both
+    terms are quadratic in f, so the quotient does not see f's scale: only
+    a weight term that is not positive is degenerate."""
     denom = hardy_weight_integral(f, params, quad)
-    if denom < 1e-14:
+    if not denom > 0.0:
         raise DegenerateInputError("Hardy weight term vanishes for this field")
     return _dirichlet_energy(f, params, quad)[0] / denom
 

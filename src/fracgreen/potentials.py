@@ -43,7 +43,8 @@ from .fields import RadialField
 from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
 from .params import ProblemParams
 from .quadrature import (_RULE_POINTS, QuadratureSpec, _at_point,
-                         axis_point, blockwise, diagonal_panel_integral,
+                         _far_edge, axis_point, blockwise,
+                         diagonal_panel_integral,
                          diagonal_panel_rows, frac_laplacian_at_detailed,
                          integrate_radial_singular, panel_nodes, polar_rule,
                          radial_moment, shell_distance, sphere_area)
@@ -628,7 +629,8 @@ def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
     c = f.center_norm
     rho0 = float(np.asarray(x0, float)[0])
     sup = flap.sup
-    r_hi = max(quad.outer_radius, 50.0 * sup, 8.0 * abs(rho0), 8.0 * abs(c))
+    # flap is unbounded, tail_start 12.5 sup: the cut is max(1e3, 50 sup, ...)
+    r_hi = _far_edge(flap, 8.0 * abs(rho0), 8.0 * abs(c))
 
     q = rho0 - c  # displacement of x0 from the density center, signed
 

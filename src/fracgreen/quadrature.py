@@ -79,32 +79,34 @@ _RULE_POINTS = 64
 # off the center (frac_laplacian_at_detailed), of min(1, r_hi) / 10 in r at
 # it (_flap_at_center)
 _INNER_RADIUS = 1e-3
+# the least far edge of a radial integral over R^N of an unbounded field,
+# beyond which its analytic power tail takes over (_far_edge)
+_OUTER_RADIUS = 1e3
+#: the largest dimension N a run accepts: the engine forms powers up to
+#: about _OUTER_RADIUS^(N+1) (an integrand's r^(N-1) times a panel's
+#: half-width, or the square r^2 of a sphere mean's argument), and up to
+#: 1e300 every such power stays finite with room to spare
+MAX_DIM = math.floor(300.0 / math.log10(_OUTER_RADIUS)) - 1
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Knobs shared by every singular integral in the package.
 
-    outer_radius is the absolute far-field truncation radius beyond which
-    analytic power tails take over, 0 < outer_radius < inf. rel_tol is the
-    target of every radial integral: adaptive_panel_integral bisects only
-    the panels whose own defects (a panel's Gauss-Legendre sum against the
-    sum over its two halves) do not yet fit in a quarter of rel_tol times
-    the scale, for at most _MAX_ROUNDS rounds, and reports the summed
-    per-panel defects as its error estimate.
+    rel_tol is the target of every radial integral: adaptive_panel_integral
+    bisects only the panels whose own defects (a panel's Gauss-Legendre sum
+    against the sum over its two halves) do not yet fit in a quarter of
+    rel_tol times the scale, for at most _MAX_ROUNDS rounds, and reports
+    the summed per-panel defects as its error estimate.
     Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
-    rules (12, 10, and 10 and 14) and the head band _INNER_RADIUS of the
-    pointwise fractional Laplacian.
+    rules (12, 10, and 10 and 14), the head band _INNER_RADIUS of the
+    pointwise fractional Laplacian and the far edge _OUTER_RADIUS of the
+    radial integrals of unbounded fields.
     """
 
-    outer_radius: float = 1e3
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 < self.outer_radius < math.inf:
-            raise DomainError(
-                f"outer_radius = {self.outer_radius}: need 0 < outer_radius "
-                f"< inf")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2]")
 
@@ -651,14 +653,25 @@ def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
 # Weighted radial integrals
 # ---------------------------------------------------------------------------
 
+def _far_edge(field: RadialField, *lengths: float) -> float:
+    """Where a radial integral of field stops: its support radius, or for an
+    unbounded field max(_OUTER_RADIUS, 4 tail_start, *lengths), with the
+    field's analytic tail beyond."""
+    sup = field.support_radius()
+    if sup is not None:
+        return sup
+    return max(_OUTER_RADIUS, 4.0 * field.tail_start(), *lengths)
+
+
 def radial_moment(field: RadialField, beta: float, dim: int,
                   quad: QuadratureSpec, pole: float = 0.0, *,
                   scale_hint: float = 0.0, label: str = "radial-singular"):
     """int_{R^N} f(|y - c|) |y - c - pole e1|^(-beta) dy, c the field's
     center, and its error: the profile against the weight's sphere mean
     (module docstring). Needs beta < N and a compact support or a tail
-    decay p with p + beta > N; the range ends at the support or at
-    max(outer_radius, 4 tail_start, 4, 8 pole), with the tail beyond.
+    decay p with p + beta > N; the range ends at _far_edge(field, 4,
+    8 pole): the support, or max(_OUTER_RADIUS, 4 tail_start, 4, 8 pole)
+    with the tail beyond.
 
     pole = 0: the mean is |S^(N-1)| r^(-beta), and the head the power
     N - 1 - beta - origin_exponent > -1. pole > 0: diagonal_panel_integral
@@ -679,8 +692,7 @@ def radial_moment(field: RadialField, beta: float, dim: int,
             raise DivergenceError(
                 f"tail decay {p} + weight {beta} <= dim {dim}: divergent")
         tail = ((coef, p + beta - dim),)
-    hi = sup if sup is not None else max(
-        quad.outer_radius, 4.0 * field.tail_start(), 4.0, 8.0 * pole)
+    hi = _far_edge(field, 4.0, 8.0 * pole)
     omega = sphere_area(dim)
     if pole > 0.0:
         def integrand(t):
@@ -743,8 +755,7 @@ def _flap_at_center(field: RadialField, params: ProblemParams,
     u0 = float(field.profile(np.array([0.0]))[0])
     sup = field.support_radius()
     tail = field.tail_power()
-    r_hi = sup if sup is not None else max(quad.outer_radius,
-                                           4.0 * field.tail_start())
+    r_hi = _far_edge(field)
     r_c = _INNER_RADIUS * min(1.0, r_hi) * 1e-1
 
     def integrand(r):
@@ -767,9 +778,7 @@ def _far_mean_integrals(lam: float, dim: int, betas, t0: float):
     the sphere mean of d^(-lam) (sphere_mean_power), termwise over its Gauss
     series in z = e^(-2t): exact to rounding for t0 >= 2."""
     a, b, c = 0.5 * lam, 0.5 * (lam - dim) + 1.0, 0.5 * dim
-    j = np.arange(float(int(40.0 / t0) + 1))
-    coef = np.concatenate(
-        [[1.0], np.cumprod((a + j) * (b + j) / ((c + j) * (j + 1.0)))])
+    coef = _gauss_coefficients(a, b, c)[:int(40.0 / t0) + 2]
     k = 2.0 * np.arange(coef.size)
     return sphere_area(dim) * (coef * np.exp(-k * t0) / (
         np.asarray(betas, dtype=float)[:, None] + k)).sum(axis=1)
@@ -854,9 +863,7 @@ def _flap_band(field: RadialField, rho: float, params: ProblemParams,
     nearest = min((c for c in cuts if c > 0), default=math.inf)
     a = min(_INNER_RADIUS * max(min(1.0, nearest), 0.025)
             / (N + 2.0 * params.order), nearest)
-    sup = field.support_radius()
-    r_hi = sup if sup is not None else max(quad.outer_radius, 8.0 * rho,
-                                           4.0 * field.tail_start())
+    r_hi = _far_edge(field, 8.0 * rho)
     # the origin models hold below rho e^-T: a constant from 1e-10 rho, a
     # power where its piece e^(-(N - alpha0) T) is 1e-3 rel_tol, and both
     # below every breakpoint, with their defect probes; e^(+-100) keeps

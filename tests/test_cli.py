@@ -19,7 +19,7 @@ from fracgreen import (cli, errors, gamma_of_theta, potentials, quadrature,
                        theta_of_gamma)
 from fracgreen.cli import main
 from fracgreen.config import (SETTINGS, ConfigError, RunConfig,
-                               load_config_file, outer_radius_limit)
+                               load_config_file)
 from fracgreen.kernels import RESOLVENT_REL_ERR
 
 
@@ -432,7 +432,8 @@ def test_main_entry_direct(tmp_path, capsys):
     (("kernel", "--time", "nan"), None),
     (("kernel", "--time", "inf"), None),
     (("solve", "--radii", "1:inf:3"), None),
-    # inner_radius is no key (the head band is a module constant): unknown
+    # inner_radius and outer_radius are no keys (the head band and the far
+    # edge are module constants): unknown
     (("verify",), "[quadrature]\ninner_radius = -1.0\n"),
     (("verify",), "[quadrature]\ninner_radius = 0.0\n"),
     (("verify",), "[quadrature]\nouter_radius = inf\n"),
@@ -452,19 +453,15 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, config):
     assert "Traceback" not in err
 
 
-def test_largest_outer_radius_runs_clean(tmp_path):
-    # outer_radius^(N+1) at its bound keeps every power the engine forms
-    # finite: verify passes with nothing on stderr (a RuntimeWarning would
-    # show there), and the next float up is refused
-    limit = outer_radius_limit(5)
-    path = tmp_path / "run.cfg"
-    path.write_text(f"[quadrature]\nouter_radius = {limit!r}\n")
-    code, out, err = run_cli("verify", "--N", "5", "--config", str(path))
-    assert (code, err) == (0, ""), err
-    path.write_text(f"[quadrature]\nouter_radius = "
-                    f"{math.nextafter(limit, math.inf)!r}\n")
-    code, _, err = run_cli("verify", "--N", "5", "--config", str(path))
-    assert code == 2 and "outer_radius" in err and "N = 5" in err
+def test_dimension_past_max_dim_exits_2():
+    # the engine forms powers up to about _OUTER_RADIUS^(N+1), finite up to
+    # N = MAX_DIM: one past it is a usage error naming N
+    assert quadrature._OUTER_RADIUS ** (quadrature.MAX_DIM + 1) <= 1e300 \
+        < quadrature._OUTER_RADIUS ** (quadrature.MAX_DIM + 2)
+    code, _, err = run_cli("verify", "--N", str(quadrature.MAX_DIM + 1))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"N={quadrature.MAX_DIM + 1}" in err and "Traceback" not in err
 
 
 def test_non_utf8_config_exits_2(tmp_path):

@@ -210,6 +210,15 @@ class TestHardyRatio:
         with pytest.raises(DegenerateInputError):
             hardy_ratio(Bump(1.0, amplitude=0.0), params_3half, quad)
 
+    def test_small_field_keeps_its_ratio(self, params_3half, quad):
+        # both terms are quadratic in f: a field scaled far down keeps its
+        # quotient, and only a zero weight term is degenerate
+        f = Bump(1.0)
+        ratio = hardy_ratio(f, params_3half, quad)
+        for a in (1e-8, 1e-12):
+            assert hardy_ratio(f.scaled(a), params_3half, quad) == \
+                pytest.approx(ratio, rel=1e-15, abs=0.0)
+
     def test_offcenter_weight_integral(self, params_3half, quad):
         # bipolar route against a shifted-window 1D oracle in N=1
         p1 = ProblemParams.from_gamma(1, 0.25, 0.2)

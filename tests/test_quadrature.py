@@ -129,15 +129,8 @@ def sampled_flap_exact(rho):
 
 class TestQuadratureSpec:
     def test_validation(self):
-        # 0 < outer_radius < inf, each failure named
-        for kwargs in ({"outer_radius": -1.0}, {"outer_radius": 0.0},
-                       {"outer_radius": math.inf},
-                       {"outer_radius": math.nan}):
-            with pytest.raises(DomainError, match="outer_radius"):
-                QuadratureSpec(**kwargs)
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.5)
-        QuadratureSpec(outer_radius=1e300)  # finite, however large
 
 
 class TestPanelIntegral:
