@@ -24,13 +24,15 @@ E_q above it, and both carry the power d^(-lam_j) of surrogate_terms:
 gammainc(p, x) = gamma(p, x) / Gamma(p) being the regularised lower
 incomplete gamma function.
 
-Below x = 1 each bracket is one power series in x plus the Gamma(1-q_j)
+Below x = 2 each bracket is one power series in x plus the Gamma(1-q_j)
 pole of E_q, folded into its k = round(q_j) - 1 term so that integer and
-near-integer q_j need no special case. From x = 1 it is _lower_gamma,
+near-integer q_j need no special case; it is cut where x = 1 needs it
+below 1, and where x = 2 does on [1, 2), whose nodes would cost a
+depth-100 continued fraction each. From x = 2 it is _lower_gamma,
 x^(-p) gamma(p, x) by the Kummer series below x = p + 1 and by the upper
 function's continued fraction above, plus the continued fraction
-of generalized_expint, the definition of E_q; both hold a few 1e-15
-relative, for every q > 1, integer or not.
+of generalized_expint, the definition of E_q; both routes hold within
+1e-14 relative, for every q > 1, integer or not.
 
 All functions broadcast over leading axes: points may be passed as arrays of
 shape (..., N). The evaluation diagonal x = y is a hard error wherever the
@@ -40,6 +42,7 @@ kernel genuinely blows up there.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +51,7 @@ from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams, rgamma, zeta
 from .quadrature import (_SERIES_TOL, QuadratureSpec, _power_series,
                          adaptive_panel_integral, bipolar_sphere_integral,
-                         blockwise, log_edges, sphere_mean_power)
+                         log_edges, sphere_mean_power)
 
 
 def _norms(x, y, at_origin=False, on_diagonal=False):
@@ -175,10 +178,13 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
     return val
 
 
-_EXPINT_SERIES_TERMS = 20  # x^k / k! terms of the x < 1 series
+_EXPINT_SERIES_TERMS = 32  # x^k / k! terms of the series, enough for x < 2
 _EXPINT_POLE_TERMS = 56  # f^n terms of the pole coefficient, |f| <= 1/2
-#: (smallest x of a call, depth): each within an ulp of depth 400, q <= 40
-_EXPINT_CF_DEPTHS = ((10.0, 20), (5.0, 30), (3.0, 42), (2.0, 60), (1.0, 100))
+#: depths of _expint_cf, each node binned by its own x at these edges: 100
+#: below x = 2, 60 below 3, 42 below 5, 30 below 10 and 20 beyond, each
+#: within an ulp of depth 400 for q <= 40
+_EXPINT_CF_EDGES = (2.0, 3.0, 5.0, 10.0)
+_EXPINT_CF_DEPTHS = (100, 60, 42, 30, 20)
 
 
 @lru_cache(maxsize=64)
@@ -213,8 +219,9 @@ def _expint_series(q: float):
 
 
 def _inverse_factorials():
-    """1/k! for k < _EXPINT_SERIES_TERMS, each k! an exact double product
-    (k! is exact up to 22!) and so each 1/k! correctly rounded."""
+    """1/k! for k < _EXPINT_SERIES_TERMS, k! a double product: exact up to
+    22!, so each 1/k! there correctly rounded, and a few ulp off beyond,
+    where x^k / k! < 1e-20 at x < 2."""
     k = np.arange(1.0, _EXPINT_SERIES_TERMS)
     return 1.0 / np.concatenate([[1.0], np.cumprod(k)])
 
@@ -231,7 +238,7 @@ def generalized_expint(q: float, x):
     """E_q(x) = int_1^inf e^(-x u) u^(-q) du (DLMF 8.19.3) for q > 1/2 and
     x > 0, elementwise, the route chosen from x alone: the pole-folded power
     series (_expint_series) below x = 1, and from x = 1 the continued
-    fraction _expint_cf."""
+    fraction _expint_cf. resolvent_radial calls it from x = 2 only."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 1.0
@@ -249,13 +256,28 @@ def _expint_cf(q: float, x: np.ndarray) -> np.ndarray:
         E_q(x) = e^-x / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
         b_i = x + q + 2i,  a_i = -i (q - 1 + i),
 
-    summed bottom-up from a depth binned by the call's smallest x (no
-    products of convergents to round). For q < 0 (the upper incomplete
-    gamma function x^-p Gamma(p, x) = E_(1-p)(x) at x >= p + 1,
-    _lower_gamma) the depth is at least 4 sqrt(-q) + 1, which the
-    fraction needs at x = p + 1: within 2e-15 of depth 1500 for p <= 171."""
-    depth = next(d for lo, d in _EXPINT_CF_DEPTHS
-                 if x.min(initial=np.inf) >= lo)
+    summed bottom-up (no products of convergents to round) from a depth
+    binned by each node's own x (_EXPINT_CF_DEPTHS at _EXPINT_CF_EDGES),
+    so that a value does not depend on its batch. For q < 0 (the upper
+    incomplete gamma function x^-p Gamma(p, x) = E_(1-p)(x) at
+    x >= p + 1, _lower_gamma) the depth is at least 4 sqrt(-q) + 1, which
+    the fraction needs at x = p + 1: within 2e-15 of depth 1500 for
+    p <= 171."""
+    lo = bisect_right(_EXPINT_CF_EDGES, x.min(initial=np.inf))
+    hi = bisect_right(_EXPINT_CF_EDGES, x.max(initial=-np.inf))
+    if lo >= hi:  # one bin (or no node): no gather and scatter
+        return _continued_fraction(q, x, _EXPINT_CF_DEPTHS[lo])
+    out = np.empty_like(x)
+    edges = (-np.inf, *_EXPINT_CF_EDGES, np.inf)
+    for b in range(lo, hi + 1):
+        sel = (x >= edges[b]) & (x < edges[b + 1])
+        if sel.any():
+            out[sel] = _continued_fraction(q, x[sel], _EXPINT_CF_DEPTHS[b])
+    return out
+
+
+def _continued_fraction(q: float, x: np.ndarray, depth: int) -> np.ndarray:
+    """_expint_cf's fraction at one depth for every node of x."""
     if q < 0.0:
         depth = max(depth, int(4.0 * math.sqrt(-q)) + 1)
     t = x + (q + 2.0 * depth)
@@ -306,7 +328,7 @@ def _lower_gamma(p: float, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _resolvent_series(p: float, q: float):
-    """The x < 1 series of x^(-p) gamma(p, x) + E_q(x): E_q's pole-folded
+    """The x < 2 series of x^(-p) gamma(p, x) + E_q(x): E_q's pole-folded
     series (_expint_series) with the lower incomplete gamma function's
     coefficients (-1)^k / (k! (p+k)) (DLMF 8.7.1) added in. Returns m, f, B
     of the pole and the combined coefficients."""
@@ -315,34 +337,38 @@ def _resolvent_series(p: float, q: float):
     return m, f, B, (-1.0) ** k * _inverse_factorials() / (p + k) - coef
 
 
-def _below_one(x, pq):
-    """The factors F_j(x) of resolvent_radial below x = 1, one series each,
-    sharing ln x."""
+def _by_series(x, pq, w_max):
+    """The factors F_j(x) of resolvent_radial below x = w_max, one series
+    each cut where w_max needs it, sharing ln x."""
     log_x = np.log(x)
     for p, q in pq:
         m, f, B, coef = _resolvent_series(p, q)
-        yield _expint_pole(m, f, B, x, log_x) + _power_series(coef, x, 1.0)
+        yield _expint_pole(m, f, B, x, log_x) + _power_series(coef, x, w_max)
 
 
-def _from_one(x, pq):
-    """The factors F_j(x) of resolvent_radial from x = 1: _lower_gamma and
+def _from_two(x, pq):
+    """The factors F_j(x) of resolvent_radial from x = 2: _lower_gamma and
     generalized_expint's continued fraction."""
     for p, q in pq:
         yield _lower_gamma(p, x) + generalized_expint(q, x)
 
 
 def _factors(x, pq):
-    """The factors F_j of resolvent_radial on every node: _below_one where
-    x < 1 and _from_one elsewhere, each F_j a fresh array."""
-    small = x < 1.0
-    if small.all():
-        yield from _below_one(x, pq)
+    """The factors F_j of resolvent_radial on every node, the route chosen
+    from the node's x alone: _by_series cut for x < 1 below 1 (17 to 20
+    terms) and for x < 2 on [1, 2) (22 to 25 terms), _from_two from 2,
+    where the series would cancel. Each F_j a fresh array."""
+    routes = [(x < 1.0, lambda xs: _by_series(xs, pq, 1.0)),
+              ((x >= 1.0) & (x < 2.0), lambda xs: _by_series(xs, pq, 2.0)),
+              (x >= 2.0, lambda xs: _from_two(xs, pq))]
+    routes = [(sel, fn) for sel, fn in routes if sel.any()] or routes[:1]
+    if len(routes) == 1:
+        yield from routes[0][1](x)
         return
-    big = ~small
-    for below, above in zip(_below_one(x[small], pq), _from_one(x[big], pq)):
+    for pieces in zip(*(route(x[sel]) for sel, route in routes)):
         F = np.empty(x.shape)
-        F[small] = below
-        F[big] = above
+        for (sel, _), piece in zip(routes, pieces):
+            F[sel] = piece
         yield F
 
 
@@ -365,11 +391,11 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
     with p = 2 + j c and q = N/(2s) - j c > 1. Both pieces carry the
     surrogate_terms power d^(-lam_j), lam_j = N - 2s - j g, so term j is
     W_j d^(-lam_j) F_j(x) with F_j(x) = x^(-p) Gamma(p) gammainc(p, x)
-    + E_q(x), a function of x alone. Below x = 1, F_j is one power series
+    + E_q(x), a function of x alone. Below x = 2, F_j is one power series
     in x plus E_q's folded pole (_resolvent_series), with x and ln x shared
-    by the three terms; from x = 1 it is _lower_gamma and
+    by the three terms; from x = 2 it is _lower_gamma and
     generalized_expint's continued fraction, not called when no node
-    reaches x = 1.
+    reaches x = 2 (_factors).
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     c = g / (2.0 * s)
@@ -465,10 +491,8 @@ class _ResolventKernel(_Kernel):
         return resolvent_radial(self.alpha, d, rho, r, self.p)
 
     def sphere_mean(self, rho, r):
-        return blockwise(lambda rb: bipolar_sphere_integral(
-            lambda d: self.pair_value(d, rho, rb[:, None]), rho, rb,
-            self.p.dim, order=12), _SHELL_BLOCK,
-            np.atleast_1d(np.asarray(r, float)))
+        return bipolar_sphere_integral(
+            lambda d, rs: self.pair_value(d, rho, rs), rho, r, self.p.dim)
 
 
 KERNEL_KINDS = ("riesz_exact", "surrogate", "resolvent_surrogate")

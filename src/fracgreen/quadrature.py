@@ -87,6 +87,10 @@ _OUTER_RADIUS = 1e3
 #: half-width, or the square r^2 of a sphere mean's argument), and up to
 #: 1e300 every such power stays finite with room to spare
 MAX_DIM = math.floor(300.0 / math.log10(_OUTER_RADIUS)) - 1
+# the largest alpha0 ln(1/r) at which the pointwise fractional Laplacian
+# (_flap_rule) evaluates a field that grows like r^-alpha0 at its centre:
+# e^700 leaves e^9.7 of the floats' range to the field's amplitude
+_ORIGIN_LOG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,8 @@ _SERIES_MAX_TERMS = 400
 # _power_series: Horner's rule up to this many terms, the blocked form
 # beyond, on this many entries at a time. Each form alone runs slower end to
 # end: Horner's rule on the sphere means' series (41 to 60 terms at (2, .4)),
-# the blocked form on the resolvent's (18 to 29)
+# the blocked form on the resolvent's (17 to 20 terms below x = 1, 22 to 25
+# on [1, 2), over N <= 10 and the admissible s and gamma)
 _HORNER_TERMS, _POWER_CHUNK = 32, 4096
 
 
@@ -635,18 +640,45 @@ def shell_distance(rho, r, theta):
     return np.sqrt(np.maximum((rho - r) ** 2 + 2.0 * rho * r * vers, 1e-300))
 
 
-def bipolar_sphere_integral(kernel, rho: float, r, dim: int,
-                            order: int = 16):
+# (least |ln(r/rho)|, uniform polar panels) of bipolar_sphere_integral,
+# each panel of order 12. On the resolvent kernel over the kernel tests'
+# sweep (8 (N, s), 3 gamma, alpha = 1e-3, 1, 100, rho = .01 to 30) the 6
+# panels agree with 12 within 4.4e-16 from ln 2 and the 3 within 8.9e-16
+# from ln 10, while 4 panels from ln 2 miss by 3.1e-13
+_POLAR_PANELS = ((math.log(10.0), 3), (math.log(2.0), 6), (0.0, 12))
+_SHELL_NODES = 128 * 144  # kernel nodes per batched (shells, nodes) call
+
+
+def bipolar_sphere_integral(kernel, rho: float, r, dim: int):
     """int_{S^(N-1)} K(|rho e1 - r w|) dsigma(w) for a batch of radii r.
 
-    polar_rule on 12 uniform panels in theta. Intended for shells
-    [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere),
-    where the panels converge spectrally. `kernel` is called once with the
-    distances as a (len(r), nodes) array, row i belonging to r[i].
+    polar_rule of order 12 on uniform panels in theta, their number set by
+    each shell's |ln(r/rho)| (_POLAR_PANELS): d^2 = rho^2 + r^2 - 2 rho r
+    cos(theta) vanishes only at theta = +-i |ln(r/rho)|, so a function of d
+    analytic off d = 0 has its nearest complex singularity that far from
+    the real theta axis, and Gauss-Legendre panels converge geometrically at
+    a rate set by that distance against their width. 12 panels below
+    |ln(r/rho)| = ln 2, 6 below ln 10 and 3 beyond. Intended for shells
+    [|rho-r|, rho+r] clear of kernel breakpoints (callers split elsewhere).
+    `kernel(d, rs)` is called with the distances as a (shells, nodes) array
+    and the shells' radii as a (shells, 1) column, once per panel count and
+    block of _SHELL_NODES nodes; a shell's value does not depend on the
+    others of its call.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))[:, None]
-    theta, w = polar_rule(dim, order, np.linspace(0.0, math.pi, 13))
-    return np.sum(kernel(shell_distance(rho, r, theta)) * w, axis=1)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty(r.shape)
+    gap = np.abs(np.log(r / rho))
+    rest = np.ones(r.shape, dtype=bool)
+    for lo, panels in _POLAR_PANELS:
+        idx = np.flatnonzero(rest & (gap >= lo))
+        if not idx.size:
+            continue
+        rest[idx] = False
+        theta, w = polar_rule(dim, 12, np.linspace(0.0, math.pi, panels + 1))
+        out[idx] = blockwise(lambda rs: np.sum(
+            kernel(shell_distance(rho, rs, theta), rs) * w, axis=1),
+            _SHELL_NODES // theta.size, r[idx, None])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +899,8 @@ def _flap_band(field: RadialField, rho: float, params: ProblemParams,
     # the origin models hold below rho e^-T: a constant from 1e-10 rho, a
     # power where its piece e^(-(N - alpha0) T) is 1e-3 rel_tol, and both
     # below every breakpoint, with their defect probes; e^(+-100) keeps
-    # every profile argument in range
+    # every profile argument in range, and _flap_rule the origin power
+    # finite
     T = min(max(math.log(r_hi / rho), math.log(1e10),
                 math.log(1e3 / quad.rel_tol) / (N - alpha0),
                 *(1.0 + math.log(2.0 * rho / b) for b in field.breakpoints()
@@ -879,7 +912,8 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
                quad: QuadratureSpec):
     """(-Delta)^s u at the distances rho > 0 on one adaptive rule in t: the
     smallest of their bands a, so no head band holds a breakpoint, the
-    largest of their ends T and the union of their cuts. Each point keeps
+    largest of their ends T, short of where the origin power would overflow
+    at the smallest rho, and the union of their cuts. Each point keeps
     its own head fit, far pieces, rounding charge and tolerance check.
     Returns (values, error_estimates) as arrays."""
     N, s = params.dim, params.order
@@ -888,6 +922,11 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
     alpha0 = field.origin_exponent
     a = min(band[0] for band in bands)
     T = max(band[1] for band in bands)
+    if alpha0 > 0.0:
+        # no further in than where the origin power r^-alpha0 stays finite
+        # (_ORIGIN_LOG_MAX) at rho e^-T for every rho of the rule: its
+        # values at rho e^-t, t <= T, and its probes
+        T = min(T, math.log(rho.min()) + _ORIGIN_LOG_MAX / alpha0)
     cuts = {c for band in bands for c in band[2]}
     u_x, u_lo, u_hi, u_far, u_0, u_1 = field.profile(
         rho * np.exp(np.array([0.0, -a, a, T, -T, 1.0 - T]))[:, None])

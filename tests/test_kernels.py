@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
-from fracgreen import (DegenerateInputError, DomainError, ProblemParams,
+from fracgreen import (Bump, DegenerateInputError, DomainError, ProblemParams,
+                       axis_point, green_potentials_at,
                        green_surrogate_expanded, green_surrogate_product,
                        green_time_integral, green_time_integral_quadrature,
                        heat_profile, resolvent_profile_integral, riesz_kernel,
                        time_integral_coefficients)
 from fracgreen import kernels
-from fracgreen.kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR, _make_kernel,
+from fracgreen.kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR,
+                              _make_kernel, _ResolventKernel,
                               generalized_expint, resolvent_radial,
                               surrogate_terms)
 from fracgreen.quadrature import polar_rule, shell_distance
@@ -287,16 +289,19 @@ class TestResolvent:
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("q", [0.6, 1.0, 2.5, 5.0, 12.5, 40.0])
-    def test_expint_depth_bins(self, q):
-        # the continued fraction's depth, chosen from the smallest x of the
-        # call, agrees to an ulp or two with the full depth that a node at
-        # x = 1 forces on every node of a call
-        x = np.geomspace(2.0, 80.0, 61)
-        full = generalized_expint(q, np.concatenate([[1.0], x]))[1:]
-        for lo in (2.0, 3.0, 5.0, 10.0):
+    def test_expint_depth_bins(self, q, monkeypatch):
+        # the continued fraction's depth, binned by each node's own x,
+        # agrees to an ulp or two with depth 400 on every node, and a node's
+        # value does not depend on the other nodes of its call
+        x = np.geomspace(1.0, 80.0, 2001)
+        got = generalized_expint(q, x)
+        for lo in (1.0, 2.0, 3.0, 5.0, 10.0):
             keep = x >= lo
-            got = generalized_expint(q, x[keep])
-            assert np.max(np.abs(got - full[keep]) / full[keep]) <= 5e-16
+            assert np.array_equal(generalized_expint(q, x[keep]), got[keep])
+        monkeypatch.setattr(kernels, "_EXPINT_CF_EDGES", ())
+        monkeypatch.setattr(kernels, "_EXPINT_CF_DEPTHS", (400,))
+        full = generalized_expint(q, x)
+        assert np.max(np.abs(got - full) / full) <= 5e-16
 
     @pytest.mark.parametrize("dim, order, gamma_frac", [
         (2, 0.4, 0.8), (4, 0.75, 0.8), (3, 3.0 / (2.0 * (3.0 + 1e-7)), 0.8),
@@ -368,17 +373,20 @@ def resolvent_two_functions(alpha, d, rx, ry, params):
 class TestResolventSeries:
     @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
     def test_factors_vs_mpmath(self, dim, order):
-        # F_j(x) = x^(-p) gamma(p, x) + E_q(x) on both routes, at both ends
-        # of the series and just above its cut
+        # F_j(x) = x^(-p) gamma(p, x) + E_q(x) on each route, at both ends
+        # of each series cut and just above the continued fraction's cut
         mp = pytest.importorskip("mpmath")
-        below = np.array([1e-12, 0.3, 1.0 - 2.0 ** -52])
-        above = np.array([1.0, 1.0 + 2.0 ** -52, 1.5])
+        routes = [
+            (np.array([1e-12, 0.3, 1.0 - 2.0 ** -52]),
+             lambda x, pq: kernels._by_series(x, pq, 1.0)),
+            (np.array([1.0, 1.0 + 2.0 ** -52, 1.5, 2.0 - 2.0 ** -52]),
+             lambda x, pq: kernels._by_series(x, pq, 2.0)),
+            (np.array([2.0, 2.0 + 2.0 ** -52, 3.0]), kernels._from_two)]
         for p in sweep_params(dim, order):
             c = p.exponent_gamma / (2.0 * order)
             pq = [(2.0 + j * c, dim / (2.0 * order) - j * c)
                   for j in range(3)]
-            for x, factors in ((below, kernels._below_one),
-                               (above, kernels._from_one)):
+            for x, factors in routes:
                 for (pj, qj), got in zip(pq, factors(x, pq)):
                     with mp.workdps(30):
                         ref = np.array([float(
@@ -433,11 +441,16 @@ class TestResolventSeries:
         d = np.geomspace(1e-6, 1.0, 50)  # x = 0.9 d^0.8 < 1
         resolvent_radial(0.9, d, 0.8, 1.1, p)
         assert calls == []
+        # d = 2 gives x = 1.57, on the series cut for x < 2
         resolvent_radial(0.9, np.append(d, 2.0), 0.8, 1.1, p)
+        assert calls == []
+        # d = 3 gives x = 2.17
+        resolvent_radial(0.9, np.append(d, [2.0, 3.0]), 0.8, 1.1, p)
         assert set(calls) == {"_lower_gamma", "generalized_expint"}
 
     def test_shapes_broadcast_across_the_cut(self):
-        # nodes on both sides of x = 1, the weights broadcast against d
+        # nodes on all three routes (x < 1, [1, 2) and from 2), the weights
+        # broadcast against d
         p = ProblemParams.from_gamma(3, 0.3, 0.6)
         d = np.geomspace(0.1, 10.0, 12).reshape(3, 4)
         ry = np.array([[0.4], [1.0], [2.5]])
@@ -447,6 +460,66 @@ class TestResolventSeries:
             one = resolvent_radial(1.0, d[i, j], 0.7, ry[i, 0], p)
             assert np.ndim(one) == 0
             assert float(one) == pytest.approx(got[i, j], rel=1e-15)
+
+
+    @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
+    def test_value_does_not_depend_on_its_batch(self, dim, order):
+        # every route and every depth bin of the continued fraction in one
+        # call, bit for bit the one-node calls (one-entry arrays: numpy's
+        # scalar power rounds differently from its array loop)
+        d = np.geomspace(1e-6, 1e3, 97)
+        ry = np.geomspace(0.05, 3.0, 97)
+        for p in sweep_params(dim, order):
+            for alpha in (1e-3, 1.0, 100.0):
+                got = resolvent_radial(alpha, d, 0.8, ry, p)
+                one = [resolvent_radial(alpha, d[i:i + 1], 0.8, ry[i:i + 1],
+                                        p)[0] for i in range(d.size)]
+                assert np.array_equal(got, one), (p, alpha)
+
+
+def uniform_sphere_mean(kern, rho, r):
+    """The resolvent kernel's sphere mean on 12 uniform polar panels of
+    order 12, on every shell."""
+    theta, w = polar_rule(kern.p.dim, 12, np.linspace(0.0, math.pi, 13))
+    r = np.atleast_1d(np.asarray(r, dtype=float))[:, None]
+    return np.sum(kern.pair_value(shell_distance(rho, r, theta), rho, r) * w,
+                  axis=1)
+
+
+class TestGradedShells:
+    """The resolvent sphere mean's polar panels, fewer the further a shell
+    lies from the diagonal, against 12 uniform panels on every shell."""
+
+    @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
+    def test_sphere_mean_vs_uniform_panels(self, dim, order):
+        # |ln(r/rho)| on both sides of ln 2 and ln 10, where the panel count
+        # changes, and far beyond
+        gaps = np.array([0.0, 0.3, math.log(2.0), 1.0, 2.0, math.log(10.0),
+                         2.5, 4.0, 8.0])
+        for p in sweep_params(dim, order):
+            for alpha in (1e-3, 1.0, 100.0):
+                kern = _make_kernel("resolvent_surrogate", p, alpha)
+                for rho in (0.05, 0.7, 4.0):
+                    r = rho * np.exp(np.concatenate([gaps[1:], -gaps]))
+                    ref = uniform_sphere_mean(kern, rho, r)
+                    got = kern.sphere_mean(rho, r)
+                    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14, (
+                        p, alpha, rho)
+
+    def test_centred_potentials_vs_uniform_panels(self, quad, monkeypatch):
+        # `solve --N 2 --s 0.4 --kernel resolvent_surrogate`: alpha = 1 and
+        # the centred Bump(1), at radii of the resolvent benchmark
+        # workload's grid in [0.02, 0.9]
+        p = ProblemParams.from_gamma(2, 0.4, 0.8 * (2 - 0.8) / 2)
+        points = [axis_point(rho, 2)
+                  for rho in np.geomspace(0.02, 0.9, 32)[::5]]
+        got, _ = green_potentials_at(Bump(1.0), points, p, quad,
+                                     "resolvent_surrogate", 1.0)
+        monkeypatch.setattr(_ResolventKernel, "sphere_mean",
+                            uniform_sphere_mean)
+        ref, _ = green_potentials_at(Bump(1.0), points, p, quad,
+                                     "resolvent_surrogate", 1.0)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
 
 class TestRieszKernel:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -336,6 +337,20 @@ class TestFundamentalResidual:
             [axis_point(r, 3) for r in (0.5, 1.0, 2.0)], params_3half, quad)
         assert rep.passed
         assert rep.residual <= 1e-3
+
+    @pytest.mark.parametrize("dim, s, gamma_frac", [
+        (8, 0.01, 0.01), (10, 0.1, 0.01), (51, 0.5, 0.8)])
+    def test_origin_power_stays_finite(self, dim, s, gamma_frac, quad):
+        # the rule's end T once put the pure power past the largest float
+        # at rho e^-T (an overflow, then nan): at N = 8, 10 with small
+        # 2s + gamma, T is 100, and at N = 51 the power is steep
+        p = ProblemParams.from_gamma(dim, s, gamma_frac * (dim - 2 * s) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = fundamental_residual(
+                [axis_point(r, dim) for r in (0.5, 1.0, 2.0)], p, quad)
+        assert rep.passed, rep.residual
+        assert rep.residual <= 1e-6
 
     def test_wrong_theta_control(self, params_3half, quad):
         rep = fundamental_residual([axis_point(1.0, 3)], params_3half, quad,

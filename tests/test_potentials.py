@@ -134,8 +134,9 @@ class TestGreenPotential:
 
     def test_resolvent_sphere_mean_blocks_match_single_shells(self,
                                                               params_2d):
-        # the batched shells (blocks of 128) are bit-identical to one shell
-        # per call, so a shell's value does not depend on its batch
+        # the batched shells (blocks of _SHELL_NODES kernel nodes, grouped by
+        # their polar panel count) are bit-identical to one shell per call,
+        # so a shell's value does not depend on its batch
         kern = _ResolventKernel(params_2d, 1.0)
         r = np.geomspace(1e-4, 3.0, 1000)
         batched = kern.sphere_mean(0.7, r)

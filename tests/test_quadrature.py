@@ -300,10 +300,12 @@ class TestSphereMeans:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_polar_rule_on_whole_shells(self, dim):
         # the uncut polar rule against the closed form on shells clear of
-        # the diagonal, N = 1's two points included
+        # the diagonal, on 12, 6 and 3 panels (|ln r| below ln 2, below
+        # ln 10 and beyond), N = 1's two points included
         for lam in (0.6, dim + 0.8):
-            r = np.array([0.2, 0.7, 1.6, 3.0])
-            val = bipolar_sphere_integral(lambda d: d ** (-lam), 1.0, r, dim)
+            r = np.array([0.05, 0.2, 0.7, 1.6, 3.0, 20.0])
+            val = bipolar_sphere_integral(lambda d, rs: d ** (-lam), 1.0, r,
+                                          dim)
             ref = sphere_mean_power(lam, 1.0, r, dim)
             np.testing.assert_allclose(val, ref, rtol=1e-12)
 
