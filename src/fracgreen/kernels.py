@@ -396,12 +396,16 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
     by the three terms; from x = 2 it is _lower_gamma and
     generalized_expint's continued fraction, not called when no node
     reaches x = 2 (_factors).
+    Evaluated on at least 1-d arrays, since numpy's scalar power rounds
+    differently from its array loop: a pair's value does not depend on its
+    batch. Returns the broadcast shape of d, rx and ry.
     """
     N, s, g = params.dim, params.order, params.exponent_gamma
     c = g / (2.0 * s)
-    d = np.asarray(d, dtype=float)
-    d = np.broadcast_to(d, np.broadcast_shapes(d.shape, np.shape(rx),
-                                               np.shape(ry)))
+    shape = np.broadcast_shapes(np.shape(d), np.shape(rx), np.shape(ry))
+    d, rx, ry = (np.atleast_1d(np.asarray(v, dtype=float))
+                 for v in (d, rx, ry))
+    d = np.broadcast_to(d, np.broadcast_shapes(d.shape, rx.shape, ry.shape))
     x = alpha * d ** (2.0 * s)
     terms = surrogate_terms(rx, ry, params)
     pq = [(2.0 + j * c, N / (2.0 * s) - j * c) for j in range(len(terms))]
@@ -410,7 +414,7 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
         F *= d ** (-lam)
         F *= w
         total = total + F
-    return total
+    return total.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField
 from .params import ProblemParams
 from .quadrature import (_OUTER_RADIUS, DIAGONAL_BAND, DIAGONAL_RUN,
-                         DIAGONAL_RUN_EDGES, QuadratureSpec,
-                         adaptive_panel_integral, blockwise,
+                         QuadratureSpec, adaptive_panel_integral, blockwise,
                          frac_laplacian_at_detailed, frac_laplacian_power_law,
                          integrate_radial_singular, log_edges, panel_nodes,
                          radial_moment, sphere_area, sphere_mean_power)
@@ -114,6 +113,9 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
 
 
 _ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation
+# edges of _inner_below's run from the band out to DIAGONAL_RUN: a fixed
+# rule has no error estimate to grade by, as diagonal_panel_integral does
+_INNER_RUN_EDGES = 20
 
 
 def _inner_below(f: RadialField, rho: np.ndarray,
@@ -123,17 +125,18 @@ def _inner_below(f: RadialField, rho: np.ndarray,
 
     Omega(rho, rho u) = rho^(-N-2s) Omega(1, u), so the integral is
     rho^(-2s) int_0^1 (f(rho)-f(rho u))^2 u^(N-1) Omega(1, u) du, taken on
-    one rule in u: diagonal_panel_integral's edges and band at rho = 1
-    (order 12 on log_edges(1e-8, 1, 4) and the run, edges inside the band
-    dropped), its head formula fn(t) a / (p + 1) making (0, 1e-8), power
-    N - 1, and the band, power 1 - 2s, one node each. Blocks of
+    one rule in u: diagonal_panel_integral's band at rho = 1, order 12 on
+    log_edges(1e-8, 1, 4) and the run 1 - geomspace(band, DIAGONAL_RUN,
+    _INNER_RUN_EDGES), edges inside the band dropped; the
+    engine's head formula fn(t) a / (p + 1) makes (0, 1e-8), power N - 1,
+    and the band, power 1 - 2s, one node each. Blocks of
     _ENERGY_BLOCK rows cost one f.profile call and one product each.
     """
     N, s = params.dim, params.order
     lo, band = 1e-8, DIAGONAL_BAND
     edges = np.concatenate([
         log_edges(lo, 1.0, 4),
-        1.0 - np.geomspace(band, DIAGONAL_RUN, DIAGONAL_RUN_EDGES)])
+        1.0 - np.geomspace(band, DIAGONAL_RUN, _INNER_RUN_EDGES)])
     u, w = panel_nodes(np.unique(edges[edges <= 1.0 - band]), 12)
     u = np.append(u, [lo, 1.0 - band])
     w = np.append(w, [lo / N, band / (2.0 - 2.0 * s)])

@@ -252,54 +252,61 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     r, |x| = rho, the density center y_c at angle beta from x.
 
     theta is the angle from x, on polar panels refined geometrically into
-    each shell's kernel boundary layer. The kernel depends on theta alone,
-    through shell_distance, so it is evaluated once per polar node; the
-    density is averaged over the second angle at each (off the density's
-    axis). Only the theta-panels that can reach the density's support are
-    evaluated: on the shell r, phi vanishes wherever the angle between w
-    and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that
-    angle is at least |theta - beta|. The skipped panels would add exact
-    zeros. The shells are evaluated in blocks of whole shells holding about
-    _PAIR_NODES kept polar nodes times second-angle nodes; a shell's value
-    does not depend on its block.
+    each shell's kernel boundary layer. A shell's panels depend on its layer
+    width clip(|rho - r| / rho, 1e-8, 0.3) alone, so the polar nodes and
+    weights are built once per distinct width and gathered on the kept
+    panels only. The kernel depends on theta alone, through shell_distance,
+    so it is evaluated once per polar node; the density is averaged over
+    the second angle at each (off the density's axis). Only the
+    theta-panels that can reach the density's support are evaluated: on
+    the shell r, phi vanishes wherever the angle between w and y_c exceeds
+    cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that angle is at least
+    |theta - beta|. The skipped panels would add exact zeros. The shells
+    are evaluated in blocks of whole shells holding about _PAIR_NODES kept
+    polar nodes times second-angle nodes; a shell's value does not depend
+    on its block.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
     # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
     cos_chi, w2 = _second_angle(1 if abs(math.cos(beta)) == 1.0 else dim)
     if dim == 1:
-        edges = np.zeros((r.size, 0))  # polar_rule ignores them
-        keep = np.ones((r.size, 1), dtype=bool)  # one panel of two nodes
-        per_panel = 2
+        # one panel of the two nodes 0, pi, shared by every shell
+        theta, wt = polar_rule(dim, _PAIR_ORDER, None)
+        layer_row = np.zeros(r.size, dtype=int)
+        keep = np.ones((r.size, 1), dtype=bool)
     else:
-        layer = np.clip(np.abs(rho - r) / rho, 1e-8, 0.3)
+        layer, layer_row = np.unique(
+            np.clip(np.abs(rho - r) / rho, 1e-8, 0.3), return_inverse=True)
         edges = _row_edges(0.01 * layer, math.pi, 24, _PAIR_EDGES)
+        theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
+        edges = edges[layer_row]
         cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
                                 -1.0, 1.0))[:, None]
         keep = (edges[:, 1:] >= beta - cap) & (edges[:, :-1] <= beta + cap)
-        per_panel = _PAIR_ORDER
-    size = keep.sum(axis=1) * per_panel * w2.size
+    # (layers, panels, nodes a panel)
+    shape = (theta.shape[0], keep.shape[1], -1)
+    theta, wt = theta.reshape(shape), wt.reshape(shape)
+    size = keep.sum(axis=1) * theta.shape[2] * w2.size
     block = (np.cumsum(size) - size) // _PAIR_NODES
     cuts = np.flatnonzero(np.diff(block)) + 1
     return np.concatenate([
-        _pair_block(kern, phi, rho, beta, rb, eb, kb, cos_chi, w2, dim)
-        for rb, eb, kb in zip(np.split(r, cuts), np.split(edges, cuts),
+        _pair_block(kern, phi, rho, beta, rb, theta, wt, lb, kb, cos_chi, w2)
+        for rb, lb, kb in zip(np.split(r, cuts), np.split(layer_row, cuts),
                               np.split(keep, cuts))])
 
 
-def _pair_block(kern, phi, rho, beta, r, edges, keep, cos_chi, w2, dim):
-    """_pair_shell_integrals on one block of shells, given their polar
-    edges, kept panels and second-angle rule."""
+def _pair_block(kern, phi, rho, beta, r, theta, wt, layer_row, keep,
+                cos_chi, w2):
+    """_pair_shell_integrals on one block of shells, given the polar nodes
+    and weights (layers, panels, nodes a panel), each shell's layer row,
+    its kept panels and the second-angle rule."""
     c = abs(phi.center_norm)
-    n = r.size
-    r = r[:, None]
-    theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
     # one row of polar nodes per kept (shell, panel) pair
-    shape = (n, theta.shape[1])
-    th = np.broadcast_to(theta, shape).reshape(keep.shape + (-1,))[keep]
-    w_th = np.broadcast_to(wt, shape).reshape(keep.shape + (-1,))[keep]
-    rows = np.nonzero(keep)[0]
-    rk = r[rows]
+    rows, panels = np.nonzero(keep)
+    at = layer_row[rows], panels
+    th, w_th = theta[at], wt[at]
+    rk = r[rows, None]
     kv = kern.pair_value(shell_distance(rho, rk, th), rho, rk)
     # |r w - y_c|^2 = a - b cos(chi)
     a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * math.cos(beta)
@@ -307,7 +314,7 @@ def _pair_block(kern, phi, rho, beta, r, edges, keep, cos_chi, w2, dim):
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
     mean = (phi.profile(t).reshape(-1, w2.size) @ w2).reshape(th.shape)
     return np.bincount(rows, weights=(kv * mean * w_th).sum(axis=1),
-                       minlength=n)
+                       minlength=r.size)
 
 
 # Not exported and called by nothing in the package: the benchmark's tracer

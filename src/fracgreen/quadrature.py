@@ -101,7 +101,9 @@ class QuadratureSpec:
     bisects only the panels whose own defects (a panel's Gauss-Legendre sum
     against the sum over its two halves) do not yet fit in a quarter of
     rel_tol times the scale, for at most _MAX_ROUNDS rounds, and reports
-    the summed per-panel defects as its error estimate.
+    the summed per-panel defects as its error estimate. It also sets the
+    initial grading of diagonal_panel_integral's panels, the widest at which
+    one Gauss-Legendre panel of the rule's order meets it (_panel_ratio).
     Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
     rules (12, 10, and 10 and 14), the head band _INNER_RADIUS of the
     pointwise fractional Laplacian and the far edge _OUTER_RADIUS of the
@@ -349,10 +351,26 @@ def log_edges(lo: float, hi: float, per_decade: int = 4,
     return edges
 
 
-# the band about t = rho, DIAGONAL_BAND rho to a side, and the geometric run
-# of DIAGONAL_RUN_EDGES edges beside it out to DIAGONAL_RUN rho: the edges of
-# diagonal_panel_integral and of the energy's inner rule
-DIAGONAL_BAND, DIAGONAL_RUN, DIAGONAL_RUN_EDGES = 1e-9, 0.4, 20
+# the band about t = rho, DIAGONAL_BAND rho to a side, and the geometric runs
+# beside it out to DIAGONAL_RUN rho: diagonal_panel_integral's band and runs
+# (graded by _panel_ratio) and the energy's inner rule's (operator)
+DIAGONAL_BAND, DIAGONAL_RUN = 1e-9, 0.4
+
+
+def _panel_ratio(order: int, rel_tol: float) -> float:
+    """The widest ratio sigma at which one order-`order` Gauss-Legendre panel
+    [a, sigma a] meets rel_tol / 4 on a function with a branch point at 0.
+
+    A function analytic inside the Bernstein ellipse of parameter rho_E
+    about the panel is integrated to a relative O(rho_E^(-2 order))
+    (Trefethen, SIAM Review 50 (2008), Thm 4.5; Davis and Rabinowitz,
+    Methods of Numerical Integration, 1984), so rho_E = (4 /
+    rel_tol)^(1/(2 order)), and the ellipse about [a, sigma a] reaches 0 at
+    sigma = ((rho_E + 1) / (rho_E - 1))^2: 8.2 at order 12 and rel_tol
+    1e-7, 5.8 at order 8 and 3e-6.
+    """
+    rho_e = (4.0 / rel_tol) ** (0.5 / order)
+    return ((rho_e + 1.0) / (rho_e - 1.0)) ** 2
 
 
 def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
@@ -361,14 +379,21 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     the keywords passed on, where fn may grow like |t - rho|^power,
     -1 < power <= 0, at an interior t = rho.
 
-    With rho outside (lo, hi) this is adaptive_panel_integral on
-    log_edges(lo, hi, 4, splits). Otherwise the band (rho - a, rho + a),
+    rel_tol sets the initial grading as well as the target: with sigma =
+    _panel_ratio(order, rel_tol), the widest panel [a, sigma a] that one
+    order-`order` rule (the `order` keyword, else 12) integrates to
+    rel_tol / 4 past a branch point at 0, the plain edges are
+    log_edges(lo, hi, ceil(ln 10 / ln sigma), splits), two a decade at
+    order 12 and rel_tol 1e-7. With rho outside (lo, hi) this is
+    adaptive_panel_integral on them. Otherwise the band (rho - a, rho + a),
     a = DIAGONAL_BAND rho clipped to [lo, hi], is one panel on which fn is
     never evaluated: its nodes are evaluated at the band's lower edge and
     those values, in the fresh array fn returns, are set to 0, so it adds 0
-    with defect 0. The edges gain the geometric runs
-    rho -+ geomspace(a, DIAGONAL_RUN rho, DIAGONAL_RUN_EDGES), and every
-    edge inside the band goes.
+    with defect 0. The edges gain on each side the geometric run
+    rho -+ geomspace(a, span, ceil(ln(span / a) / ln sigma) + 1), span =
+    min(DIAGONAL_RUN rho, the distance to lo resp. hi): 11 edges at order
+    12 and rel_tol 1e-7, 13 at order 8 and 3e-6. Every edge inside the
+    band goes.
     Each side of the band is the engine's head formula
     fn(rho -+ a) a / (power + 1), charged its size times the relative defect
     of that power model at rho -+ 2a, times max(1, 1 / ((power + 1) ln 2)),
@@ -393,7 +418,10 @@ def diagonal_panel_rows(fn, lo, hi, rho, quad: QuadratureSpec,
 
 def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
     """diagonal_panel_integral with the panels integrated by `integrate`."""
-    edges = log_edges(lo, hi, 4, splits=splits)
+    log_sigma = math.log(_panel_ratio(kw.get("order") or _DEFAULT_ORDER,
+                                      quad.rel_tol))
+    edges = log_edges(lo, hi, math.ceil(math.log(10.0) / log_sigma),
+                      splits=splits)
     if not lo < rho < hi:
         return integrate(fn, edges, quad, **kw)
     a = DIAGONAL_BAND * rho
@@ -402,8 +430,8 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
     for side, span in ((-1.0, rho - lo), (1.0, hi - rho)):
         span = min(DIAGONAL_RUN * rho, span)
         if span > a:
-            runs.append(rho + side * np.geomspace(a, span,
-                                                  DIAGONAL_RUN_EDGES))
+            count = math.ceil(math.log(span / a) / log_sigma) + 1
+            runs.append(rho + side * np.geomspace(a, span, count))
     edges = np.concatenate(runs)
     edges = edges[(edges <= b_lo) | (edges >= b_hi)]
 

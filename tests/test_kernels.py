@@ -465,16 +465,22 @@ class TestResolventSeries:
     @pytest.mark.parametrize("dim, order", RESOLVENT_SWEEP)
     def test_value_does_not_depend_on_its_batch(self, dim, order):
         # every route and every depth bin of the continued fraction in one
-        # call, bit for bit the one-node calls (one-entry arrays: numpy's
-        # scalar power rounds differently from its array loop)
-        d = np.geomspace(1e-6, 1e3, 97)
-        ry = np.geomspace(0.05, 3.0, 97)
+        # call, bit for bit the calls on one pair of Python floats (numpy's
+        # scalar power rounds differently from its array loop); the second
+        # batch holds the node of (3, .5), gamma .8, alpha 1 at which a lone
+        # Python-float d once rounded an ulp apart
+        batches = [(np.geomspace(1e-6, 1e3, 97), 0.8,
+                    np.geomspace(0.05, 3.0, 97)),
+                   (np.geomspace(1e-4, 200.0, 3001)[1990:2010], 0.5, 0.7)]
         for p in sweep_params(dim, order):
             for alpha in (1e-3, 1.0, 100.0):
-                got = resolvent_radial(alpha, d, 0.8, ry, p)
-                one = [resolvent_radial(alpha, d[i:i + 1], 0.8, ry[i:i + 1],
-                                        p)[0] for i in range(d.size)]
-                assert np.array_equal(got, one), (p, alpha)
+                for d, rx, ry in batches:
+                    got = resolvent_radial(alpha, d, rx, ry, p)
+                    ys = np.broadcast_to(ry, d.shape)
+                    one = [resolvent_radial(alpha, float(di), rx, float(yi),
+                                            p) for di, yi in zip(d, ys)]
+                    assert np.array_equal(got, one), (p, alpha)
+                    assert np.shape(one[0]) == ()
 
 
 def uniform_sphere_mean(kern, rho, r):

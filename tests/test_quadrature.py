@@ -1,6 +1,7 @@
 """Singular quadrature engine against closed-form and stochastic oracles."""
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -234,12 +235,15 @@ class TestPanelIntegral:
                 lambda r: np.stack([r, np.where(r < 0.3, 0.0, 1.0)]),
                 np.array([0.0, 1.0]), quad, label="jump-rows")
 
-    def test_diagonal_band_beside_a_base_grid_edge(self, quad):
+    def test_diagonal_band_beside_a_base_grid_edge(self):
         # 1.3 - 1.2 = 0.10000000000000009 sits 9e-17 from the base-grid
         # edge 0.1, inside the band around rho: that edge goes, fn is never
-        # called within the band, and the band's power head completes it
+        # called within the band, and the band's power head completes it;
+        # the grading that rel_tol and the order set meets rel_tol
         rho = 1.3 - 1.2
-        for p in (-0.9, -0.5, 0.0):
+        for order, rel_tol, p in itertools.product(
+                (8, 12), (1e-7, 1e-10), (-0.9, -0.5, 0.0)):
+            case = (order, rel_tol, p)
             nearest = []
 
             def fn(t):
@@ -248,13 +252,37 @@ class TestPanelIntegral:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                val, err = diagonal_panel_integral(fn, 1e-10, 1.0, rho, quad,
-                                                   p)
+                val, err = diagonal_panel_integral(
+                    fn, 1e-10, 1.0, rho, QuadratureSpec(rel_tol), p,
+                    order=order)
             exact = ((rho - 1e-10) ** (p + 1.0) + (1.0 - rho) ** (p + 1.0)) \
                 / (p + 1.0)
-            assert val == pytest.approx(exact, rel=1e-9), p
-            assert abs(val - exact) <= err + 1e-15 * exact, p
-            assert min(nearest) >= 0.5e-9 * rho, p
+            assert val == pytest.approx(exact, rel=1e-9), case
+            assert abs(val - exact) <= err + 1e-15 * exact, case
+            assert err <= 5.0 * rel_tol * exact, case
+            assert min(nearest) >= 0.5e-9 * rho, case
+
+    @pytest.mark.parametrize("order, rel_tol, run, per_decade",
+                             [(12, 1e-7, 11, 2), (8, 3e-6, 13, 2)])
+    def test_diagonal_grading_from_order_and_rel_tol(
+            self, count_calls, order, rel_tol, run, per_decade):
+        # the widest panel [a, sigma a] one order-n rule integrates to
+        # rel_tol / 4 past a branch point: sigma = ((rho_E + 1) /
+        # (rho_E - 1))^2, rho_E = (4 / rel_tol)^(1/(2n)), 8.2 resp. 5.8
+        from fracgreen import quadrature
+        calls = count_calls(quadrature, "adaptive_panel_integral")
+        diagonal_panel_integral(np.ones_like, 1e-4, 100.0, 1.0,
+                                QuadratureSpec(rel_tol), 0.0, order=order)
+        (args,) = calls
+        edges = np.unique(args[1])
+        # each run from the band's edge 1e-9 out to 0.4
+        for side in (-1.0, 1.0):
+            gap = side * (edges - 1.0)
+            inside = (gap > 0.0) & (gap <= 0.4 + 1e-12)
+            assert np.count_nonzero(inside) == run, side
+        # the plain edges on [1e-4, 1e-1]: three decades
+        plain = np.count_nonzero(edges <= 0.1 * (1.0 + 1e-12))
+        assert plain == 3 * per_decade + 1
 
     def test_non_integrable_pieces_rejected(self, quad):
         edges = log_edges(1e-3, 1e3, 4)
