@@ -7,8 +7,6 @@ kernel estimates dictate: the |x|^(-gamma) blow-up rate at the origin,
 finiteness of the weighted square integral, and positivity.
 """
 
-import math
-
 from fracgreen import (Bump, ProblemParams, QuadratureSpec, axis_point,
                        delta_identity_check, green_potentials_at,
                        hardy_integrability_check, origin_slope_fit)
@@ -27,15 +25,6 @@ for rho in (0.3, 0.6, 0.9):
 outside = delta_identity_check(f, axis_point(1.7, 3), params, quad)
 print(f"  |x0|=1.7 (outside support): recovered {outside.computed:+.2e} "
       f"~ 0")
-
-print("\npositive coupling, surrogate kernel: ratio is only comparable,")
-print("but stable under refinement:")
-p_mid = ProblemParams.from_theta(3, 0.5, 1 / math.pi)
-off = Bump(0.4, center_norm=1.2)
-rep = delta_identity_check(off, axis_point(1.3, 3), p_mid, quad,
-                           mode="comparability")
-print(f"  ratio = {rep.details['ratio']:.4f}, refinement stability "
-      f"{rep.details['refinement_stability']:.1e}")
 
 print(f"\nnear-origin blow-up of the surrogate potential "
       f"(gamma = {g:.3f}):")

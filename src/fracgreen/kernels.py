@@ -421,9 +421,6 @@ def resolvent_radial(alpha: float, d, rx, ry, params: ProblemParams):
 # The kernels of the potentials
 # ---------------------------------------------------------------------------
 
-_SHELL_BLOCK = 128  # shells per batched (shells, angle nodes) evaluation
-
-
 class _Kernel:
     """K(x, y) = pair_value(|x-y|, |x|, |y|); distance_only kernels depend
     on |x-y| alone and are defined at the origin. homogeneous kernels obey

@@ -38,12 +38,12 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .errors import DomainError, ToleranceError
+from .errors import DegenerateInputError, DomainError, ToleranceError
 from .fields import RadialField
-from .kernels import _SHELL_BLOCK, _make_kernel, _SurrogateKernel
+from .kernels import _make_kernel
 from .params import ProblemParams
 from .quadrature import (_RULE_POINTS, QuadratureSpec, _at_point,
-                         _far_edge, axis_point, blockwise,
+                         axis_point, blockwise,
                          diagonal_panel_integral,
                          diagonal_panel_rows, frac_laplacian_at_detailed,
                          integrate_radial_singular, panel_nodes, polar_rule,
@@ -62,11 +62,8 @@ _PAIR_NODES = 1 << 15
 # the Gauss-Legendre order of the polar panels of the two-angle rule
 _PAIR_ORDER = 10
 # polar edges shared by every shell; each shell adds a geometric run through
-# its own kernel boundary layer (_row_edges), ending at pi resp. pi/2
+# its own kernel boundary layer, ending at pi
 _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
-_DELTA_EDGES = np.concatenate([np.delete(np.linspace(0.0, math.pi, 13), 6),
-                               math.pi - np.geomspace(1e-7, 0.49 * math.pi,
-                                                      14)])
 # engine values behind a flap profile's interpolant outside the support
 _FLAP_OUTSIDE = 17
 
@@ -226,14 +223,6 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
         label="potential-pair")
 
 
-def _row_edges(run_lo, run_hi, n_run, fixed):
-    """Sorted polar panel edges, one row per entry of run_lo: the geometric
-    run geomspace(run_lo, run_hi, n_run) and the fixed edges."""
-    run = np.geomspace(run_lo, run_hi, n_run, axis=1)
-    fixed = np.broadcast_to(fixed, (run.shape[0], len(fixed)))
-    return np.sort(np.hstack([run, fixed]), axis=1)
-
-
 def _second_angle(dim):
     """Nodes cos(chi) of the second reduction angle and weights that average
     over them: the azimuth chi on S^(N-2) for N >= 3, the two signs of
@@ -278,7 +267,9 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     else:
         layer, layer_row = np.unique(
             np.clip(np.abs(rho - r) / rho, 1e-8, 0.3), return_inverse=True)
-        edges = _row_edges(0.01 * layer, math.pi, 24, _PAIR_EDGES)
+        run = np.geomspace(0.01 * layer, math.pi, 24, axis=1)
+        fixed = np.broadcast_to(_PAIR_EDGES, (layer.size, _PAIR_EDGES.size))
+        edges = np.sort(np.hstack([run, fixed]), axis=1)
         theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
         edges = edges[layer_row]
         cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
@@ -548,118 +539,54 @@ class FlapProfile(RadialField):
     def tail_start(self):
         return 12.5 * self.sup
 
-    def delta_identity(self, x0, mode: str = "strict") -> VerificationReport:
+    def delta_identity(self, x0) -> VerificationReport:
         """The weak delta identity of self.f at x0 (delta_identity_check),
         on this profile."""
-        x0 = _delta_point(x0, self.p, mode)
+        x0 = _delta_point(x0)
         f_x0 = float(self.f(x0))
-        peak = float(np.max(self.f.profile(np.linspace(0.0, self.sup, 512))))
-
-        if mode == "strict":
-            # int Phi(x0 - z) (-Delta)^s f(z) dz, Phi = a(N,s) |.|^-(N-2s):
-            # the radial moment with its pole at x0
-            N, a_const = self.p.dim, self.p.riesz_constant
-            val, err = radial_moment(
-                self, N - 2.0 * self.p.order, N, self.quad,
-                pole=float(np.linalg.norm(x0 - self.f.center(N))),
-                scale_hint=abs(self.mass), label="delta-strict")
-            computed = a_const * val
-            scale = abs(f_x0) if abs(f_x0) > 0.1 * peak else peak
-            residual = abs(computed - f_x0) / scale
-            return VerificationReport(
-                name="delta-identity-zero-coupling",
-                computed=computed, reference=f_x0, tolerance=1e-3,
-                residual=residual, passed=bool(residual <= 1e-3),
-                details={"mode": mode, "relative_scale": scale,
-                         "error_estimate": a_const * err,
-                         "flap_engine_error": self.engine_error})
-
-        # comparability: collinear geometry, surrogate kernel, full operator
-        v1 = _delta_surrogate_value(self, x0, order=10)
-        v2 = _delta_surrogate_value(self, x0, order=14)
-        ratio = v1 / f_x0 if f_x0 != 0 else math.inf
-        stability = abs(v2 - v1) / max(abs(v2), 1e-300)
+        peak = float(np.max(np.abs(
+            self.f.profile(np.linspace(0.0, self.sup, 512)))))
+        if peak == 0.0:
+            raise DegenerateInputError("the delta identity's field vanishes")
+        # int Phi(x0 - z) (-Delta)^s f(z) dz, Phi = a(N,s) |.|^-(N-2s): the
+        # radial moment with its pole at x0
+        N, a_const = self.p.dim, self.p.riesz_constant
+        val, err = radial_moment(
+            self, N - 2.0 * self.p.order, N, self.quad,
+            pole=float(np.linalg.norm(x0 - self.f.center(N))),
+            scale_hint=abs(self.mass), label="delta-strict")
+        computed = a_const * val
+        scale = abs(f_x0) if abs(f_x0) > 0.1 * peak else peak
+        residual = abs(computed - f_x0) / scale
         return VerificationReport(
-            name="delta-identity-comparability",
-            computed=v2 / f_x0 if f_x0 != 0 else math.inf,
-            reference=1.0, tolerance=math.inf,
-            residual=stability,
-            passed=bool(math.isfinite(ratio) and stability < 0.05),
-            details={"mode": mode, "ratio": ratio,
-                     "refinement_stability": stability})
+            name="delta-identity-zero-coupling",
+            computed=computed, reference=f_x0, tolerance=1e-3,
+            residual=residual, passed=bool(residual <= 1e-3),
+            details={"mode": "strict", "relative_scale": scale,
+                     "error_estimate": a_const * err,
+                     "flap_engine_error": self.engine_error})
 
 
-def _delta_point(x0, params: ProblemParams, mode: str):
-    """Check the arguments of the delta identity at x0; x0 as an array."""
-    if mode not in ("strict", "comparability"):
-        raise DomainError("mode must be 'strict' or 'comparability'")
-    if mode == "comparability" and params.dim == 1:
-        raise DomainError("comparability mode needs N >= 2: at N = 1 both "
-                          "angular orders give one two-point rule, and the "
-                          "radial panels miss the kernel's diagonal")
+def _delta_point(x0):
+    """Check the point of the delta identity; x0 as an array."""
     x0 = np.asarray(x0, dtype=float)
-    rho0 = float(np.linalg.norm(x0))
-    if rho0 == 0.0:
+    if float(np.linalg.norm(x0)) == 0.0:
         raise DomainError("the identity is checked away from the origin")
-    off_axis = float(np.linalg.norm(x0[1:]))
-    if mode == "comparability" and off_axis > 1e-12 * rho0:
-        raise DomainError("comparability mode expects x0 on the first axis")
     return x0
 
 
 def delta_identity_check(f: RadialField, x0, params: ProblemParams,
-                         quad: QuadratureSpec, mode: str = "strict",
+                         quad: QuadratureSpec,
                          n_inside: int = 40) -> VerificationReport:
-    """Weak delta identity: int K(x0, z) (P f)(z) dz should return f(x0).
-
-    mode="strict": zero-coupling case with the exact kernel; P reduces to
-    (-Delta)^s and the pass tolerance is 1e-3 (relative where f(x0) is away
-    from zero, absolute in the peak otherwise).
-    mode="comparability": coupling > 0 with the surrogate kernel; only the
-    ratio to f(x0) and its refinement stability are reported (the surrogate
-    matches the true kernel up to unknown two-sided constants); N >= 2.
+    """Weak delta identity at zero coupling: int Phi(x0 - z) (-Delta)^s f(z)
+    dz, Phi the exact kernel a(N,s)|.|^(2s-N), should return f(x0). The
+    pass tolerance is 1e-3, relative where f(x0) is away from zero and
+    absolute in the peak of |f| otherwise; a field that vanishes raises
+    DegenerateInputError.
 
     Builds the flap profile of f for this one point; to check several
     points of one field, build a FlapProfile and call its delta_identity.
     """
-    x0 = _delta_point(x0, params, mode)
+    x0 = _delta_point(x0)
     flap = FlapProfile(f, params, quad, n_inside=n_inside)
-    return flap.delta_identity(x0, mode)
-
-
-def _delta_surrogate_value(flap: FlapProfile, x0, order: int) -> float:
-    """int K_surrogate(x0, z) (P f)(z) dz on collinear geometry."""
-    f, params, quad = flap.f, flap.p, flap.quad
-    N, s = params.dim, params.order
-    theta = params.hardy_strength
-    kern = _SurrogateKernel(params)
-    c = f.center_norm
-    rho0 = float(np.asarray(x0, float)[0])
-    sup = flap.sup
-    # flap is unbounded, tail_start 12.5 sup: the cut is max(1e3, 50 sup, ...)
-    r_hi = _far_edge(flap, 8.0 * abs(rho0), 8.0 * abs(c))
-
-    q = rho0 - c  # displacement of x0 from the density center, signed
-
-    def shells(t, fp, fv):
-        # z = c e1 + t nu, th = angle(nu, sign(q) e1): the kernel diagonal
-        # sits at th = 0, and the angle of nu from e1 is th or pi - th
-        layer = np.clip(np.abs(t - abs(q)) / max(abs(q), 1e-3), 1e-7, 0.3)
-        th, w = polar_rule(N, order, _row_edges(
-            0.005 * layer, 0.5 * math.pi, 14, _DELTA_EDGES))
-        t = t[:, None]
-        d0 = shell_distance(abs(q), t, th)
-        z = shell_distance(c, t, math.pi - th if q >= 0 else th)
-        kv = kern.pair_value(d0, abs(rho0), z)
-        p_f = fp[:, None] - theta * fv[:, None] * z ** (-2.0 * s)
-        return (kv * p_f * w).sum(axis=1)
-
-    def integrand(t_nodes):
-        out = blockwise(shells, _SHELL_BLOCK, t_nodes, flap.profile(t_nodes),
-                        f.profile(t_nodes))
-        return out * t_nodes ** (N - 1.0)
-
-    val, _ = diagonal_panel_integral(
-        integrand, 1e-9 * sup, r_hi, abs(q), quad, min(0.0, 2.0 * s - 1.0),
-        (abs(c), sup), order=8, label="delta-surrogate")
-    return float(val)
+    return flap.delta_identity(x0)

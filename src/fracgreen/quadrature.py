@@ -105,7 +105,7 @@ class QuadratureSpec:
     initial grading of diagonal_panel_integral's panels, the widest at which
     one Gauss-Legendre panel of the rule's order meets it (_panel_ratio).
     Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
-    rules (12, 10, and 10 and 14), the head band _INNER_RADIUS of the
+    rules (12 and 10), the head band _INNER_RADIUS of the
     pointwise fractional Laplacian and the far edge _OUTER_RADIUS of the
     radial integrals of unbounded fields.
     """

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracgreen import (Bump, DomainError, FracgreenError, Gaussian,
+from fracgreen import (Bump, DegenerateInputError, DomainError, Gaussian,
                        ProblemParams, ToleranceError, axis_point,
                        delta_identity_check, frac_laplacian_at_detailed,
                        green_potentials_at, hardy_integrability_check,
@@ -516,25 +516,52 @@ class TestDeltaIdentity:
         rep = delta_identity_check(f, axis_point(1.3, 3), params_3big, quad)
         assert rep.passed
 
-    def test_mode_error(self, count_calls, params_3half, quad):
-        built = count_calls(FlapProfile, "__init__")
-        with pytest.raises(DomainError):
-            delta_identity_check(Bump(1.0), axis_point(0.5, 3), params_3half,
-                                 quad, mode="verify")
-        assert built == []  # raised before any profile was built
+    def test_strict_off_the_first_axis(self, quad):
+        # an off-centre density checked across and along its centre's axis:
+        # the identity depends on |x0 - c| alone, so the two points agree
+        f = Bump(0.4, center_norm=1.2)
+        for dim, s in ((2, 0.4), (3, 0.5), (5, 0.9)):
+            p = ProblemParams.from_gamma(dim, s, 0.4 * (dim - 2 * s))
+            flap = FlapProfile(f, p, quad)
+            c, e1 = axis_point(1.2, dim), axis_point(1.0, dim)
+            e2 = np.eye(dim)[1]
+            for r in (0.1, 0.3, 0.7):
+                across = flap.delta_identity(c + r * e2)
+                along = flap.delta_identity(c + r * e1)
+                assert across.passed and along.passed, (dim, s, r)
+                bound = (across.details["error_estimate"]
+                         + along.details["error_estimate"])
+                assert abs(across.computed - along.computed) <= bound, (
+                    dim, s, r)
+
+    def test_negative_field_scales_by_its_modulus(self, quad):
+        # the residual's scale is the peak of |f|: -f reports f's residuals
+        p = ProblemParams.from_gamma(3, 0.5, 0.4)
+        for rho in (0.5, 1.6):
+            x0 = axis_point(rho, 3)
+            neg = delta_identity_check(Bump(1.0, amplitude=-1.0), x0, p, quad)
+            pos = delta_identity_check(Bump(1.0), x0, p, quad)
+            assert neg.passed
+            assert neg.residual == pos.residual
+            assert neg.computed == -pos.computed
+
+    def test_vanishing_field(self, quad):
+        p = ProblemParams.from_gamma(3, 0.5, 0.4)
+        with pytest.raises(DegenerateInputError, match="vanishes"):
+            delta_identity_check(Bump(1.0, amplitude=0.0), axis_point(0.5, 3),
+                                 p, quad)
 
     # explicit ids keep each case's name when a case is added or removed
-    @pytest.mark.parametrize("dim,x0,kwargs", [
-        (1, (0.5,), {"mode": "comparability"}),
-        (3, (0.0, 0.0, 0.0), {}),
-        (3, (0.5, 0.5, 0.0), {"mode": "comparability"}),
-    ], ids=["1-x01-kwargs1", "3-x02-kwargs2", "3-x03-kwargs3"])
+    @pytest.mark.parametrize("dim,x0", [
+        (1, (0.0,)),
+        (3, (0.0, 0.0, 0.0)),
+    ], ids=["1-x00", "3-x02-kwargs2"])
     def test_argument_errors_before_any_profile(self, count_calls, quad,
-                                                dim, x0, kwargs):
+                                                dim, x0):
         built = count_calls(FlapProfile, "__init__")
         p = ProblemParams.from_gamma(dim, 0.25, 0.4 * (dim - 0.5))
         with pytest.raises(DomainError):
-            delta_identity_check(Bump(1.0), np.array(x0), p, quad, **kwargs)
+            delta_identity_check(Bump(1.0), np.array(x0), p, quad)
         assert built == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -561,22 +588,6 @@ class TestDeltaIdentity:
             alone = delta_identity_check(Bump(1.0), x0, p, quad,
                                          n_inside=32).as_dict()
             assert shared == alone, (dim, s, rho)
-
-    def test_comparability_reports_stable_ratio(self, params_3half,
-                                                params_2d, quad):
-        f = Bump(0.4, center_norm=1.2)
-        for dim, p in ((3, params_3half), (2, params_2d)):
-            rep = delta_identity_check(f, axis_point(1.3, dim), p, quad,
-                                       mode="comparability")
-            assert rep.details["mode"] == "comparability"
-            assert math.isfinite(rep.details["ratio"])
-            assert rep.details["refinement_stability"] < 0.05
-            assert rep.passed
-        # N = 1 has no angular refinement to compare
-        p1 = ProblemParams.from_gamma(1, 0.25, 0.2)
-        with pytest.raises(FracgreenError, match="N >= 2"):
-            delta_identity_check(f, axis_point(1.3, 1), p1, quad,
-                                 mode="comparability")
 
     @pytest.mark.parametrize("dim,s", SWEEP)
     def test_profile_matches_the_engine_off_its_nodes(self, dim, s, quad):
