@@ -188,7 +188,11 @@ class TruncatedPowerLaw(RadialField):
     above `outer_cut`, with C^2 quintic blends in log r over one octave.
 
     Exact power law on [2*inner_cut, outer_cut/2]; the blend zones are
-    (inner_cut, 2*inner_cut) and (outer_cut/2, outer_cut).
+    (inner_cut, 2*inner_cut) and (outer_cut/2, outer_cut). Outside them the
+    blend weights are exactly 0 or 1, so the profile takes its zone's value
+    directly: amplitude * exp(-alpha log inner_cut) up to inner_cut,
+    amplitude * exp(-alpha log r) on [2*inner_cut, outer_cut/2], and zero
+    from outer_cut. Only the blend zones evaluate the blends (_blend).
     """
 
     def __init__(self, exponent: float, inner_cut: float, outer_cut: float,
@@ -204,6 +208,23 @@ class TruncatedPowerLaw(RadialField):
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
+        a, amp = self.exponent, self.amplitude
+        r1, r2 = self.inner_cut, self.outer_cut
+        out = np.empty_like(r)
+        inner = r <= r1
+        power = (r >= 2.0 * r1) & (r <= 0.5 * r2)
+        outer = r >= r2
+        # the two blend octaves, and any nan
+        blend = ~(inner | power | outer)
+        if inner.any():
+            # the cap amp r1^-a, which may overflow, only where it is used
+            out[inner] = amp * np.exp(-a * math.log(r1))
+        out[power] = amp * np.exp(-a * np.log(r[power]))
+        out[outer] = amp * 0.0
+        out[blend] = self._blend(r[blend])
+        return out
+
+    def _blend(self, r):
         a = self.exponent
         r1, r2 = self.inner_cut, self.outer_cut
         safe = np.maximum(r, 1e-300)

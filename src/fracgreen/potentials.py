@@ -64,6 +64,12 @@ _PAIR_ORDER = 10
 # polar edges shared by every shell; each shell adds a geometric run through
 # its own kernel boundary layer, ending at pi
 _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
+# the pair rule's polar edges, nodes and weights by (dimension, layer
+# width), and its second-angle rule by dimension, read-only, built on first
+# use; the oldest width goes once _PAIR_LAYERS_MAX are held
+_PAIR_LAYERS = {}
+_PAIR_LAYERS_MAX = 256
+_SECOND_ANGLES = {}
 # engine values behind a flap profile's interpolant outside the support
 _FLAP_OUTSIDE = 17
 
@@ -223,17 +229,50 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
         label="potential-pair")
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _second_angle(dim):
     """Nodes cos(chi) of the second reduction angle and weights that average
     over them: the azimuth chi on S^(N-2) for N >= 3, the two signs of
-    theta (cos chi = +-1) for N = 2, a single node for N = 1."""
-    if dim >= 3:
-        chi, wc = panel_nodes(np.linspace(0.0, math.pi, 9), 10)
-        return np.cos(chi), wc * np.sin(chi) ** (dim - 3) * (
-            sphere_area(dim - 2) / sphere_area(dim - 1))
-    if dim == 2:
-        return np.array([1.0, -1.0]), np.array([0.5, 0.5])
-    return np.ones(1), np.ones(1)
+    theta (cos chi = +-1) for N = 2, a single node for N = 1. Built once per
+    dimension (_SECOND_ANGLES)."""
+    if dim not in _SECOND_ANGLES:
+        if dim >= 3:
+            chi, wc = panel_nodes(np.linspace(0.0, math.pi, 9), 10)
+            rule = np.cos(chi), wc * np.sin(chi) ** (dim - 3) * (
+                sphere_area(dim - 2) / sphere_area(dim - 1))
+        elif dim == 2:
+            rule = np.array([1.0, -1.0]), np.array([0.5, 0.5])
+        else:
+            rule = np.ones(1), np.ones(1)
+        _SECOND_ANGLES[dim] = _read_only(*rule)
+    return _SECOND_ANGLES[dim]
+
+
+def _polar_layers(dim, layer):
+    """The pair rule's polar edges, nodes and weights for each of the layer
+    widths `layer`, one row each: Gauss-Legendre panels of order _PAIR_ORDER
+    on _PAIR_EDGES and a geometric run of 24 edges from 0.01 width to pi.
+    Each width's rule is built once per dimension (_PAIR_LAYERS), the
+    missing ones of a call together; a row does not depend on the others."""
+    widths = layer.tolist()
+    rules = [_PAIR_LAYERS.get((dim, w)) for w in widths]
+    miss = [i for i, rule in enumerate(rules) if rule is None]
+    if miss:
+        run = np.geomspace(0.01 * layer[miss], math.pi, 24, axis=1)
+        fixed = np.broadcast_to(_PAIR_EDGES, (len(miss), _PAIR_EDGES.size))
+        edges = np.sort(np.hstack([run, fixed]), axis=1)
+        theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
+        for i, rule in zip(miss, zip(edges, theta, wt)):
+            rules[i] = _read_only(*(a.copy() for a in rule))
+            if len(_PAIR_LAYERS) >= _PAIR_LAYERS_MAX:
+                del _PAIR_LAYERS[next(iter(_PAIR_LAYERS))]
+            _PAIR_LAYERS[dim, widths[i]] = rules[i]
+    return tuple(np.stack(a) for a in zip(*rules))
 
 
 def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
@@ -243,17 +282,19 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     theta is the angle from x, on polar panels refined geometrically into
     each shell's kernel boundary layer. A shell's panels depend on its layer
     width clip(|rho - r| / rho, 1e-8, 0.3) alone, so the polar nodes and
-    weights are built once per distinct width and gathered on the kept
-    panels only. The kernel depends on theta alone, through shell_distance,
-    so it is evaluated once per polar node; the density is averaged over
-    the second angle at each (off the density's axis). Only the
-    theta-panels that can reach the density's support are evaluated: on
-    the shell r, phi vanishes wherever the angle between w and y_c exceeds
-    cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that angle is at least
-    |theta - beta|. The skipped panels would add exact zeros. The shells
-    are evaluated in blocks of whole shells holding about _PAIR_NODES kept
-    polar nodes times second-angle nodes; a shell's value does not depend
-    on its block.
+    weights are built once per dimension and distinct width, and kept for
+    later calls (_polar_layers), as is the second-angle rule
+    (_second_angle); each shell gathers them on its kept panels only. The
+    kernel depends on theta alone, through shell_distance, so it is
+    evaluated once per polar node; the density is averaged over the second
+    angle at each (off the density's axis). Only the theta-panels that can
+    reach the density's support are evaluated: on the shell r, phi vanishes
+    wherever the angle between w and y_c exceeds cap = arccos((c^2 + r^2 -
+    R^2) / (2 c r)), and that angle is at least |theta - beta|. The skipped
+    panels would add exact zeros. The shells are evaluated in blocks of
+    whole shells holding about _PAIR_NODES kept polar nodes times
+    second-angle nodes, all at once when they fit in one; a shell's value
+    does not depend on its block.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
@@ -267,10 +308,7 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     else:
         layer, layer_row = np.unique(
             np.clip(np.abs(rho - r) / rho, 1e-8, 0.3), return_inverse=True)
-        run = np.geomspace(0.01 * layer, math.pi, 24, axis=1)
-        fixed = np.broadcast_to(_PAIR_EDGES, (layer.size, _PAIR_EDGES.size))
-        edges = np.sort(np.hstack([run, fixed]), axis=1)
-        theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
+        edges, theta, wt = _polar_layers(dim, layer)
         edges = edges[layer_row]
         cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
                                 -1.0, 1.0))[:, None]
@@ -280,6 +318,9 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     theta, wt = theta.reshape(shape), wt.reshape(shape)
     size = keep.sum(axis=1) * theta.shape[2] * w2.size
     block = (np.cumsum(size) - size) // _PAIR_NODES
+    if not block.any():
+        return _pair_block(kern, phi, rho, beta, r, theta, wt, layer_row,
+                           keep, cos_chi, w2)
     cuts = np.flatnonzero(np.diff(block)) + 1
     return np.concatenate([
         _pair_block(kern, phi, rho, beta, rb, theta, wt, lb, kb, cos_chi, w2)

@@ -1,6 +1,7 @@
 """Catalog fields: construction, smoothness of blends, interpolation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fracgreen import (Bubble, Bump, DomainError, Gaussian, PowerLaw,
                        SampledRadial, TruncatedPowerLaw, make_field,
                        near_optimizer)
-from fracgreen.fields import _CubicSpline
+from fracgreen.fields import _CubicSpline, _smoothstep
 
 
 class TestCatalog:
@@ -101,6 +102,49 @@ class TestTruncatedPowerLaw:
             d2_right = (v[2] - 2 * v[3] + v[4]) / h ** 2
             scale = abs(v[2]) / b ** 2 + abs(d2_left) + abs(d2_right)
             assert abs(d2_right - d2_left) <= 1e-2 * scale + 1e-9
+
+    @staticmethod
+    def blended(f, r):
+        """The profile by the blend formula at every radius, with no zones."""
+        a = f.exponent
+        r1, r2 = f.inner_cut, f.outer_cut
+        safe = np.maximum(np.asarray(r, dtype=float), 1e-300)
+        sig_in = _smoothstep(np.log(safe / r1) / math.log(2.0))
+        logv = -a * ((1.0 - sig_in) * math.log(r1) + sig_in * np.log(safe))
+        chi_out = 1.0 - _smoothstep(np.log(2.0 * safe / r2) / math.log(2.0))
+        return f.amplitude * np.exp(logv) * chi_out
+
+    @pytest.mark.parametrize("f", [
+        near_optimizer(0.2, 3, 0.5), near_optimizer(0.05, 5, 0.9),
+        TruncatedPowerLaw(1.7, 1e-2, 1e2),
+        TruncatedPowerLaw(0.3, 0.5, 7.0, amplitude=-2.5),
+        TruncatedPowerLaw(3.1, 2.0, 8.5)])
+    def test_zones_match_the_blend_formula(self, f):
+        # below inner_cut, on [2 inner_cut, outer_cut / 2] and from
+        # outer_cut the profile takes its zone's value directly: bit for
+        # bit the blend formula's, the sign of a zero included
+        r1, r2 = f.inner_cut, f.outer_cut
+        edges = np.array([0.0, r1, 2.0 * r1, 0.5 * r2, r2])
+        r = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0),
+            np.geomspace(1e-3 * r1, 1e3 * r2, 20001), [1e-310, np.inf]])
+        assert f.profile(r).tobytes() == self.blended(f, r).tobytes()
+        for x in edges:
+            assert float(f.profile(x)) == float(self.blended(f, x))
+        assert np.isnan(f.profile(np.array([np.nan]))).all()
+
+    def test_zones_leave_an_overflowing_cap_alone(self):
+        # inner_cut^-alpha overflows for both fields: the power zone and the
+        # zero from outer_cut stay finite and raise no warning (the blend
+        # formula gave inf * 0 = nan at outer_cut for the second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = TruncatedPowerLaw(2.0, 1e-200, 1e-100).profile(
+                np.array([1e-150, 1e-100, 1.0]))
+            w = TruncatedPowerLaw(8.0, 1e-200, 1e-100).profile(
+                np.array([1e-100, 1.0]))
+        assert v[0] == pytest.approx(1e300, rel=1e-13)
+        assert np.all(v[1:] == 0.0) and np.all(w == 0.0)
 
 
 class TestSampledRadial:

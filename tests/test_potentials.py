@@ -11,7 +11,8 @@ from fracgreen import (Bump, DegenerateInputError, DomainError, Gaussian,
                        green_potentials_at, hardy_integrability_check,
                        origin_slope_fit, riesz_kernel)
 from fracgreen import potentials
-from fracgreen.kernels import _ResolventKernel, _RieszKernel
+from fracgreen.kernels import (_ResolventKernel, _RieszKernel,
+                               _SurrogateKernel)
 from fracgreen.potentials import (FlapProfile, PotentialField,
                                   _density_range, _potential_pair)
 
@@ -417,6 +418,69 @@ class TestPairRule:
                                         kernel_kind="riesz_exact")
         assert riesz_pair_potential(phi, x, p, quad) == pytest.approx(
             ref, rel=1e-4)
+
+
+class TestPairShells:
+    # _pair_shell_integrals keeps its polar rules by (dimension, layer
+    # width) and its second-angle rules by dimension, and runs one block of
+    # shells without a split: neither may move a bit of a shell's value
+    CASES = [(1, 0.0), (1, math.pi), (2, 0.0), (2, 0.7), (3, math.pi),
+             (3, 0.7)]
+
+    @staticmethod
+    def shells(dim, beta, monkeypatch):
+        """Fresh memos, then the shells of one call twice, counting the
+        blocks of each call."""
+        monkeypatch.setattr(potentials, "_PAIR_LAYERS", {})
+        monkeypatch.setattr(potentials, "_SECOND_ANGLES", {})
+        blocks = []
+        pair_block = potentials._pair_block
+
+        def counted(*args):
+            blocks[-1] += 1
+            return pair_block(*args)
+
+        monkeypatch.setattr(potentials, "_pair_block", counted)
+        p = ProblemParams.from_gamma(dim, 0.4, 0.3 * (dim - 0.8))
+        kern = _SurrogateKernel(p)
+        phi = Bump(0.35, center_norm=1.0)
+        # shells through x's layer (distinct widths) and far from it
+        # (the clipped width 0.3)
+        r = np.concatenate([np.linspace(0.66, 1.34, 37), [0.7, 1.3]])
+        out = []
+        for _ in range(2):
+            blocks.append(0)
+            out.append(potentials._pair_shell_integrals(kern, phi, 0.9, beta,
+                                                        r, dim))
+        return out, blocks
+
+    @pytest.mark.parametrize("dim,beta", CASES)
+    def test_memos_and_blocks_leave_every_bit(self, dim, beta, monkeypatch):
+        monkeypatch.setattr(potentials, "_PAIR_NODES", 1 << 40)
+        (first, warm), blocks = self.shells(dim, beta, monkeypatch)
+        assert blocks == [1, 1]
+        assert np.any(first != 0.0)
+        assert first.tobytes() == warm.tobytes()
+        monkeypatch.setattr(potentials, "_PAIR_NODES", 8)
+        (split, _), blocks = self.shells(dim, beta, monkeypatch)
+        assert blocks[0] > 5
+        assert split.tobytes() == first.tobytes()
+        # a bound below the call's distinct widths evicts as it goes
+        monkeypatch.setattr(potentials, "_PAIR_LAYERS_MAX", 4)
+        (small, again), _ = self.shells(dim, beta, monkeypatch)
+        assert len(potentials._PAIR_LAYERS) <= 4
+        assert small.tobytes() == again.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_memoized_arrays_are_read_only(self, dim, monkeypatch):
+        self.shells(dim, 0.7, monkeypatch)
+        arrays = [a for rule in potentials._PAIR_LAYERS.values()
+                  for a in rule]
+        arrays += list(potentials._second_angle(dim))
+        assert len(arrays) > 2
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestOriginSlope:
