@@ -64,11 +64,13 @@ _PAIR_ORDER = 10
 # polar edges shared by every shell; each shell adds a geometric run through
 # its own kernel boundary layer, ending at pi
 _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
-# the pair rule's polar edges, nodes and weights by (dimension, layer
-# width), and its second-angle rule by dimension, read-only, built on first
-# use; the oldest width goes once _PAIR_LAYERS_MAX are held
-_PAIR_LAYERS = {}
-_PAIR_LAYERS_MAX = 256
+# the widest kernel boundary layer of the two-angle rule, in units of |x|:
+# every shell at least this far from |x| takes it
+_PAIR_LAYER_CLIP = 0.3
+# the pair rule's polar edges, nodes and weights for the width
+# _PAIR_LAYER_CLIP, and its second-angle rule, by dimension, read-only,
+# built on first use
+_CLIPPED_LAYER = {}
 _SECOND_ANGLES = {}
 # engine values behind a flap profile's interpolant outside the support
 _FLAP_OUTSIDE = 17
@@ -253,26 +255,31 @@ def _second_angle(dim):
     return _SECOND_ANGLES[dim]
 
 
-def _polar_layers(dim, layer):
+def _layer_rows(dim, layer):
     """The pair rule's polar edges, nodes and weights for each of the layer
     widths `layer`, one row each: Gauss-Legendre panels of order _PAIR_ORDER
-    on _PAIR_EDGES and a geometric run of 24 edges from 0.01 width to pi.
-    Each width's rule is built once per dimension (_PAIR_LAYERS), the
-    missing ones of a call together; a row does not depend on the others."""
-    widths = layer.tolist()
-    rules = [_PAIR_LAYERS.get((dim, w)) for w in widths]
-    miss = [i for i, rule in enumerate(rules) if rule is None]
-    if miss:
-        run = np.geomspace(0.01 * layer[miss], math.pi, 24, axis=1)
-        fixed = np.broadcast_to(_PAIR_EDGES, (len(miss), _PAIR_EDGES.size))
-        edges = np.sort(np.hstack([run, fixed]), axis=1)
-        theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
-        for i, rule in zip(miss, zip(edges, theta, wt)):
-            rules[i] = _read_only(*(a.copy() for a in rule))
-            if len(_PAIR_LAYERS) >= _PAIR_LAYERS_MAX:
-                del _PAIR_LAYERS[next(iter(_PAIR_LAYERS))]
-            _PAIR_LAYERS[dim, widths[i]] = rules[i]
-    return tuple(np.stack(a) for a in zip(*rules))
+    on _PAIR_EDGES and a geometric run of 24 edges from 0.01 width to pi. A
+    row does not depend on the others."""
+    run = np.geomspace(0.01 * layer, math.pi, 24, axis=1)
+    fixed = np.broadcast_to(_PAIR_EDGES, (layer.size, _PAIR_EDGES.size))
+    edges = np.sort(np.hstack([run, fixed]), axis=1)
+    theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
+    return edges, theta, wt
+
+
+def _polar_layers(dim, layer):
+    """_layer_rows for the ascending layer widths `layer`, taking the row of
+    the width _PAIR_LAYER_CLIP, which every shell far from x shares, from
+    _CLIPPED_LAYER, built once per dimension. The other widths come from
+    adaptive nodes near |x| and seldom repeat: they are built per call."""
+    if layer[-1] < _PAIR_LAYER_CLIP:
+        return _layer_rows(dim, layer)
+    if dim not in _CLIPPED_LAYER:
+        _CLIPPED_LAYER[dim] = _read_only(*_layer_rows(dim, layer[-1:]))
+    if layer.size == 1:
+        return _CLIPPED_LAYER[dim]
+    return tuple(np.concatenate(rows) for rows in zip(
+        _layer_rows(dim, layer[:-1]), _CLIPPED_LAYER[dim]))
 
 
 def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
@@ -281,17 +288,18 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
 
     theta is the angle from x, on polar panels refined geometrically into
     each shell's kernel boundary layer. A shell's panels depend on its layer
-    width clip(|rho - r| / rho, 1e-8, 0.3) alone, so the polar nodes and
-    weights are built once per dimension and distinct width, and kept for
-    later calls (_polar_layers), as is the second-angle rule
-    (_second_angle); each shell gathers them on its kept panels only. The
-    kernel depends on theta alone, through shell_distance, so it is
-    evaluated once per polar node; the density is averaged over the second
-    angle at each (off the density's axis). Only the theta-panels that can
-    reach the density's support are evaluated: on the shell r, phi vanishes
-    wherever the angle between w and y_c exceeds cap = arccos((c^2 + r^2 -
-    R^2) / (2 c r)), and that angle is at least |theta - beta|. The skipped
-    panels would add exact zeros. The shells are evaluated in blocks of
+    width clip(|rho - r| / rho, 1e-8, _PAIR_LAYER_CLIP) alone, so the polar
+    nodes and weights are built once per distinct width (_polar_layers) and
+    gathered on each shell's kept panels only. The clipped width, which
+    every shell far from x takes, keeps its rule for later calls, as the
+    second-angle rule does (_second_angle). The kernel depends on theta
+    alone, through shell_distance, so it is evaluated once per polar node;
+    the density is averaged over the second angle at each (off the
+    density's axis). Only the theta-panels that can reach the density's
+    support are evaluated: on the shell r, phi vanishes wherever the angle
+    between w and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)),
+    and that angle is at least |theta - beta|. The skipped panels would add
+    exact zeros. The shells are evaluated in blocks of
     whole shells holding about _PAIR_NODES kept polar nodes times
     second-angle nodes, all at once when they fit in one; a shell's value
     does not depend on its block.
@@ -307,7 +315,8 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
         keep = np.ones((r.size, 1), dtype=bool)
     else:
         layer, layer_row = np.unique(
-            np.clip(np.abs(rho - r) / rho, 1e-8, 0.3), return_inverse=True)
+            np.clip(np.abs(rho - r) / rho, 1e-8, _PAIR_LAYER_CLIP),
+            return_inverse=True)
         edges, theta, wt = _polar_layers(dim, layer)
         edges = edges[layer_row]
         cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),

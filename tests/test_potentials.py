@@ -421,9 +421,9 @@ class TestPairRule:
 
 
 class TestPairShells:
-    # _pair_shell_integrals keeps its polar rules by (dimension, layer
-    # width) and its second-angle rules by dimension, and runs one block of
-    # shells without a split: neither may move a bit of a shell's value
+    # _pair_shell_integrals keeps the clipped layer width's polar rule and
+    # the second-angle rule by dimension, and runs one block of shells
+    # without a split: neither may move a bit of a shell's value
     CASES = [(1, 0.0), (1, math.pi), (2, 0.0), (2, 0.7), (3, math.pi),
              (3, 0.7)]
 
@@ -431,7 +431,7 @@ class TestPairShells:
     def shells(dim, beta, monkeypatch):
         """Fresh memos, then the shells of one call twice, counting the
         blocks of each call."""
-        monkeypatch.setattr(potentials, "_PAIR_LAYERS", {})
+        monkeypatch.setattr(potentials, "_CLIPPED_LAYER", {})
         monkeypatch.setattr(potentials, "_SECOND_ANGLES", {})
         blocks = []
         pair_block = potentials._pair_block
@@ -465,17 +465,26 @@ class TestPairShells:
         (split, _), blocks = self.shells(dim, beta, monkeypatch)
         assert blocks[0] > 5
         assert split.tobytes() == first.tobytes()
-        # a bound below the call's distinct widths evicts as it goes
-        monkeypatch.setattr(potentials, "_PAIR_LAYERS_MAX", 4)
-        (small, again), _ = self.shells(dim, beta, monkeypatch)
-        assert len(potentials._PAIR_LAYERS) <= 4
-        assert small.tobytes() == again.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_clipped_row_matches_a_fresh_build(self, dim, monkeypatch):
+        # the kept row of the clipped width, alone or after other widths,
+        # equals the rows built with them in one call
+        monkeypatch.setattr(potentials, "_CLIPPED_LAYER", {})
+        clip = potentials._PAIR_LAYER_CLIP
+        for layer in ([clip], [1e-8, 0.01, 0.17, clip], [clip], [0.05, 0.2],
+                      [0.2, clip]):
+            layer = np.array(layer)
+            fresh = potentials._layer_rows(dim, layer)
+            kept = potentials._polar_layers(dim, layer)
+            for a, b in zip(kept, fresh):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert list(potentials._CLIPPED_LAYER) == [dim]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_memoized_arrays_are_read_only(self, dim, monkeypatch):
         self.shells(dim, 0.7, monkeypatch)
-        arrays = [a for rule in potentials._PAIR_LAYERS.values()
-                  for a in rule]
+        arrays = list(potentials._CLIPPED_LAYER[dim])
         arrays += list(potentials._second_angle(dim))
         assert len(arrays) > 2
         for a in arrays:
