@@ -49,9 +49,10 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams, rgamma, zeta
-from .quadrature import (_SERIES_TOL, QuadratureSpec, _power_series,
-                         adaptive_panel_integral, bipolar_sphere_integral,
-                         log_edges, sphere_mean_power)
+from .quadrature import (_SERIES_TOL, QuadratureSpec, _per_decade,
+                         _power_series, adaptive_panel_integral,
+                         bipolar_sphere_integral, log_edges,
+                         sphere_mean_power)
 
 
 def _norms(x, y, at_origin=False, on_diagonal=False):
@@ -173,7 +174,7 @@ def green_time_integral_quadrature(x, y, params: ProblemParams,
     # below t_lo the integrand is ~ t d^-(N+2s)
     val, _ = adaptive_panel_integral(
         lambda t: heat_profile_radial(t, d, rx, ry, params),
-        log_edges(t_lo, t_hi, 4, splits=(T,)), quad,
+        log_edges(t_lo, t_hi, _per_decade(12, quad.rel_tol), (T,)), quad,
         label="green-time-quadrature", head_power=1.0, tail=far)
     return val
 

@@ -187,6 +187,10 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     prev = None
     hi = max(_OUTER_RADIUS, 2.0 * scale0)
     for _ in range(6):
+        # 3 a decade, not _per_decade's 2: on the coarser first grid the
+        # inner rule's unestimated error, met at other outer nodes, moved
+        # Bump(1)'s quotient at (4, .75) by 5.7e-8 relative, past the outer
+        # estimate (ROADMAP item 4)
         edges = log_edges(lo, hi, 3, splits=breaks)
         # far tail: _inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
         val, _ = adaptive_panel_integral(outer_integrand, edges, quad,

@@ -21,8 +21,9 @@ It is the one entry point, for one point or many, and returns each value
 with its error estimate. A Riesz potential at its density's centre is
 quadrature.radial_moment of order N - 2s. The remaining case (off-center
 density, coupling-dependent kernel, arbitrary x) integrates each shell
-|y| = r with a two-angle rule, batched over blocks of shells
-(_pair_shell_integrals).
+|y| = r with a two-angle rule, batched over blocks of (point, shell) pairs
+(_pair_shell_integrals), the points outside the density's shell range on
+shared rules in r.
 
 The delta identity int K (P f) = f integrates the kernel against a
 FlapProfile, the radial field of Chebyshev interpolants of the engine's
@@ -55,17 +56,20 @@ _POTENTIAL = "green potential"
 # points per block of the centred route, whose temporaries are
 # (points, u-nodes)
 _POINT_BLOCK = 4
-# kept polar nodes x second-angle nodes per block of whole shells of the
-# two-angle rule, whose temporaries have that many entries (up to 350 x 80
-# per shell)
-_PAIR_NODES = 1 << 15
+# kept polar nodes x second-angle nodes per block of whole (point, shell)
+# pairs of the two-angle rule, whose temporaries have that many entries (up
+# to 350 x 80 per pair). Fastest of 2^10 to 2^15 on verify's origin-slope
+# row (12 points, one rule; 2-core Xeon): 18 ms at (3, .5) and (2, .4),
+# against 23-24 ms at 2^15, whose blocks outgrow the cache, and 28-29 at
+# 2^10
+_PAIR_NODES = 1 << 13
 # the Gauss-Legendre order of the polar panels of the two-angle rule
 _PAIR_ORDER = 10
-# polar edges shared by every shell; each shell adds a geometric run through
-# its own kernel boundary layer, ending at pi
+# polar edges shared by every (point, shell) pair; each pair adds a
+# geometric run through its own kernel boundary layer, ending at pi
 _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 # the widest kernel boundary layer of the two-angle rule, in units of |x|:
-# every shell at least this far from |x| takes it
+# every shell at least this far from its point's |x| takes it
 _PAIR_LAYER_CLIP = 0.3
 # the pair rule's polar edges, nodes and weights for the width
 # _PAIR_LAYER_CLIP, and its second-angle rule, by dimension, read-only,
@@ -110,8 +114,14 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
     each keeps its own value and error estimate. A ToleranceError names
     the unresolved point by its row in `points`.
     The resolvent kernel is not homogeneous, because alpha fixes a length,
-    so each of its points has a u-rule of its own; so has each point of the
-    pair rule.
+    so each of its points has a u-rule of its own.
+
+    The pair rule integrates over the shells |y| = r. A point whose |x|
+    lies inside the density's shell range (lo, hi) has a diagonal rule in r
+    of its own. The others have no diagonal: they are rows of shared
+    diagonal_panel_rows rules, _RULE_POINTS at a time, the points on the
+    density's axis (one second-angle node) apart from the others. The rules
+    run in order of their first point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.linalg.norm(points, axis=1)
@@ -126,13 +136,21 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
         return _radial_potentials(kern, phi, rho_c, params, quad)
     if phi.center_norm == 0.0:
         return _radial_potentials(kern, phi, rho, params, quad)
+    inside = (rho > lo) & (rho < hi)
+    groups = [[i] for i in np.flatnonzero(inside)]
+    on_axis = np.abs(points[:, 0]) == rho
+    for axis in (True, False):
+        out = np.flatnonzero(~inside & (on_axis == axis))
+        groups += [out[i:i + _RULE_POINTS]
+                   for i in range(0, out.size, _RULE_POINTS)]
     val, err = np.zeros(rho.size), np.zeros(rho.size)
-    for i, (x, r) in enumerate(zip(points, rho)):
+    for idx in sorted(groups, key=lambda g: g[0]):
         try:
-            val[i], err[i] = _potential_pair(kern, phi, x, r, lo, hi, params,
-                                             quad)
+            val[idx], err[idx] = _potential_pair(kern, phi, points[idx],
+                                                 params, quad)
         except ToleranceError as ex:
-            raise _at_point(ex, _POTENTIAL, i, rho.size) from ex
+            raise _at_point(ex, _POTENTIAL, int(idx[ex.row]),
+                            rho.size) from ex
     return val, err
 
 
@@ -205,8 +223,11 @@ def _u_rule(kern, phi, rho, params, quad):
     return scale * val, scale * err
 
 
-def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
-    """Off-center density with a coupling-dependent kernel: two-angle rule.
+def _potential_pair(kern, phi, points, params, quad):
+    """Off-center density with a coupling-dependent kernel: the points on
+    one two-angle rule, rows of one diagonal rule in r (a single point's
+    diagonal at its own |x|; several points all lie outside the density's
+    shell range). Returns (values, error_estimates) as arrays.
 
     The angular rule is fixed, so the radial refinement target is capped at
     3e-6, and the returned error covers the radial integral only. The
@@ -216,19 +237,24 @@ def _potential_pair(kern, phi, x, rho, lo, hi, params, quad):
     """
     quad = replace(quad, rel_tol=max(quad.rel_tol, 3e-6))
     N = params.dim
-    cos_beta = float(np.clip(x[0] / rho, -1.0, 1.0))
-    if phi.center_norm < 0:
-        cos_beta = -cos_beta
-    beta = math.acos(cos_beta)
+    lo, hi = _density_range(phi)
+    rho = np.linalg.norm(points, axis=1)
+    cos_beta = np.clip(points[:, 0] / rho, -1.0, 1.0)
+    beta = np.array([math.acos(c) for c in
+                     math.copysign(1.0, phi.center_norm) * cos_beta])
 
     def integrand(r_nodes):
         out = _pair_shell_integrals(kern, phi, rho, beta, r_nodes, N)
         return out * r_nodes ** (N - 1.0)
 
-    return diagonal_panel_integral(
-        integrand, max(lo, 1e-10 * hi), hi, rho, quad,
-        min(0.0, 2.0 * params.order - 1.0), phi.breakpoints(), order=8,
-        label="potential-pair")
+    args = (max(lo, 1e-10 * hi), hi, float(rho[0]), quad,
+            min(0.0, 2.0 * params.order - 1.0), phi.breakpoints())
+    kw = {"order": 8, "label": "potential-pair"}
+    if rho.size == 1:
+        val, err = diagonal_panel_integral(lambda r: integrand(r)[0], *args,
+                                           **kw)
+        return np.array([val]), np.array([err])
+    return diagonal_panel_rows(integrand, *args, **kw)
 
 
 def _read_only(*arrays):
@@ -283,75 +309,80 @@ def _polar_layers(dim, layer):
 
 
 def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
-    """int_{S^(N-1)} K(|x - r w|) phi(|r w - y_c|) dsigma(w) for the shells
-    r, |x| = rho, the density center y_c at angle beta from x.
+    """int_{S^(N-1)} K(|x - r w|) phi(|r w - y_c|) dsigma(w) for each point
+    x (|x| = rho, the density center y_c at angle beta from x) and shell r:
+    a (points, shells) array.
 
     theta is the angle from x, on polar panels refined geometrically into
-    each shell's kernel boundary layer. A shell's panels depend on its layer
-    width clip(|rho - r| / rho, 1e-8, _PAIR_LAYER_CLIP) alone, so the polar
-    nodes and weights are built once per distinct width (_polar_layers) and
-    gathered on each shell's kept panels only. The clipped width, which
-    every shell far from x takes, keeps its rule for later calls, as the
-    second-angle rule does (_second_angle). The kernel depends on theta
-    alone, through shell_distance, so it is evaluated once per polar node;
-    the density is averaged over the second angle at each (off the
-    density's axis). Only the theta-panels that can reach the density's
-    support are evaluated: on the shell r, phi vanishes wherever the angle
-    between w and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)),
-    and that angle is at least |theta - beta|. The skipped panels would add
-    exact zeros. The shells are evaluated in blocks of
-    whole shells holding about _PAIR_NODES kept polar nodes times
-    second-angle nodes, all at once when they fit in one; a shell's value
-    does not depend on its block.
+    each (point, shell) pair's kernel boundary layer. A pair's panels depend
+    on its layer width clip(|rho - r| / rho, 1e-8, _PAIR_LAYER_CLIP) alone,
+    so the polar nodes and weights are built once per distinct width
+    (_polar_layers) and gathered on each pair's kept panels only. The
+    clipped width, which every shell far from x takes, keeps its rule for
+    later calls, as the second-angle rule does (_second_angle): one node
+    when every point lies on the density's axis. The kernel depends on
+    theta alone, through shell_distance, so it is evaluated once per polar
+    node; the density is averaged over the second angle at each. Only the
+    theta-panels that can reach the density's support are evaluated: on the
+    shell r, phi vanishes wherever the angle between w and y_c exceeds cap =
+    arccos((c^2 + r^2 - R^2) / (2 c r)), and that angle is at least
+    |theta - beta|. The skipped panels would add exact zeros. The pairs are
+    evaluated in blocks of whole pairs holding about _PAIR_NODES kept polar
+    nodes times second-angle nodes; a pair's value does not depend on its
+    block.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
     # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
-    cos_chi, w2 = _second_angle(1 if abs(math.cos(beta)) == 1.0 else dim)
+    axis = all(abs(math.cos(b)) == 1.0 for b in beta)
+    cos_chi, w2 = _second_angle(1 if axis else dim)
+    # one row per (point, shell) pair
+    x, b = np.repeat(rho, r.size), np.repeat(beta, r.size)
+    rs = np.tile(r, rho.size)
     if dim == 1:
         # one panel of the two nodes 0, pi, shared by every shell
         theta, wt = polar_rule(dim, _PAIR_ORDER, None)
-        layer_row = np.zeros(r.size, dtype=int)
-        keep = np.ones((r.size, 1), dtype=bool)
+        layer_row = np.zeros(rs.size, dtype=int)
+        keep = np.ones((rs.size, 1), dtype=bool)
     else:
         layer, layer_row = np.unique(
-            np.clip(np.abs(rho - r) / rho, 1e-8, _PAIR_LAYER_CLIP),
+            np.clip(np.abs(x - rs) / x, 1e-8, _PAIR_LAYER_CLIP),
             return_inverse=True)
         edges, theta, wt = _polar_layers(dim, layer)
         edges = edges[layer_row]
-        cap = np.arccos(np.clip((c * c + r * r - R * R) / (2.0 * c * r),
-                                -1.0, 1.0))[:, None]
-        keep = (edges[:, 1:] >= beta - cap) & (edges[:, :-1] <= beta + cap)
+        cap = np.tile(np.arccos(np.clip((c * c + r * r - R * R)
+                                        / (2.0 * c * r), -1.0, 1.0)),
+                      rho.size)[:, None]
+        keep = (edges[:, 1:] >= b[:, None] - cap) \
+            & (edges[:, :-1] <= b[:, None] + cap)
     # (layers, panels, nodes a panel)
     shape = (theta.shape[0], keep.shape[1], -1)
     theta, wt = theta.reshape(shape), wt.reshape(shape)
     size = keep.sum(axis=1) * theta.shape[2] * w2.size
-    block = (np.cumsum(size) - size) // _PAIR_NODES
-    if not block.any():
-        return _pair_block(kern, phi, rho, beta, r, theta, wt, layer_row,
-                           keep, cos_chi, w2)
-    cuts = np.flatnonzero(np.diff(block)) + 1
+    cuts = np.flatnonzero(np.diff((np.cumsum(size) - size) // _PAIR_NODES))
     return np.concatenate([
-        _pair_block(kern, phi, rho, beta, rb, theta, wt, lb, kb, cos_chi, w2)
-        for rb, lb, kb in zip(np.split(r, cuts), np.split(layer_row, cuts),
-                              np.split(keep, cuts))])
+        _pair_block(kern, phi, *block, theta, wt, cos_chi, w2)
+        for block in zip(*(np.split(a, cuts + 1)
+                           for a in (x, b, rs, layer_row, keep)))
+    ]).reshape(rho.size, r.size)
 
 
-def _pair_block(kern, phi, rho, beta, r, theta, wt, layer_row, keep,
+def _pair_block(kern, phi, rho, beta, r, layer_row, keep, theta, wt,
                 cos_chi, w2):
-    """_pair_shell_integrals on one block of shells, given the polar nodes
-    and weights (layers, panels, nodes a panel), each shell's layer row,
-    its kept panels and the second-angle rule."""
+    """_pair_shell_integrals on one block of (point, shell) pairs, given
+    each pair's |x|, angle beta, shell, layer row and kept panels, the polar
+    nodes and weights (layers, panels, nodes a panel) and the second-angle
+    rule."""
     c = abs(phi.center_norm)
-    # one row of polar nodes per kept (shell, panel) pair
+    # one row of polar nodes per kept (pair, panel)
     rows, panels = np.nonzero(keep)
     at = layer_row[rows], panels
     th, w_th = theta[at], wt[at]
-    rk = r[rows, None]
-    kv = kern.pair_value(shell_distance(rho, rk, th), rho, rk)
+    rk, xk = r[rows, None], rho[rows, None]
+    kv = kern.pair_value(shell_distance(xk, rk, th), xk, rk)
     # |r w - y_c|^2 = a - b cos(chi)
-    a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * math.cos(beta)
-    b = 2.0 * c * rk * np.sin(th) * math.sin(beta)
+    a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * np.cos(beta)[rows, None]
+    b = 2.0 * c * rk * np.sin(th) * np.sin(beta)[rows, None]
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
     mean = (phi.profile(t).reshape(-1, w2.size) @ w2).reshape(th.shape)
     return np.bincount(rows, weights=(kv * mean * w_th).sum(axis=1),

@@ -98,12 +98,12 @@ class QuadratureSpec:
     """Knobs shared by every singular integral in the package.
 
     rel_tol is the target of every radial integral: adaptive_panel_integral
-    bisects only the panels whose own defects (a panel's Gauss-Legendre sum
-    against the sum over its two halves) do not yet fit in a quarter of
-    rel_tol times the scale, for at most _MAX_ROUNDS rounds, and reports
-    the summed per-panel defects as its error estimate. It also sets the
-    initial grading of diagonal_panel_integral's panels, the widest at which
-    one Gauss-Legendre panel of the rule's order meets it (_panel_ratio).
+    bisects only the panels whose estimated errors (from a panel's
+    Gauss-Legendre sum against the sum over its two halves) do not yet fit
+    in a quarter of rel_tol times the scale, for at most _MAX_ROUNDS
+    rounds, and reports their sum as its error estimate. It also sets the
+    initial grading of the geometric rules, the widest panels at which one
+    Gauss-Legendre panel of the rule's order meets it (_panel_ratio).
     Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
     rules (12 and 10), the head band _INNER_RADIUS of the
     pointwise fractional Laplacian and the far edge _OUTER_RADIUS of the
@@ -208,12 +208,19 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
 
     Local bisection: each panel's order-`order` Gauss-Legendre sum is its
     coarse value, the sum over its two halves its fine value, and
-    |fine - coarse| its defect. Each round evaluates the halves of every
-    open panel in one fn call. Each row sorts its defects and marks the
-    largest until its remainder fits in a quarter of rel_tol times its
-    scale; the marked panels are bisected, the others closed with their
-    fine values and defects, and the halves of a bisected panel become its
-    children's coarse values.
+    |fine - coarse| its defect, which estimates the coarse value's error.
+    The fine value's error is estimated from how the defects fall: a child
+    of a bisected panel is charged its defect times q^(1/3), q the sum of
+    its and its sibling's defects over their parent's defect (at most 1);
+    a panel of the first round, which has no parent, its defect. The power
+    1/3 is the one at which the oracle coverage test (tests/test_coverage)
+    holds; q (Richardson's estimate) and q^(1/2) miss panels that end at a
+    flat support edge, where the rule converges irregularly. Each round
+    evaluates the halves of every open panel in one fn call. Each row sorts
+    its charges and marks the largest until its remainder fits in a
+    quarter of rel_tol times its scale; the marked panels are bisected, the
+    others closed with their fine values and charges, and the halves of a
+    bisected panel become its children's coarse values.
     head_power=p: each integrand is C r^p below lo, with C fitted by one call
     fn(lo) made before the panels, so the head is fn(lo) lo / (p + 1).
     tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi
@@ -221,7 +228,7 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
 
     A row's scale is the largest of |value|, scale_hint (a number, or one
     per row) and, with a head, |fn(lo)| lo. Its panel error is the sum of
-    its per-panel defects, never a signed difference that could cancel.
+    its per-panel charges, never a signed difference that could cancel.
     Each power piece is charged its own size times the relative defect of
     its model, measured against the integrand: the tail's at the node
     nearest hi; the head's (exact at lo, where it is fitted) at the top node
@@ -275,21 +282,30 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
         left, right = halves[:, :n], halves[:, n:]
         fine = left + right
         defect = np.abs(fine - coarse)
+        est = defect
+        if rnd:
+            # the open panels come in sibling pairs: q, their defects
+            # against their parent's, scales each defect to its fine sum
+            # (where a pair's defects do not fall, q is 1)
+            pair = defect.reshape(len(val), -1, 2).sum(axis=2)
+            q = np.divide(pair, parent, out=np.ones_like(pair),
+                          where=pair < parent)
+            est = defect * np.repeat(np.cbrt(q), 2, axis=1)
         budget = 0.25 * quad.rel_tol * np.maximum(
             np.abs(val + fine.sum(axis=1)), floor) - err
-        split = np.zeros(defect.shape, dtype=bool)
+        split = np.zeros(est.shape, dtype=bool)
         if rnd < _MAX_ROUNDS - 1:
             # each row marks the panels past the run of its smallest
-            # defects that fits its budget
-            rank = np.argsort(defect, axis=1)
-            total = np.cumsum(np.take_along_axis(defect, rank, axis=1),
-                              axis=1)
+            # estimates that fits its budget
+            rank = np.argsort(est, axis=1)
+            total = np.cumsum(np.take_along_axis(est, rank, axis=1), axis=1)
             np.put_along_axis(split, rank, ~(total <= budget[:, None]), axis=1)
         split = split.any(axis=0)
         val += fine[:, ~split].sum(axis=1)
-        err += defect[:, ~split].sum(axis=1)
+        err += est[:, ~split].sum(axis=1)
         if not split.any():
             break
+        parent = defect[:, split]
         p_lo = np.column_stack([p_lo[split], mid[split]]).ravel()
         p_hi = np.column_stack([mid[split], p_hi[split]]).ravel()
         coarse = np.stack([left[:, split], right[:, split]],
@@ -373,6 +389,13 @@ def _panel_ratio(order: int, rel_tol: float) -> float:
     return ((rho_e + 1.0) / (rho_e - 1.0)) ** 2
 
 
+def _per_decade(order: int, rel_tol: float) -> int:
+    """Geometric panels a decade no wider than _panel_ratio(order, rel_tol):
+    the first grading of every geometric rule, two at order 12 or 8 and
+    rel_tol 1e-7, three at order 12 and 1e-13."""
+    return math.ceil(math.log(10.0) / math.log(_panel_ratio(order, rel_tol)))
+
+
 def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
                             power: float, splits=(), **kw):
     """int_lo^hi fn(t) dt, plus adaptive_panel_integral's head and tail from
@@ -383,9 +406,11 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     _panel_ratio(order, rel_tol), the widest panel [a, sigma a] that one
     order-`order` rule (the `order` keyword, else 12) integrates to
     rel_tol / 4 past a branch point at 0, the plain edges are
-    log_edges(lo, hi, ceil(ln 10 / ln sigma), splits), two a decade at
-    order 12 and rel_tol 1e-7. With rho outside (lo, hi) this is
-    adaptive_panel_integral on them. Otherwise the band (rho - a, rho + a),
+    log_edges(lo, hi, _per_decade(order, rel_tol), splits), ceil(ln 10 /
+    ln sigma) a decade: two at order 12 and rel_tol 1e-7. With rho outside
+    (lo, hi) this is adaptive_panel_integral on them, whatever rho is: the
+    many-point pair rule passes one of its points, all outside.
+    Otherwise the band (rho - a, rho + a),
     a = DIAGONAL_BAND rho clipped to [lo, hi], is one panel on which fn is
     never evaluated: its nodes are evaluated at the band's lower edge and
     those values, in the fresh array fn returns, are set to 0, so it adds 0
@@ -399,7 +424,8 @@ def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
     of that power model at rho -+ 2a, times max(1, 1 / ((power + 1) ln 2)),
     which bounds the miss of a positive weaker power |t - rho|^(power + d).
 
-    Returns (value, error_estimate).
+    Returns (value, error_estimate): the panels' estimated error of the
+    fine sums they return (adaptive_panel_rows) plus the band's charges.
     """
     val, err = _diagonal(adaptive_panel_integral, fn, lo, hi, rho, quad,
                          power, splits, kw)
@@ -418,10 +444,9 @@ def diagonal_panel_rows(fn, lo, hi, rho, quad: QuadratureSpec,
 
 def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
     """diagonal_panel_integral with the panels integrated by `integrate`."""
-    log_sigma = math.log(_panel_ratio(kw.get("order") or _DEFAULT_ORDER,
-                                      quad.rel_tol))
-    edges = log_edges(lo, hi, math.ceil(math.log(10.0) / log_sigma),
-                      splits=splits)
+    order = kw.get("order") or _DEFAULT_ORDER
+    log_sigma = math.log(_panel_ratio(order, quad.rel_tol))
+    edges = log_edges(lo, hi, _per_decade(order, quad.rel_tol), splits)
     if not lo < rho < hi:
         return integrate(fn, edges, quad, **kw)
     a = DIAGONAL_BAND * rho
@@ -774,7 +799,8 @@ def radial_moment(field: RadialField, beta: float, dim: int,
         return field.profile(r) * r ** (dim - 1.0 - beta)
 
     val, err = adaptive_panel_integral(
-        integrand, log_edges(min(1e-10, 1e-10 * hi), hi, 4,
+        integrand, log_edges(min(1e-10, 1e-10 * hi), hi,
+                             _per_decade(_DEFAULT_ORDER, quad.rel_tol),
                              field.breakpoints()),
         quad, scale_hint=scale_hint / omega, label=label,
         head_power=dim - 1.0 - beta - field.origin_exponent, tail=tail)
@@ -808,15 +834,19 @@ def frac_laplacian_power_law(alpha: float, x, params: ProblemParams) -> float:
 
 def _flap_at_center(field: RadialField, params: ProblemParams,
                     quad: QuadratureSpec):
-    """(-Delta)^s u at the field's own center (smooth profiles only)."""
+    """(-Delta)^s u at the field's own center (smooth profiles only).
+
+    Each difference u0 - u(r) rounds at about eps (|u0| + |u(r_c)|) near
+    the center, charged through the kernel's mass beyond r_c and the head,
+    where it dominates as s nears 1."""
     N, s = params.dim, params.order
     c_ns = params.normalizer
     omega = sphere_area(N)
-    u0 = float(field.profile(np.array([0.0]))[0])
     sup = field.support_radius()
     tail = field.tail_power()
     r_hi = _far_edge(field)
     r_c = _INNER_RADIUS * min(1.0, r_hi) * 1e-1
+    u0, u_c = (float(u) for u in field.profile(np.array([0.0, r_c])))
 
     def integrand(r):
         return (u0 - field.profile(r)) * r ** (-1.0 - 2.0 * s)
@@ -825,11 +855,14 @@ def _flap_at_center(field: RadialField, params: ProblemParams,
     far = [(u0, 2.0 * s)]
     if sup is None and tail is not None:
         far.append((-tail[0], tail[1] + 2.0 * s))
-    edges = log_edges(r_c, r_hi, per_decade=4, splits=field.breakpoints())
+    edges = log_edges(r_c, r_hi, _per_decade(_DEFAULT_ORDER, quad.rel_tol),
+                      field.breakpoints())
     val, err = adaptive_panel_integral(integrand, edges, quad,
                                        scale_hint=abs(u0) * r_c ** (-2 * s),
                                        label="flap-center",
                                        head_power=1.0 - 2.0 * s, tail=far)
+    err += np.finfo(float).eps * (abs(u0) + abs(u_c)) * r_c ** (-2.0 * s) * (
+        1.0 / (2.0 * s) + 1.0 / (2.0 - 2.0 * s))
     return c_ns * omega * val, c_ns * omega * err
 
 
@@ -972,7 +1005,8 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
         return mean * np.exp(-0.5 * lam * t) * g
 
     # geometric panels, no wider than one unit of t up to t = 3
-    edges = log_edges(a, T, 4, splits=[*cuts, 1.0, 2.0, 3.0])
+    edges = log_edges(a, T, _per_decade(_DEFAULT_ORDER, quad.rel_tol),
+                      [*cuts, 1.0, 2.0, 3.0])
     omega = sphere_area(N)
     val, err = adaptive_panel_rows(
         integrand, edges, quad, scale_hint=np.abs(u_x) * omega,

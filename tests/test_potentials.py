@@ -14,7 +14,7 @@ from fracgreen import potentials
 from fracgreen.kernels import (_ResolventKernel, _RieszKernel,
                                _SurrogateKernel)
 from fracgreen.potentials import (FlapProfile, PotentialField,
-                                  _density_range, _potential_pair)
+                                  _potential_pair)
 
 # the (N, s) sweep of the radial-form checks
 SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
@@ -22,10 +22,8 @@ SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
 
 def riesz_pair_potential(phi, x, params, quad):
     """The two-angle pair rule applied to the exact zero-coupling kernel."""
-    rho = float(np.linalg.norm(x))
-    lo, hi = _density_range(phi)
-    return _potential_pair(_RieszKernel(params), phi, x, rho, lo, hi,
-                           params, quad)[0]
+    return _potential_pair(_RieszKernel(params), phi, np.atleast_2d(x),
+                           params, quad)[0][0]
 
 
 def riesz_centred_bump_oracle(dim, s, rho):
@@ -420,17 +418,41 @@ class TestPairRule:
             ref, rel=1e-4)
 
 
+class TestSharedPairRule:
+    # the pair route puts the points outside the density's shell range
+    # (0.65, 1.35) on one radial rule per second-angle rule (on the axis,
+    # off it), and gives each point inside the range its own diagonal rule
+    POINTS = [(0.3, 0.0), (-0.5, 0.0), (1.6, 0.0), (0.005, 0.0),
+              (0.3, 0.2), (1.5, 0.4), (-0.2, 0.3), (0.8, 0.1), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("kind", ["surrogate", "resolvent_surrogate"])
+    @pytest.mark.parametrize("dim,s", [(2, 0.4), (3, 0.5)])
+    def test_points_as_if_alone(self, count_calls, dim, s, kind, quad):
+        p = ProblemParams.from_gamma(dim, s, 0.8 * (dim - 2 * s) / 2)
+        phi = Bump(0.35, center_norm=1.0)
+        points = np.array([np.r_[xy, np.zeros(dim - 2)] for xy in self.POINTS])
+        alpha = 1.0 if kind == "resolvent_surrogate" else None
+        rows = count_calls(potentials, "diagonal_panel_rows")
+        single = count_calls(potentials, "diagonal_panel_integral")
+        vals, errs = green_potentials_at(phi, points, p, quad, kind, alpha)
+        assert len(rows) == 2 and len(single) == 2
+        for x, val, err in zip(points, vals, errs):
+            (alone,), (alone_err,) = green_potentials_at(phi, x, p, quad,
+                                                         kind, alpha)
+            assert abs(val - alone) <= err + alone_err, (x, val, alone)
+
+
 class TestPairShells:
     # _pair_shell_integrals keeps the clipped layer width's polar rule and
-    # the second-angle rule by dimension, and runs one block of shells
-    # without a split: neither may move a bit of a shell's value
+    # the second-angle rule by dimension, and splits its (point, shell)
+    # pairs into blocks: neither may move a bit of a pair's value
     CASES = [(1, 0.0), (1, math.pi), (2, 0.0), (2, 0.7), (3, math.pi),
              (3, 0.7)]
 
     @staticmethod
     def shells(dim, beta, monkeypatch):
-        """Fresh memos, then the shells of one call twice, counting the
-        blocks of each call."""
+        """Fresh memos, then the (point, shell) pairs of one call twice,
+        counting the blocks of each call."""
         monkeypatch.setattr(potentials, "_CLIPPED_LAYER", {})
         monkeypatch.setattr(potentials, "_SECOND_ANGLES", {})
         blocks = []
@@ -444,14 +466,17 @@ class TestPairShells:
         p = ProblemParams.from_gamma(dim, 0.4, 0.3 * (dim - 0.8))
         kern = _SurrogateKernel(p)
         phi = Bump(0.35, center_norm=1.0)
-        # shells through x's layer (distinct widths) and far from it
-        # (the clipped width 0.3)
+        # shells through the first point's layer (distinct widths) and far
+        # from it (the clipped width 0.3); the other points' shells all
+        # clip
         r = np.concatenate([np.linspace(0.66, 1.34, 37), [0.7, 1.3]])
+        rho = np.array([0.9, 0.4, 2.1])
         out = []
         for _ in range(2):
             blocks.append(0)
-            out.append(potentials._pair_shell_integrals(kern, phi, 0.9, beta,
-                                                        r, dim))
+            out.append(potentials._pair_shell_integrals(
+                kern, phi, rho, np.full(rho.size, beta), r, dim))
+            assert out[-1].shape == (rho.size, r.size)
         return out, blocks
 
     @pytest.mark.parametrize("dim,beta", CASES)
@@ -494,7 +519,7 @@ class TestPairShells:
 
 class TestOriginSlope:
     @pytest.mark.parametrize("dim,s,pinned", [(3, 0.5, -0.791030047486141),
-                                              (2, 0.4, -0.450308906268193)])
+                                              (2, 0.4, -0.450308906139362)])
     def test_verify_slope_pinned(self, dim, s, pinned, quad):
         # verify's origin-slope geometry at the default gamma; the values
         # pin the pair rule's numerics, which its batching and support
