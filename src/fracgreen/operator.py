@@ -114,7 +114,8 @@ def hardy_weight_integral(f: RadialField, params: ProblemParams,
 
 _ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation
 # edges of _inner_below's run from the band out to DIAGONAL_RUN: a fixed
-# rule has no error estimate to grade by, as diagonal_panel_integral does
+# rule has no error estimate to grade by, as the engine's diagonal band
+# (quadrature.adaptive_panel_rows) does
 _INNER_RUN_EDGES = 20
 
 
@@ -125,12 +126,13 @@ def _inner_below(f: RadialField, rho: np.ndarray,
 
     Omega(rho, rho u) = rho^(-N-2s) Omega(1, u), so the integral is
     rho^(-2s) int_0^1 (f(rho)-f(rho u))^2 u^(N-1) Omega(1, u) du, taken on
-    one rule in u: diagonal_panel_integral's band at rho = 1, order 12 on
+    one rule in u: the band of the engine's diagonal
+    (quadrature.adaptive_panel_rows) at rho = 1, order 12 on
     log_edges(1e-8, 1, 4) and the run 1 - geomspace(band, DIAGONAL_RUN,
-    _INNER_RUN_EDGES), edges inside the band dropped; the
-    engine's head formula fn(t) a / (p + 1) makes (0, 1e-8), power N - 1,
-    and the band, power 1 - 2s, one node each. Blocks of
-    _ENERGY_BLOCK rows cost one f.profile call and one product each.
+    _INNER_RUN_EDGES), edges inside the band dropped; the engine's head
+    formula fn(t) a / (p + 1) makes (0, 1e-8), power N - 1, and the band,
+    power 1 - 2s, one node each. Blocks of _ENERGY_BLOCK rows cost one
+    f.profile call and one product each.
     """
     N, s = params.dim, params.order
     lo, band = 1e-8, DIAGONAL_BAND

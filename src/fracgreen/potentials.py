@@ -23,7 +23,8 @@ quadrature.radial_moment of order N - 2s. The remaining case (off-center
 density, coupling-dependent kernel, arbitrary x) integrates each shell
 |y| = r with a two-angle rule, batched over blocks of (point, shell) pairs
 (_pair_shell_integrals), the points outside the density's shell range on
-shared rules in r.
+shared rules in r. A rule of one point or many is one
+quadrature.adaptive_panel_rows call, its diagonal band at |y| = |x|.
 
 The delta identity int K (P f) = f integrates the kernel against a
 FlapProfile, the radial field of Chebyshev interpolants of the engine's
@@ -39,16 +40,16 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .errors import DegenerateInputError, DomainError, ToleranceError
+from .errors import DegenerateInputError, DomainError
 from .fields import RadialField
 from .kernels import _make_kernel
 from .params import ProblemParams
-from .quadrature import (_RULE_POINTS, QuadratureSpec, _at_point,
-                         axis_point, blockwise,
-                         diagonal_panel_integral,
-                         diagonal_panel_rows, frac_laplacian_at_detailed,
-                         integrate_radial_singular, panel_nodes, polar_rule,
-                         radial_moment, shell_distance, sphere_area)
+from .quadrature import (_RULE_POINTS, QuadratureSpec, _on_rules,
+                         _per_decade, adaptive_panel_rows, axis_point,
+                         blockwise, frac_laplacian_at_detailed,
+                         integrate_radial_singular, log_edges, panel_nodes,
+                         polar_rule, radial_moment, shell_distance,
+                         sphere_area)
 from .reports import VerificationReport
 
 # how a ToleranceError names a potential's unresolved point
@@ -109,17 +110,19 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
 
     The radial route integrates the points of a homogeneous kernel, in
     order of their distance and _RULE_POINTS at a time, on one adaptive
-    rule in u each (quadrature.diagonal_panel_rows): S(u) is computed once
-    per node, each point costs one phi.profile evaluation per node, and
-    each keeps its own value and error estimate. A ToleranceError names
-    the unresolved point by its row in `points`.
-    The resolvent kernel is not homogeneous, because alpha fixes a length,
-    so each of its points has a u-rule of its own.
+    rule in u each (quadrature.adaptive_panel_rows, its diagonal band at
+    u = 1): S(u) is computed once per node, each point costs one
+    phi.profile evaluation per node, and each keeps its own value and
+    error estimate. The points at the density's centre share one radial
+    moment. A ToleranceError names the unresolved point by its row in
+    `points` (quadrature._on_rules). The resolvent kernel is not
+    homogeneous, because alpha fixes a length, so each of its points has a
+    u-rule of its own.
 
     The pair rule integrates over the shells |y| = r. A point whose |x|
-    lies inside the density's shell range (lo, hi) has a diagonal rule in r
-    of its own. The others have no diagonal: they are rows of shared
-    diagonal_panel_rows rules, _RULE_POINTS at a time, the points on the
+    lies inside the density's shell range (lo, hi) has a rule in r of its
+    own, its diagonal band at |x|. The others have no diagonal: they are
+    rows of shared rules, _RULE_POINTS at a time, the points on the
     density's axis (one second-angle node) apart from the others. The rules
     run in order of their first point.
     """
@@ -143,52 +146,43 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
         out = np.flatnonzero(~inside & (on_axis == axis))
         groups += [out[i:i + _RULE_POINTS]
                    for i in range(0, out.size, _RULE_POINTS)]
-    val, err = np.zeros(rho.size), np.zeros(rho.size)
-    for idx in sorted(groups, key=lambda g: g[0]):
-        try:
-            val[idx], err[idx] = _potential_pair(kern, phi, points[idx],
-                                                 params, quad)
-        except ToleranceError as ex:
-            raise _at_point(ex, _POTENTIAL, int(idx[ex.row]),
-                            rho.size) from ex
-    return val, err
+    return _on_rules(sorted(groups, key=lambda g: g[0]),
+                     lambda idx: _potential_pair(kern, phi, points[idx],
+                                                 params, quad),
+                     _POTENTIAL, rho.size)
 
 
 def _radial_potentials(kern, phi, rho, params, quad):
     """The radial route of green_potentials_at at the distances rho
-    from the density's centre: for a homogeneous kernel one u-rule per
+    from the density's centre: the points at the centre on one radial
+    moment, the others for a homogeneous kernel one u-rule per
     _RULE_POINTS points in order of rho, one per point otherwise."""
-    val, err = np.zeros(rho.size), np.zeros(rho.size)
-    for i in np.flatnonzero(rho == 0.0):
-        # the Riesz kernel's mean at the centre is a(N,s) |S^(N-1)| r^-(N-2s)
-        try:
-            moment, moment_err = radial_moment(
-                phi, params.dim - 2.0 * params.order, params.dim, quad,
-                label="potential-1d")
-        except ToleranceError as ex:
-            raise _at_point(ex, _POTENTIAL, i, rho.size) from ex
-        a = params.riesz_constant
-        val[i], err[i] = a * moment, a * moment_err
+    center = np.flatnonzero(rho == 0.0)
     off = np.flatnonzero(rho > 0.0)
     off = off[np.argsort(rho[off], kind="stable")]
     size = _RULE_POINTS if kern.homogeneous else 1
-    for i in range(0, off.size, size):
-        idx = off[i:i + size]
-        try:
-            val[idx], err[idx] = _u_rule(kern, phi, rho[idx], params, quad)
-        except ToleranceError as ex:
-            # the rule's rows are the points idx
-            raise _at_point(ex, _POTENTIAL, idx[ex.row], rho.size) from ex
-    return val, err
+    groups = [center] if center.size else []
+    groups += [off[i:i + size] for i in range(0, off.size, size)]
+
+    def rule(idx):
+        if rho[idx[0]] > 0.0:
+            return _u_rule(kern, phi, rho[idx], params, quad)
+        # the Riesz kernel's mean at the centre is a(N,s) |S^(N-1)| r^-(N-2s)
+        moment, moment_err = radial_moment(
+            phi, params.dim - 2.0 * params.order, params.dim, quad,
+            label="potential-1d")
+        a = params.riesz_constant
+        return a * moment, a * moment_err
+
+    return _on_rules(groups, rule, _POTENTIAL, rho.size)
 
 
 def _u_rule(kern, phi, rho, params, quad):
     """psi at the distances rho > 0 on one adaptive rule in u = r / rho:
     rho^(2s) int phi(rho u) u^(N-1) S(u) du with S(u) = kern.sphere_mean(1,
     u) for a homogeneous kernel, rho^N int phi(rho u) u^(N-1)
-    kern.sphere_mean(rho, rho u) du for a single rho otherwise. A single rho
-    runs through diagonal_panel_integral, several through
-    diagonal_panel_rows."""
+    kern.sphere_mean(rho, rho u) du for a single rho otherwise, one row
+    of adaptive_panel_rows per point, with its diagonal band at u = 1."""
     N, s = params.dim, params.order
     sup = phi.support_radius()
     if kern.homogeneous:
@@ -211,23 +205,22 @@ def _u_rule(kern, phi, rho, params, quad):
     # the kernel mean grows like |u - 1|^(2s-1) at the diagonal; the density
     # reaches its centre, where the integrand is the power
     # N - 1 - origin_growth
-    args = (1e-10 * sup / rho.max(), sup / rho.min(), 1.0, quad,
-            min(0.0, 2.0 * s - 1.0),
-            (np.asarray(phi.breakpoints())[:, None] / rho).ravel())
-    kw = {"label": "potential-1d", "head_power": N - 1.0 - kern.origin_growth}
-    if rho.size == 1:
-        val, err = diagonal_panel_integral(lambda u: integrand(u)[0], *args,
-                                           **kw)
-    else:
-        val, err = diagonal_panel_rows(integrand, *args, **kw)
+    edges = log_edges(1e-10 * sup / rho.max(), sup / rho.min(),
+                      _per_decade(12, quad.rel_tol),
+                      (np.asarray(phi.breakpoints())[:, None] / rho).ravel())
+    val, err = adaptive_panel_rows(
+        integrand, edges, quad, label="potential-1d",
+        head_power=N - 1.0 - kern.origin_growth,
+        diagonal=(1.0, min(0.0, 2.0 * s - 1.0)))
     return scale * val, scale * err
 
 
 def _potential_pair(kern, phi, points, params, quad):
     """Off-center density with a coupling-dependent kernel: the points on
-    one two-angle rule, rows of one diagonal rule in r (a single point's
-    diagonal at its own |x|; several points all lie outside the density's
-    shell range). Returns (values, error_estimates) as arrays.
+    one two-angle rule, rows of one adaptive rule in r of order 8 (a single
+    point's diagonal band at its own |x|; several points all lie outside
+    the density's shell range). Returns (values, error_estimates) as
+    arrays.
 
     The angular rule is fixed, so the radial refinement target is capped at
     3e-6, and the returned error covers the radial integral only. The
@@ -247,14 +240,11 @@ def _potential_pair(kern, phi, points, params, quad):
         out = _pair_shell_integrals(kern, phi, rho, beta, r_nodes, N)
         return out * r_nodes ** (N - 1.0)
 
-    args = (max(lo, 1e-10 * hi), hi, float(rho[0]), quad,
-            min(0.0, 2.0 * params.order - 1.0), phi.breakpoints())
-    kw = {"order": 8, "label": "potential-pair"}
-    if rho.size == 1:
-        val, err = diagonal_panel_integral(lambda r: integrand(r)[0], *args,
-                                           **kw)
-        return np.array([val]), np.array([err])
-    return diagonal_panel_rows(integrand, *args, **kw)
+    edges = log_edges(max(lo, 1e-10 * hi), hi, _per_decade(8, quad.rel_tol),
+                      phi.breakpoints())
+    return adaptive_panel_rows(
+        integrand, edges, quad, order=8, label="potential-pair",
+        diagonal=(float(rho[0]), min(0.0, 2.0 * params.order - 1.0)))
 
 
 def _read_only(*arrays):

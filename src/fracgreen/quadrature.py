@@ -41,7 +41,9 @@ t = ln(r/rho) with no principal value left:
 G(t) + G(-t) is even and O(t^2), so near t = 0 the integrand is
 C t^(1-2s) (1 + O(t^min(2, 1+2s))): the head of adaptive_panel_rows.
 Both far ends are exponentials in t against Omega(1, e^-t), whose Gauss
-series in e^(-2t) integrates termwise.
+series in e^(-2t) integrates termwise. Every radial integral runs through
+adaptive_panel_rows: panels, a power head and tails, and a band about an
+interior kernel singularity (its diagonal keyword).
 
 K does not depend on rho, so frac_laplacian_at_detailed takes one point or
 many. Each point has its own head band a, end T and breakpoint cuts; the
@@ -51,7 +53,9 @@ cuts, with K computed once per node. Each keeps its own head fit, far
 pieces, rounding charge and tolerance check. Classes rather than one rule
 for all: the rounding charge grows like a^(-2s), and within a class the
 narrowest band raises a point's charge by at most 2^(2s). A flap profile's
-32 + 17 radii take 12 to 14 rules (6 or 7 classes per interpolant).
+32 + 17 radii take 12 to 14 rules (6 or 7 classes per interpolant). The
+centre is one more group; _on_rules runs every many-point computation's
+groups.
 """
 
 from __future__ import annotations
@@ -97,13 +101,14 @@ _ORIGIN_LOG_MAX = 700.0
 class QuadratureSpec:
     """Knobs shared by every singular integral in the package.
 
-    rel_tol is the target of every radial integral: adaptive_panel_integral
+    rel_tol is the target of every radial integral: adaptive_panel_rows
     bisects only the panels whose estimated errors (from a panel's
     Gauss-Legendre sum against the sum over its two halves) do not yet fit
     in a quarter of rel_tol times the scale, for at most _MAX_ROUNDS
     rounds, and reports their sum as its error estimate. It also sets the
-    initial grading of the geometric rules, the widest panels at which one
-    Gauss-Legendre panel of the rule's order meets it (_panel_ratio).
+    initial grading of the geometric rules and of the runs beside a
+    diagonal band, the widest panels at which one Gauss-Legendre panel of
+    the rule's order meets it (_panel_ratio).
     Fixed, not knobs: the Gauss-Legendre orders of the potentials' sphere
     rules (12 and 10), the head band _INNER_RADIUS of the
     pointwise fractional Laplacian and the far edge _OUTER_RADIUS of the
@@ -195,10 +200,12 @@ def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray, order: int):
 
 def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
                         scale_hint=0.0, label: str = "", *,
-                        head_power: float | None = None, tail=()):
+                        head_power: float | None = None, tail=(),
+                        diagonal: tuple[float, float] | None = None):
     """Integrate many integrands on one rule: a row of values per integral,
     each over the panel edges [lo, hi] (at least two distinct edges), plus
-    an analytic power head on (0, lo) and power tails on (hi, inf).
+    an analytic power head on (0, lo), power tails on (hi, inf) and, with
+    diagonal=(rho, power), a band about an interior singularity at t = rho.
 
     fn maps the nodes, a 1-D array, to a (rows, nodes) array: every row
     shares the nodes and so whatever fn computes once per node. Each row
@@ -225,6 +232,23 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
     fn(lo) made before the panels, so the head is fn(lo) lo / (p + 1).
     tail: (coef, k) terms, the integrand being sum(coef r^(-k-1)) beyond hi
     (coef a number, or one per row); each adds coef hi^(-k) / k.
+    diagonal=(rho, power): fn may grow like |t - rho|^power, -1 < power
+    <= 0, at t = rho. With rho outside (lo, hi) it changes nothing: the
+    many-point pair rule passes one of its points, all outside. Otherwise
+    the band (rho - a, rho + a), a = DIAGONAL_BAND rho clipped to [lo, hi],
+    is one panel on which fn is never evaluated: its nodes are evaluated at
+    the band's lower edge and those values, in the fresh array fn returns,
+    are set to 0, so it adds 0 with defect 0. The edges gain on each side
+    the geometric run rho -+ geomspace(a, span, ceil(ln(span / a) /
+    ln sigma) + 1), sigma = _panel_ratio(order, rel_tol) and span =
+    min(DIAGONAL_RUN rho, the distance to lo resp. hi): 11 edges at order
+    12 and rel_tol 1e-7, 13 at order 8 and 3e-6. Every edge inside the band
+    goes. Each side of the band is the head formula fn(rho -+ a) a /
+    (power + 1), charged its size times the relative defect of that power
+    model at rho -+ 2a, times max(1, 1 / ((power + 1) ln 2)), which bounds
+    the miss of a positive weaker power |t - rho|^(power + d). Callers
+    grade their plain edges with log_edges(lo, hi, _per_decade(order,
+    rel_tol), splits).
 
     A row's scale is the largest of |value|, scale_hint (a number, or one
     per row) and, with a head, |fn(lo)| lo. Its panel error is the sum of
@@ -236,9 +260,9 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
     defect when the integrand is C r^p (1 + O(r^k)) with k >= 1.
 
     Returns (values, error_estimates), arrays with one entry per row, both
-    including head and tail; raises ToleranceError naming (and carrying as
-    its `row`) a row whose panel error is still above 5 rel_tol times its
-    scale when the round budget runs out.
+    including head, tail and band; raises ToleranceError naming (and
+    carrying as its `row`) a row whose panel error is still above 5 rel_tol
+    times its scale when the round budget runs out.
     """
     order = order or _DEFAULT_ORDER
     edges = np.unique(np.asarray(edges, dtype=float))
@@ -251,6 +275,18 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
         raise DivergenceError(
             f"panel integral {name}: head power {head_power} "
             f"or tail decays {[k for _, k in tail]} not integrable")
+    raw = fn
+    band = diagonal is not None and lo < diagonal[0] < hi
+    if band:
+        rho, power = diagonal
+        edges, b_lo, b_hi = _band_edges(edges, rho, order, quad.rel_tol)
+
+        def fn(t):
+            # one (rows, nodes) array: the band's nodes move to its edge
+            inside = (t > b_lo) & (t < b_hi)
+            out = np.asarray(raw(np.where(inside, b_lo, t)), dtype=float)
+            out[..., inside] = 0.0
+            return out
     floor = np.asarray(scale_hint, dtype=float)
     head = 0.0
     if head_power is not None:
@@ -331,14 +367,20 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
         model = f_lo[live] * (x_head / lo) ** head_power
         err[live] += np.abs(head[live] * (f_head[live] - model) / model) / (
             x_head / lo - 1.0)
-    return val + head + tail_val, err
+    val = val + head + tail_val
+    if band:
+        piece, charge = _band_heads(raw, rho, b_lo, b_hi, power)
+        return val + piece, err + charge
+    return val, err
 
 
 def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
                             scale_hint: float = 0.0, label: str = "", *,
-                            head_power: float | None = None, tail=()):
+                            head_power: float | None = None, tail=(),
+                            diagonal: tuple[float, float] | None = None):
     """adaptive_panel_rows for one vectorized integrand fn (nodes to values
-    of the same shape), with its head and tails: the one-row entry point.
+    of the same shape), with its head, tails and diagonal band: the one-row
+    entry point.
 
     Returns (value, error_estimate) as floats, (0, 0) when the edges hold
     fewer than two distinct values.
@@ -347,7 +389,8 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
         return 0.0, 0.0
     val, err = adaptive_panel_rows(
         lambda t: np.asarray(fn(t), dtype=float)[None], edges, quad, order,
-        scale_hint, label, head_power=head_power, tail=tail)
+        scale_hint, label, head_power=head_power, tail=tail,
+        diagonal=diagonal)
     return float(val[0]), float(err[0])
 
 
@@ -368,8 +411,8 @@ def log_edges(lo: float, hi: float, per_decade: int = 4,
 
 
 # the band about t = rho, DIAGONAL_BAND rho to a side, and the geometric runs
-# beside it out to DIAGONAL_RUN rho: diagonal_panel_integral's band and runs
-# (graded by _panel_ratio) and the energy's inner rule's (operator)
+# beside it out to DIAGONAL_RUN rho: adaptive_panel_rows' diagonal band and
+# runs (graded by _panel_ratio) and the energy's inner rule's (operator)
 DIAGONAL_BAND, DIAGONAL_RUN = 1e-9, 0.4
 
 
@@ -396,59 +439,12 @@ def _per_decade(order: int, rel_tol: float) -> int:
     return math.ceil(math.log(10.0) / math.log(_panel_ratio(order, rel_tol)))
 
 
-def diagonal_panel_integral(fn, lo, hi, rho, quad: QuadratureSpec,
-                            power: float, splits=(), **kw):
-    """int_lo^hi fn(t) dt, plus adaptive_panel_integral's head and tail from
-    the keywords passed on, where fn may grow like |t - rho|^power,
-    -1 < power <= 0, at an interior t = rho.
-
-    rel_tol sets the initial grading as well as the target: with sigma =
-    _panel_ratio(order, rel_tol), the widest panel [a, sigma a] that one
-    order-`order` rule (the `order` keyword, else 12) integrates to
-    rel_tol / 4 past a branch point at 0, the plain edges are
-    log_edges(lo, hi, _per_decade(order, rel_tol), splits), ceil(ln 10 /
-    ln sigma) a decade: two at order 12 and rel_tol 1e-7. With rho outside
-    (lo, hi) this is adaptive_panel_integral on them, whatever rho is: the
-    many-point pair rule passes one of its points, all outside.
-    Otherwise the band (rho - a, rho + a),
-    a = DIAGONAL_BAND rho clipped to [lo, hi], is one panel on which fn is
-    never evaluated: its nodes are evaluated at the band's lower edge and
-    those values, in the fresh array fn returns, are set to 0, so it adds 0
-    with defect 0. The edges gain on each side the geometric run
-    rho -+ geomspace(a, span, ceil(ln(span / a) / ln sigma) + 1), span =
-    min(DIAGONAL_RUN rho, the distance to lo resp. hi): 11 edges at order
-    12 and rel_tol 1e-7, 13 at order 8 and 3e-6. Every edge inside the
-    band goes.
-    Each side of the band is the engine's head formula
-    fn(rho -+ a) a / (power + 1), charged its size times the relative defect
-    of that power model at rho -+ 2a, times max(1, 1 / ((power + 1) ln 2)),
-    which bounds the miss of a positive weaker power |t - rho|^(power + d).
-
-    Returns (value, error_estimate): the panels' estimated error of the
-    fine sums they return (adaptive_panel_rows) plus the band's charges.
-    """
-    val, err = _diagonal(adaptive_panel_integral, fn, lo, hi, rho, quad,
-                         power, splits, kw)
-    return float(val), float(err)
-
-
-def diagonal_panel_rows(fn, lo, hi, rho, quad: QuadratureSpec,
-                        power: float, splits=(), **kw):
-    """diagonal_panel_integral for many integrands on one rule: fn maps the
-    nodes to a (rows, nodes) array (adaptive_panel_rows), and each row gets
-    its own band heads, probes and charges. Returns (values,
-    error_estimates), one entry per row."""
-    return _diagonal(adaptive_panel_rows, fn, lo, hi, rho, quad, power,
-                     splits, kw)
-
-
-def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
-    """diagonal_panel_integral with the panels integrated by `integrate`."""
-    order = kw.get("order") or _DEFAULT_ORDER
-    log_sigma = math.log(_panel_ratio(order, quad.rel_tol))
-    edges = log_edges(lo, hi, _per_decade(order, quad.rel_tol), splits)
-    if not lo < rho < hi:
-        return integrate(fn, edges, quad, **kw)
+def _band_edges(edges, rho, order, rel_tol):
+    """The sorted edges with adaptive_panel_rows' diagonal band about rho
+    cut out and its geometric runs added; returns them and the band's
+    ends."""
+    log_sigma = math.log(_panel_ratio(order, rel_tol))
+    lo, hi = float(edges[0]), float(edges[-1])
     a = DIAGONAL_BAND * rho
     b_lo, b_hi = max(lo, rho - a), min(hi, rho + a)
     runs = [edges, [b_lo, b_hi]]
@@ -458,16 +454,12 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
             count = math.ceil(math.log(span / a) / log_sigma) + 1
             runs.append(rho + side * np.geomspace(a, span, count))
     edges = np.concatenate(runs)
-    edges = edges[(edges <= b_lo) | (edges >= b_hi)]
+    return np.unique(edges[(edges <= b_lo) | (edges >= b_hi)]), b_lo, b_hi
 
-    def outside_band(t):
-        # one (rows, nodes) array: the band's nodes move to its edge
-        band = (t > b_lo) & (t < b_hi)
-        out = np.asarray(fn(np.where(band, b_lo, t)), dtype=float)
-        out[..., band] = 0.0
-        return out
 
-    val, err = integrate(outside_band, edges, quad, **kw)
+def _band_heads(fn, rho, b_lo, b_hi, power):
+    """Each row's two band heads fn(rho -+ a) a / (power + 1), summed, and
+    their charges (adaptive_panel_rows' diagonal)."""
     width = np.array([rho - b_lo, b_hi - rho])
     probe = rho + np.array([-1.0, 1.0, -2.0, 2.0]) * np.tile(width, 2)
     f = np.asarray(fn(probe), dtype=float)
@@ -477,7 +469,7 @@ def _diagonal(integrate, fn, lo, hi, rho, quad, power, splits, kw):
     charge = np.abs(f2 - f1 * 2.0 ** power) * width / (
         (power + 1.0) * 2.0 ** power) * max(
             1.0, 1.0 / ((power + 1.0) * math.log(2.0)))
-    return val + band.sum(axis=-1), err + charge.sum(axis=-1)
+    return band.sum(axis=-1), charge.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +751,11 @@ def radial_moment(field: RadialField, beta: float, dim: int,
     with the tail beyond.
 
     pole = 0: the mean is |S^(N-1)| r^(-beta), and the head the power
-    N - 1 - beta - origin_exponent > -1. pole > 0: diagonal_panel_integral
-    from 1e-10 max(pole, 1), its band at r = pole, where the mean grows like
-    |r - pole|^(N-1-beta), and below the rule the head power
-    N - 1 - origin_exponent > -1 at the field's center, where the mean is
-    finite. scale_hint is in units of the value.
+    N - 1 - beta - origin_exponent > -1. pole > 0: the engine's diagonal
+    band at r = pole (adaptive_panel_rows), where the mean grows like
+    |r - pole|^(N-1-beta), on panels from 1e-10 max(pole, 1), and below
+    them the head power N - 1 - origin_exponent > -1 at the field's center,
+    where the mean is finite. scale_hint is in units of the value.
     """
     if beta >= dim:
         raise DivergenceError(f"weight exponent {beta} >= dim {dim}")
@@ -784,12 +776,14 @@ def radial_moment(field: RadialField, beta: float, dim: int,
             return (field.profile(t) * t ** (dim - 1.0)
                     * sphere_mean_power(beta, pole, t, dim))
 
-        return diagonal_panel_integral(
-            integrand, 1e-10 * max(pole, 1.0), hi, pole, quad,
-            min(0.0, dim - 1.0 - beta), field.breakpoints(),
-            scale_hint=scale_hint, label=label,
+        return adaptive_panel_integral(
+            integrand, log_edges(1e-10 * max(pole, 1.0), hi,
+                                 _per_decade(_DEFAULT_ORDER, quad.rel_tol),
+                                 field.breakpoints()),
+            quad, scale_hint=scale_hint, label=label,
             head_power=dim - 1.0 - field.origin_exponent,
-            tail=tuple((omega * c, k) for c, k in tail))
+            tail=tuple((omega * c, k) for c, k in tail),
+            diagonal=(pole, min(0.0, dim - 1.0 - beta)))
     if field.origin_exponent + beta >= dim:
         raise DivergenceError(
             f"profile blowup {field.origin_exponent} + weight {beta} "
@@ -913,38 +907,42 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     if field.singular_at_origin and np.any(rho == 0.0):
         raise SingularityError(
             "evaluation point coincides with the profile singularity")
-    val, err = np.zeros(rho.size), np.zeros(rho.size)
     center = np.flatnonzero(rho == 0.0)
-    if center.size:
-        try:
-            val[center], err[center] = _flap_at_center(field, params, quad)
-        except ToleranceError as ex:
-            raise _at_point(ex, "(-Delta)^s", int(center[0]), rho.size) \
-                from ex
     off = np.flatnonzero(rho > 0.0)
-    bands = [_flap_band(field, r, params, quad) for r in rho[off]]
-    band_class = np.floor(np.log2([a for a, _, _ in bands]))
+    bands = {i: _flap_band(field, rho[i], params, quad) for i in off}
+    band_class = np.floor(np.log2([bands[i][0] for i in off]))
+    groups = [center] if center.size else []
     for c in np.unique(band_class):
-        members = np.flatnonzero(band_class == c)
-        for rows in np.array_split(members,
-                                   -(-members.size // _RULE_POINTS)):
-            idx = off[rows]
-            try:
-                val[idx], err[idx] = _flap_rule(
-                    field, rho[idx], [bands[i] for i in rows], params, quad)
-            except ToleranceError as ex:
-                raise _at_point(ex, "(-Delta)^s", int(idx[ex.row]),
-                                rho.size) from ex
+        members = off[band_class == c]
+        groups += np.array_split(members, -(-members.size // _RULE_POINTS))
+
+    def rule(idx):
+        if rho[idx[0]] == 0.0:
+            return _flap_at_center(field, params, quad)
+        return _flap_rule(field, rho[idx], [bands[i] for i in idx], params,
+                          quad)
+
+    val, err = _on_rules(groups, rule, "(-Delta)^s", rho.size)
     if x.ndim == 1:
         return float(val[0]), float(err[0])
     return val, err
 
 
-def _at_point(ex: ToleranceError, what: str, i: int,
-              n: int) -> ToleranceError:
-    """The ToleranceError ex of a many-point computation (`what`), naming
-    the caller's point i of n."""
-    return ToleranceError(f"{what} at point {i} of {n}: {ex}", row=i)
+def _on_rules(groups, rule, what: str, n: int):
+    """The values and error estimates of a many-point computation (`what`)
+    at its n points: rule(idx) gives them for each group idx of point
+    indices, in the order of the groups. A rule's ToleranceError is raised
+    again naming the caller's point: the group's entry at the row it
+    carries, or its first."""
+    val, err = np.zeros(n), np.zeros(n)
+    for idx in groups:
+        try:
+            val[idx], err[idx] = rule(idx)
+        except ToleranceError as ex:
+            i = int(idx[ex.row or 0])
+            raise ToleranceError(f"{what} at point {i} of {n}: {ex}",
+                                 row=i) from ex
+    return val, err
 
 
 def _flap_band(field: RadialField, rho: float, params: ProblemParams,

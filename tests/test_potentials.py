@@ -210,6 +210,12 @@ def surrogate_bump_oracle_n1(mp, p, rho):
         return float(mp.quad(integrand, sorted(cuts)))
 
 
+def rule_rows(args):
+    """The rows of an adaptive_panel_rows rule, from the positional
+    arguments count_calls recorded: its integrand's rows at one node."""
+    return np.shape(args[0](np.array([1.0123])))[0]
+
+
 def hardy_radii():
     """The 57 radii of hardy_integrability_check for a density in the unit
     ball."""
@@ -309,7 +315,7 @@ class TestManyPoints:
         # the points are sorted by |x| and split into rules of at most
         # _RULE_POINTS (64), which bounds the (points, nodes) values; the
         # order the points come in changes no value
-        rules = count_calls(potentials, "diagonal_panel_rows")
+        rules = count_calls(potentials, "adaptive_panel_rows")
         points = [axis_point(r, 3) for r in np.geomspace(1e-3, 3.0, 150)]
         vals, errs = green_potentials_at(Bump(1.0), points, params_3half,
                                          quad)
@@ -324,7 +330,7 @@ class TestManyPoints:
                                                  params_3half, quad):
         # the largest |x| is the last row of the sorted rule but the first
         # point of the call; a jump in its integrand no round resolves
-        real = potentials.diagonal_panel_rows
+        real = potentials.adaptive_panel_rows
 
         def last_row_jumps(fn, *args, **kw):
             def jumpy(u):
@@ -333,7 +339,7 @@ class TestManyPoints:
                 return out
             return real(jumpy, *args, **kw)
 
-        monkeypatch.setattr(potentials, "diagonal_panel_rows", last_row_jumps)
+        monkeypatch.setattr(potentials, "adaptive_panel_rows", last_row_jumps)
         points = [axis_point(r, 3) for r in (1.5, 0.3, 0.7)]
         with pytest.raises(ToleranceError,
                            match=r"at point 0 of 3: .* row 2 of 3:") as info:
@@ -344,7 +350,7 @@ class TestManyPoints:
                                                       params_3half, quad):
         # off-centre density, surrogate kernel: one pair rule per point,
         # and only the second point's integrand jumps
-        real = potentials.diagonal_panel_integral
+        real = potentials.adaptive_panel_rows
         calls = []
 
         def second_call_jumps(fn, *args, **kw):
@@ -354,7 +360,7 @@ class TestManyPoints:
             return real(lambda r: fn(r) + np.where(r < 0.71, 0.0, 1.0),
                         *args, **kw)
 
-        monkeypatch.setattr(potentials, "diagonal_panel_integral",
+        monkeypatch.setattr(potentials, "adaptive_panel_rows",
                             second_call_jumps)
         points = [axis_point(r, 3) for r in (0.6, 0.8, 1.0)]
         with pytest.raises(ToleranceError, match="at point 1 of 3: "):
@@ -364,17 +370,41 @@ class TestManyPoints:
     def test_resolvent_points_one_at_a_time(self, count_calls, params_2d,
                                             quad):
         # alpha fixes a length, so each resolvent point has its own rule
-        single = count_calls(potentials, "diagonal_panel_integral")
-        rows = count_calls(potentials, "diagonal_panel_rows")
+        rules = count_calls(potentials, "adaptive_panel_rows")
         points = [axis_point(r, 2) for r in (0.3, 0.7, 1.4)]
         vals, _ = green_potentials_at(Bump(1.0), points, params_2d, quad,
                                       "resolvent_surrogate", alpha=1.0)
-        assert len(single) == 3 and rows == []
+        assert [rule_rows(args) for args in rules] == [1, 1, 1]
         for x, val in zip(points, vals):
             (alone,), _ = green_potentials_at(Bump(1.0), x, params_2d, quad,
                                               "resolvent_surrogate",
                                               alpha=1.0)
             assert val == alone
+
+    def test_centre_points_among_others(self, count_calls, monkeypatch,
+                                        quad):
+        # the Riesz kernel at the density's centre is one radial moment for
+        # every centre point of the call, whose values are those of the
+        # centre alone; an unresolved moment names the first centre point
+        p = ProblemParams.from_gamma(3, 0.3, 0.4 * (3 - 0.6))
+        phi = Bump(0.35, center_norm=1.0)
+        points = [axis_point(r, 3) for r in (0.5, 1.0, 2.0, 1.0, 1.2)]
+        moments = count_calls(potentials, "radial_moment")
+        vals, errs = green_potentials_at(phi, points, p, quad, "riesz_exact")
+        assert len(moments) == 1
+        (alone,), (alone_err,) = green_potentials_at(
+            phi, axis_point(1.0, 3), p, quad, "riesz_exact")
+        assert vals[1] == vals[3] == alone and errs[1] == errs[3] == alone_err
+
+        def unresolved(*args, **kw):
+            raise ToleranceError("panel integral potential-1d: defect", row=0)
+
+        monkeypatch.setattr(potentials, "radial_moment", unresolved)
+        with pytest.raises(ToleranceError,
+                           match=r"green potential at point 1 of 5: "
+                                 r"panel integral potential-1d") as info:
+            green_potentials_at(phi, points, p, quad, "riesz_exact")
+        assert info.value.row == 1
 
 
 class TestPairRule:
@@ -432,10 +462,10 @@ class TestSharedPairRule:
         phi = Bump(0.35, center_norm=1.0)
         points = np.array([np.r_[xy, np.zeros(dim - 2)] for xy in self.POINTS])
         alpha = 1.0 if kind == "resolvent_surrogate" else None
-        rows = count_calls(potentials, "diagonal_panel_rows")
-        single = count_calls(potentials, "diagonal_panel_integral")
+        rules = count_calls(potentials, "adaptive_panel_rows")
         vals, errs = green_potentials_at(phi, points, p, quad, kind, alpha)
-        assert len(rows) == 2 and len(single) == 2
+        # two points inside, four outside on the axis, three off it
+        assert sorted(rule_rows(args) for args in rules) == [1, 1, 3, 4]
         for x, val, err in zip(points, vals, errs):
             (alone,), (alone_err,) = green_potentials_at(phi, x, p, quad,
                                                          kind, alpha)

@@ -16,11 +16,10 @@ from fracgreen import (Bubble, Bump, DivergenceError, DomainError, Gaussian,
                        axis_point, frac_laplacian_at_detailed,
                        frac_laplacian_power_law, integrate_radial_singular,
                        sphere_area, sphere_mean_power)
-from fracgreen.quadrature import (_bisect, _power_series,
+from fracgreen.quadrature import (_bisect, _per_decade, _power_series,
                                   adaptive_panel_integral,
                                   adaptive_panel_rows,
-                                  bipolar_sphere_integral,
-                                  diagonal_panel_integral, log_edges,
+                                  bipolar_sphere_integral, log_edges,
                                   panel_nodes, radial_moment)
 
 
@@ -252,9 +251,9 @@ class TestPanelIntegral:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                val, err = diagonal_panel_integral(
-                    fn, 1e-10, 1.0, rho, QuadratureSpec(rel_tol), p,
-                    order=order)
+                val, err = adaptive_panel_integral(
+                    fn, log_edges(1e-10, 1.0, _per_decade(order, rel_tol)),
+                    QuadratureSpec(rel_tol), order=order, diagonal=(rho, p))
             exact = ((rho - 1e-10) ** (p + 1.0) + (1.0 - rho) ** (p + 1.0)) \
                 / (p + 1.0)
             assert val == pytest.approx(exact, rel=1e-9), case
@@ -264,25 +263,68 @@ class TestPanelIntegral:
 
     @pytest.mark.parametrize("order, rel_tol, run, per_decade",
                              [(12, 1e-7, 11, 2), (8, 3e-6, 13, 2)])
-    def test_diagonal_grading_from_order_and_rel_tol(
-            self, count_calls, order, rel_tol, run, per_decade):
+    def test_diagonal_grading_from_order_and_rel_tol(self, order, rel_tol,
+                                                     run, per_decade):
         # the widest panel [a, sigma a] one order-n rule integrates to
         # rel_tol / 4 past a branch point: sigma = ((rho_E + 1) /
-        # (rho_E - 1))^2, rho_E = (4 / rel_tol)^(1/(2n)), 8.2 resp. 5.8
-        from fracgreen import quadrature
-        calls = count_calls(quadrature, "adaptive_panel_integral")
-        diagonal_panel_integral(np.ones_like, 1e-4, 100.0, 1.0,
-                                QuadratureSpec(rel_tol), 0.0, order=order)
-        (args,) = calls
-        edges = np.unique(args[1])
-        # each run from the band's edge 1e-9 out to 0.4
+        # (rho_E - 1))^2, rho_E = (4 / rel_tol)^(1/(2n)), 8.2 resp. 5.8;
+        # read from the nodes of fn's first call, whose first third are
+        # the first panels' own nodes
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.ones_like(t)
+
+        adaptive_panel_integral(
+            fn, log_edges(1e-4, 100.0, _per_decade(order, rel_tol)),
+            QuadratureSpec(rel_tol), order=order, diagonal=(1.0, 0.0))
+        nodes = calls[0].reshape(-1, order)
+        panels = nodes[:nodes.shape[0] // 3]
+        # the band's panel is never evaluated: its nodes sit at its edge
+        band = panels.min(axis=1) == panels.max(axis=1)
+        assert np.count_nonzero(band) == 1
+        assert np.all(panels[band] == 1.0 - 1e-9)
+        panels = panels[~band]
+        # each run from the band's edge 1e-9 out to 0.4: run - 1 panels
         for side in (-1.0, 1.0):
-            gap = side * (edges - 1.0)
-            inside = (gap > 0.0) & (gap <= 0.4 + 1e-12)
-            assert np.count_nonzero(inside) == run, side
-        # the plain edges on [1e-4, 1e-1]: three decades
-        plain = np.count_nonzero(edges <= 0.1 * (1.0 + 1e-12))
-        assert plain == 3 * per_decade + 1
+            gap = side * (panels - 1.0)
+            inside = np.all((gap > 0.0) & (gap <= 0.4), axis=1)
+            assert np.count_nonzero(inside) == run - 1, side
+        # the plain panels on [1e-4, 1e-1]: three decades
+        plain = np.count_nonzero(panels.max(axis=1) <= 0.1)
+        assert plain == 3 * per_decade
+
+    def test_diagonal_outside_the_edges_changes_nothing(self, quad):
+        # rho outside (lo, hi), or at one of them: bit for bit the call
+        # without the keyword
+        edges = log_edges(0.65, 1.35, 2, (0.9,))
+
+        def fn(t):
+            return np.stack([np.abs(t - 2.0) ** -0.5, np.cos(t)])
+
+        plain = adaptive_panel_rows(fn, edges, quad, head_power=1.0)
+        for rho in (0.3, 0.65, 1.35, 2.0):
+            with_band = adaptive_panel_rows(fn, edges, quad, head_power=1.0,
+                                            diagonal=(rho, -0.5))
+            for a, b in zip(with_band, plain):
+                assert np.array_equal(a, b), rho
+
+    @pytest.mark.parametrize("power", [-0.8, -0.2, 0.0])
+    def test_one_row_diagonal_bit_for_bit(self, quad, power):
+        # a one-row rule with its band is the one-row entry point's value
+        # and error, bit for bit: the one-point forks of the potentials
+        # had no numeric role
+        def fn(t):
+            return np.abs(t - 0.7) ** power * np.exp(-t) + np.log1p(t)
+
+        edges = log_edges(1e-6, 3.0, 2, (0.5,))
+        kw = {"head_power": 0.0, "tail": ((2.0, 1.5),),
+              "diagonal": (0.7, power)}
+        val, err = adaptive_panel_integral(fn, edges, quad, **kw)
+        rows = adaptive_panel_rows(lambda t: fn(t)[None], edges, quad, **kw)
+        assert rows[0].tobytes() == np.array([val]).tobytes()
+        assert rows[1].tobytes() == np.array([err]).tobytes()
 
     def test_non_integrable_pieces_rejected(self, quad):
         edges = log_edges(1e-3, 1e3, 4)
@@ -832,3 +874,21 @@ class TestFracLaplacianManyPoints:
             frac_laplacian_at_detailed(Gaussian(1.0), axis_point(0.7, 3),
                                        params_3half, quad)
         assert one.value.row == 0
+
+    def test_centre_among_other_points(self, monkeypatch, params_3half,
+                                       quad):
+        # the field's centre is one group of its own, ahead of the band
+        # classes: an unresolved centre names the call's centre point
+        from fracgreen import quadrature
+
+        def unresolved(*args):
+            raise ToleranceError("panel integral flap-center: defect", row=0)
+
+        monkeypatch.setattr(quadrature, "_flap_at_center", unresolved)
+        points = [axis_point(r, 3) for r in (1.5, 0.3, 0.0, 0.7)]
+        with pytest.raises(ToleranceError,
+                           match=r"\(-Delta\)\^s at point 2 of 4: "
+                                 r"panel integral flap-center") as info:
+            frac_laplacian_at_detailed(Gaussian(1.0), points, params_3half,
+                                       quad)
+        assert info.value.row == 2
