@@ -397,12 +397,14 @@ def adaptive_panel_integral(fn, edges, quad: QuadratureSpec, order=None,
 def log_edges(lo: float, hi: float, per_decade: int = 4,
               splits=()) -> np.ndarray:
     """Geometric panel edges on [lo, hi], at least per_decade to a decade
-    and never fewer than two, with the split points inside (lo, hi) added."""
+    and never fewer than three, with the split points inside (lo, hi)
+    added. Two panels at least: a defect is never measured on a single
+    panel, whose coarse and fine sums can agree by accident."""
     if not 0 < lo < hi < math.inf:
         raise DomainError("log_edges needs 0 < lo < hi < inf")
     # hi / lo itself may overflow
     decades = math.log10(hi) - math.log10(lo)
-    count = max(2, int(math.ceil(per_decade * decades)) + 1)
+    count = max(3, int(math.ceil(per_decade * decades)) + 1)
     edges = np.geomspace(lo, hi, count)
     extra = [p for p in splits if lo < p < hi]
     if extra:

@@ -472,6 +472,32 @@ class TestSharedPairRule:
             assert abs(val - alone) <= err + alone_err, (x, val, alone)
 
 
+class TestLonePairPoint:
+    # verify's origin-slope geometry at (8, .1), gamma .039: the point
+    # |x| = .01 e1 alone is the one row of a pair rule in r over the shells
+    # (0.65, 1.35), two panels a decade there. On a single first panel its
+    # coarse and fine sums once agreed by accident: 3.58227285e-4 +- 6.3e-11
+    # against 3.58230645e-4, a miss of 3.4e-9
+    def test_against_the_converged_radial_rule(self, quad):
+        from fracgreen.kernels import _make_kernel
+        from fracgreen.quadrature import panel_nodes
+        p = ProblemParams.from_gamma(8, 0.1, 0.039)
+        phi = Bump(0.35, center_norm=1.0)
+        kern = _make_kernel("surrogate", p, None)
+        # the same angular rule on 50 and 100 order-20 panels in r
+        refs = []
+        for panels in (50, 100):
+            r, w = panel_nodes(np.linspace(0.65, 1.35, panels + 1), 20)
+            shells = potentials._pair_shell_integrals(
+                kern, phi, np.array([0.01]), np.array([0.0]), r, 8)[0]
+            refs.append(float(np.sum(shells * r ** 7 * w)))
+        ref = refs[1]
+        assert refs[0] == pytest.approx(ref, rel=1e-14)
+        (val,), (err,) = green_potentials_at(phi, axis_point(0.01, 8), p,
+                                             quad)
+        assert abs(val - ref) <= err, (val, ref, err)
+
+
 class TestPairShells:
     # _pair_shell_integrals keeps the clipped layer width's polar rule and
     # the second-angle rule by dimension, and splits its (point, shell)
