@@ -10,6 +10,7 @@ obtained by subtracting theta times the weight term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +120,24 @@ _ENERGY_BLOCK = 32  # outer nodes per batched (nodes, inner nodes) evaluation
 _INNER_RUN_EDGES = 20
 
 
+@lru_cache(maxsize=32)
+def _inner_rule(dim: int, order: float):
+    """_inner_below's nodes u, f(rho) itself last, and weights of the others
+    (with Omega(1, u) u^(N-1)), read-only, built once per (N, s)."""
+    lo, band = 1e-8, DIAGONAL_BAND
+    edges = np.concatenate([
+        log_edges(lo, 1.0, 4),
+        1.0 - np.geomspace(band, DIAGONAL_RUN, _INNER_RUN_EDGES)])
+    u, w = panel_nodes(np.unique(edges[edges <= 1.0 - band]), 12)
+    u = np.append(u, [lo, 1.0 - band])
+    w = np.append(w, [lo / dim, band / (2.0 - 2.0 * order)])
+    weight = w * u ** (dim - 1.0) * sphere_mean_power(dim + 2.0 * order, 1.0,
+                                                      u, dim)
+    u = np.append(u, 1.0)  # f(rho) itself
+    u.flags.writeable = weight.flags.writeable = False
+    return u, weight
+
+
 def _inner_below(f: RadialField, rho: np.ndarray,
                  params: ProblemParams) -> np.ndarray:
     """int_0^rho (f(rho)-f(r))^2 r^(N-1) Omega(rho, r) dr for each rho,
@@ -126,7 +145,7 @@ def _inner_below(f: RadialField, rho: np.ndarray,
 
     Omega(rho, rho u) = rho^(-N-2s) Omega(1, u), so the integral is
     rho^(-2s) int_0^1 (f(rho)-f(rho u))^2 u^(N-1) Omega(1, u) du, taken on
-    one rule in u: the band of the engine's diagonal
+    one rule in u (_inner_rule): the band of the engine's diagonal
     (quadrature.adaptive_panel_rows) at rho = 1, order 12 on
     log_edges(1e-8, 1, 4) and the run 1 - geomspace(band, DIAGONAL_RUN,
     _INNER_RUN_EDGES), edges inside the band dropped; the engine's head
@@ -134,23 +153,14 @@ def _inner_below(f: RadialField, rho: np.ndarray,
     power 1 - 2s, one node each. Blocks of _ENERGY_BLOCK rows cost one
     f.profile call and one product each.
     """
-    N, s = params.dim, params.order
-    lo, band = 1e-8, DIAGONAL_BAND
-    edges = np.concatenate([
-        log_edges(lo, 1.0, 4),
-        1.0 - np.geomspace(band, DIAGONAL_RUN, _INNER_RUN_EDGES)])
-    u, w = panel_nodes(np.unique(edges[edges <= 1.0 - band]), 12)
-    u = np.append(u, [lo, 1.0 - band])
-    w = np.append(w, [lo / N, band / (2.0 - 2.0 * s)])
-    weight = w * u ** (N - 1.0) * sphere_mean_power(N + 2.0 * s, 1.0, u, N)
-    u = np.append(u, 1.0)  # f(rho) itself
+    u, weight = _inner_rule(params.dim, params.order)
 
     def block(rho_b):
         f_all = f.profile(rho_b[:, None] * u)
         diff = f_all[:, :-1] - f_all[:, -1:]
         return (diff * diff) @ weight
 
-    return blockwise(block, _ENERGY_BLOCK, rho) * rho ** (-2.0 * s)
+    return blockwise(block, _ENERGY_BLOCK, rho) * rho ** (-2.0 * params.order)
 
 
 def _dirichlet_energy(f: RadialField, params: ProblemParams,

@@ -22,8 +22,9 @@ with its error estimate. A Riesz potential at its density's centre is
 quadrature.radial_moment of order N - 2s. The remaining case (off-center
 density, coupling-dependent kernel, arbitrary x) integrates each shell
 |y| = r with a two-angle rule, batched over blocks of (point, shell) pairs
-(_pair_shell_integrals), the points outside the density's shell range on
-shared rules in r. A rule of one point or many is one
+(_pair_shell_integrals) with the density's mean once per shell and
+direction, the points outside the density's shell range on shared rules in
+r. A rule of one point or many is one
 quadrature.adaptive_panel_rows call, its diagonal band at |y| = |x|.
 
 The delta identity int K (P f) = f integrates the kernel against a
@@ -312,23 +313,27 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     later calls, as the second-angle rule does (_second_angle): one node
     when every point lies on the density's axis. The kernel depends on
     theta alone, through shell_distance, so it is evaluated once per polar
-    node; the density is averaged over the second angle at each. Only the
-    theta-panels that can reach the density's support are evaluated: on the
-    shell r, phi vanishes wherever the angle between w and y_c exceeds cap =
-    arccos((c^2 + r^2 - R^2) / (2 c r)), and that angle is at least
-    |theta - beta|. The skipped panels would add exact zeros. The pairs are
-    evaluated in blocks of whole pairs holding about _PAIR_NODES kept polar
-    nodes times second-angle nodes; a pair's value does not depend on its
-    block.
+    node of a pair. The density is averaged over the second angle at each;
+    that mean depends on the pair's shell, direction beta and layer row,
+    not on |x|, so the pairs run shell by shell and each block takes it
+    once per distinct (shell, direction, layer row, panel) (_pair_block).
+    Only the theta-panels that can reach the density's support are
+    evaluated: on the shell r, phi vanishes wherever the angle between w
+    and y_c exceeds cap = arccos((c^2 + r^2 - R^2) / (2 c r)), and that
+    angle is at least |theta - beta|. The skipped panels would add exact
+    zeros. The pairs are evaluated in blocks of whole pairs holding about
+    _PAIR_NODES kept polar nodes times second-angle nodes; a pair's value
+    does not depend on its block.
     """
     c = abs(phi.center_norm)
     R = phi.support_radius()
     # on the axis sin(beta) is 0 (or 1.2e-16 at beta = acos(-1)): one node
     axis = all(abs(math.cos(b)) == 1.0 for b in beta)
     cos_chi, w2 = _second_angle(1 if axis else dim)
-    # one row per (point, shell) pair
-    x, b = np.repeat(rho, r.size), np.repeat(beta, r.size)
-    rs = np.tile(r, rho.size)
+    # one row per (point, shell) pair, shell-major: the points at a shell
+    # are adjacent, so a block holds all the points at its shells
+    x, b = np.tile(rho, r.size), np.tile(beta, r.size)
+    rs = np.repeat(r, rho.size)
     if dim == 1:
         # one panel of the two nodes 0, pi, shared by every shell
         theta, wt = polar_rule(dim, _PAIR_ORDER, None)
@@ -340,11 +345,15 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
             return_inverse=True)
         edges, theta, wt = _polar_layers(dim, layer)
         edges = edges[layer_row]
-        cap = np.tile(np.arccos(np.clip((c * c + r * r - R * R)
-                                        / (2.0 * c * r), -1.0, 1.0)),
-                      rho.size)[:, None]
+        cap = np.repeat(np.arccos(np.clip((c * c + r * r - R * R)
+                                          / (2.0 * c * r), -1.0, 1.0)),
+                        rho.size)[:, None]
         keep = (edges[:, 1:] >= b[:, None] - cap) \
             & (edges[:, :-1] <= b[:, None] + cap)
+    # one integer key of a pair's shell, direction and layer row
+    direction = np.tile(np.unique(beta, return_inverse=True)[1], r.size)
+    key = ((np.arange(rs.size) // rho.size * rho.size + direction)
+           * theta.shape[0] + layer_row)
     # (layers, panels, nodes a panel)
     shape = (theta.shape[0], keep.shape[1], -1)
     theta, wt = theta.reshape(shape), wt.reshape(shape)
@@ -353,16 +362,18 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     return np.concatenate([
         _pair_block(kern, phi, *block, theta, wt, cos_chi, w2)
         for block in zip(*(np.split(a, cuts + 1)
-                           for a in (x, b, rs, layer_row, keep)))
-    ]).reshape(rho.size, r.size)
+                           for a in (x, b, rs, layer_row, keep, key)))
+    ]).reshape(r.size, rho.size).T
 
 
-def _pair_block(kern, phi, rho, beta, r, layer_row, keep, theta, wt,
+def _pair_block(kern, phi, rho, beta, r, layer_row, keep, key, theta, wt,
                 cos_chi, w2):
     """_pair_shell_integrals on one block of (point, shell) pairs, given
-    each pair's |x|, angle beta, shell, layer row and kept panels, the polar
-    nodes and weights (layers, panels, nodes a panel) and the second-angle
-    rule."""
+    each pair's |x|, angle beta, shell, layer row, kept panels and key of
+    (shell, direction, layer row), the polar nodes and weights (layers,
+    panels, nodes a panel) and the second-angle rule. The kernel is
+    evaluated per pair, the density's second-angle mean once per distinct
+    key and panel of the block."""
     c = abs(phi.center_norm)
     # one row of polar nodes per kept (pair, panel)
     rows, panels = np.nonzero(keep)
@@ -370,12 +381,18 @@ def _pair_block(kern, phi, rho, beta, r, layer_row, keep, theta, wt,
     th, w_th = theta[at], wt[at]
     rk, xk = r[rows, None], rho[rows, None]
     kv = kern.pair_value(shell_distance(xk, rk, th), xk, rk)
+    _, first, mean_row = np.unique(key[rows] * keep.shape[1] + panels,
+                                   return_index=True, return_inverse=True)
+    rk, th, rows_u = rk[first], th[first], rows[first]
     # |r w - y_c|^2 = a - b cos(chi)
-    a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) * np.cos(beta)[rows, None]
-    b = 2.0 * c * rk * np.sin(th) * np.sin(beta)[rows, None]
+    a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) \
+        * np.cos(beta)[rows_u, None]
+    b = 2.0 * c * rk * np.sin(th) * np.sin(beta)[rows_u, None]
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
-    mean = (phi.profile(t).reshape(-1, w2.size) @ w2).reshape(th.shape)
-    return np.bincount(rows, weights=(kv * mean * w_th).sum(axis=1),
+    # summed row by row: a BLAS product rounds a row by its place
+    mean = np.einsum("...k,k->...", phi.profile(t), w2)
+    return np.bincount(rows,
+                       weights=(kv * mean[mean_row] * w_th).sum(axis=1),
                        minlength=r.size)
 
 

@@ -47,15 +47,16 @@ interior kernel singularity (its diagonal keyword).
 
 K does not depend on rho, so frac_laplacian_at_detailed takes one point or
 many. Each point has its own head band a, end T and breakpoint cuts; the
-points whose bands share a power of two, floor(log2 a), form a band class
-and share one rule: the class's smallest a, largest T and the union of its
-cuts, with K computed once per node. Each keeps its own head fit, far
-pieces, rounding charge and tolerance check. Classes rather than one rule
-for all: the rounding charge grows like a^(-2s), and within a class the
-narrowest band raises a point's charge by at most 2^(2s). A flap profile's
-32 + 17 radii take 12 to 14 rules (6 or 7 classes per interpolant). The
-centre is one more group; _on_rules runs every many-point computation's
-groups.
+points whose bands share a power of two, floor(log2 a), form a band class;
+adjacent classes share one rule (_flap_groups) while the rounding charge,
+which grows like a^(-2s), rises by at most _MERGE_BUDGET = 1e-2 rel_tol
+times a point's rounding scale: the rule's smallest a, largest T and the
+union of its cuts, with K computed once per node. Each point keeps its
+own head fit, far pieces, rounding charge and tolerance check. A flap
+profile's 32 + 17 radii (6 or 7 classes per interpolant) take 2 rules at
+(1, .25), (2, .05), (2, .4) and (3, .5), 10 at (4, .75) and 14, one a
+class, at (5, .9). The centre is one more group; _on_rules runs every
+many-point computation's groups.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ _RULE_POINTS = 64
 # off the center (frac_laplacian_at_detailed), of min(1, r_hi) / 10 in r at
 # it (_flap_at_center)
 _INNER_RADIUS = 1e-3
+# the share of rel_tol times a point's rounding scale that sharing a rule
+# with narrower bands may add to its rounding charge (_flap_groups)
+_MERGE_BUDGET = 1e-2
 # the least far edge of a radial integral over R^N of an unbounded field,
 # beyond which its analytic power tail takes over (_far_edge)
 _OUTER_RADIUS = 1e3
@@ -892,11 +896,11 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     against the kernel's mass beyond a and its weight in the head, and the
     summed value is charged 4 eps of itself.
 
-    The kernel K(t) does not depend on rho, so the points whose bands a
-    share a power of two, floor(log2 a), share one adaptive_panel_rows rule
-    (_flap_rule) with K computed once per node; at rho = 0 the value is
-    _flap_at_center's. A ToleranceError names the unresolved point by its
-    row in x.
+    The kernel K(t) does not depend on rho, so the points of adjacent band
+    classes floor(log2 a) share one adaptive_panel_rows rule (_flap_rule)
+    with K computed once per node, as far as the rounding budget allows
+    (_flap_groups); at rho = 0 the value is _flap_at_center's. A
+    ToleranceError names the unresolved point by its row in x.
     """
     N, s = params.dim, params.order
     x = np.asarray(x, dtype=float)
@@ -912,10 +916,10 @@ def frac_laplacian_at_detailed(field: RadialField, x,
     center = np.flatnonzero(rho == 0.0)
     off = np.flatnonzero(rho > 0.0)
     bands = {i: _flap_band(field, rho[i], params, quad) for i in off}
-    band_class = np.floor(np.log2([bands[i][0] for i in off]))
     groups = [center] if center.size else []
-    for c in np.unique(band_class):
-        members = off[band_class == c]
+    for members in _flap_groups(np.array([bands[i][0] for i in off]),
+                                params, quad):
+        members = off[members]
         groups += np.array_split(members, -(-members.size // _RULE_POINTS))
 
     def rule(idx):
@@ -969,6 +973,37 @@ def _flap_band(field: RadialField, rho: float, params: ProblemParams,
     return a, T, cuts
 
 
+def _flap_groups(a, params: ProblemParams, quad: QuadratureSpec):
+    """Index arrays into a of the rules: the band classes floor(log2 a) in
+    ascending order, each joining the rule before it while no point of it
+    gains more charge (_flap_rounding at the rule's least a less at its
+    own) than _MERGE_BUDGET rel_tol |S^(N-1)| per unit of |u| + |rho u'|."""
+    N, s = params.dim, params.order
+    cls = np.floor(np.log2(a))
+    charge = _flap_rounding(
+        a, sphere_mean_power(N + 2.0 * s, 1.0, np.exp(-a), N), params)
+    budget = _MERGE_BUDGET * quad.rel_tol * sphere_area(N)
+    groups, top = [], 0.0
+    for c in np.unique(cls):
+        members = np.flatnonzero(cls == c)
+        if groups and np.all(top - charge[members] <= budget):
+            groups[-1] = np.concatenate([groups[-1], members])
+        else:
+            # the charge falls as a grows: the rule's is its least a's
+            groups.append(members)
+            top = charge[members].max()
+    return groups
+
+
+def _flap_rounding(a, mean_a, params: ProblemParams):
+    """_flap_rule's rounding charge per unit of |u| + |rho u'| at band a,
+    mean_a = Omega(1, e^-a): the kernel's mass beyond a and in the head."""
+    s = params.order
+    return 4.0 * np.finfo(float).eps * (
+        mean_a * a * (1.0 / (2.0 * s) + 1.0 / (2.0 - 2.0 * s))
+        + sphere_area(params.dim) / s)
+
+
 def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
                quad: QuadratureSpec):
     """(-Delta)^s u at the distances rho > 0 on one adaptive rule in t: the
@@ -979,7 +1014,6 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
     Returns (values, error_estimates) as arrays."""
     N, s = params.dim, params.order
     lam = N + 2.0 * s
-    half = 0.5 * (N - 2.0 * s)
     alpha0 = field.origin_exponent
     a = min(band[0] for band in bands)
     T = max(band[1] for band in bands)
@@ -1000,9 +1034,10 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
     def integrand(t):
         mean = mean_a if t.size == 1 and t[0] == a else sphere_mean_power(
             lam, 1.0, np.exp(-t), N)
-        g = (ux - field.profile(r * np.exp(t))) * np.exp(half * t) \
-            + (ux - field.profile(r * np.exp(-t))) * np.exp(-half * t)
-        return mean * np.exp(-0.5 * lam * t) * g
+        # K(t) G(+-t) on the decaying exponentials alone: none overflows
+        return mean * (
+            (ux - field.profile(r * np.exp(t))) * np.exp(-2.0 * s * t)
+            + (ux - field.profile(r * np.exp(-t))) * np.exp(-N * t))
 
     # geometric panels, no wider than one unit of t up to t = 3
     edges = log_edges(a, T, _per_decade(_DEFAULT_ORDER, quad.rel_tol),
@@ -1026,9 +1061,8 @@ def _flap_rule(field: RadialField, rho, bands, params: ProblemParams,
         - u_0 * e_n * m_0
     err += np.abs(u_far - far) * e_s * m_far \
         + np.abs(u_1 * math.exp(alpha0) - u_0) * e_n * m_0
-    err += 4.0 * np.finfo(float).eps * (
-        np.abs(val) + (np.abs(u_x) + np.abs(u_hi - u_lo) / (2.0 * a))
-        * (mean_a[0] * a * (1.0 / (2.0 * s) + 1.0 / (2.0 - 2.0 * s))
-           + omega / s))
+    err += 4.0 * np.finfo(float).eps * np.abs(val) + (
+        np.abs(u_x) + np.abs(u_hi - u_lo) / (2.0 * a)) * _flap_rounding(
+            a, mean_a[0], params)
     scale = params.normalizer * rho ** (-2.0 * s)
     return scale * val, scale * err

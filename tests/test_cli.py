@@ -245,10 +245,11 @@ class TestVerify:
     def test_one_flap_profile_per_run(self, monkeypatch, count_calls, flags):
         # both points of the delta identity share one flap profile: one
         # build, one engine call for its 32 values inside the support and
-        # one for its 17 outside, not one per point. Each call's values
-        # come from one flap-radial rule per band class of its points,
-        # floor(log2 a), so at most two rules per class in all
-        built = count_calls(potentials.FlapProfile, "__init__")
+        # one for its 17 outside, not one per point. A call's band classes,
+        # floor(log2 a), merge onto shared flap-radial rules within the
+        # rounding budget (quadrature._flap_groups): never more rules than
+        # classes, one rule a call at (3, .5), where merging costs almost
+        # no rounding, and one a class at (5, .9), where it costs too much
         real_engine = potentials.frac_laplacian_at_detailed
         real_rows = quadrature.adaptive_panel_rows
         engine_calls = []  # (points, rows of each flap-radial rule)
@@ -270,22 +271,25 @@ class TestVerify:
 
         monkeypatch.setattr(potentials, "frac_laplacian_at_detailed", engine)
         monkeypatch.setattr(quadrature, "adaptive_panel_rows", rows)
-        code, out, err = run_cli("verify", "--N", "3", "--s", "0.5", *flags)
-        assert code == 0, err
-        assert "delta-identity-zero-coupling" in out
-        assert len(built) == 1
-        assert [len(call[1]) for call in engine_calls] == [32, 17]
-        all_classes = set()
-        for f, points, params, quad, rules in engine_calls:
-            rho = np.linalg.norm(points - f.center(params.dim), axis=1)
-            classes = {math.floor(math.log2(
-                quadrature._flap_band(f, float(r), params, quad)[0]))
-                for r in rho}
-            all_classes |= classes
-            assert sum(rules) == len(points)
-            assert len(rules) == len(classes)
-        assert sum(len(call[4]) for call in engine_calls) \
-            <= 2 * len(all_classes)
+        for N, s in (("3", "0.5"), ("5", "0.9")):
+            built = count_calls(potentials.FlapProfile, "__init__")
+            engine_calls.clear()
+            code, out, err = run_cli("verify", "--N", N, "--s", s, *flags)
+            assert code == 0, err
+            assert "delta-identity-zero-coupling" in out
+            assert len(built) == 1
+            assert [len(call[1]) for call in engine_calls] == [32, 17]
+            for f, points, params, quad, rules in engine_calls:
+                rho = np.linalg.norm(points - f.center(params.dim), axis=1)
+                classes = {math.floor(math.log2(
+                    quadrature._flap_band(f, float(r), params, quad)[0]))
+                    for r in rho}
+                assert sum(rules) == len(points)
+                assert len(rules) <= len(classes)
+                if N == "3":
+                    assert len(rules) == 1
+                else:
+                    assert len(rules) == len(classes) > 1
 
     # (N, s, gamma / ((N - 2s) / 2)) across the three axes of the admissible
     # domain: small s (the heat profile's overflow edge at (5, .05) and

@@ -312,23 +312,27 @@ class TestInnerRule:
 
     def test_one_sphere_mean_call_per_block(self, params_2d, quad,
                                             monkeypatch):
+        # the rule's nodes and weights are built once per (N, s): one
+        # sphere_mean_power call for the first energy, none for the next,
+        # and the kept arrays are read-only
         from fracgreen import operator
-        means, inners = [0], [0]
-        mean, inner = operator.sphere_mean_power, operator._inner_below
+        means = [0]
+        mean = operator.sphere_mean_power
 
         def counted_mean(*args):
             means[0] += 1
             return mean(*args)
 
-        def counted_inner(f, rho, params):
-            inners[0] += 1
-            return inner(f, rho, params)
-
         monkeypatch.setattr(operator, "sphere_mean_power", counted_mean)
-        monkeypatch.setattr(operator, "_inner_below", counted_inner)
-        hardy_ratio(Gaussian(1.0), params_2d, quad)
-        assert inners[0] > 0
-        assert means[0] == inners[0]
+        operator._inner_rule.cache_clear()
+        first = hardy_ratio(Gaussian(1.0), params_2d, quad)
+        assert means[0] == 1
+        assert hardy_ratio(Gaussian(1.0), params_2d, quad) == first
+        hardy_ratio(Gaussian(2.0), params_2d, quad)
+        assert means[0] == 1
+        for a in operator._inner_rule(params_2d.dim, params_2d.order):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestFundamentalResidual:

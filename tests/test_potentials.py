@@ -1,6 +1,7 @@
 """Green potentials: structure, slope fits, integrability, delta identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -548,6 +549,44 @@ class TestPairShells:
         assert split.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_share_the_density_mean(self, dim, monkeypatch):
+        # verify's origin-slope geometry: six |x| in [1e-3, 1e-2] times
+        # +-e1, every shell far from them. Each value equals the point's
+        # one-point call and a one-block run to the bit, and the one-block
+        # run averages the density once per shell, direction and panel:
+        # as often as the two one-point calls of the directions together
+        p = ProblemParams.from_gamma(dim, 0.4, 0.3 * (dim - 0.8))
+        kern = _SurrogateKernel(p)
+        phi = Bump(0.35, center_norm=1.0)
+        r = np.linspace(0.66, 1.34, 23)
+        rho = np.repeat(np.geomspace(1e-3, 1e-2, 6), 2)
+        beta = np.tile([0.0, math.pi], 6)
+        evals = []
+        profile = phi.profile
+
+        def counted(t):
+            evals[-1] += np.size(t)
+            return profile(t)
+
+        monkeypatch.setattr(phi, "profile", counted)
+
+        def shells(rho, beta):
+            evals.append(0)
+            return potentials._pair_shell_integrals(kern, phi, rho, beta, r,
+                                                    dim)
+
+        many = shells(rho, beta)
+        for i in range(rho.size):
+            one = shells(rho[i:i + 1], beta[i:i + 1])
+            assert one.tobytes() == many[i:i + 1].tobytes()
+        monkeypatch.setattr(potentials, "_PAIR_NODES", 1 << 40)
+        evals.clear()
+        assert shells(rho, beta).tobytes() == many.tobytes()
+        shells(rho[:1], beta[:1])
+        shells(rho[1:2], beta[1:2])
+        assert evals[0] == evals[1] + evals[2] > 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_clipped_row_matches_a_fresh_build(self, dim, monkeypatch):
         # the kept row of the clipped width, alone or after other widths,
         # equals the rows built with them in one call
@@ -658,6 +697,19 @@ class TestDeltaIdentity:
             rep = flap.delta_identity(axis_point(rho, 3))
             assert rep.passed
             assert rep.residual <= 1e-3
+
+    def test_high_dimension_raises_no_warning(self, quad):
+        # at N = 70 the flap integrand once formed exp((N - 2s) t / 2) and
+        # exp(-(N + 2s) t / 2) apart, and the first overflowed at the
+        # rule's far end
+        p = ProblemParams.from_gamma(70, 0.5, 0.4 * 69)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            flap = FlapProfile(Bump(1.0), p, quad)
+            for rho in (0.4, 0.8):
+                rep = flap.delta_identity(axis_point(rho, 70))
+                assert rep.passed
+                assert rep.residual <= 1e-6
 
     def test_strict_outside_support(self, params_3big, quad):
         f = Bump(1.0)
