@@ -90,11 +90,11 @@ _MERGE_BUDGET = 1e-2
 # the least far edge of a radial integral over R^N of an unbounded field,
 # beyond which its analytic power tail takes over (_far_edge)
 _OUTER_RADIUS = 1e3
-#: the largest dimension N a run accepts: the engine forms powers up to
-#: about _OUTER_RADIUS^(N+1) (an integrand's r^(N-1) times a panel's
-#: half-width, or the square r^2 of a sphere mean's argument), and up to
-#: 1e300 every such power stays finite with room to spare
-MAX_DIM = math.floor(300.0 / math.log10(_OUTER_RADIUS)) - 1
+#: the largest dimension N a run accepts, measured with RuntimeWarning as an
+#: error: every run of tools/domain_map.py is clean at N = 33, and from
+#: N = 34 an off-centre surrogate or resolvent potential overflows in the
+#: kernel's pair value (--field-center 1 --field-radius 0.35)
+MAX_DIM = 33
 # the largest alpha0 ln(1/r) at which the pointwise fractional Laplacian
 # (_flap_rule) evaluates a field that grows like r^-alpha0 at its centre:
 # e^700 leaves e^9.7 of the floats' range to the field's amplitude
@@ -170,7 +170,10 @@ def panel_nodes(edges: np.ndarray, order: int):
 def blockwise(fn, size, *arrays):
     """fn over consecutive blocks of `size` entries of the arrays (sliced
     alike), results concatenated: bounds the temporaries of a batched
-    evaluation. An entry's value does not depend on its block."""
+    evaluation. An entry's value does not depend on its block only if fn's
+    value for it does not: a BLAS product (@) may round a row by its place
+    in the matrix, so potentials._pair_block, whose test asserts one-point
+    and many-point runs bit-identical, sums with einsum."""
     n = len(arrays[0])
     return np.concatenate([fn(*(a[i:i + size] for a in arrays))
                            for i in range(0, n, size)])
@@ -196,8 +199,9 @@ def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray, order: int):
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(
         (-1,) + nodes.shape)
-    # one (rows * panels, order) product, for one row the same product as
-    # on that row alone
+    # one (rows * panels, order) product: BLAS may round a row by its place
+    # in the matrix, so a row's sums can differ in the last bit from those
+    # of the same row alone
     sums = (vals.reshape(-1, order) @ w).reshape(vals.shape[:2]) * half
     return sums, nodes, vals
 
