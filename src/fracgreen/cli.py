@@ -14,6 +14,7 @@ every numeric column carries an error-estimate companion column.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,8 @@ from .fields import Bump, Bubble, Gaussian, make_field, near_optimizer
 from .kernels import (KERNEL_KINDS, RESOLVENT_REL_ERR,
                       green_surrogate_expanded, green_surrogate_product,
                       green_time_integral, green_time_integral_quadrature,
-                      heat_profile, resolvent_profile_integral, riesz_kernel)
+                      heat_profile, resolvent_profile_integral, riesz_kernel,
+                      row_norms)
 from .operator import fundamental_residual, hardy_ratio
 from .params import (ProblemParams, gamma_of_theta, sharp_hardy_constant,
                      theta_of_gamma)
@@ -143,12 +145,14 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     pairs = [p for x, y in sampled for p in ((x, y), (y, x))]
     t_val = float(args.time)
     alpha = float(args.alpha)
+    x_all, y_all = np.array(pairs).transpose(1, 0, 2)
+    quad_all = green_time_integral_quadrature(x_all, y_all, params,
+                                              cfg.quad).tolist()
     rows = []
-    for x, y in pairs:
+    for (x, y), quadv in zip(pairs, quad_all):
         prod = float(green_surrogate_product(x, y, params))
         expd = float(green_surrogate_expanded(x, y, params))
         closed = float(green_time_integral(x, y, params))
-        quadv = green_time_integral_quadrature(x, y, params, cfg.quad)
         resv = resolvent_profile_integral(alpha, x, y, params)
         rows.append({
             "x_norm": float(np.linalg.norm(x)), "x_norm_err": 0.0,
@@ -204,9 +208,8 @@ def _verify_forms(params: ProblemParams, seed: int,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(n, params.dim))
     y = rng.uniform(-2, 2, size=(n, params.dim))
-    keep = ((np.linalg.norm(x, axis=1) > 1e-2)
-            & (np.linalg.norm(y, axis=1) > 1e-2)
-            & (np.linalg.norm(x - y, axis=1) > 1e-3))
+    keep = ((row_norms(x) > 1e-2) & (row_norms(y) > 1e-2)
+            & (row_norms(x - y) > 1e-3))
     x, y = x[keep], y[keep]
     prod = green_surrogate_product(x, y, params)
     expd = green_surrogate_expanded(x, y, params)
@@ -218,12 +221,10 @@ def _verify_forms(params: ProblemParams, seed: int,
 
 def _verify_time_integral(params, quad, seed, n=10) -> VerificationReport:
     rng = np.random.default_rng(seed + 1)
-    pairs = _sample_pairs(rng, n, params.dim)
-    worst = 0.0
-    for x, y in pairs:
-        closed = float(green_time_integral(x, y, params))
-        quadv = green_time_integral_quadrature(x, y, params, quad)
-        worst = max(worst, abs(closed - quadv) / closed)
+    x, y = np.array(_sample_pairs(rng, n, params.dim)).transpose(1, 0, 2)
+    closed = green_time_integral(x, y, params)
+    quadv = green_time_integral_quadrature(x, y, params, quad)
+    worst = float(np.max(np.abs(closed - quadv) / closed))
     return VerificationReport("time-integral-closed-vs-quadrature", worst,
                               0.0, 1e-6, worst, bool(worst <= 1e-6),
                               {"pairs": n})
@@ -366,7 +367,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged."""
     ap = argparse.ArgumentParser(
         prog="fracgreen",
         description="Constants, comparison kernels and Green potentials of "

@@ -101,8 +101,15 @@ class Bump(RadialField):
         t = r / self.radius
         out = np.zeros_like(t)
         inside = t < 1.0
+        # exp(1 - 1 / (1 - t^2)) in place on the gathered copy
         ti = t[inside]
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+        np.multiply(ti, ti, out=ti)
+        np.subtract(1.0, ti, out=ti)
+        np.divide(1.0, ti, out=ti)
+        np.subtract(1.0, ti, out=ti)
+        np.exp(ti, out=ti)
+        ti *= self.amplitude
+        out[inside] = ti
         return out
 
     def breakpoints(self):

@@ -50,9 +50,20 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .params import ProblemParams, rgamma, zeta
 from .quadrature import (_SERIES_TOL, QuadratureSpec, _per_decade,
-                         _power_series, adaptive_panel_integral,
+                         _power_series, adaptive_panel_rows,
                          bipolar_sphere_integral, log_edges,
                          sphere_mean_power)
+
+
+def row_norms(v):
+    """The Euclidean norms of v along its last axis, its squared columns
+    summed in order: the value of np.linalg.norm(v, axis=-1) for fewer than
+    eight columns, where numpy also adds them in order, at a fraction of
+    its cost on many short rows."""
+    sq = v[..., 0] * v[..., 0]
+    for i in range(1, v.shape[-1]):
+        sq += v[..., i] * v[..., i]
+    return np.sqrt(sq)
 
 
 def _norms(x, y, at_origin=False, on_diagonal=False):
@@ -60,9 +71,7 @@ def _norms(x, y, at_origin=False, on_diagonal=False):
     unless at_origin resp. on_diagonal admits it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rx = np.linalg.norm(x, axis=-1)
-    ry = np.linalg.norm(y, axis=-1)
-    d = np.linalg.norm(x - y, axis=-1)
+    rx, ry, d = row_norms(x), row_norms(y), row_norms(x - y)
     if not at_origin and (np.any(rx == 0.0) or np.any(ry == 0.0)):
         raise DomainError("kernel arguments must avoid the origin")
     if not on_diagonal and np.any(d == 0.0):
@@ -153,30 +162,41 @@ def green_time_integral(x, y, params: ProblemParams):
 
 def green_time_integral_quadrature(x, y, params: ProblemParams,
                                    quad: QuadratureSpec):
-    """Adaptive time quadrature of the heat profile (cross-check path)."""
+    """Adaptive time quadrature of the heat profile (cross-check path): a
+    float for one pair x, y, an array with one entry per row for rows of
+    pairs.
+
+    Every pair is a row of one adaptive_panel_rows rule in tau = t / T,
+    T = |x-y|^(2s): int_0^inf H(t) dt = int_0^inf T H(T tau) dtau, so every
+    pair's branch switch sits at tau = 1. Below tau = 2^-40 the integrand
+    is ~ tau (head power 1). Beyond T the profile is exactly
+    sum_j W_j t^(-q_j), q_j = N/2s - j c (surrogate_terms weights W_j,
+    powers lam_j), so in tau each row's far terms are
+    W_j T^(1-q_j) tau^(-q_j) = W_j d^(-lam_j) tau^(-q_j), integrated
+    analytically beyond the rule's end.
+    """
     rx, ry, d = _norms(x, y)
+    one = np.ndim(d) == 0
+    rx, ry, d = (np.atleast_1d(v) for v in (rx, ry, d))
     N, s, g = params.dim, params.order, params.exponent_gamma
-    rx, ry, d = float(rx), float(ry), float(d)
-    T = d ** (2.0 * s)
-    # beyond T the profile is exactly sum_j W_j t^(-q_j), q_j = N/2s - j c
-    # (surrogate_terms weights), integrated analytically beyond t_hi
     c = g / (2.0 * s)
-    far = tuple((w, N / (2.0 * s) - j * c - 1.0) for j, (w, _) in
-                enumerate(surrogate_terms(rx, ry, params)))
+    far = tuple((w * d ** (-lam), N / (2.0 * s) - j * c - 1.0) for j, (w, lam)
+                in enumerate(surrogate_terms(rx, ry, params)))
+    T = d ** (2.0 * s)
     # the panels check the profile on as many decades beyond T as the
     # slowest far term needs to fall below the tolerance, but stop where
-    # the profile's factor t^(-N/2s) would leave the normal floats
+    # the profile's factor t^(-N/2s) would leave the normal floats, for
+    # the pair of largest T
     decades = max(4.0, (9.0 + math.log10(1.0 / quad.rel_tol)) / far[-1][1])
-    t_hi = 10.0 ** min(math.log10(T) + decades,
-                       -math.log10(np.finfo(float).tiny) * 2.0 * s / N)
-    t_lo = T * 2.0 ** -40
-
-    # below t_lo the integrand is ~ t d^-(N+2s)
-    val, _ = adaptive_panel_integral(
-        lambda t: heat_profile_radial(t, d, rx, ry, params),
-        log_edges(t_lo, t_hi, _per_decade(12, quad.rel_tol), (T,)), quad,
-        label="green-time-quadrature", head_power=1.0, tail=far)
-    return val
+    tau_hi = 10.0 ** min(
+        decades, -math.log10(np.finfo(float).tiny) * 2.0 * s / N
+        - math.log10(T.max()))
+    T, d, rx, ry = (v[:, None] for v in (T, d, rx, ry))
+    val, _ = adaptive_panel_rows(
+        lambda tau: T * heat_profile_radial(T * tau, d, rx, ry, params),
+        log_edges(2.0 ** -40, tau_hi, _per_decade(12, quad.rel_tol), (1.0,)),
+        quad, label="green-time-quadrature", head_power=1.0, tail=far)
+    return float(val[0]) if one else val
 
 
 _EXPINT_SERIES_TERMS = 32  # x^k / k! terms of the series, enough for x < 2

@@ -158,7 +158,7 @@ def _inner_below(f: RadialField, rho: np.ndarray,
     def block(rho_b):
         f_all = f.profile(rho_b[:, None] * u)
         diff = f_all[:, :-1] - f_all[:, -1:]
-        return (diff * diff) @ weight
+        return np.square(diff, out=diff) @ weight
 
     return blockwise(block, _ENERGY_BLOCK, rho) * rho ** (-2.0 * params.order)
 
@@ -176,10 +176,12 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
 
     Two errors go unestimated. The inner rule has no error estimate. The
     outer integral stops at max(_OUTER_RADIUS, 2 x support) (tail_start
-    for an unbounded field, where the cut then moves out fourfold until the
-    value settles), not at _far_edge's cut, since the integrand lives past
-    the support; it adds the far tail |f|_2^2 rho^(-1-2s) beyond, a model
-    that is still about 9% off at twice a compact support.
+    for an unbounded field), not at _far_edge's cut, since the integrand
+    lives past the support; it adds the far tail |f|_2^2 rho^(-1-2s)
+    beyond, a model that is still about 9% off at twice a compact support.
+    For an unbounded field the cut hi then moves out fourfold until the
+    value with its tail settles: each move integrates [hi, 4 hi] alone,
+    its scale the part already integrated, and adds it to that part.
     """
     if f.center_norm != 0.0:
         raise DomainError("energy quadrature expects an origin-centered field")
@@ -196,27 +198,31 @@ def _dirichlet_energy(f: RadialField, params: ProblemParams,
     l2 = integrate_radial_singular(_Squared(f), 0.0, N, quad)
     lo = min(1e-6 * scale0,
              0.5 * min(breaks)) if breaks else 1e-6 * scale0
-    prev = None
     hi = max(_OUTER_RADIUS, 2.0 * scale0)
-    for _ in range(6):
+
+    def far(b):
+        # far tail beyond b: _inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
+        return l2 * b ** (-2.0 * s) / (2.0 * s)
+
+    def outer(a, b, scale_hint=0.0):
         # 3 a decade, not _per_decade's 2: on the coarser first grid the
         # inner rule's unestimated error, met at other outer nodes, moved
         # Bump(1)'s quotient at (4, .75) by 5.7e-8 relative, past the outer
         # estimate (ROADMAP item 4)
-        edges = log_edges(lo, hi, 3, splits=breaks)
-        # far tail: _inner_below(rho) ~ |f|_2^2 rho^(-N-2s)
-        val, _ = adaptive_panel_integral(outer_integrand, edges, quad,
-                                         order=8, label="energy-outer",
-                                         tail=((l2, 2.0 * s),))
-        if prev is not None and abs(val - prev) \
-                <= 10.0 * quad.rel_tol * abs(val):
-            prev = val
-            break
-        prev = val
-        if sup is not None:
-            break
+        return adaptive_panel_integral(
+            outer_integrand, log_edges(a, b, 3, splits=breaks), quad,
+            order=8, scale_hint=scale_hint, label="energy-outer",
+            tail=((l2, 2.0 * s),))[0]
+
+    val = outer(lo, hi)
+    # an unbounded field: six cuts at most
+    for _ in range(5 if sup is None else 0):
+        part = val - far(hi)
+        prev, val = val, part + outer(hi, 4.0 * hi, part)
         hi *= 4.0
-    return float(params.normalizer * omega * prev), float(l2)
+        if abs(val - prev) <= 10.0 * quad.rel_tol * abs(val):
+            break
+    return float(params.normalizer * omega * val), float(l2)
 
 
 def energy_form(f: RadialField, params: ProblemParams,

@@ -49,8 +49,8 @@ from .quadrature import (_RULE_POINTS, QuadratureSpec, _on_rules,
                          _per_decade, adaptive_panel_rows, axis_point,
                          blockwise, frac_laplacian_at_detailed,
                          integrate_radial_singular, log_edges, panel_nodes,
-                         polar_rule, radial_moment, shell_distance,
-                         sphere_area)
+                         polar_rule, radial_moment, sphere_area, versine,
+                         versine_distance)
 from .reports import VerificationReport
 
 # how a ToleranceError names a potential's unresolved point
@@ -73,7 +73,7 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 # the widest kernel boundary layer of the two-angle rule, in units of |x|:
 # every shell at least this far from its point's |x| takes it
 _PAIR_LAYER_CLIP = 0.3
-# the pair rule's polar edges, nodes and weights for the width
+# the pair rule's polar edges, weights and node tables for the width
 # _PAIR_LAYER_CLIP, and its second-angle rule, by dimension, read-only,
 # built on first use
 _CLIPPED_LAYER = {}
@@ -273,15 +273,22 @@ def _second_angle(dim):
 
 
 def _layer_rows(dim, layer):
-    """The pair rule's polar edges, nodes and weights for each of the layer
-    widths `layer`, one row each: Gauss-Legendre panels of order _PAIR_ORDER
-    on _PAIR_EDGES and a geometric run of 24 edges from 0.01 width to pi. A
-    row does not depend on the others."""
+    """The pair rule's polar edges and, at its nodes theta, its weights and
+    _polar_tables for each of the layer widths `layer`, one row each:
+    Gauss-Legendre panels of order _PAIR_ORDER on _PAIR_EDGES and a
+    geometric run of 24 edges from 0.01 width to pi. A row does not depend
+    on the others."""
     run = np.geomspace(0.01 * layer, math.pi, 24, axis=1)
     fixed = np.broadcast_to(_PAIR_EDGES, (layer.size, _PAIR_EDGES.size))
     edges = np.sort(np.hstack([run, fixed]), axis=1)
     theta, wt = polar_rule(dim, _PAIR_ORDER, edges)
-    return edges, theta, wt
+    return (edges, wt, *_polar_tables(theta))
+
+
+def _polar_tables(theta):
+    """versine(theta), cos(theta) and sin(theta): what the pair rule reads
+    of its polar nodes, built with the rule and gathered per pair."""
+    return versine(theta), np.cos(theta), np.sin(theta)
 
 
 def _polar_layers(dim, layer):
@@ -307,13 +314,14 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     theta is the angle from x, on polar panels refined geometrically into
     each (point, shell) pair's kernel boundary layer. A pair's panels depend
     on its layer width clip(|rho - r| / rho, 1e-8, _PAIR_LAYER_CLIP) alone,
-    so the polar nodes and weights are built once per distinct width
-    (_polar_layers) and gathered on each pair's kept panels only. The
-    clipped width, which every shell far from x takes, keeps its rule for
-    later calls, as the second-angle rule does (_second_angle): one node
-    when every point lies on the density's axis. The kernel depends on
-    theta alone, through shell_distance, so it is evaluated once per polar
-    node of a pair. The density is averaged over the second angle at each;
+    so the polar weights and the tables of the nodes (_polar_tables) are
+    built once per distinct width (_polar_layers) and gathered on each
+    pair's kept panels only. The clipped width, which every shell far from
+    x takes, keeps its rule for later calls, as the second-angle rule does
+    (_second_angle): one node when every point lies on the density's axis.
+    The kernel depends on theta alone, through its versine
+    (versine_distance), so it is evaluated once per polar node of a pair.
+    The density is averaged over the second angle at each;
     that mean depends on the pair's shell, direction beta and layer row,
     not on |x|, so the pairs run shell by shell and each block takes it
     once per distinct (shell, direction, layer row, panel) (_pair_block).
@@ -337,13 +345,14 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     if dim == 1:
         # one panel of the two nodes 0, pi, shared by every shell
         theta, wt = polar_rule(dim, _PAIR_ORDER, None)
+        polar = (wt, *_polar_tables(theta))
         layer_row = np.zeros(rs.size, dtype=int)
         keep = np.ones((rs.size, 1), dtype=bool)
     else:
         layer, layer_row = np.unique(
             np.clip(np.abs(x - rs) / x, 1e-8, _PAIR_LAYER_CLIP),
             return_inverse=True)
-        edges, theta, wt = _polar_layers(dim, layer)
+        edges, *polar = _polar_layers(dim, layer)
         edges = edges[layer_row]
         cap = np.repeat(np.arccos(np.clip((c * c + r * r - R * R)
                                           / (2.0 * c * r), -1.0, 1.0)),
@@ -353,41 +362,42 @@ def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
     # one integer key of a pair's shell, direction and layer row
     direction = np.tile(np.unique(beta, return_inverse=True)[1], r.size)
     key = ((np.arange(rs.size) // rho.size * rho.size + direction)
-           * theta.shape[0] + layer_row)
+           * polar[0].shape[0] + layer_row)
     # (layers, panels, nodes a panel)
-    shape = (theta.shape[0], keep.shape[1], -1)
-    theta, wt = theta.reshape(shape), wt.reshape(shape)
-    size = keep.sum(axis=1) * theta.shape[2] * w2.size
+    shape = (polar[0].shape[0], keep.shape[1], -1)
+    polar = tuple(a.reshape(shape) for a in polar)
+    size = keep.sum(axis=1) * polar[0].shape[2] * w2.size
     cuts = np.flatnonzero(np.diff((np.cumsum(size) - size) // _PAIR_NODES))
     return np.concatenate([
-        _pair_block(kern, phi, *block, theta, wt, cos_chi, w2)
+        _pair_block(kern, phi, *block, polar, cos_chi, w2)
         for block in zip(*(np.split(a, cuts + 1)
                            for a in (x, b, rs, layer_row, keep, key)))
     ]).reshape(r.size, rho.size).T
 
 
-def _pair_block(kern, phi, rho, beta, r, layer_row, keep, key, theta, wt,
+def _pair_block(kern, phi, rho, beta, r, layer_row, keep, key, polar,
                 cos_chi, w2):
     """_pair_shell_integrals on one block of (point, shell) pairs, given
     each pair's |x|, angle beta, shell, layer row, kept panels and key of
-    (shell, direction, layer row), the polar nodes and weights (layers,
-    panels, nodes a panel) and the second-angle rule. The kernel is
-    evaluated per pair, the density's second-angle mean once per distinct
-    key and panel of the block."""
+    (shell, direction, layer row), the polar weights and _polar_tables
+    (each (layers, panels, nodes a panel)) and the second-angle rule. The
+    kernel is evaluated per pair, the density's second-angle mean once per
+    distinct key and panel of the block."""
     c = abs(phi.center_norm)
+    wt, vers, cos_th, sin_th = polar
     # one row of polar nodes per kept (pair, panel)
     rows, panels = np.nonzero(keep)
     at = layer_row[rows], panels
-    th, w_th = theta[at], wt[at]
-    rk, xk = r[rows, None], rho[rows, None]
-    kv = kern.pair_value(shell_distance(xk, rk, th), xk, rk)
+    rk, xk, w_th = r[rows, None], rho[rows, None], wt[at]
+    kv = kern.pair_value(versine_distance(xk, rk, vers[at]), xk, rk)
     _, first, mean_row = np.unique(key[rows] * keep.shape[1] + panels,
                                    return_index=True, return_inverse=True)
-    rk, th, rows_u = rk[first], th[first], rows[first]
+    rk, rows_u = rk[first], rows[first]
+    at = layer_row[rows_u], panels[first]
     # |r w - y_c|^2 = a - b cos(chi)
-    a = c * c + rk * rk - 2.0 * c * rk * np.cos(th) \
+    a = c * c + rk * rk - 2.0 * c * rk * cos_th[at] \
         * np.cos(beta)[rows_u, None]
-    b = 2.0 * c * rk * np.sin(th) * np.sin(beta)[rows_u, None]
+    b = 2.0 * c * rk * sin_th[at] * np.sin(beta)[rows_u, None]
     t = np.sqrt(np.maximum(a[..., None] - b[..., None] * cos_chi, 0.0))
     # summed row by row: a BLAS product rounds a row by its place
     mean = np.einsum("...k,k->...", phi.profile(t), w2)

@@ -183,10 +183,13 @@ def _bisect(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Split points of the panels [lo, hi]: geometric when hi > 2 lo > 0
     (sqrt(lo) sqrt(hi) where lo hi overflows), arithmetic otherwise."""
     geo = (lo > 0) & (hi > 2.0 * lo)
-    with np.errstate(over="ignore"):
+    if hi.max() < 1e154:  # lo <= hi, so lo hi cannot overflow
         root = np.sqrt(np.maximum(lo, 1e-300) * hi)
-    big = ~np.isfinite(root)
-    root[big] = np.sqrt(lo[big]) * np.sqrt(hi[big])
+    else:
+        with np.errstate(over="ignore"):
+            root = np.sqrt(np.maximum(lo, 1e-300) * hi)
+        big = ~np.isfinite(root)
+        root[big] = np.sqrt(lo[big]) * np.sqrt(hi[big])
     return np.where(geo, root, 0.5 * (lo + hi))
 
 
@@ -315,6 +318,7 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
     val = np.zeros(len(sums))
     err = np.zeros(len(sums))
     floor = np.maximum(np.broadcast_to(floor, val.shape), 1e-300)
+    rows = np.arange(len(val))[:, None]
     for rnd in range(_MAX_ROUNDS):
         if rnd:
             mid = _bisect(p_lo, p_hi)
@@ -342,19 +346,22 @@ def adaptive_panel_rows(fn, edges, quad: QuadratureSpec, order=None,
             # each row marks the panels past the run of its smallest
             # estimates that fits its budget
             rank = np.argsort(est, axis=1)
-            total = np.cumsum(np.take_along_axis(est, rank, axis=1), axis=1)
-            np.put_along_axis(split, rank, ~(total <= budget[:, None]), axis=1)
+            total = np.cumsum(est[rows, rank], axis=1)
+            split[rows, rank] = ~(total <= budget[:, None])
         split = split.any(axis=0)
         val += fine[:, ~split].sum(axis=1)
         err += est[:, ~split].sum(axis=1)
         if not split.any():
             break
         parent = defect[:, split]
-        p_lo = np.column_stack([p_lo[split], mid[split]]).ravel()
-        p_hi = np.column_stack([mid[split], p_hi[split]]).ravel()
-        coarse = np.stack([left[:, split], right[:, split]],
-                          axis=2).reshape(len(val), -1)
-        n = p_lo.size
+        # the children, each bisected panel's halves side by side
+        lo_s, mid_s, hi_s = p_lo[split], mid[split], p_hi[split]
+        n = 2 * lo_s.size
+        p_lo, p_hi = np.empty(n), np.empty(n)
+        p_lo[0::2], p_lo[1::2] = lo_s, mid_s
+        p_hi[0::2], p_hi[1::2] = mid_s, hi_s
+        coarse = np.empty((len(val), n))
+        coarse[:, 0::2], coarse[:, 1::2] = left[:, split], right[:, split]
     bad = err > 5.0 * quad.rel_tol * np.maximum(np.abs(val), floor)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -688,10 +695,20 @@ def polar_rule(dim: int, order: int, edges):
     return theta, sphere_area(dim - 1) * w * np.sin(theta) ** (dim - 2)
 
 
+def versine(theta):
+    """vers(theta) = 1 - cos(theta), as 2 sin^2(theta / 2): no cancellation
+    near theta = 0."""
+    return 2.0 * np.sin(0.5 * theta) ** 2
+
+
 def shell_distance(rho, r, theta):
     """|rho e1 - r w| for w at polar angle theta from e1, by the versine
     form (module docstring), floored at 1e-150."""
-    vers = 2.0 * np.sin(0.5 * theta) ** 2
+    return versine_distance(rho, r, versine(theta))
+
+
+def versine_distance(rho, r, vers):
+    """shell_distance given vers = versine(theta)."""
     return np.sqrt(np.maximum((rho - r) ** 2 + 2.0 * rho * r * vers, 1e-300))
 
 

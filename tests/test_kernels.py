@@ -176,6 +176,22 @@ class TestTimeIntegral:
             num = green_time_integral_quadrature(x, y, params_3half, quad)
             assert abs(closed - num) <= 1e-6 * closed
 
+    @pytest.mark.parametrize("N,s", [(1, 0.25), (2, 0.4), (3, 0.5),
+                                     (5, 0.05), (8, 0.9)])
+    def test_quadrature_rows_match_one_pair_calls(self, N, s, quad):
+        # k pairs are rows of one rule in t / |x-y|^(2s); each row equals
+        # its pair's one-pair call within rel_tol. One pair gives a float
+        p = ProblemParams.from_gamma(N, s, 0.6 * (N - 2 * s) / 2)
+        rng = np.random.default_rng(N)
+        x, y = np.array([rand_pair(rng, N, lo=1e-2) for _ in range(7)]
+                        ).transpose(1, 0, 2)
+        rows = green_time_integral_quadrature(x, y, p, quad)
+        assert isinstance(rows, np.ndarray) and rows.shape == (7,)
+        for xi, yi, row in zip(x, y, rows):
+            one = green_time_integral_quadrature(xi, yi, p, quad)
+            assert isinstance(one, float)
+            assert abs(row - one) <= quad.rel_tol * abs(one)
+
     def test_quadrature_with_far_panels_beyond_1e154(self, quad):
         # at (1, .45) the panels reach t ~ 1e277, where a panel's lo * hi
         # overflows; the value stands, and no warning is raised

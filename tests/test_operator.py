@@ -18,6 +18,8 @@ from fracgreen import (Bubble, Bump, DegenerateInputError, DomainError,
                        fundamental_residual, hardy_ratio,
                        hardy_weight_integral, near_optimizer,
                        near_optimizer_sweep, sphere_area)
+from fracgreen import operator
+from fracgreen.quadrature import log_edges
 
 
 def hankel_energy_oracle(profile, N, s, k_max, r_max, n_k=160):
@@ -138,6 +140,49 @@ class TestEnergyForm:
             (N - 2 * s) / 2)
         e_exact = kappa * sphere_area(N) * 0.5 * beta_fn(N / 2, N / 2)
         assert fe.energy == pytest.approx(e_exact, rel=1e-6)
+
+    @pytest.mark.parametrize("N,s", [(1, 0.01), (2, 0.4), (3, 0.5),
+                                     (5, 0.9)])
+    def test_unbounded_field_extends_its_outer_rule(self, N, s, quad,
+                                                    monkeypatch):
+        # the bubble has no support radius, so its outer cut moves out
+        # fourfold until the value settles; each move integrates only the
+        # new stretch. The value agrees with a from-scratch integral over
+        # the final cut, at fewer outer nodes than from-scratch integrals
+        # over every cut
+        p = ProblemParams.from_gamma(N, s, 0.4 * (N - 2 * s))
+        f = Bubble(N - 2 * s)
+        engine = operator.adaptive_panel_integral
+        inner = operator._inner_below
+        cuts, nodes = [], [0]
+
+        def cut(fn, edges, *args, **kwargs):
+            cuts.append((float(edges[0]), float(edges[-1])))
+            return engine(fn, edges, *args, **kwargs)
+
+        def counted(f, rho, params):
+            nodes[0] += np.size(rho)
+            return inner(f, rho, params)
+
+        monkeypatch.setattr(operator, "adaptive_panel_integral", cut)
+        monkeypatch.setattr(operator, "_inner_below", counted)
+        energy, l2 = operator._dirichlet_energy(f, p, quad)
+        used = nodes[0]
+        assert len(cuts) >= 2
+
+        lo = cuts[0][0]
+        scale = p.normalizer * sphere_area(N)
+        scratch = []
+        for hi in sorted({hi for _, hi in cuts}):
+            nodes[0] = 0
+            val, _ = engine(
+                lambda r: counted(f, r, p) * r ** (N - 1.0),
+                log_edges(lo, hi, 3), quad, order=8,
+                tail=((l2, 2.0 * s),))
+            scratch.append((scale * val, nodes[0]))
+        assert abs(energy - scratch[-1][0]) \
+            <= 10.0 * quad.rel_tol * abs(scratch[-1][0])
+        assert used < sum(n for _, n in scratch)
 
     def test_fourier_side_oracle_gaussian(self, params_3half, quad):
         fe = energy_form(Gaussian(1.0), params_3half, quad)

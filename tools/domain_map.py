@@ -10,11 +10,12 @@ with stdout and stderr captured and a RuntimeWarning raised as an error; an
 escaping exception, SystemExit included, is recorded, never re-raised.
 
 Each run's stdout goes to OUT/<row>.out; its exit code, failing `verify`
-rows, stderr, warnings, traceback and seconds go to OUT/summary.json. The
-exit code is 1 if a run raises, warns or writes to stderr, if a usage row
-does not exit 2 with one `error: ...` line, or if a run's failing rows are
-not among those that domain_map.json lists for it (a run it does not list
-must exit 0). A run that fails fewer rows than listed passes and is
+rows, stderr, warnings, traceback and seconds go to OUT/summary.json, and
+the last line printed gives the runs' total seconds and the five slowest.
+The exit code is 1 if a run raises, warns or writes to stderr, if a usage
+row does not exit 2 with one `error: ...` line, or if a run's failing rows
+are not among those that domain_map.json lists for it (a run it does not
+list must exit 0). A run that fails fewer rows than listed passes and is
 printed: lower its entry.
 
 To see which reports a change moves, run the driver on both trees and diff
@@ -246,6 +247,10 @@ def main(argv=None) -> int:
     print(f"{len(table)} runs in {time.perf_counter() - t0:.1f} s: "
           + ", ".join(f"exit {c}: {codes.count(c)}"
                       for c in sorted(set(codes), key=str)))
+    seconds = {name: rec["seconds"] for name, rec in records.items()}
+    print(f"the runs themselves: {sum(seconds.values()):.1f} s; slowest: "
+          + ", ".join(f"{name} {seconds[name]:.3f} s" for name in
+                      sorted(seconds, key=seconds.get, reverse=True)[:5]))
     return 0 if ok else 1
 
 
