@@ -274,8 +274,8 @@ def _verify_slope(params, quad) -> VerificationReport:
                               bool(rel <= 0.05), {"gamma": g})
 
 
-def run_verify(cfg: RunConfig, args) -> tuple[list[VerificationReport], int]:
-    params = cfg.params(default_gamma=0.8)
+def run_verify(cfg: RunConfig, args, params: ProblemParams
+               ) -> tuple[list[VerificationReport], int]:
     quad = cfg.quad
     theta_scale = 0.5 if args.sabotage == "theta-half" else 1.0
     reports: list[VerificationReport] = []
@@ -298,8 +298,8 @@ def run_verify(cfg: RunConfig, args) -> tuple[list[VerificationReport], int]:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    reports, code = run_verify(cfg, args)
     params = cfg.params(default_gamma=0.8)
+    reports, code = run_verify(cfg, args, params)
     rows = [r.as_dict() for r in reports]
     meta = _meta(cfg, params)
     meta["sabotage"] = args.sabotage or "none"
@@ -343,16 +343,17 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     vals, errs = vals.tolist(), errs.tolist()
     rows = []
     for i, rho in enumerate(radii):
+        # the slope ln(psi_i / psi_(i-1)) / ln(r_i / r_(i-1)) and its
+        # first-order error from both values' errors
+        slope = slope_err = math.nan
         if 0 < i and vals[i] > 0 and vals[i - 1] > 0:
-            slope = (math.log(vals[i] / vals[i - 1])
-                     / math.log(radii[i] / radii[i - 1]))
-        else:
-            slope = math.nan
+            step = math.log(radii[i] / radii[i - 1])
+            slope = math.log(vals[i] / vals[i - 1]) / step
+            slope_err = (errs[i] / vals[i] + errs[i - 1] / vals[i - 1]) / step
         rows.append({
             "radius": float(rho), "radius_err": 0.0,
             "psi": vals[i], "psi_err": errs[i],
-            "local_slope": slope,
-            "local_slope_err": abs(errs[i] / vals[i]) if vals[i] else 0.0,
+            "local_slope": slope, "local_slope_err": slope_err,
         })
     meta = _meta(cfg, params)
     meta["kernel"] = kind

@@ -414,14 +414,13 @@ class SumField(RadialField):
         return max(self.first.tail_start(), self.second.tail_start())
 
 
-def near_optimizer(eps: float, dim: int, order: float,
-                   inner_cut: float = 1e-3,
-                   outer_cut: float = 1e3) -> TruncatedPowerLaw:
-    """Hardy-quotient near-optimizer: |x|^(-(N-2s)/2 + eps) with C^2 cutoffs."""
+def near_optimizer(eps: float, dim: int, order: float) -> TruncatedPowerLaw:
+    """Hardy-quotient near-optimizer: |x|^(-(N-2s)/2 + eps) with C^2 cutoffs
+    at 1e-3 and 1e3."""
     half = (dim - 2.0 * order) / 2.0
     if not 0.0 < eps < half:
         raise DomainError(f"eps={eps} outside (0, {half})")
-    return TruncatedPowerLaw(half - eps, inner_cut, outer_cut)
+    return TruncatedPowerLaw(half - eps, 1e-3, 1e3)
 
 
 _CATALOG = {

@@ -42,7 +42,6 @@ kernel genuinely blows up there.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -284,16 +283,12 @@ def _expint_cf(q: float, x: np.ndarray) -> np.ndarray:
     x >= p + 1, _lower_gamma) the depth is at least 4 sqrt(-q) + 1, which
     the fraction needs at x = p + 1: within 2e-15 of depth 1500 for
     p <= 171."""
-    lo = bisect_right(_EXPINT_CF_EDGES, x.min(initial=np.inf))
-    hi = bisect_right(_EXPINT_CF_EDGES, x.max(initial=-np.inf))
-    if lo >= hi:  # one bin (or no node): no gather and scatter
-        return _continued_fraction(q, x, _EXPINT_CF_DEPTHS[lo])
     out = np.empty_like(x)
     edges = (-np.inf, *_EXPINT_CF_EDGES, np.inf)
-    for b in range(lo, hi + 1):
+    for b, depth in enumerate(_EXPINT_CF_DEPTHS):
         sel = (x >= edges[b]) & (x < edges[b + 1])
         if sel.any():
-            out[sel] = _continued_fraction(q, x[sel], _EXPINT_CF_DEPTHS[b])
+            out[sel] = _continued_fraction(q, x[sel], depth)
     return out
 
 
@@ -384,6 +379,9 @@ def _factors(x, pq):
               (x >= 2.0, lambda xs: _from_two(xs, pq))]
     routes = [(sel, fn) for sel, fn in routes if sel.any()] or routes[:1]
     if len(routes) == 1:
+        # no gather and scatter: one route holds 549,324 of the 837,108
+        # nodes of a four-call resolvent solve at (2, .4), and the general
+        # path alone measured slower on that benchmark workload
         yield from routes[0][1](x)
         return
     for pieces in zip(*(route(x[sel]) for sel, route in routes)):

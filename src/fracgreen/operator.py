@@ -18,10 +18,11 @@ from .errors import DegenerateInputError, DomainError
 from .fields import PowerLaw, RadialField
 from .params import ProblemParams
 from .quadrature import (_OUTER_RADIUS, DIAGONAL_BAND, DIAGONAL_RUN,
-                         QuadratureSpec, adaptive_panel_integral, blockwise,
-                         frac_laplacian_at_detailed, frac_laplacian_power_law,
-                         integrate_radial_singular, log_edges, panel_nodes,
-                         radial_moment, sphere_area, sphere_mean_power)
+                         QuadratureSpec, _read_only, adaptive_panel_integral,
+                         blockwise, frac_laplacian_at_detailed,
+                         frac_laplacian_power_law, integrate_radial_singular,
+                         log_edges, panel_nodes, radial_moment, sphere_area,
+                         sphere_mean_power)
 from .reports import VerificationReport
 
 
@@ -134,8 +135,7 @@ def _inner_rule(dim: int, order: float):
     weight = w * u ** (dim - 1.0) * sphere_mean_power(dim + 2.0 * order, 1.0,
                                                       u, dim)
     u = np.append(u, 1.0)  # f(rho) itself
-    u.flags.writeable = weight.flags.writeable = False
-    return u, weight
+    return _read_only(u, weight)
 
 
 def _inner_below(f: RadialField, rho: np.ndarray,

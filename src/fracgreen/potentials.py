@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -46,8 +47,8 @@ from .fields import RadialField
 from .kernels import _make_kernel
 from .params import ProblemParams
 from .quadrature import (_RULE_POINTS, QuadratureSpec, _on_rules,
-                         _per_decade, adaptive_panel_rows, axis_point,
-                         blockwise, frac_laplacian_at_detailed,
+                         _per_decade, _read_only, adaptive_panel_rows,
+                         axis_point, blockwise, frac_laplacian_at_detailed,
                          integrate_radial_singular, log_edges, panel_nodes,
                          polar_rule, radial_moment, sphere_area, versine,
                          versine_distance)
@@ -73,11 +74,6 @@ _PAIR_EDGES = np.linspace(0.0, math.pi, 13)[:-1]
 # the widest kernel boundary layer of the two-angle rule, in units of |x|:
 # every shell at least this far from its point's |x| takes it
 _PAIR_LAYER_CLIP = 0.3
-# the pair rule's polar edges, weights and node tables for the width
-# _PAIR_LAYER_CLIP, and its second-angle rule, by dimension, read-only,
-# built on first use
-_CLIPPED_LAYER = {}
-_SECOND_ANGLES = {}
 # engine values behind a flap profile's interpolant outside the support
 _FLAP_OUTSIDE = 17
 
@@ -134,12 +130,11 @@ def green_potentials_at(phi: RadialField, points, params: ProblemParams,
     kern = _make_kernel(kernel_kind, params, alpha)
     lo, hi = _density_range(phi)
 
-    if kern.distance_only:
-        # only |x - y| matters: radial about the density center
+    if kern.distance_only or phi.center_norm == 0.0:
+        # radial about the density center (for a centred density the
+        # distances are rho to the bit)
         rho_c = np.linalg.norm(points - phi.center(params.dim), axis=1)
         return _radial_potentials(kern, phi, rho_c, params, quad)
-    if phi.center_norm == 0.0:
-        return _radial_potentials(kern, phi, rho, params, quad)
     inside = (rho > lo) & (rho < hi)
     groups = [[i] for i in np.flatnonzero(inside)]
     on_axis = np.abs(points[:, 0]) == rho
@@ -248,28 +243,19 @@ def _potential_pair(kern, phi, points, params, quad):
         diagonal=(float(rho[0]), min(0.0, 2.0 * params.order - 1.0)))
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
+@lru_cache(maxsize=64)
 def _second_angle(dim):
     """Nodes cos(chi) of the second reduction angle and weights that average
     over them: the azimuth chi on S^(N-2) for N >= 3, the two signs of
-    theta (cos chi = +-1) for N = 2, a single node for N = 1. Built once per
-    dimension (_SECOND_ANGLES)."""
-    if dim not in _SECOND_ANGLES:
-        if dim >= 3:
-            chi, wc = panel_nodes(np.linspace(0.0, math.pi, 9), 10)
-            rule = np.cos(chi), wc * np.sin(chi) ** (dim - 3) * (
-                sphere_area(dim - 2) / sphere_area(dim - 1))
-        elif dim == 2:
-            rule = np.array([1.0, -1.0]), np.array([0.5, 0.5])
-        else:
-            rule = np.ones(1), np.ones(1)
-        _SECOND_ANGLES[dim] = _read_only(*rule)
-    return _SECOND_ANGLES[dim]
+    theta (cos chi = +-1) for N = 2, a single node for N = 1. Read-only,
+    built once per dimension."""
+    if dim >= 3:
+        chi, wc = panel_nodes(np.linspace(0.0, math.pi, 9), 10)
+        return _read_only(np.cos(chi), wc * np.sin(chi) ** (dim - 3) * (
+            sphere_area(dim - 2) / sphere_area(dim - 1)))
+    if dim == 2:
+        return _read_only(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    return _read_only(np.ones(1), np.ones(1))
 
 
 def _layer_rows(dim, layer):
@@ -291,19 +277,24 @@ def _polar_tables(theta):
     return versine(theta), np.cos(theta), np.sin(theta)
 
 
+@lru_cache(maxsize=64)
+def _clipped_layer(dim):
+    """_layer_rows of the width _PAIR_LAYER_CLIP alone, which every shell far
+    from x shares: read-only, built once per dimension."""
+    return _read_only(*_layer_rows(dim, np.array([_PAIR_LAYER_CLIP])))
+
+
 def _polar_layers(dim, layer):
     """_layer_rows for the ascending layer widths `layer`, taking the row of
-    the width _PAIR_LAYER_CLIP, which every shell far from x shares, from
-    _CLIPPED_LAYER, built once per dimension. The other widths come from
-    adaptive nodes near |x| and seldom repeat: they are built per call."""
+    the width _PAIR_LAYER_CLIP from _clipped_layer. The other widths come
+    from adaptive nodes near |x| and seldom repeat: they are built per
+    call."""
     if layer[-1] < _PAIR_LAYER_CLIP:
         return _layer_rows(dim, layer)
-    if dim not in _CLIPPED_LAYER:
-        _CLIPPED_LAYER[dim] = _read_only(*_layer_rows(dim, layer[-1:]))
     if layer.size == 1:
-        return _CLIPPED_LAYER[dim]
+        return _clipped_layer(dim)
     return tuple(np.concatenate(rows) for rows in zip(
-        _layer_rows(dim, layer[:-1]), _CLIPPED_LAYER[dim]))
+        _layer_rows(dim, layer[:-1]), _clipped_layer(dim)))
 
 
 def _pair_shell_integrals(kern, phi, rho, beta, r, dim):
@@ -482,11 +473,9 @@ def origin_slope_fit(phi: RadialField, params: ProblemParams,
 
 
 def hardy_integrability_check(phi: RadialField, params: ProblemParams,
-                              quad: QuadratureSpec,
-                              kernel_kind: str = "surrogate",
-                              alpha: float | None = None
-                              ) -> VerificationReport:
-    """Check int psi^2 |x|^(-2s) dx is finite and refinement-stable.
+                              quad: QuadratureSpec) -> VerificationReport:
+    """Check int psi^2 |x|^(-2s) dx is finite and refinement-stable, psi the
+    surrogate kernel's potential of phi.
 
     Split at R = 2 max(1, outer edge of the density's support): the
     interior piece on [1e-3 R, R] and the exterior piece on [R, 100 R] are
@@ -505,8 +494,7 @@ def hardy_integrability_check(phi: RadialField, params: ProblemParams,
     radii = np.concatenate([np.geomspace(1e-3 * R, R, 33),
                             np.geomspace(R, 100.0 * R, 25)[1:]])
     # the integrand psi^2 |x|^(-2s), psi^2 averaged over the directions
-    psi, _ = green_potentials_at(phi, _points(radii, dirs), params, quad,
-                                 kernel_kind, alpha)
+    psi, _ = green_potentials_at(phi, _points(radii, dirs), params, quad)
     vals = (psi.reshape(radii.size, -1) ** 2).mean(axis=1) \
         * radii ** (-2.0 * s)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -18,15 +18,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "residual": self.residual,
-            "passed": self.passed,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

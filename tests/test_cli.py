@@ -350,6 +350,24 @@ class TestSolve:
         slopes = [float(r["local_slope"]) for r in rows[1:]]
         assert all(abs(sl + 0.8) <= 0.05 * 0.8 for sl in slopes)
 
+    def test_slope_error_from_both_values(self):
+        # the slope between rows i-1 and i carries both values' relative
+        # errors over the log step, and is NaN, like the slope, at row 0
+        code, out, _ = run_cli("solve", "--N", "2", "--s", "0.4",
+                               "--radii", "0.5:1.3:3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert math.isnan(float(rows[0]["local_slope"]))
+        assert math.isnan(float(rows[0]["local_slope_err"]))
+        for prev, row in zip(rows, rows[1:]):
+            rel = (float(row["psi_err"]) / float(row["psi"])
+                   + float(prev["psi_err"]) / float(prev["psi"]))
+            step = math.log(float(row["radius"]) / float(prev["radius"]))
+            assert float(row["local_slope_err"]) == pytest.approx(
+                rel / step, rel=1e-15)
+            assert float(row["local_slope_err"]) > float(row["psi_err"]) \
+                / float(row["psi"])
+
     def test_riesz_solve_then_delta_verify(self):
         # zero-coupling solve is validated by the delta identity
         code, out, _ = run_cli("solve", "--N", "3", "--s", "0.5",

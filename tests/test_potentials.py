@@ -16,6 +16,8 @@ from fracgreen.kernels import (_ResolventKernel, _RieszKernel,
                                _SurrogateKernel)
 from fracgreen.potentials import (FlapProfile, PotentialField,
                                   _potential_pair)
+from fracgreen.quadrature import (bipolar_sphere_integral, sphere_mean_power,
+                                  versine_distance)
 
 # the (N, s) sweep of the radial-form checks
 SWEEP = [(1, 0.25), (2, 0.4), (3, 0.3), (4, 0.75), (5, 0.9)]
@@ -510,8 +512,8 @@ class TestPairShells:
     def shells(dim, beta, monkeypatch):
         """Fresh memos, then the (point, shell) pairs of one call twice,
         counting the blocks of each call."""
-        monkeypatch.setattr(potentials, "_CLIPPED_LAYER", {})
-        monkeypatch.setattr(potentials, "_SECOND_ANGLES", {})
+        potentials._clipped_layer.cache_clear()
+        potentials._second_angle.cache_clear()
         blocks = []
         pair_block = potentials._pair_block
 
@@ -587,10 +589,10 @@ class TestPairShells:
         assert evals[0] == evals[1] + evals[2] > 0
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_clipped_row_matches_a_fresh_build(self, dim, monkeypatch):
+    def test_clipped_row_matches_a_fresh_build(self, dim):
         # the kept row of the clipped width, alone or after other widths,
         # equals the rows built with them in one call
-        monkeypatch.setattr(potentials, "_CLIPPED_LAYER", {})
+        potentials._clipped_layer.cache_clear()
         clip = potentials._PAIR_LAYER_CLIP
         for layer in ([clip], [1e-8, 0.01, 0.17, clip], [clip], [0.05, 0.2],
                       [0.2, clip]):
@@ -599,17 +601,56 @@ class TestPairShells:
             kept = potentials._polar_layers(dim, layer)
             for a, b in zip(kept, fresh):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert list(potentials._CLIPPED_LAYER) == [dim]
+        assert potentials._clipped_layer.cache_info().currsize == 1
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_memoized_arrays_are_read_only(self, dim, monkeypatch):
         self.shells(dim, 0.7, monkeypatch)
-        arrays = list(potentials._CLIPPED_LAYER[dim])
+        arrays = list(potentials._clipped_layer(dim))
         arrays += list(potentials._second_angle(dim))
         assert len(arrays) > 2
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+class TestShellRulesOnRiesz:
+    # both shell rules on the Riesz kernel d^-(N-2s) against its closed
+    # sphere mean, at |x| = .7 and shells a relative gap |r/rho - 1| away
+    RHO = 0.7
+    POINTS = [(2, 0.05), (2, 0.4), (3, 0.5), (5, 0.9)]
+
+    def shells(self, gap):
+        gap = np.asarray(gap, dtype=float)
+        return self.RHO * np.concatenate([1.0 - gap, 1.0 + gap])
+
+    @pytest.mark.parametrize("dim,s", POINTS)
+    def test_pair_rule_layer_rows(self, dim, s):
+        # the pair rule's polar rows, graded into each shell's layer
+        # (width = gap), from gap 1e-1 to 1e-6: worst miss 4.2e-14
+        lam = dim - 2.0 * s
+        r = self.shells(np.geomspace(1e-1, 1e-6, 6))
+        _, wt, vers, _, _ = potentials._layer_rows(dim,
+                                                   np.abs(r / self.RHO - 1))
+        val = np.sum(wt * versine_distance(self.RHO, r[:, None], vers)
+                     ** -lam, axis=1)
+        np.testing.assert_allclose(
+            val, sphere_mean_power(lam, self.RHO, r, dim), rtol=1e-13)
+
+    @pytest.mark.parametrize("gap", [
+        1e-1, pytest.param(1e-3, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 18"))])
+    @pytest.mark.parametrize("dim,s", POINTS)
+    def test_bipolar_rule(self, dim, s, gap):
+        # 12 uniform polar panels: within 5.3e-10 at gap 1e-1, but they
+        # miss the layer of a nearer shell, by 30%, 6.8%, 3.4% and 0.14% at
+        # gap 1e-3
+        lam = dim - 2.0 * s
+        r = self.shells([gap])
+        val = bipolar_sphere_integral(lambda d, rs: d ** -lam, self.RHO, r,
+                                      dim)
+        np.testing.assert_allclose(
+            val, sphere_mean_power(lam, self.RHO, r, dim), rtol=1e-9)
 
 
 class TestOriginSlope:

@@ -335,6 +335,16 @@ class TestPanelIntegral:
             adaptive_panel_integral(lambda r: 1.0 / r, edges, quad,
                                     tail=((1.0, 0.0),))
 
+    @pytest.mark.parametrize("edges", [[], [0.5], [0.5, 0.5, 0.5]])
+    def test_fewer_than_two_distinct_edges_rejected(self, quad, edges):
+        # the one-row entry point raises as the many-row engine does
+        match = "panel integral short: needs two distinct edges"
+        with pytest.raises(DomainError, match=match):
+            adaptive_panel_rows(lambda t: np.ones((1, t.size)), edges, quad,
+                                label="short")
+        with pytest.raises(DomainError, match=match):
+            adaptive_panel_integral(np.ones_like, edges, quad, label="short")
+
     def test_log_edges_past_the_largest_double_ratio(self):
         # hi / lo = 1e600 overflows; the decades are counted without it
         edges = log_edges(1e-300, 1e300, 4)

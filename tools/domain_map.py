@@ -110,6 +110,10 @@ def run_table(cfg_dir: Path) -> list[tuple[str, list[str], bool]]:
         "--s", 0.4, "--kernel", "resolvent_surrogate", "--alpha", 3)
     add("solve-resolvent_surrogate-N5-s0.9", "solve", "--N", 5, "--s", 0.9,
         "--kernel", "resolvent_surrogate")
+    # the centred resolvent potential at small s, which the sphere rule's
+    # uniform polar panels still miss by up to 53% (ROADMAP item 18)
+    add("solve-resolvent_surrogate-N2-s0.05", "solve", "--N", 2,
+        "--s", 0.05, "--kernel", "resolvent_surrogate")
     # seven radii outside the density's shells on one shared pair rule, and
     # 1.3 inside them on its own diagonal rule
     add("solve-surrogate-N2-s0.4-off-0.001-1.3-8", "solve", "--N", 2,
